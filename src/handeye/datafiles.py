@@ -15,11 +15,13 @@ Exactly one of ``camera_extrinsics`` / ``perspective_matrices`` must be
 present and must match the formulation tag.  Lists must have equal length
 and at least 2 entries; exactly 2 positions (a single motion) load with a
 warning, since one motion cannot determine the transform uniquely.
-Rotation blocks farther than 1e-6 from orthonormal are rejected; closer
-ones are polar-projected onto the rotation group.
+Every matrix entry must be finite.  Rotation blocks farther than 1e-6
+from orthonormal are rejected; closer ones are polar-projected onto the
+rotation group.
 
 A solution document records one estimate in every common parametrization
-(quaternion, matrix, axis-angle) plus the two residual metrics.
+(quaternion, matrix, axis-angle) plus the two residual metrics; loading
+one rejects a non-finite quaternion, translation or residual.
 """
 
 from __future__ import annotations
@@ -46,10 +48,7 @@ from .simulate import (
     Formulation,
     NoiseModel,
     _generator,
-    camera_relative_motions,
     default_scenario,
-    derive_hand_motions,
-    nominal_translation,
     perspective_scenario,
     perturb,
     random_intrinsics,
@@ -83,6 +82,8 @@ def _matrix(entry, rows: int, what: str) -> np.ndarray:
         raise SchemaError(f"{what}: not a numeric matrix ({err})") from err
     if m.shape != (rows, 4):
         raise SchemaError(f"{what}: expected {rows}x4, got {m.shape}")
+    if not np.isfinite(m).all():
+        raise SchemaError(f"{what}: non-finite entry")
     return m
 
 
@@ -233,6 +234,8 @@ def load_solution(path) -> HandEyeSolution:
         raise SchemaError(f"{path}: {err!r}") from err
     if q.shape != (4,) or t.shape != (3,):
         raise SchemaError(f"{path}: quaternion_wxyz must have 4 entries, translation_mm 3")
+    if not np.isfinite([*q, *t, rot_res, tr_res]).all():
+        raise SchemaError(f"{path}: non-finite quaternion, translation or residual")
     norm = np.linalg.norm(q)
     if abs(norm - 1.0) > 1e-6:
         raise SchemaError(f"{path}: quaternion norm {norm:.6f} is not 1")
@@ -257,11 +260,10 @@ def synthetic_dataset(
         if formulation == Formulation.CLASSICAL
         else perspective_scenario(n, seed)
     )
-    a_motions = camera_relative_motions(scenario)
-    b_motions = derive_hand_motions(scenario)
+    a_motions, b_motions = zip(*scenario.motion_pairs)
     if noise is not None and noise.level > 0:
         rng = _generator(noise.seed, 2)
-        scale = nominal_translation(scenario)
+        scale = scenario.nominal_translation
         a_motions = [perturb(a, noise, rng, scale) for a in a_motions]
         b_motions = [perturb(b, noise, rng, scale) for b in b_motions]
 

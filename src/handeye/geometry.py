@@ -10,12 +10,13 @@ Every solver in this package consumes the same per-motion record,
 :class:`MotionConstraint`, regardless of whether it was extracted from
 decomposed camera poses (the AX = XB route) or from raw 3x4 perspective
 matrices (the MY = M'YB route).  ``classical_constraints`` and
-``perspective_constraints`` build those records.
+``perspective_constraints`` build those records; the solvers stack a
+list of them once into a :class:`ConstraintSet`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -191,6 +192,34 @@ class MotionConstraint:
             if v.shape != (3,):
                 raise ValueError(f"{name} must be a 3-vector")
             object.__setattr__(self, name, v)
+
+
+@dataclass(frozen=True, eq=False)
+class ConstraintSet:
+    """n constraint records stacked once, in motion order: each field is
+    the (n, ...) stack of the :class:`MotionConstraint` field of that name."""
+
+    camera_rotation: np.ndarray     # (n, 3, 3)
+    hand_rotation: np.ndarray       # (n, 3, 3)
+    camera_axis: np.ndarray         # (n, 3)
+    hand_axis: np.ndarray           # (n, 3)
+    camera_translation: np.ndarray  # (n, 3)
+    hand_translation: np.ndarray    # (n, 3)
+
+    def __len__(self) -> int:
+        return len(self.camera_rotation)
+
+    @classmethod
+    def of(cls, constraints) -> "ConstraintSet":
+        """A set unchanged; a sequence of records stacked field by field."""
+        if isinstance(constraints, cls):
+            return constraints
+        if not constraints:
+            rotations, vectors = np.empty((0, 3, 3)), np.empty((0, 3))
+            return cls(rotations, rotations, vectors, vectors, vectors, vectors)
+        return cls(
+            *(np.stack([getattr(c, f.name) for c in constraints]) for f in fields(cls))
+        )
 
 
 @dataclass(frozen=True, eq=False)

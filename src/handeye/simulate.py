@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -33,6 +34,7 @@ from . import quaternion as quat
 from .errors import CalibrationError, DegenerateRotationError, ZeroTranslationError
 from .geometry import (
     MIN_ROTATION_ANGLE,
+    ConstraintSet,
     Intrinsics,
     MotionConstraint,
     PerspectiveMatrix,
@@ -104,6 +106,20 @@ class Scenario:
     ground_truth: RigidMotion
     camera_poses: tuple
     formulation: Formulation = Formulation.CLASSICAL
+
+    @cached_property
+    def motion_pairs(self) -> tuple[tuple[RigidMotion, RigidMotion], ...]:
+        """Noise-free (camera motion, hand motion) pairs, derived once."""
+        return tuple(zip(camera_relative_motions(self), derive_hand_motions(self)))
+
+    @cached_property
+    def nominal_translation(self) -> float:
+        """Mean motion translation magnitude over both sides, mm."""
+        total = sum(
+            np.linalg.norm(a.translation) + np.linalg.norm(b.translation)
+            for a, b in self.motion_pairs
+        )
+        return float(total) / (2 * len(self.motion_pairs))
 
 
 @dataclass(frozen=True)
@@ -334,17 +350,6 @@ def perspective_scenario(n: int, seed: int) -> Scenario:
 # ---------------------------------------------------------------------------
 # sweeps
 
-def nominal_translation(scenario: Scenario) -> float:
-    """Mean motion translation magnitude over both sides, mm."""
-    a_motions = camera_relative_motions(scenario)
-    b_motions = derive_hand_motions(scenario)
-    total = sum(
-        np.linalg.norm(a.translation) + np.linalg.norm(b.translation)
-        for a, b in zip(a_motions, b_motions)
-    )
-    return float(total) / (2 * len(a_motions))
-
-
 def trial_constraints(
     scenario: Scenario,
     distribution: Distribution,
@@ -357,11 +362,9 @@ def trial_constraints(
     Each (camera, hand) motion pair consumes its noise samples in a fixed
     order, so the list is a pure function of the rng stream.
     """
-    a_motions = camera_relative_motions(scenario)
-    b_motions = derive_hand_motions(scenario)
-    scale = nominal_translation(scenario)
+    scale = scenario.nominal_translation
     out = []
-    for a, b in zip(a_motions, b_motions):
+    for a, b in scenario.motion_pairs:
         noisy_a = _perturb(a, distribution, rot_level, trans_level, rng, scale)
         noisy_b = _perturb(b, distribution, rot_level, trans_level, rng, scale)
         out.append(motion_constraint(noisy_a, noisy_b))
@@ -373,18 +376,13 @@ def _sweep(
 ) -> list[ReportRow]:
     rows = []
     for index, (sweep_var, scenario, rot_level, trans_level) in enumerate(points):
-        a_motions = camera_relative_motions(scenario)
-        b_motions = derive_hand_motions(scenario)
-        scale = nominal_translation(scenario)
         collected: dict[Method, list[HandEyeSolution]] = {m: [] for m in methods}
         failed = {m: 0 for m in methods}
         for j in range(trials):
             rng = _generator(seed, index, j)
-            constraints = []
-            for a, b in zip(a_motions, b_motions):
-                noisy_a = _perturb(a, distribution, rot_level, trans_level, rng, scale)
-                noisy_b = _perturb(b, distribution, rot_level, trans_level, rng, scale)
-                constraints.append(motion_constraint(noisy_a, noisy_b))
+            constraints = ConstraintSet.of(
+                trial_constraints(scenario, distribution, rot_level, trans_level, rng)
+            )
             for m in methods:
                 try:
                     collected[m].append(SOLVERS[m](constraints))

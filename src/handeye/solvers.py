@@ -1,18 +1,21 @@
-"""Three hand-eye solvers over a shared constraint list.
+"""Three hand-eye solvers over a shared constraint set.
 
-Every solver consumes ``MotionConstraint`` records and estimates the same
-unknown: the rotation (as a unit quaternion) and translation (mm) of the
-hand-eye transform.  They differ in how much they decouple:
+Every solver stacks its ``MotionConstraint`` records once into a
+``ConstraintSet`` (or takes one as given) and estimates the same unknown:
+the rotation (as a unit quaternion) and translation (mm) of the hand-eye
+transform.  They differ in how much they decouple:
 
 * ``solve_tsai_lenz`` linearizes the axis equation with the scaled-axis
   vector tan(angle/2) * axis, solves it by least squares, then solves the
   translation equation by least squares.
 * ``solve_closed_form`` minimizes the axis-alignment error over unit
   quaternions exactly, as the eigenvector of a 4x4 symmetric matrix for
-  its smallest eigenvalue, then solves translation the same way.
+  its smallest eigenvalue (``np.linalg.eigh``), then solves translation
+  the same way.
 * ``solve_nonlinear`` minimizes the full coupled objective (axis alignment
   plus translation transfer plus a soft unit-norm penalty) over all seven
-  parameters simultaneously with Levenberg-Marquardt.
+  parameters simultaneously with Levenberg-Marquardt, starting from the
+  closed-form solution.
 
 ``build_quadratic`` assembles the closed quadratic form of the coupled
 objective whose term count does not grow with the number of motions; it is
@@ -28,11 +31,11 @@ import numpy as np
 
 from . import quaternion as quat
 from .errors import (
-    CalibrationError,
     IllConditionedError,
     NotSymmetricError,
     TooFewMotionsError,
 )
+from .geometry import ConstraintSet
 
 # Shared threshold: a stacked linear system with a larger spectral condition
 # number is treated as rank-deficient.
@@ -89,16 +92,6 @@ class HandEyeSolution:
         return quat.to_rotation_matrix(self.rotation)
 
 
-def _stacks(constraints):
-    k = np.stack([c.camera_rotation for c in constraints])
-    rb = np.stack([c.hand_rotation for c in constraints])
-    vp = np.stack([c.camera_axis for c in constraints])
-    v = np.stack([c.hand_axis for c in constraints])
-    pp = np.stack([c.camera_translation for c in constraints])
-    p = np.stack([c.hand_translation for c in constraints])
-    return k, rb, vp, v, pp, p
-
-
 def _check_condition(a: np.ndarray, what: str):
     svals = np.linalg.svd(a, compute_uv=False)
     if svals[-1] <= 0.0 or svals[0] / svals[-1] > CONDITION_LIMIT:
@@ -117,13 +110,15 @@ def _skew(v: np.ndarray) -> np.ndarray:
 def axis_alignment_matrix(constraints) -> np.ndarray:
     """4x4 symmetric matrix whose quadratic form over unit quaternions is
     the summed squared axis-alignment error."""
-    _, _, vp, v, _, _ = _stacks(constraints)
+    cs = ConstraintSet.of(constraints)
+    vp, v = cs.camera_axis, cs.hand_axis
     d = quat.q_matrix(quat.embed(vp)) - quat.w_matrix(quat.embed(v))
     return np.einsum("nji,njk->ik", d, d)
 
 
-def _metrics(constraints, q: np.ndarray, t: np.ndarray) -> tuple[float, float]:
-    k, rb, _, _, pp, p = _stacks(constraints)
+def _metrics(cs: ConstraintSet, q: np.ndarray, t: np.ndarray) -> tuple[float, float]:
+    k, rb = cs.camera_rotation, cs.hand_rotation
+    pp, p = cs.camera_translation, cs.hand_translation
     r3 = quat.to_rotation_matrix(q)
     rot = float(np.sum((k @ r3 - r3 @ rb) ** 2))
     transfer = p @ r3.T - pp                      # what the translation must explain
@@ -141,14 +136,14 @@ def report_residuals(constraints, solution: HandEyeSolution) -> tuple[float, flo
     squared translation-equation error).  Raises ZeroDivisionError when
     the translation-transfer norm vanishes.
     """
-    return _metrics(constraints, solution.rotation, solution.translation)
+    return _metrics(ConstraintSet.of(constraints), solution.rotation, solution.translation)
 
 
 # ---------------------------------------------------------------------------
 # symmetric 4x4 eigensolver
 
 def eigen_sym4(m) -> tuple[np.ndarray, np.ndarray]:
-    """Eigen-decomposition of a symmetric 4x4 matrix by cyclic Jacobi sweeps.
+    """Eigen-decomposition of a symmetric 4x4 matrix by ``np.linalg.eigh``.
 
     Returns (eigenvalues ascending, eigenvectors as columns).  Eigenvector
     signs are fixed so the largest-magnitude component is positive.
@@ -158,45 +153,30 @@ def eigen_sym4(m) -> tuple[np.ndarray, np.ndarray]:
         raise NotSymmetricError(f"expected 4x4 matrix, got {m.shape}")
     if np.linalg.norm(m - m.T) > 1e-9:
         raise NotSymmetricError("matrix is not symmetric")
-    a = 0.5 * (m + m.T)
-    vecs = np.eye(4)
-    scale = np.linalg.norm(a)
-    if scale == 0.0:
-        return np.zeros(4), vecs
-    for _ in range(50):
-        off = np.sqrt(np.sum((a - np.diag(np.diag(a))) ** 2))
-        if off <= 1e-15 * scale:
-            break
-        for p in range(3):
-            for q in range(p + 1, 4):
-                apq = a[p, q]
-                if abs(apq) <= 1e-20 * scale:
-                    continue
-                theta = 0.5 * (a[q, q] - a[p, p]) / apq
-                if theta == 0.0:
-                    t = 1.0
-                else:
-                    t = np.sign(theta) / (abs(theta) + np.hypot(theta, 1.0))
-                c = 1.0 / np.hypot(t, 1.0)
-                s = t * c
-                rot = np.eye(4)
-                rot[p, p] = rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                a = rot.T @ a @ rot
-                vecs = vecs @ rot
-    order = np.argsort(np.diag(a), kind="stable")
-    vals = np.diag(a)[order]
-    vecs = vecs[:, order]
-    for j in range(4):
-        lead = np.argmax(np.abs(vecs[:, j]))
-        if vecs[lead, j] < 0:
-            vecs[:, j] = -vecs[:, j]
-    return vals, vecs
+    vals, vecs = np.linalg.eigh(0.5 * (m + m.T))
+    lead = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(4)]
+    return vals, np.where(lead < 0, -vecs, vecs)
 
 
 # ---------------------------------------------------------------------------
 # decoupled solvers
+
+def _translation_system(cs: ConstraintSet) -> np.ndarray:
+    a = (cs.camera_rotation - np.eye(3)).reshape(-1, 3)
+    _check_condition(a, "translation system")
+    return a
+
+
+def _unique_rotation(cs: ConstraintSet) -> np.ndarray:
+    """The closed-form rotation; IllConditionedError when it is not unique."""
+    vals, vecs = eigen_sym4(axis_alignment_matrix(cs))
+    if vals[1] - vals[0] < EIGENVALUE_GAP:
+        raise IllConditionedError(
+            f"smallest eigenvalues {vals[0]:.3e}, {vals[1]:.3e} nearly coincide; "
+            "rotation is not unique"
+        )
+    return quat.as_unit(vecs[:, 0] / np.linalg.norm(vecs[:, 0]))
+
 
 def solve_translation_ls(constraints, rotation) -> np.ndarray:
     """Least-squares translation at a fixed rotation.
@@ -206,11 +186,10 @@ def solve_translation_ls(constraints, rotation) -> np.ndarray:
     rank-deficient than the shared condition limit (a single motion or
     motions sharing a rotation axis leave one direction unobservable).
     """
-    k, _, _, _, pp, p = _stacks(constraints)
+    cs = ConstraintSet.of(constraints)
     r3 = quat.to_rotation_matrix(np.asarray(rotation, dtype=float))
-    a = (k - np.eye(3)).reshape(-1, 3)
-    _check_condition(a, "translation system")
-    rhs = (p @ r3.T - pp).reshape(-1)
+    a = _translation_system(cs)
+    rhs = (cs.hand_translation @ r3.T - cs.camera_translation).reshape(-1)
     t, *_ = np.linalg.lstsq(a, rhs, rcond=None)
     return t
 
@@ -226,9 +205,10 @@ def solve_tsai_lenz(constraints) -> HandEyeSolution:
     three rows per motion, rank 2 each, so at least two motions with
     distinct axes are required.
     """
-    if len(constraints) < 2:
-        raise TooFewMotionsError(f"need at least 2 motions, got {len(constraints)}")
-    _, _, vp, v, _, _ = _stacks(constraints)
+    cs = ConstraintSet.of(constraints)
+    if len(cs) < 2:
+        raise TooFewMotionsError(f"need at least 2 motions, got {len(cs)}")
+    vp, v = cs.camera_axis, cs.hand_axis
     a = np.concatenate([_skew(row) for row in vp + v], axis=0)
     _check_condition(a, "axis system")
     rhs = (v - vp).reshape(-1)
@@ -239,8 +219,8 @@ def solve_tsai_lenz(constraints) -> HandEyeSolution:
     else:
         # atan-based angle recovery stays finite for large |g| (angles near pi)
         q = quat.from_axis_angle(g / magnitude, 2.0 * np.arctan(magnitude))
-    t = solve_translation_ls(constraints, q)
-    rot_res, tr_res = _metrics(constraints, q, t)
+    t = solve_translation_ls(cs, q)
+    rot_res, tr_res = _metrics(cs, q, t)
     return HandEyeSolution(q, t, rot_res, tr_res, Method.TSAI_LENZ)
 
 
@@ -253,18 +233,12 @@ def solve_closed_form(constraints) -> HandEyeSolution:
     means the minimizer is not unique (single motion, or parallel axes)
     and the problem is rejected.
     """
-    if not constraints:
+    cs = ConstraintSet.of(constraints)
+    if not cs:
         raise TooFewMotionsError("need at least 2 motions, got 0")
-    coeff = axis_alignment_matrix(constraints)
-    vals, vecs = eigen_sym4(coeff)
-    if vals[1] - vals[0] < EIGENVALUE_GAP:
-        raise IllConditionedError(
-            f"smallest eigenvalues {vals[0]:.3e}, {vals[1]:.3e} nearly coincide; "
-            "rotation is not unique"
-        )
-    q = quat.as_unit(vecs[:, 0] / np.linalg.norm(vecs[:, 0]))
-    t = solve_translation_ls(constraints, q)
-    rot_res, tr_res = _metrics(constraints, q, t)
+    q = _unique_rotation(cs)
+    t = solve_translation_ls(cs, q)
+    rot_res, tr_res = _metrics(cs, q, t)
     return HandEyeSolution(q, t, rot_res, tr_res, Method.CLOSED_FORM)
 
 
@@ -319,10 +293,11 @@ def build_quadratic(
     unit_penalty: float = DEFAULT_UNIT_PENALTY,
 ) -> QuadraticObjective:
     """Assemble the constant-size quadratic form of the coupled objective."""
-    k, rb, _, _, pp, p = _stacks(constraints)
-    kmi = k - np.eye(3)
+    cs = ConstraintSet.of(constraints)
+    rb, pp, p = cs.hand_rotation, cs.camera_translation, cs.hand_translation
+    kmi = cs.camera_rotation - np.eye(3)
 
-    rot_quad = axis_weight * axis_alignment_matrix(constraints)
+    rot_quad = axis_weight * axis_alignment_matrix(cs)
     w_p = quat.w_matrix(quat.embed(p))
     q_pp = quat.q_matrix(quat.embed(pp))
     cross = np.einsum("nji,njk->ik", w_p, q_pp)
@@ -353,7 +328,9 @@ def objective_value(
     unit_penalty: float = DEFAULT_UNIT_PENALTY,
 ) -> float:
     """Directly summed simultaneous objective (no quadratic shortcut)."""
-    k, _, vp, v, pp, p = _stacks(constraints)
+    cs = ConstraintSet.of(constraints)
+    k, vp, v = cs.camera_rotation, cs.camera_axis, cs.hand_axis
+    pp, p = cs.camera_translation, cs.hand_translation
     q = np.asarray(q, dtype=float)
     t = np.asarray(t, dtype=float)
     rotated_v = quat.rotate_vector(q, v)
@@ -364,7 +341,7 @@ def objective_value(
     return axis_weight * f1 + transfer_weight * f2 + penalty
 
 
-def _lm_problem(constraints, axis_weight, transfer_weight, unit_penalty, scale=1.0):
+def _lm_problem(cs: ConstraintSet, axis_weight, transfer_weight, unit_penalty, scale=1.0):
     """Residual and Jacobian closures for the 7-parameter problem.
 
     Residual layout: 3 axis-alignment rows per motion, then 3 translation
@@ -374,11 +351,11 @@ def _lm_problem(constraints, axis_weight, transfer_weight, unit_penalty, scale=1
     with respect to q is w_matrix(q)' w_matrix(v) + q_matrix(q)
     q_matrix(v) conj, which the closures evaluate batched over motions.
     """
-    k, _, vp, v, pp, p = _stacks(constraints)
-    n = len(constraints)
-    kmi = k - np.eye(3)
-    pp = pp / scale
-    p = p / scale
+    vp, v = cs.camera_axis, cs.hand_axis
+    n = len(cs)
+    kmi = cs.camera_rotation - np.eye(3)
+    pp = cs.camera_translation / scale
+    p = cs.hand_translation / scale
     sa = np.sqrt(axis_weight)
     sb = np.sqrt(transfer_weight)
     sp = np.sqrt(unit_penalty)
@@ -415,7 +392,8 @@ def _lm_problem(constraints, axis_weight, transfer_weight, unit_penalty, scale=1
 
 def translation_span(constraints) -> float:
     """RMS motion-translation magnitude of a constraint set, mm."""
-    _, _, _, _, pp, p = _stacks(constraints)
+    cs = ConstraintSet.of(constraints)
+    pp, p = cs.camera_translation, cs.hand_translation
     return float(np.sqrt(0.5 * np.mean(np.sum(pp**2, axis=1) + np.sum(p**2, axis=1))))
 
 
@@ -447,8 +425,10 @@ def solve_nonlinear(
     Pass ``translation_scale=1.0`` for the raw objective.
 
     Degenerate constraint sets (non-unique rotation, or a translation
-    stack beyond the condition limit) are rejected up front: an optimum
-    along a flat direction would be an arbitrary answer, not an estimate.
+    stack beyond the condition limit) are rejected up front by the
+    closed-form solver's checks, which also run when ``init`` is given:
+    an optimum along a flat direction would be an arbitrary answer, not
+    an estimate.
 
     Args:
         constraints: at least two motions.
@@ -459,35 +439,23 @@ def solve_nonlinear(
         cap was reached with a gradient norm above 1e-6 (the best iterate
         is still returned).
     """
-    if len(constraints) < 2:
-        raise TooFewMotionsError(f"need at least 2 motions, got {len(constraints)}")
-    vals, _ = eigen_sym4(axis_alignment_matrix(constraints))
-    if vals[1] - vals[0] < EIGENVALUE_GAP:
-        raise IllConditionedError(
-            f"smallest eigenvalues {vals[0]:.3e}, {vals[1]:.3e} nearly coincide; "
-            "rotation is not unique"
-        )
-    k = np.stack([c.camera_rotation for c in constraints])
-    _check_condition((k - np.eye(3)).reshape(-1, 3), "translation system")
-
-    if init is not None:
-        q0, t0 = init.rotation, init.translation
+    cs = ConstraintSet.of(constraints)
+    if len(cs) < 2:
+        raise TooFewMotionsError(f"need at least 2 motions, got {len(cs)}")
+    if init is None:
+        init = solve_closed_form(cs)
     else:
-        try:
-            start = solve_closed_form(constraints)
-            q0, t0 = start.rotation, start.translation
-        except CalibrationError:
-            # Unreachable after the gate above in practice; kept as a safe start.
-            q0, t0 = quat.IDENTITY, np.zeros(3)
+        _unique_rotation(cs)
+        _translation_system(cs)
 
     if translation_scale is None:
-        translation_scale = translation_span(constraints)
+        translation_scale = translation_span(cs)
     if translation_scale <= 0.0:
         translation_scale = 1.0
     residuals, jacobian = _lm_problem(
-        constraints, axis_weight, transfer_weight, unit_penalty, translation_scale
+        cs, axis_weight, transfer_weight, unit_penalty, translation_scale
     )
-    x = np.concatenate([q0, t0 / translation_scale])
+    x = np.concatenate([init.rotation, init.translation / translation_scale])
     r = residuals(x)
     cost = float(r @ r)
     eye7 = np.eye(7)
@@ -528,7 +496,7 @@ def solve_nonlinear(
 
     q = x[:4] / np.linalg.norm(x[:4])
     t = x[4:] * translation_scale
-    rot_res, tr_res = _metrics(constraints, q, t)
+    rot_res, tr_res = _metrics(cs, q, t)
     return HandEyeSolution(
         quat.as_unit(q), t, rot_res, tr_res, Method.NONLINEAR,
         iterations=iterations, converged=converged,

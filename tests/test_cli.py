@@ -102,6 +102,31 @@ def test_residuals_malformed_solution(tmp_path):
     assert main(["residuals", str(ds), str(broken)]) == EXIT_PARSE
 
 
+@pytest.mark.parametrize(
+    "command, key, index",
+    [
+        ("calibrate", "hand_poses", (1, 0, 3)),
+        ("calibrate", "hand_poses", (1, 0, 0)),
+        ("residuals", "quaternion_wxyz", (0,)),
+    ],
+    ids=["hand-translation", "hand-rotation", "solution-quaternion"],
+)
+def test_non_finite_entry_is_schema_error(tmp_path, command, key, index):
+    ds = tmp_path / "ds.yaml"
+    sol = tmp_path / "sol.yaml"
+    assert main(["generate", str(ds)]) == EXIT_OK
+    assert main(["calibrate", str(ds), "--output", str(sol)]) == EXIT_OK
+    target = ds if command == "calibrate" else sol
+    doc = yaml.safe_load(target.read_text(encoding="utf-8"))
+    entry = doc[key]
+    for i in index[:-1]:
+        entry = entry[i]
+    entry[index[-1]] = float("nan")
+    target.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    args = [command, str(ds)] + ([str(sol)] if command == "residuals" else [])
+    assert main(args) == EXIT_SCHEMA
+
+
 def test_residuals_multiple_solutions(tmp_path, capsys):
     ds = tmp_path / "ds.yaml"
     main(["generate", "--seed", "5", str(ds)])

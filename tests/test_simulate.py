@@ -19,7 +19,7 @@ from handeye.simulate import (
     perspective_scenario,
     perturb,
 )
-from handeye.solvers import HandEyeSolution, Method, solve_closed_form
+from handeye.solvers import SOLVERS, HandEyeSolution, Method, solve_closed_form
 
 from conftest import random_motion, random_rotation
 
@@ -271,3 +271,19 @@ def test_motion_count_sweep_row_layout():
     )
     assert [int(r.sweep_var) for r in report.rows] == [2, 2, 2, 4, 4, 4]
     assert report.trials == 5
+
+
+def test_noise_sweep_solves_trial_constraints():
+    # a sweep trial is exactly the constraint list trial_constraints builds
+    scenario = default_scenario(2, seed=3)
+    noise = NoiseModel(Distribution.GAUSSIAN, 0.04, NoiseTargets.ROTATION_AND_TRANSLATION, 5)
+    report = noise_sweep(scenario, [0.04], noise, trials=3)
+    trials = [
+        sim.trial_constraints(scenario, Distribution.GAUSSIAN, 0.04, 0.04, sim._generator(5, 0, j))
+        for j in range(3)
+    ]
+    assert len(report.rows) == 3
+    for row in report.rows:
+        solutions = [SOLVERS[row.method](constraints) for constraints in trials]
+        assert row.failed_trials == 0
+        assert (row.e_rot, row.e_tr) == error_stats(solutions, scenario.ground_truth)

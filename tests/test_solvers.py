@@ -63,7 +63,7 @@ def _recovery_errors(solution, truth):
 def test_eigen_sym4_diagonal():
     vals, vecs = eigen_sym4(np.diag([3.0, 1.0, 2.0, 5.0]))
     assert np.allclose(vals, [1.0, 2.0, 3.0, 5.0], atol=1e-14)
-    assert np.allclose(np.abs(vecs), np.eye(4)[:, [1, 2, 0, 3]], atol=1e-14)
+    assert np.allclose(vecs, np.eye(4)[:, [1, 2, 0, 3]], atol=1e-14)
 
 
 def test_eigen_sym4_identity():
@@ -81,6 +81,7 @@ def test_eigen_sym4_reconstruction(rng):
         assert np.allclose(vecs.T @ vecs, np.eye(4), atol=1e-12)
         assert np.all(np.diff(vals) >= -1e-12)
         for i in range(4):
+            assert vecs[np.argmax(np.abs(vecs[:, i])), i] > 0
             assert np.linalg.norm(m @ vecs[:, i] - vals[i] * vecs[:, i]) <= 1e-10 * max(
                 np.linalg.norm(m), 1.0
             )
@@ -408,6 +409,12 @@ def test_nonlinear_degenerate_inputs_rejected(rng):
         solve_nonlinear(consistent_constraints(rng, truth, 1))
     with pytest.raises(IllConditionedError):
         solve_nonlinear(parallel_axis_constraints(rng, truth, 3))
+    # a given start point skips the closed-form solve but not its checks
+    init = solvers.HandEyeSolution(
+        quat.from_rotation_matrix(truth.rotation), truth.translation, 0.0, 0.0, Method.NONLINEAR
+    )
+    with pytest.raises(IllConditionedError):
+        solve_nonlinear(parallel_axis_constraints(rng, truth, 3), init=init)
 
 
 def test_nonlinear_tagged_when_capped(rng):
