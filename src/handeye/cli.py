@@ -15,6 +15,7 @@ ill-conditioned input, 4 optimizer did not converge, 5 I/O error,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -151,8 +152,8 @@ def _parse_levels(text: str) -> list[float]:
         levels = [float(x) for x in text.split(",") if x.strip() != ""]
     except ValueError as err:
         raise FlagError(f"--levels: {err}") from err
-    if not levels or any(level < 0 for level in levels):
-        raise FlagError("--levels: need non-negative ratios")
+    if not levels or not all(math.isfinite(level) and level >= 0 for level in levels):
+        raise FlagError("--levels: need finite non-negative ratios")
     return levels
 
 
@@ -173,8 +174,8 @@ def _parse_counts(text: str) -> list[int]:
 def _cmd_generate(args) -> int:
     if args.motions < 2:
         raise FlagError(f"--motions: need at least 2, got {args.motions}")
-    if args.noise_level < 0:
-        raise FlagError("--noise-level: must be non-negative")
+    if not (math.isfinite(args.noise_level) and args.noise_level >= 0):
+        raise FlagError("--noise-level: must be finite and non-negative")
     noise = None
     if args.noise_level > 0:
         noise = NoiseModel(

@@ -34,7 +34,7 @@ import yaml
 
 from .errors import ParseError, SchemaError
 from .geometry import (
-    MotionConstraint,
+    ConstraintSet,
     PerspectiveMatrix,
     RigidMotion,
     classical_constraints,
@@ -50,7 +50,7 @@ from .simulate import (
     _generator,
     default_scenario,
     perspective_scenario,
-    perturb,
+    perturb_motions,
     random_intrinsics,
 )
 from .solvers import HandEyeSolution, Method
@@ -69,7 +69,7 @@ class Dataset:
     perspective_matrices: list[PerspectiveMatrix] | None = None
     metadata: dict = field(default_factory=dict)
 
-    def constraints(self) -> list[MotionConstraint]:
+    def constraints(self) -> ConstraintSet:
         if self.formulation == Formulation.CLASSICAL:
             return classical_constraints(self.camera_extrinsics, self.hand_poses)
         return perspective_constraints(self.perspective_matrices, self.hand_poses)
@@ -264,8 +264,8 @@ def synthetic_dataset(
     if noise is not None and noise.level > 0:
         rng = _generator(noise.seed, 2)
         scale = scenario.nominal_translation
-        a_motions = [perturb(a, noise, rng, scale) for a in a_motions]
-        b_motions = [perturb(b, noise, rng, scale) for b in b_motions]
+        a_motions = perturb_motions(a_motions, noise, rng, scale)
+        b_motions = perturb_motions(b_motions, noise, rng, scale)
 
     hand_poses = [RigidMotion.identity()]
     truth = scenario.ground_truth

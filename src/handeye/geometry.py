@@ -6,12 +6,15 @@ takes calibration-frame points to camera-frame points and ``hand_pose``
 takes hand-frame points to robot-base points.  Translations are in
 millimetres.
 
-Every solver in this package consumes the same per-motion record,
-:class:`MotionConstraint`, regardless of whether it was extracted from
-decomposed camera poses (the AX = XB route) or from raw 3x4 perspective
-matrices (the MY = M'YB route).  ``classical_constraints`` and
-``perspective_constraints`` build those records; the solvers stack a
-list of them once into a :class:`ConstraintSet`.
+Every solver in this package consumes the same per-motion data,
+regardless of whether it was extracted from decomposed camera poses (the
+AX = XB route) or from raw 3x4 perspective matrices (the MY = M'YB
+route): a :class:`ConstraintSet`, the fields of n :class:`MotionConstraint`
+records stacked as arrays.  ``classical_constraints`` and
+``perspective_constraints`` build one set per dataset in array operations
+over all motions, and ``ConstraintSet.from_motions`` builds a batch of
+sets, (J, n, ...), for the Monte-Carlo harness; iterating a set yields
+its records.  Constructors reject non-finite entries.
 """
 
 from __future__ import annotations
@@ -37,17 +40,53 @@ _ROTATION_TOL = 1e-9
 # Rotations with a smaller angle have no usable axis.
 MIN_ROTATION_ANGLE = 1e-6
 
+_EYE3 = np.eye(3)
 
-def _check_rotation(m: np.ndarray, what: str, tol: float = _ROTATION_TOL) -> np.ndarray:
+
+def _first(values, bad):
+    """The value of the first flagged entry, in C order."""
+    return np.asarray(values)[np.asarray(bad)].flat[0]
+
+
+def _check_rotation(
+    m: np.ndarray, what: str, tol: float = _ROTATION_TOL, batched: bool = False
+) -> np.ndarray:
+    """A 3x3 rotation, or with ``batched`` a (..., 3, 3) stack of them."""
     m = np.asarray(m, dtype=float)
-    if m.shape != (3, 3):
+    if (m.shape[-2:] if batched else m.shape) != (3, 3):
         raise NotARotationError(f"{what}: expected 3x3, got {m.shape}")
-    residual = np.linalg.norm(m.T @ m - np.eye(3))
-    if residual > tol:
-        raise NotARotationError(f"{what}: orthonormality residual {residual:.3e}")
-    if abs(np.linalg.det(m) - 1.0) > tol:
-        raise NotARotationError(f"{what}: determinant {np.linalg.det(m):.12f}")
+    gram = np.swapaxes(m, -1, -2) @ m - _EYE3
+    residual = np.sqrt(np.add.reduce(gram * gram, axis=(-2, -1)))
+    if not (residual <= tol).all():  # NaN fails this too
+        if not np.isfinite(m).all():
+            raise NotARotationError(f"{what}: non-finite entry")
+        bad = residual > tol
+        raise NotARotationError(f"{what}: orthonormality residual {_first(residual, bad):.3e}")
+    det = np.linalg.det(m)
+    bad = abs(det - 1.0) > tol
+    if bad.any():
+        raise NotARotationError(f"{what}: determinant {_first(det, bad):.12f}")
     return m
+
+
+def _check_vector(
+    v, what: str, unit: bool = False, batched: bool = False, message: str | None = None
+) -> np.ndarray:
+    """A finite 3-vector (unit with ``unit``), or a (..., 3) stack of them.
+
+    ValueError otherwise, with ``message`` (formatted with the shape) for
+    a wrong shape or norm.
+    """
+    v = np.asarray(v, dtype=float)
+    if message is None:
+        message = f"{what} must be a {'unit ' if unit else ''}3-vector"
+    if (v.shape[-1:] if batched else v.shape) != (3,):
+        raise ValueError(message.format(shape=v.shape))
+    if not np.isfinite(v).all():
+        raise ValueError(f"{what} must be finite")
+    if unit and (abs(np.linalg.norm(v, axis=-1) - 1.0) > 1e-9).any():
+        raise ValueError(message.format(shape=v.shape))
+    return v
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,9 +100,10 @@ class RigidMotion:
         object.__setattr__(
             self, "rotation", _check_rotation(self.rotation, "RigidMotion.rotation")
         )
-        t = np.asarray(self.translation, dtype=float)
-        if t.shape != (3,):
-            raise ValueError(f"translation must be a 3-vector, got shape {t.shape}")
+        t = _check_vector(
+            self.translation, "translation",
+            message="translation must be a 3-vector, got shape {shape}",
+        )
         object.__setattr__(self, "translation", t)
 
     @classmethod
@@ -176,28 +216,32 @@ class MotionConstraint:
     hand_translation: np.ndarray    # mm
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "camera_rotation", _check_rotation(self.camera_rotation, "camera_rotation")
-        )
-        object.__setattr__(
-            self, "hand_rotation", _check_rotation(self.hand_rotation, "hand_rotation")
-        )
-        for name in ("camera_axis", "hand_axis"):
-            v = np.asarray(getattr(self, name), dtype=float)
-            if v.shape != (3,) or abs(np.linalg.norm(v) - 1.0) > 1e-9:
-                raise ValueError(f"{name} must be a unit 3-vector")
-            object.__setattr__(self, name, v)
-        for name in ("camera_translation", "hand_translation"):
-            v = np.asarray(getattr(self, name), dtype=float)
-            if v.shape != (3,):
-                raise ValueError(f"{name} must be a 3-vector")
-            object.__setattr__(self, name, v)
+        for f, value in zip(fields(self), _checked_fields(self)):
+            object.__setattr__(self, f.name, value)
+
+
+def _checked_fields(record, batched: bool = False) -> tuple[np.ndarray, ...]:
+    """The six constraint fields of ``record`` as validated float arrays."""
+    out = [
+        _check_rotation(record.camera_rotation, "camera_rotation", batched=batched),
+        _check_rotation(record.hand_rotation, "hand_rotation", batched=batched),
+    ]
+    for name in ("camera_axis", "hand_axis"):
+        out.append(_check_vector(getattr(record, name), name, unit=True, batched=batched))
+    for name in ("camera_translation", "hand_translation"):
+        out.append(_check_vector(getattr(record, name), name, batched=batched))
+    return tuple(out)
 
 
 @dataclass(frozen=True, eq=False)
 class ConstraintSet:
-    """n constraint records stacked once, in motion order: each field is
-    the (n, ...) stack of the :class:`MotionConstraint` field of that name."""
+    """Constraint records stacked once, in motion order: each field is the
+    (n, ...) stack of the :class:`MotionConstraint` field of that name.
+
+    A batch of J independent problems with the same motion count stacks
+    one more leading axis, (J, n, ...); ``len`` is the motion count n
+    either way.
+    """
 
     camera_rotation: np.ndarray     # (n, 3, 3)
     hand_rotation: np.ndarray       # (n, 3, 3)
@@ -207,7 +251,11 @@ class ConstraintSet:
     hand_translation: np.ndarray    # (n, 3)
 
     def __len__(self) -> int:
-        return len(self.camera_rotation)
+        return self.camera_rotation.shape[-3]
+
+    @property
+    def arrays(self) -> tuple[np.ndarray, ...]:
+        return tuple(getattr(self, f.name) for f in fields(self))
 
     @classmethod
     def of(cls, constraints) -> "ConstraintSet":
@@ -220,6 +268,34 @@ class ConstraintSet:
         return cls(
             *(np.stack([getattr(c, f.name) for c in constraints]) for f in fields(cls))
         )
+
+    @classmethod
+    def from_motions(
+        cls, camera_rotation, camera_translation, hand_rotation, hand_translation
+    ) -> "ConstraintSet":
+        """:func:`motion_constraint` over stacks of motions: rotations
+        (..., 3, 3) and translations (..., 3), every leading index one
+        (camera motion, hand motion) pair.  Runs the record's checks on
+        every entry and raises the first failure; a DegenerateRotationError
+        carries the flat index of its pair."""
+        (camera_axis, camera_angle), (hand_axis, hand_angle) = (
+            quat.axis_angle(quat.from_rotation_matrix(m)) for m in (camera_rotation, hand_rotation)
+        )
+        angle = np.stack([camera_angle, hand_angle], axis=-1)
+        degenerate = (angle < MIN_ROTATION_ANGLE).reshape(-1)
+        if degenerate.any():
+            first = int(np.argmax(degenerate))
+            raise _degenerate(angle.reshape(-1)[first], MIN_ROTATION_ANGLE, index=first // 2)
+        cs = cls(
+            camera_rotation, hand_rotation, camera_axis, hand_axis,
+            camera_translation, hand_translation,
+        )
+        return cls(*_checked_fields(cs, batched=True))
+
+    def __iter__(self):
+        """The :class:`MotionConstraint` records of a set, in motion order."""
+        for values in zip(*self.arrays):
+            yield MotionConstraint(*values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,13 +322,23 @@ class Line3:
 # ---------------------------------------------------------------------------
 # rigid-motion arithmetic
 
+def _compose(ra, ta, rb, tb) -> tuple[np.ndarray, np.ndarray]:
+    """(rotation, translation) of b then a, over leading axes."""
+    return ra @ rb, (ra @ tb[..., None])[..., 0] + ta
+
+
+def _invert(r, t) -> tuple[np.ndarray, np.ndarray]:
+    rt = np.swapaxes(r, -1, -2)
+    return rt, (-rt @ t[..., None])[..., 0]
+
+
 def compose(a: RigidMotion, b: RigidMotion) -> RigidMotion:
     """Motion applying b first, then a."""
-    return RigidMotion(a.rotation @ b.rotation, a.rotation @ b.translation + a.translation)
+    return RigidMotion(*_compose(a.rotation, a.translation, b.rotation, b.translation))
 
 
 def invert(a: RigidMotion) -> RigidMotion:
-    return RigidMotion(a.rotation.T, -a.rotation.T @ a.translation)
+    return RigidMotion(*_invert(a.rotation, a.translation))
 
 
 def camera_motion(pose1: RigidMotion, pose2: RigidMotion) -> RigidMotion:
@@ -266,23 +352,28 @@ def hand_motion(pose1: RigidMotion, pose2: RigidMotion) -> RigidMotion:
 
 
 def orthonormalize(m, max_residual: float = 0.5) -> np.ndarray:
-    """Nearest rotation in Frobenius norm (polar projection).
+    """Nearest rotation in Frobenius norm (polar projection), of a 3x3
+    matrix or of each in a (..., 3, 3) stack.
 
     Rejects input farther than ``max_residual`` from orthonormal or with
     non-positive determinant; those are wrong data, not noise.
     """
     m = np.asarray(m, dtype=float)
-    if m.shape != (3, 3):
+    if m.shape[-2:] != (3, 3):
         raise NotARotationError(f"expected 3x3 matrix, got {m.shape}")
-    residual = np.linalg.norm(m.T @ m - np.eye(3))
-    if residual > max_residual:
-        raise NotARotationError(f"orthonormality residual {residual:.3e} > {max_residual}")
-    if np.linalg.det(m) <= 0.0:
+    residual = np.linalg.norm(np.swapaxes(m, -1, -2) @ m - np.eye(3), axis=(-2, -1))
+    bad = residual > max_residual
+    if bad.any():
+        raise NotARotationError(
+            f"orthonormality residual {_first(residual, bad):.3e} > {max_residual}"
+        )
+    if (np.linalg.det(m) <= 0.0).any():
         raise NotARotationError("determinant is not positive")
     u, _, vt = np.linalg.svd(m)
     r = u @ vt
-    if np.linalg.det(r) < 0.0:
-        r = u @ np.diag([1.0, 1.0, -1.0]) @ vt
+    reflected = np.linalg.det(r) < 0.0
+    if reflected.any():
+        r = np.where(reflected[..., None, None], u @ np.diag([1.0, 1.0, -1.0]) @ vt, r)
     return r
 
 
@@ -294,15 +385,35 @@ def rotation_axis(m, min_angle: float = MIN_ROTATION_ANGLE) -> np.ndarray:
     carries no usable axis and must be rejected rather than guessed.
     """
     axis, angle = quat.axis_angle(quat.from_rotation_matrix(m))
-    if angle < min_angle:
-        raise DegenerateRotationError(f"rotation angle {angle:.3e} rad below {min_angle:.1e}")
+    bad = angle < min_angle
+    if bad.any():
+        raise _degenerate(_first(angle, bad), min_angle)
     return axis
 
 
-def rotation_angle(m) -> float:
-    """Rotation angle in [0, pi] of a rotation matrix."""
-    c = 0.5 * (np.trace(np.asarray(m, dtype=float)) - 1.0)
-    return float(np.arccos(np.clip(c, -1.0, 1.0)))
+def _degenerate(angle, min_angle: float, index: int | None = None) -> DegenerateRotationError:
+    return DegenerateRotationError(
+        f"rotation angle {angle:.3e} rad below {min_angle:.1e}", index=index
+    )
+
+
+def rotation_angle(m) -> np.ndarray:
+    """Rotation angle in [0, pi] of a rotation matrix (or of each in a
+    (..., 3, 3) stack)."""
+    c = 0.5 * (np.trace(np.asarray(m, dtype=float), axis1=-2, axis2=-1) - 1.0)
+    return np.arccos(np.clip(c, -1.0, 1.0))[()]
+
+
+def _reduced(n1, v1, n2, v2) -> tuple[np.ndarray, np.ndarray]:
+    """(rotation, translation) that blocks (n1, v1) and (n2, v2) encode;
+    n2 and v2 may stack several matrices."""
+    if abs(np.linalg.det(n1)) <= 1e-12:
+        raise SingularProjectionError("first perspective matrix has a singular 3x3 block")
+    k = np.linalg.solve(n1, n2)
+    if (np.linalg.norm(np.swapaxes(k, -1, -2) @ k - np.eye(3), axis=(-2, -1)) > 0.1).any():
+        raise NotARotationError("reduced rotation block is too far from orthonormal")
+    t = np.linalg.solve(n1, (v2 - v1)[..., None])[..., 0]
+    return orthonormalize(k), t
 
 
 def reduced_motion(m1: PerspectiveMatrix, m2: PerspectiveMatrix) -> RigidMotion:
@@ -314,14 +425,7 @@ def reduced_motion(m1: PerspectiveMatrix, m2: PerspectiveMatrix) -> RigidMotion:
     polar-projected onto the rotation group, and rejected if its
     orthonormality residual exceeds 0.1 before projection.
     """
-    n1 = m1.linear
-    if abs(np.linalg.det(n1)) <= 1e-12:
-        raise SingularProjectionError("first perspective matrix has a singular 3x3 block")
-    k = np.linalg.solve(n1, m2.linear)
-    if np.linalg.norm(k.T @ k - np.eye(3)) > 0.1:
-        raise NotARotationError("reduced rotation block is too far from orthonormal")
-    t = np.linalg.solve(n1, m2.offset - m1.offset)
-    return RigidMotion(orthonormalize(k), t)
+    return RigidMotion(*_reduced(m1.linear, m1.offset, m2.linear, m2.offset))
 
 
 # ---------------------------------------------------------------------------
@@ -377,9 +481,16 @@ def motion_constraint(camera: RigidMotion, hand: RigidMotion) -> MotionConstrain
     )
 
 
+def _stacked(motions) -> tuple[np.ndarray, np.ndarray]:
+    return (
+        np.stack([m.rotation for m in motions]),
+        np.stack([m.translation for m in motions]),
+    )
+
+
 def classical_constraints(
     camera_poses: list[RigidMotion], hand_poses: list[RigidMotion]
-) -> list[MotionConstraint]:
+) -> ConstraintSet:
     """Constraints from consecutive position pairs of absolute poses.
 
     Args:
@@ -395,22 +506,20 @@ def classical_constraints(
         )
     if len(camera_poses) < 2:
         raise TooFewPosesError(f"need at least 2 positions, got {len(camera_poses)}")
-    out = []
-    for i in range(1, len(camera_poses)):
-        a = camera_motion(camera_poses[i - 1], camera_poses[i])
-        b = hand_motion(hand_poses[i - 1], hand_poses[i])
-        try:
-            out.append(motion_constraint(a, b))
-        except DegenerateRotationError as err:
-            raise DegenerateRotationError(
-                f"motion {i - 1}->{i}: {err}", index=i - 1
-            ) from err
-    return out
+    rc, tc = _stacked(camera_poses)
+    rh, th = _stacked(hand_poses)
+    camera = _compose(rc[1:], tc[1:], *_invert(rc[:-1], tc[:-1]))
+    hand = _compose(*_invert(rh[1:], th[1:]), rh[:-1], th[:-1])
+    try:
+        return ConstraintSet.from_motions(*camera, *hand)
+    except DegenerateRotationError as err:
+        i = err.index
+        raise DegenerateRotationError(f"motion {i}->{i + 1}: {err}", index=i) from err
 
 
 def perspective_constraints(
     matrices: list[PerspectiveMatrix], hand_poses: list[RigidMotion]
-) -> list[MotionConstraint]:
+) -> ConstraintSet:
     """Constraints pairing every position against position 1.
 
     The camera side of each constraint is the reduced motion of the two raw
@@ -422,12 +531,17 @@ def perspective_constraints(
         )
     if len(matrices) < 2:
         raise TooFewPosesError(f"need at least 2 positions, got {len(matrices)}")
-    out = []
-    for i in range(1, len(matrices)):
-        reduced = reduced_motion(matrices[0], matrices[i])
-        b = hand_motion(hand_poses[0], hand_poses[i])
-        try:
-            out.append(motion_constraint(reduced, b))
-        except DegenerateRotationError as err:
-            raise DegenerateRotationError(f"positions 1->{i + 1}: {err}", index=i - 1) from err
-    return out
+    first = matrices[0]
+    camera = _reduced(
+        first.linear,
+        first.offset,
+        np.stack([m.linear for m in matrices[1:]]),
+        np.stack([m.offset for m in matrices[1:]]),
+    )
+    rh, th = _stacked(hand_poses)
+    hand = _compose(*_invert(rh[1:], th[1:]), rh[0], th[0])
+    try:
+        return ConstraintSet.from_motions(*camera, *hand)
+    except DegenerateRotationError as err:
+        i = err.index
+        raise DegenerateRotationError(f"positions 1->{i + 2}: {err}", index=i) from err

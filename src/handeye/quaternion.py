@@ -3,7 +3,10 @@
 Quaternions are numpy arrays ``[w, x, y, z]`` with the scalar part first.
 A 3-vector embeds as the purely imaginary quaternion ``[0, x, y, z]``.
 All functions are pure and broadcast over leading batch dimensions, so a
-``(n, 4)`` array of quaternions is as valid an argument as a single one.
+``(n, 4)`` array of quaternions (or ``(n, 3, 3)`` of rotation matrices)
+is as valid an argument as a single one.  Each entry of a batch is
+bit-identical to the same entry computed alone: branches are selections
+over the batch, and dot products and norms go through ``vdot``/``vnorm``.
 
 The two 4x4 operators ``q_matrix`` and ``w_matrix`` turn multiplication
 into matrix products::
@@ -35,30 +38,30 @@ def embed(v) -> np.ndarray:
     return out
 
 
+# Entry (i, j) of q_matrix(r) is sign[i, j] * r[index[i, j]], same for w_matrix.
+_OPERATOR_INDEX = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
+_Q_SIGN = np.array(
+    [[1.0, -1.0, -1.0, -1.0], [1.0, 1.0, -1.0, 1.0], [1.0, 1.0, 1.0, -1.0], [1.0, -1.0, 1.0, 1.0]]
+)
+_W_SIGN = np.array(
+    [[1.0, -1.0, -1.0, -1.0], [1.0, 1.0, 1.0, -1.0], [1.0, -1.0, 1.0, 1.0], [1.0, 1.0, -1.0, 1.0]]
+)
+
+
 def q_matrix(r) -> np.ndarray:
-    """4x4 matrix of left-multiplication by r: q_matrix(r) @ q = qmul(r, q)."""
-    r = np.asarray(r, dtype=float)
-    w, x, y, z = r[..., 0], r[..., 1], r[..., 2], r[..., 3]
-    rows = (
-        (w, -x, -y, -z),
-        (x, w, -z, y),
-        (y, z, w, -x),
-        (z, -y, x, w),
-    )
-    return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
+    """4x4 matrix of left-multiplication by r: q_matrix(r) @ q = qmul(r, q).
+
+    Rows (w, -x, -y, -z), (x, w, -z, y), (y, z, w, -x), (z, -y, x, w).
+    """
+    return np.take(np.asarray(r, dtype=float), _OPERATOR_INDEX, axis=-1) * _Q_SIGN
 
 
 def w_matrix(r) -> np.ndarray:
-    """4x4 matrix of right-multiplication by r: w_matrix(r) @ q = qmul(q, r)."""
-    r = np.asarray(r, dtype=float)
-    w, x, y, z = r[..., 0], r[..., 1], r[..., 2], r[..., 3]
-    rows = (
-        (w, -x, -y, -z),
-        (x, w, z, -y),
-        (y, -z, w, x),
-        (z, y, -x, w),
-    )
-    return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
+    """4x4 matrix of right-multiplication by r: w_matrix(r) @ q = qmul(q, r).
+
+    Rows (w, -x, -y, -z), (x, w, z, -y), (y, -z, w, x), (z, y, -x, w).
+    """
+    return np.take(np.asarray(r, dtype=float), _OPERATOR_INDEX, axis=-1) * _W_SIGN
 
 
 def qmul(r, q) -> np.ndarray:
@@ -92,27 +95,50 @@ def norm2(q) -> np.ndarray:
     return dot(q, q)
 
 
+def vdot(a, b) -> np.ndarray:
+    """Dot product over the last axis, bit-equal to ``ndarray.dot`` on 1-D
+    operands: every row goes through the same BLAS dot, whatever the
+    leading shape (``np.sum(a * b, -1)`` rounds differently)."""
+    a = np.ascontiguousarray(a, dtype=float)
+    b = np.ascontiguousarray(b, dtype=float)
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def vnorm(v) -> np.ndarray:
+    """Euclidean norm over the last axis, bit-equal to ``np.linalg.norm``
+    of each 1-D row."""
+    return np.sqrt(vdot(v, v))
+
+
+# With powers of two as weights, the sign of (sign pattern @ weights) is
+# the sign of the pattern's first nonzero entry.
+_LEAD_WEIGHTS = np.array([8.0, 4.0, 2.0, 1.0])
+
+
 def canonicalize(q) -> np.ndarray:
     """Fix the q/-q ambiguity: w >= 0, ties broken by the first nonzero
-    imaginary component being positive.  Single quaternion only."""
+    imaginary component being positive."""
     q = np.asarray(q, dtype=float)
-    if q[0] != 0.0:
-        return q if q[0] > 0.0 else -q
-    for c in q[1:]:
-        if c != 0.0:
-            return q if c > 0.0 else -q
-    return q
+    # +1 for positive entries, -1 for negative (or NaN) ones, 0 for zeros
+    pattern = 2.0 * (q > 0.0) - (q != 0.0)
+    return q * (1.0 - 2.0 * (pattern @ _LEAD_WEIGHTS < 0.0))[..., None]
+
+
+def unit_error(q) -> np.ndarray:
+    """|q.q - 1| of each quaternion: the quantity ``as_unit`` bounds."""
+    return np.abs(norm2(q) - 1.0)
 
 
 def as_unit(q, tol: float = 1e-12) -> np.ndarray:
     """Validate unit norm and return the canonical-sign representative.
 
-    Raises ValueError when |q.q - 1| > tol; does not renormalize.
+    Raises ValueError when |q.q - 1| > tol for any quaternion; does not
+    renormalize.
     """
     q = np.asarray(q, dtype=float)
-    err = abs(float(norm2(q)) - 1.0)
-    if err > tol:
-        raise ValueError(f"quaternion norm off unity by {err:.3e}")
+    err = unit_error(q)
+    if np.any(err > tol):
+        raise ValueError(f"quaternion norm off unity by {np.max(err):.3e}")
     return canonicalize(q)
 
 
@@ -131,12 +157,26 @@ def to_rotation_matrix(q) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
     ww, xx, yy, zz = w * w, x * x, y * y, z * z
-    rows = (
-        (ww + xx - yy - zz, 2 * (x * y - w * z), 2 * (x * z + w * y)),
-        (2 * (x * y + w * z), ww - xx + yy - zz, 2 * (y * z - w * x)),
-        (2 * (x * z - w * y), 2 * (y * z + w * x), ww - xx - yy + zz),
+    entries = (
+        ww + xx - yy - zz, 2 * (x * y - w * z), 2 * (x * z + w * y),
+        2 * (x * y + w * z), ww - xx + yy - zz, 2 * (y * z - w * x),
+        2 * (x * z - w * y), 2 * (y * z + w * x), ww - xx - yy + zz,
     )
-    return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
+    return np.stack(entries, axis=-1).reshape(q.shape[:-1] + (3, 3))
+
+
+# Entries of a flattened 3x3 matrix: the diagonal, the differences
+# (m21 - m12, m02 - m20, m10 - m01) and the sums (m01 + m10, m02 + m20,
+# m12 + m21).
+_DIAGONAL = np.array([0, 4, 8])
+_DIFFERENCES = (np.array([7, 2, 3]), np.array([5, 6, 1]))
+_SUMS = (np.array([1, 2, 5]), np.array([3, 6, 7]))
+# Row i: sign of the diagonal entry m_ii in the radicands of the branches
+# led by x, y and z, e.g. 1 + m00 - m11 - m22 for x.
+_RADICAND_SIGNS = np.array([[1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]])
+# Components of each branch's quaternion (led by the trace, x, y, z) as
+# indices into (s / 4, differences / s, sums / s).
+_BRANCH_COMPONENTS = np.array([[0, 1, 2, 3], [1, 0, 4, 5], [2, 4, 0, 6], [3, 5, 6, 0]])
 
 
 def from_rotation_matrix(m, tol: float = 1e-6) -> np.ndarray:
@@ -145,58 +185,64 @@ def from_rotation_matrix(m, tol: float = 1e-6) -> np.ndarray:
     Branches on the largest of (trace, diagonal entries), which keeps the
     divisor away from zero for every rotation angle.
 
-    Raises NotARotationError when ``m`` is farther than ``tol`` from
-    orthonormal (Frobenius) or has non-positive determinant.
+    Raises NotARotationError when a matrix is farther than ``tol`` from
+    orthonormal (Frobenius), or not finite, or has non-positive
+    determinant.
     """
     m = np.asarray(m, dtype=float)
-    if m.shape != (3, 3):
+    if m.shape[-2:] != (3, 3):
         raise NotARotationError(f"expected 3x3 matrix, got {m.shape}")
-    residual = np.linalg.norm(m.T @ m - np.eye(3))
-    if residual > tol:
-        raise NotARotationError(f"orthonormality residual {residual:.3e} > {tol:.1e}")
-    if np.linalg.det(m) <= 0.0:
+    residual = np.linalg.norm(np.swapaxes(m, -1, -2) @ m - np.eye(3), axis=(-2, -1))
+    if not (residual <= tol).all():
+        raise NotARotationError(f"orthonormality residual {np.max(residual):.3e} > {tol:.1e}")
+    if not (np.linalg.det(m) > 0.0).all():
         raise NotARotationError("determinant is not positive")
 
-    t = m[0, 0] + m[1, 1] + m[2, 2]
-    if t >= max(m[0, 0], m[1, 1], m[2, 2]):
-        s = 2.0 * np.sqrt(1.0 + t)
-        q = np.array(
-            [0.25 * s, (m[2, 1] - m[1, 2]) / s, (m[0, 2] - m[2, 0]) / s, (m[1, 0] - m[0, 1]) / s]
-        )
-    elif m[0, 0] >= max(m[1, 1], m[2, 2]):
-        s = 2.0 * np.sqrt(1.0 + m[0, 0] - m[1, 1] - m[2, 2])
-        q = np.array(
-            [(m[2, 1] - m[1, 2]) / s, 0.25 * s, (m[0, 1] + m[1, 0]) / s, (m[0, 2] + m[2, 0]) / s]
-        )
-    elif m[1, 1] >= m[2, 2]:
-        s = 2.0 * np.sqrt(1.0 - m[0, 0] + m[1, 1] - m[2, 2])
-        q = np.array(
-            [(m[0, 2] - m[2, 0]) / s, (m[0, 1] + m[1, 0]) / s, 0.25 * s, (m[1, 2] + m[2, 1]) / s]
-        )
-    else:
-        s = 2.0 * np.sqrt(1.0 - m[0, 0] - m[1, 1] + m[2, 2])
-        q = np.array(
-            [(m[1, 0] - m[0, 1]) / s, (m[0, 2] + m[2, 0]) / s, (m[1, 2] + m[2, 1]) / s, 0.25 * s]
-        )
-    return canonicalize(q / np.linalg.norm(q))
+    flat = m.reshape(m.shape[:-2] + (9,))
+    diagonal = np.take(flat, _DIAGONAL, axis=-1)
+    m00, m11, m22 = diagonal[..., 0], diagonal[..., 1], diagonal[..., 2]
+    t = m00 + m11 + m22
+    branch = ~(t >= np.max(diagonal, axis=-1)) * (
+        1 + ~(m00 >= np.maximum(m11, m22)) * (1 + ~(m11 >= m22))
+    )
+    radicand = np.empty(t.shape + (4,))
+    radicand[..., 0] = 1.0 + t
+    radicand[..., 1:] = (
+        1.0
+        + m00[..., None] * _RADICAND_SIGNS[0]
+        + m11[..., None] * _RADICAND_SIGNS[1]
+        + m22[..., None] * _RADICAND_SIGNS[2]
+    )
+    s = 2.0 * np.sqrt(np.take_along_axis(radicand, branch[..., None], axis=-1))
+    parts = np.empty(t.shape + (7,))
+    parts[..., :1] = 0.25 * s
+    parts[..., 1:4] = (np.take(flat, _DIFFERENCES[0], -1) - np.take(flat, _DIFFERENCES[1], -1)) / s
+    parts[..., 4:] = (np.take(flat, _SUMS[0], -1) + np.take(flat, _SUMS[1], -1)) / s
+    q = np.take_along_axis(parts, _BRANCH_COMPONENTS[branch], axis=-1)
+    return canonicalize(q / vnorm(q)[..., None])
 
 
-def from_axis_angle(axis, angle: float) -> np.ndarray:
+def from_axis_angle(axis, angle) -> np.ndarray:
     """Unit quaternion rotating by ``angle`` (rad) about unit ``axis``."""
     axis = np.asarray(axis, dtype=float)
-    half = 0.5 * float(angle)
-    q = np.concatenate(([np.cos(half)], np.sin(half) * axis))
-    return canonicalize(q / np.linalg.norm(q))
+    half = 0.5 * np.asarray(angle, dtype=float)
+    q = np.empty(np.broadcast_shapes(axis.shape[:-1], half.shape) + (4,))
+    q[..., 0] = np.cos(half)
+    q[..., 1:] = np.sin(half)[..., None] * axis
+    return canonicalize(q / vnorm(q)[..., None])
 
 
-def axis_angle(q) -> tuple[np.ndarray, float]:
+def axis_angle(q) -> tuple[np.ndarray, np.ndarray]:
     """(unit axis, angle in [0, pi]) of a canonical unit quaternion.
 
     The axis of the identity rotation is undefined; (1, 0, 0) is returned.
     """
-    q = canonicalize(np.asarray(q, dtype=float))
-    s = np.linalg.norm(q[1:])
-    angle = 2.0 * np.arctan2(s, q[0])
-    if s == 0.0:
-        return np.array([1.0, 0.0, 0.0]), 0.0
-    return q[1:] / s, float(angle)
+    q = canonicalize(q)
+    s = vnorm(q[..., 1:])
+    zero = s == 0.0
+    angle = 2.0 * np.arctan2(s, q[..., 0])
+    axis = q[..., 1:] / np.where(zero, 1.0, s)[..., None]
+    if zero.any():
+        axis[zero] = (1.0, 0.0, 0.0)
+        angle = np.where(zero, 0.0, angle)
+    return axis, angle[()]

@@ -19,6 +19,13 @@ Reproducibility contract: all randomness comes from Philox (counter-based,
 spawn key (i, j); Gaussian samples are Box-Muller transforms of uniform
 pairs.  Reports are therefore bit-identical for identical seeds, and each
 trial's stream is independent of execution order.
+
+A sweep point's trials are solved in fixed-size blocks, each as arrays
+with a leading trial axis: the noise of a block is drawn and applied at
+once, its constraint sets are built as one (J, n, ...) ``ConstraintSet``,
+and ``solvers.solve_batch`` solves them.  Batching changes no arithmetic,
+so the rows do not depend on the block size and equal those built from
+``trial_constraints`` and the single-problem solvers, trial by trial.
 """
 
 from __future__ import annotations
@@ -36,18 +43,16 @@ from .geometry import (
     MIN_ROTATION_ANGLE,
     ConstraintSet,
     Intrinsics,
-    MotionConstraint,
     PerspectiveMatrix,
     RigidMotion,
     camera_motion,
     compose,
     invert,
-    motion_constraint,
     reduced_motion,
     rotation_angle,
     rotation_axis,
 )
-from .solvers import HandEyeSolution, Method, SOLVERS
+from .solvers import HandEyeSolution, Method, solve_batch
 
 DEFAULT_METHODS = (Method.TSAI_LENZ, Method.CLOSED_FORM, Method.NONLINEAR)
 
@@ -62,6 +67,10 @@ _START_DISTANCE = (450.0, 650.0)
 _CENTER_STEP = (230.0, 390.0)
 _MOTION_ANGLE = (np.radians(20.0), np.radians(90.0))
 _MIN_AXIS_SEPARATION = np.radians(15.0)
+
+# Trials of a sweep point solved together.  Bounds the memory of a sweep;
+# the rows do not depend on it.
+_BLOCK = 128
 
 
 class Distribution(str, Enum):
@@ -89,8 +98,8 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self):
-        if self.level < 0:
-            raise ValueError("noise level must be non-negative")
+        if not np.isfinite(self.level) or self.level < 0:
+            raise ValueError("noise level must be finite and non-negative")
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,6 +130,16 @@ class Scenario:
         )
         return float(total) / (2 * len(self.motion_pairs))
 
+    @cached_property
+    def motion_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The motion pairs stacked: rotations (n, 2, 3, 3) and translations
+        (n, 2, 3), camera motion first."""
+        pairs = self.motion_pairs
+        return (
+            np.array([[a.rotation, b.rotation] for a, b in pairs]),
+            np.array([[a.translation, b.translation] for a, b in pairs]),
+        )
+
 
 @dataclass(frozen=True)
 class ReportRow:
@@ -148,21 +167,32 @@ def _generator(seed: int, *stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(root))
 
 
+# Uniform draws per noise sample.
+_DRAWS = {Distribution.UNIFORM: 1, Distribution.GAUSSIAN: 2}
+
+
+def _noise(draws: np.ndarray, distribution: Distribution, level: float) -> np.ndarray:
+    """Zero-centered samples at the stated ratio level from uniform draws.
+
+    Uniform: width ``level`` (support [-level/2, +level/2]), one draw per
+    sample.  Gaussian: standard deviation ``level / 2``, via Box-Muller on
+    uniform pairs: the last axis holds every sample's first draw, then
+    every sample's second draw.
+    """
+    if distribution == Distribution.UNIFORM:
+        return level * (draws - 0.5)
+    half = draws.shape[-1] // 2
+    u1, u2 = draws[..., :half], draws[..., half:]
+    return 0.5 * level * np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * np.pi * u2)
+
+
 def _noise_samples(
     rng: np.random.Generator, distribution: Distribution, level: float, size: int
 ) -> np.ndarray:
-    """Zero-centered samples at the stated ratio level.
-
-    Uniform: width ``level`` (support [-level/2, +level/2]).  Gaussian:
-    standard deviation ``level / 2``, via Box-Muller on uniform pairs.
-    """
+    """``size`` samples of :func:`_noise`; a zero level draws nothing."""
     if level == 0.0:
         return np.zeros(size)
-    if distribution == Distribution.UNIFORM:
-        return level * (rng.random(size) - 0.5)
-    u1 = rng.random(size)
-    u2 = rng.random(size)
-    return 0.5 * level * np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * np.pi * u2)
+    return _noise(rng.random(size * _DRAWS[distribution]), distribution, level)
 
 
 def _random_unit_vector(rng: np.random.Generator) -> np.ndarray:
@@ -188,29 +218,67 @@ def _uniform_in(rng: np.random.Generator, lo: float, hi: float) -> float:
 # ---------------------------------------------------------------------------
 # perturbation and error statistics
 
-def _perturb(
-    motion: RigidMotion,
+def _draw_counts(
+    distribution: Distribution, rot_level: float, trans_level: float, translation_scale: float
+) -> tuple[int, int]:
+    """Uniform draws one perturbation takes for its rotation axis and for
+    its translation; a zero level draws nothing."""
+    per_vector = 3 * _DRAWS[distribution]
+    rotation = per_vector if rot_level > 0.0 else 0
+    noisy_translation = trans_level > 0.0 and trans_level * translation_scale != 0.0
+    return rotation, per_vector if noisy_translation else 0
+
+
+def _perturbed(
+    rotation: np.ndarray,
+    translation: np.ndarray,
     distribution: Distribution,
     rot_level: float,
     trans_level: float,
+    translation_scale: float,
+    draws: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Perturbed rotations (..., 3, 3) and translations (..., 3).
+
+    ``draws`` holds each motion's uniform draws, (..., k) as counted by
+    :func:`_draw_counts`: the rotation axis's first, then the translation's.
+    """
+    k_rot, k_tr = _draw_counts(distribution, rot_level, trans_level, translation_scale)
+    if rot_level > 0.0:
+        axis = rotation_axis(rotation)
+        angle = rotation_angle(rotation)
+        noisy = axis + _noise(draws[..., :k_rot], distribution, rot_level)
+        norm = quat.vnorm(noisy)
+        usable = norm > 1e-12
+        axis = np.where(usable[..., None], noisy / np.where(usable, norm, 1.0)[..., None], axis)
+        rotation = quat.to_rotation_matrix(quat.from_axis_angle(axis, angle))
+    if k_tr:
+        level = trans_level * translation_scale
+        translation = translation + _noise(draws[..., k_rot:], distribution, level)
+    return rotation, translation
+
+
+def perturb_motions(
+    motions: Sequence[RigidMotion],
+    noise: NoiseModel,
     rng: np.random.Generator,
     translation_scale: float,
-) -> RigidMotion:
+) -> list[RigidMotion]:
+    """:func:`perturb` of each motion in turn, drawing from one stream."""
+    rot_level = noise.level
+    trans_level = (
+        noise.level if noise.targets == NoiseTargets.ROTATION_AND_TRANSLATION else 0.0
+    )
     if rot_level == 0.0 and trans_level == 0.0:
-        return motion
-    rot = motion.rotation
-    if rot_level > 0.0:
-        axis = rotation_axis(rot)
-        angle = rotation_angle(rot)
-        noisy = axis + _noise_samples(rng, distribution, rot_level, 3)
-        norm = np.linalg.norm(noisy)
-        if norm > 1e-12:
-            axis = noisy / norm
-        rot = quat.to_rotation_matrix(quat.from_axis_angle(axis, angle))
-    t = motion.translation
-    if trans_level > 0.0:
-        t = t + _noise_samples(rng, distribution, trans_level * translation_scale, 3)
-    return RigidMotion(rot, t)
+        return list(motions)
+    k = sum(_draw_counts(noise.distribution, rot_level, trans_level, translation_scale))
+    rotation, translation = _perturbed(
+        np.stack([m.rotation for m in motions]),
+        np.stack([m.translation for m in motions]),
+        noise.distribution, rot_level, trans_level, translation_scale,
+        rng.random(k * len(motions)).reshape(len(motions), k),
+    )
+    return [RigidMotion(r, t) for r, t in zip(rotation, translation)]
 
 
 def perturb(
@@ -231,10 +299,23 @@ def perturb(
     """
     if translation_scale is None:
         translation_scale = float(np.linalg.norm(motion.translation))
-    trans_level = (
-        noise.level if noise.targets == NoiseTargets.ROTATION_AND_TRANSLATION else 0.0
+    return perturb_motions([motion], noise, rng, translation_scale)[0]
+
+
+def _error_stats(
+    rotation: np.ndarray, translation: np.ndarray, truth: RigidMotion
+) -> tuple[float, float]:
+    """:func:`error_stats` of estimates stacked as (J, 4) unit quaternions
+    and (J, 3) translations."""
+    t_norm = float(np.linalg.norm(truth.translation))
+    if t_norm == 0.0:
+        raise ZeroTranslationError("relative translation error undefined for zero translation")
+    rot_sq = ((quat.to_rotation_matrix(rotation) - truth.rotation) ** 2).reshape(len(rotation), -1)
+    tr_sq = (translation - truth.translation) ** 2
+    return (
+        float(np.sqrt(np.mean(np.sum(rot_sq, axis=-1)))),
+        float(np.sqrt(np.mean(np.sum(tr_sq, axis=-1)))) / t_norm,
     )
-    return _perturb(motion, noise.distribution, noise.level, trans_level, rng, translation_scale)
 
 
 def error_stats(
@@ -243,16 +324,11 @@ def error_stats(
     """RMS Frobenius rotation error and RMS relative translation error."""
     if not estimates:
         raise ValueError("at least one estimate is required")
-    t_norm = float(np.linalg.norm(truth.translation))
-    if t_norm == 0.0:
-        raise ZeroTranslationError("relative translation error undefined for zero translation")
-    rot_sq = [
-        float(np.sum((sol.rotation_matrix - truth.rotation) ** 2)) for sol in estimates
-    ]
-    tr_sq = [
-        float(np.sum((sol.translation - truth.translation) ** 2)) for sol in estimates
-    ]
-    return float(np.sqrt(np.mean(rot_sq))), float(np.sqrt(np.mean(tr_sq))) / t_norm
+    return _error_stats(
+        np.stack([sol.rotation for sol in estimates]),
+        np.stack([sol.translation for sol in estimates]),
+        truth,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -350,25 +426,48 @@ def perspective_scenario(n: int, seed: int) -> Scenario:
 # ---------------------------------------------------------------------------
 # sweeps
 
+def _trial_constraints(
+    scenario: Scenario,
+    distribution: Distribution,
+    rot_level: float,
+    trans_level: float,
+    rngs: Sequence[np.random.Generator],
+) -> ConstraintSet:
+    """The constraint sets of ``len(rngs)`` trials, stacked (J, n, ...).
+
+    Trial j perturbs every motion pair, camera motion first, with draws
+    from ``rngs[j]`` in a fixed order, so its set is a pure function of
+    that stream.
+    """
+    rotation, translation = scenario.motion_arrays
+    scale = scenario.nominal_translation
+    k = sum(_draw_counts(distribution, rot_level, trans_level, scale))
+    draws = np.stack([rng.random(k * rotation.shape[0] * 2) for rng in rngs])
+    draws = draws.reshape((len(rngs),) + rotation.shape[:2] + (k,))
+    rotation, translation = _perturbed(
+        rotation, translation, distribution, rot_level, trans_level, scale, draws
+    )
+    rotation = np.broadcast_to(rotation, draws.shape[:-1] + (3, 3))
+    translation = np.broadcast_to(translation, draws.shape[:-1] + (3,))
+    return ConstraintSet.from_motions(
+        rotation[:, :, 0], translation[:, :, 0], rotation[:, :, 1], translation[:, :, 1]
+    )
+
+
 def trial_constraints(
     scenario: Scenario,
     distribution: Distribution,
     rot_level: float,
     trans_level: float,
     rng: np.random.Generator,
-) -> list[MotionConstraint]:
-    """One trial's constraint list: every motion independently perturbed.
+) -> ConstraintSet:
+    """One trial's constraint set: every motion independently perturbed.
 
     Each (camera, hand) motion pair consumes its noise samples in a fixed
-    order, so the list is a pure function of the rng stream.
+    order, so the set is a pure function of the rng stream.
     """
-    scale = scenario.nominal_translation
-    out = []
-    for a, b in scenario.motion_pairs:
-        noisy_a = _perturb(a, distribution, rot_level, trans_level, rng, scale)
-        noisy_b = _perturb(b, distribution, rot_level, trans_level, rng, scale)
-        out.append(motion_constraint(noisy_a, noisy_b))
-    return out
+    cs = _trial_constraints(scenario, distribution, rot_level, trans_level, [rng])
+    return ConstraintSet(*(a[0] for a in cs.arrays))
 
 
 def _sweep(
@@ -376,21 +475,22 @@ def _sweep(
 ) -> list[ReportRow]:
     rows = []
     for index, (sweep_var, scenario, rot_level, trans_level) in enumerate(points):
-        collected: dict[Method, list[HandEyeSolution]] = {m: [] for m in methods}
+        estimates: dict[Method, list] = {m: [] for m in methods}
         failed = {m: 0 for m in methods}
-        for j in range(trials):
-            rng = _generator(seed, index, j)
-            constraints = ConstraintSet.of(
-                trial_constraints(scenario, distribution, rot_level, trans_level, rng)
-            )
-            for m in methods:
-                try:
-                    collected[m].append(SOLVERS[m](constraints))
-                except CalibrationError:
-                    failed[m] += 1
+        for first in range(0, trials, _BLOCK):
+            rngs = [_generator(seed, index, j) for j in range(first, min(first + _BLOCK, trials))]
+            constraints = _trial_constraints(scenario, distribution, rot_level, trans_level, rngs)
+            for m, batch in solve_batch(constraints, methods).items():
+                for err in batch.errors:
+                    if err is not None and not isinstance(err, CalibrationError):
+                        raise err
+                ok = batch.ok
+                failed[m] += int(np.count_nonzero(~ok))
+                estimates[m].append((batch.rotation[ok], batch.translation[ok]))
         for m in methods:
-            if collected[m]:
-                e_rot, e_tr = error_stats(collected[m], scenario.ground_truth)
+            if failed[m] < trials:
+                rotation, translation = (np.concatenate(a) for a in zip(*estimates[m]))
+                e_rot, e_tr = _error_stats(rotation, translation, scenario.ground_truth)
             else:
                 e_rot = e_tr = float("nan")
             rows.append(ReportRow(float(sweep_var), m, e_rot, e_tr, failed[m]))

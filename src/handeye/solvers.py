@@ -1,21 +1,35 @@
 """Three hand-eye solvers over a shared constraint set.
 
-Every solver stacks its ``MotionConstraint`` records once into a
-``ConstraintSet`` (or takes one as given) and estimates the same unknown:
-the rotation (as a unit quaternion) and translation (mm) of the hand-eye
-transform.  They differ in how much they decouple:
+Every solver estimates the same unknown, the rotation (as a unit
+quaternion) and translation (mm) of the hand-eye transform, and differs in
+how much it decouples:
 
-* ``solve_tsai_lenz`` linearizes the axis equation with the scaled-axis
-  vector tan(angle/2) * axis, solves it by least squares, then solves the
+* Tsai-Lenz linearizes the axis equation with the scaled-axis vector
+  tan(angle/2) * axis, solves it by least squares, then solves the
   translation equation by least squares.
-* ``solve_closed_form`` minimizes the axis-alignment error over unit
+* The closed form minimizes the axis-alignment error over unit
   quaternions exactly, as the eigenvector of a 4x4 symmetric matrix for
   its smallest eigenvalue (``np.linalg.eigh``), then solves translation
   the same way.
-* ``solve_nonlinear`` minimizes the full coupled objective (axis alignment
-  plus translation transfer plus a soft unit-norm penalty) over all seven
-  parameters simultaneously with Levenberg-Marquardt, starting from the
-  closed-form solution.
+* The nonlinear solver minimizes the full coupled objective (axis
+  alignment plus translation transfer plus a soft unit-norm penalty) over
+  all seven parameters simultaneously with Levenberg-Marquardt, starting
+  from the closed-form solution.
+
+The solvers run on batches: a ``ConstraintSet`` of shape (J, n, ...) holds
+J independent problems with n motions each, and every step is an array
+operation over the leading problem axis.  The Levenberg-Marquardt loop is
+masked: each problem keeps its own damping, acceptance and termination,
+and leaves the active set when it terminates.  A problem that a check
+rejects is not raised but recorded in ``SolutionBatch.errors``, with the
+exception the single-problem solver raises for it.  ``solve_batch`` runs
+any subset of the methods on one batch and shares the closed-form
+solution with the nonlinear start.  ``solve_tsai_lenz``,
+``solve_closed_form`` and ``solve_nonlinear`` run the same code on a batch
+of one and raise the recorded error.  Batching changes no arithmetic:
+every row passes through the same library kernels in the same memory
+layout, so a problem solved in a batch is bit-identical to the same
+problem solved alone.
 
 ``build_quadratic`` assembles the closed quadratic form of the coupled
 objective whose term count does not grow with the number of motions; it is
@@ -26,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -92,41 +107,163 @@ class HandEyeSolution:
         return quat.to_rotation_matrix(self.rotation)
 
 
-def _check_condition(a: np.ndarray, what: str):
-    svals = np.linalg.svd(a, compute_uv=False)
-    if svals[-1] <= 0.0 or svals[0] / svals[-1] > CONDITION_LIMIT:
-        raise IllConditionedError(
-            f"{what}: condition number "
-            f"{'inf' if svals[-1] <= 0 else f'{svals[0] / svals[-1]:.2e}'} "
-            f"exceeds {CONDITION_LIMIT:.0e}"
+class SolutionBatch(NamedTuple):
+    """One method's solutions of a batch of J problems, one row each.
+
+    ``errors[j]`` is the exception the single-problem solver raises for
+    problem j (a ``CalibrationError``, or the ``ZeroDivisionError`` /
+    ``ValueError`` of a vanishing transfer norm or a non-unit result), or
+    None; the rows of a failed problem hold no estimate.
+    """
+
+    method: Method
+    rotation: np.ndarray              # (J, 4), canonical sign
+    translation: np.ndarray           # (J, 3) mm
+    rotation_residual: np.ndarray     # (J,)
+    translation_residual: np.ndarray  # (J,)
+    iterations: np.ndarray            # (J,) int
+    converged: np.ndarray             # (J,) bool
+    errors: tuple
+
+    @property
+    def ok(self) -> np.ndarray:
+        return _ok(self.errors)
+
+    def solution(self, j: int = 0) -> HandEyeSolution:
+        """Problem j as a HandEyeSolution; raises its recorded error."""
+        if self.errors[j] is not None:
+            raise self.errors[j]
+        return HandEyeSolution(
+            self.rotation[j],
+            self.translation[j].copy(),
+            float(self.rotation_residual[j]),
+            float(self.translation_residual[j]),
+            self.method,
+            iterations=int(self.iterations[j]),
+            converged=bool(self.converged[j]),
         )
 
 
+def _ok(errors) -> np.ndarray:
+    return np.array([err is None for err in errors], dtype=bool)
+
+
+class _Failures:
+    """The first error of each problem of a batch, in check order."""
+
+    def __init__(self, errors):
+        self.errors = list(errors)
+
+    @classmethod
+    def none(cls, size: int) -> "_Failures":
+        return cls([None] * size)
+
+    @property
+    def ok(self) -> np.ndarray:
+        return _ok(self.errors)
+
+    def record(self, bad, make_error):
+        """Record ``make_error(j)`` for every flagged problem j still ok."""
+        for j in np.flatnonzero(bad):
+            if self.errors[j] is None:
+                self.errors[j] = make_error(j)
+
+    def raise_first(self):
+        """Raise the error of a batch of one, if it has one."""
+        if self.errors[0] is not None:
+            raise self.errors[0]
+
+    def finish(self, method, q, t, rot_res, tr_res, iterations=None, converged=None):
+        size = len(q)
+        return SolutionBatch(
+            method, q, t, rot_res, tr_res,
+            np.zeros(size, dtype=int) if iterations is None else iterations,
+            np.ones(size, dtype=bool) if converged is None else converged,
+            tuple(self.errors),
+        )
+
+
+def _one(constraints) -> ConstraintSet:
+    """A single problem as a batch of one."""
+    return ConstraintSet(*(a[None] for a in ConstraintSet.of(constraints).arrays))
+
+
+def _rejected(method: Method, size: int, message: str) -> SolutionBatch:
+    """Every problem of a batch failed with TooFewMotionsError."""
+    fail = _Failures([TooFewMotionsError(message) for _ in range(size)])
+    nan = np.full(size, np.nan)
+    return fail.finish(method, np.full((size, 4), np.nan), np.full((size, 3), np.nan), nan, nan)
+
+
+def _check_condition(a: np.ndarray, what: str, fail: _Failures):
+    svals = np.linalg.svd(a, compute_uv=False)
+    lo, hi = svals[:, -1], svals[:, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = hi / lo
+    fail.record(
+        (lo <= 0.0) | (cond > CONDITION_LIMIT),
+        lambda j: IllConditionedError(
+            f"{what}: condition number "
+            f"{'inf' if lo[j] <= 0 else f'{cond[j]:.2e}'} "
+            f"exceeds {CONDITION_LIMIT:.0e}"
+        ),
+    )
+
+
+def _lstsq(a: np.ndarray, b: np.ndarray, ok: np.ndarray) -> np.ndarray:
+    """Least-squares solution of each ok problem's system, NaN for the rest.
+
+    ``np.linalg.lstsq`` does not broadcast, so this is the one loop over
+    problems in the solvers.
+    """
+    x = np.full(b.shape[:-1] + a.shape[-1:], np.nan)
+    for j in np.flatnonzero(ok):
+        x[j] = np.linalg.lstsq(a[j], b[j], rcond=None)[0]
+    return x
+
+
 def _skew(v: np.ndarray) -> np.ndarray:
-    x, y, z = v
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    x, y, z = v[..., 0], v[..., 1], v[..., 2]
+    out = np.zeros(v.shape + (3,))
+    out[..., 0, 1], out[..., 0, 2] = -z, y
+    out[..., 1, 0], out[..., 1, 2] = z, -x
+    out[..., 2, 0], out[..., 2, 1] = -y, x
+    return out
+
+
+def _as_unit(q: np.ndarray, fail: _Failures) -> np.ndarray:
+    """``quat.as_unit`` of each row, recording its ValueError."""
+    err = quat.unit_error(q)
+    fail.record(err > 1e-12, lambda j: ValueError(f"quaternion norm off unity by {err[j]:.3e}"))
+    return quat.canonicalize(q)
 
 
 def axis_alignment_matrix(constraints) -> np.ndarray:
     """4x4 symmetric matrix whose quadratic form over unit quaternions is
-    the summed squared axis-alignment error."""
+    the summed squared axis-alignment error (one per problem of a batch)."""
     cs = ConstraintSet.of(constraints)
     vp, v = cs.camera_axis, cs.hand_axis
     d = quat.q_matrix(quat.embed(vp)) - quat.w_matrix(quat.embed(v))
-    return np.einsum("nji,njk->ik", d, d)
+    return np.einsum("...nji,...njk->...ik", d, d)
 
 
-def _metrics(cs: ConstraintSet, q: np.ndarray, t: np.ndarray) -> tuple[float, float]:
+def _metrics(cs: ConstraintSet, q: np.ndarray, t: np.ndarray, fail: _Failures):
     k, rb = cs.camera_rotation, cs.hand_rotation
     pp, p = cs.camera_translation, cs.hand_translation
+    size = len(q)
     r3 = quat.to_rotation_matrix(q)
-    rot = float(np.sum((k @ r3 - r3 @ rb) ** 2))
-    transfer = p @ r3.T - pp                      # what the translation must explain
-    mismatch = (k - np.eye(3)) @ t - transfer
-    denom = float(np.sum(transfer**2))
-    if denom == 0.0:
-        raise ZeroDivisionError("translation-transfer norm is zero; relative error undefined")
-    return rot, float(np.sum(mismatch**2)) / denom
+    rot = np.sum(((k @ r3[:, None] - r3[:, None] @ rb) ** 2).reshape(size, -1), axis=-1)
+    transfer = p @ np.swapaxes(r3, -1, -2) - pp     # what the translation must explain
+    mismatch = ((k - np.eye(3)) @ t[:, None, :, None])[..., 0] - transfer
+    denom = np.sum((transfer**2).reshape(size, -1), axis=-1)
+    fail.record(
+        denom == 0.0,
+        lambda j: ZeroDivisionError(
+            "translation-transfer norm is zero; relative error undefined"
+        ),
+    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return rot, np.sum((mismatch**2).reshape(size, -1), axis=-1) / denom
 
 
 def report_residuals(constraints, solution: HandEyeSolution) -> tuple[float, float]:
@@ -136,11 +273,22 @@ def report_residuals(constraints, solution: HandEyeSolution) -> tuple[float, flo
     squared translation-equation error).  Raises ZeroDivisionError when
     the translation-transfer norm vanishes.
     """
-    return _metrics(ConstraintSet.of(constraints), solution.rotation, solution.translation)
+    fail = _Failures.none(1)
+    rot, tr = _metrics(_one(constraints), solution.rotation[None], solution.translation[None], fail)
+    fail.raise_first()
+    return float(rot[0]), float(tr[0])
 
 
 # ---------------------------------------------------------------------------
 # symmetric 4x4 eigensolver
+
+def _eigen_sym4(m: np.ndarray, fail: _Failures) -> tuple[np.ndarray, np.ndarray]:
+    asymmetry = np.linalg.norm(m - np.swapaxes(m, -1, -2), axis=(-2, -1))
+    fail.record(asymmetry > 1e-9, lambda j: NotSymmetricError("matrix is not symmetric"))
+    vals, vecs = np.linalg.eigh(0.5 * (m + np.swapaxes(m, -1, -2)))
+    lead = np.take_along_axis(vecs, np.argmax(np.abs(vecs), axis=-2)[..., None, :], axis=-2)
+    return vals, np.where(lead < 0, -vecs, vecs)
+
 
 def eigen_sym4(m) -> tuple[np.ndarray, np.ndarray]:
     """Eigen-decomposition of a symmetric 4x4 matrix by ``np.linalg.eigh``.
@@ -151,31 +299,40 @@ def eigen_sym4(m) -> tuple[np.ndarray, np.ndarray]:
     m = np.asarray(m, dtype=float)
     if m.shape != (4, 4):
         raise NotSymmetricError(f"expected 4x4 matrix, got {m.shape}")
-    if np.linalg.norm(m - m.T) > 1e-9:
-        raise NotSymmetricError("matrix is not symmetric")
-    vals, vecs = np.linalg.eigh(0.5 * (m + m.T))
-    lead = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(4)]
-    return vals, np.where(lead < 0, -vecs, vecs)
+    fail = _Failures.none(1)
+    vals, vecs = _eigen_sym4(m[None], fail)
+    fail.raise_first()
+    return vals[0], vecs[0]
 
 
 # ---------------------------------------------------------------------------
 # decoupled solvers
 
-def _translation_system(cs: ConstraintSet) -> np.ndarray:
-    a = (cs.camera_rotation - np.eye(3)).reshape(-1, 3)
-    _check_condition(a, "translation system")
+def _translation_system(cs: ConstraintSet, fail: _Failures) -> np.ndarray:
+    a = (cs.camera_rotation - np.eye(3)).reshape(len(cs.camera_rotation), -1, 3)
+    _check_condition(a, "translation system", fail)
     return a
 
 
-def _unique_rotation(cs: ConstraintSet) -> np.ndarray:
+def _unique_rotation(cs: ConstraintSet, fail: _Failures) -> np.ndarray:
     """The closed-form rotation; IllConditionedError when it is not unique."""
-    vals, vecs = eigen_sym4(axis_alignment_matrix(cs))
-    if vals[1] - vals[0] < EIGENVALUE_GAP:
-        raise IllConditionedError(
-            f"smallest eigenvalues {vals[0]:.3e}, {vals[1]:.3e} nearly coincide; "
+    vals, vecs = _eigen_sym4(axis_alignment_matrix(cs), fail)
+    fail.record(
+        vals[:, 1] - vals[:, 0] < EIGENVALUE_GAP,
+        lambda j: IllConditionedError(
+            f"smallest eigenvalues {vals[j, 0]:.3e}, {vals[j, 1]:.3e} nearly coincide; "
             "rotation is not unique"
-        )
-    return quat.as_unit(vecs[:, 0] / np.linalg.norm(vecs[:, 0]))
+        ),
+    )
+    column = np.ascontiguousarray(vecs[:, :, 0])
+    return _as_unit(column / quat.vnorm(column)[:, None], fail)
+
+
+def _translation_ls(cs: ConstraintSet, q: np.ndarray, fail: _Failures) -> np.ndarray:
+    r3 = quat.to_rotation_matrix(q)
+    a = _translation_system(cs, fail)
+    rhs = cs.hand_translation @ np.swapaxes(r3, -1, -2) - cs.camera_translation
+    return _lstsq(a, rhs.reshape(len(q), -1), fail.ok)
 
 
 def solve_translation_ls(constraints, rotation) -> np.ndarray:
@@ -184,14 +341,37 @@ def solve_translation_ls(constraints, rotation) -> np.ndarray:
     Stacks the translation equation of every constraint and solves the
     3n x 3 system; raises IllConditionedError when the stack is closer to
     rank-deficient than the shared condition limit (a single motion or
-    motions sharing a rotation axis leave one direction unobservable).
+    motions sharing a rotation axis leave one direction unobservable),
+    and TooFewMotionsError for an empty set.
     """
-    cs = ConstraintSet.of(constraints)
-    r3 = quat.to_rotation_matrix(np.asarray(rotation, dtype=float))
-    a = _translation_system(cs)
-    rhs = (cs.hand_translation @ r3.T - cs.camera_translation).reshape(-1)
-    t, *_ = np.linalg.lstsq(a, rhs, rcond=None)
-    return t
+    cs = _one(constraints)
+    if len(cs) == 0:
+        raise TooFewMotionsError("need at least 2 motions, got 0")
+    fail = _Failures.none(1)
+    t = _translation_ls(cs, np.asarray(rotation, dtype=float)[None], fail)
+    fail.raise_first()
+    return t[0]
+
+
+def _tsai_lenz(cs: ConstraintSet) -> SolutionBatch:
+    size, n = len(cs.camera_rotation), len(cs)
+    if n < 2:
+        return _rejected(Method.TSAI_LENZ, size, f"need at least 2 motions, got {n}")
+    fail = _Failures.none(size)
+    vp, v = cs.camera_axis, cs.hand_axis
+    a = _skew(vp + v).reshape(size, -1, 3)
+    _check_condition(a, "axis system", fail)
+    g = _lstsq(a, (v - vp).reshape(size, -1), fail.ok)
+    magnitude = quat.vnorm(g)
+    identity = magnitude <= 1e-12
+    # atan-based angle recovery stays finite for large |g| (angles near pi)
+    q = quat.from_axis_angle(
+        g / np.where(identity, 1.0, magnitude)[:, None], 2.0 * np.arctan(magnitude)
+    )
+    q = np.where(identity[:, None], quat.IDENTITY, q)
+    t = _translation_ls(cs, q, fail)
+    rot_res, tr_res = _metrics(cs, q, t, fail)
+    return fail.finish(Method.TSAI_LENZ, _as_unit(q, fail), t, rot_res, tr_res)
 
 
 def solve_tsai_lenz(constraints) -> HandEyeSolution:
@@ -205,23 +385,18 @@ def solve_tsai_lenz(constraints) -> HandEyeSolution:
     three rows per motion, rank 2 each, so at least two motions with
     distinct axes are required.
     """
-    cs = ConstraintSet.of(constraints)
-    if len(cs) < 2:
-        raise TooFewMotionsError(f"need at least 2 motions, got {len(cs)}")
-    vp, v = cs.camera_axis, cs.hand_axis
-    a = np.concatenate([_skew(row) for row in vp + v], axis=0)
-    _check_condition(a, "axis system")
-    rhs = (v - vp).reshape(-1)
-    g, *_ = np.linalg.lstsq(a, rhs, rcond=None)
-    magnitude = np.linalg.norm(g)
-    if magnitude <= 1e-12:
-        q = quat.IDENTITY
-    else:
-        # atan-based angle recovery stays finite for large |g| (angles near pi)
-        q = quat.from_axis_angle(g / magnitude, 2.0 * np.arctan(magnitude))
-    t = solve_translation_ls(cs, q)
-    rot_res, tr_res = _metrics(cs, q, t)
-    return HandEyeSolution(q, t, rot_res, tr_res, Method.TSAI_LENZ)
+    return _tsai_lenz(_one(constraints)).solution()
+
+
+def _closed_form(cs: ConstraintSet) -> SolutionBatch:
+    size = len(cs.camera_rotation)
+    if len(cs) == 0:
+        return _rejected(Method.CLOSED_FORM, size, "need at least 2 motions, got 0")
+    fail = _Failures.none(size)
+    q = _unique_rotation(cs, fail)
+    t = _translation_ls(cs, q, fail)
+    rot_res, tr_res = _metrics(cs, q, t, fail)
+    return fail.finish(Method.CLOSED_FORM, _as_unit(q, fail), t, rot_res, tr_res)
 
 
 def solve_closed_form(constraints) -> HandEyeSolution:
@@ -233,13 +408,7 @@ def solve_closed_form(constraints) -> HandEyeSolution:
     means the minimizer is not unique (single motion, or parallel axes)
     and the problem is rejected.
     """
-    cs = ConstraintSet.of(constraints)
-    if not cs:
-        raise TooFewMotionsError("need at least 2 motions, got 0")
-    q = _unique_rotation(cs)
-    t = solve_translation_ls(cs, q)
-    rot_res, tr_res = _metrics(cs, q, t)
-    return HandEyeSolution(q, t, rot_res, tr_res, Method.CLOSED_FORM)
+    return _closed_form(_one(constraints)).solution()
 
 
 # ---------------------------------------------------------------------------
@@ -341,60 +510,180 @@ def objective_value(
     return axis_weight * f1 + transfer_weight * f2 + penalty
 
 
-def _lm_problem(cs: ConstraintSet, axis_weight, transfer_weight, unit_penalty, scale=1.0):
-    """Residual and Jacobian closures for the 7-parameter problem.
 
-    Residual layout: 3 axis-alignment rows per motion, then 3 translation
-    rows per motion, then the scalar norm penalty.  Translations are
-    divided by ``scale``; the translation parameter is then in units of
-    ``scale`` mm.  The Jacobian of the sandwich product q * v * conj(q)
-    with respect to q is w_matrix(q)' w_matrix(v) + q_matrix(q)
-    q_matrix(v) conj, which the closures evaluate batched over motions.
+class _LMProblem:
+    """Residuals and Jacobian of the 7-parameter problem, for a batch.
+
+    Residual layout per problem: 3 axis-alignment rows per motion, then 3
+    translation rows per motion, then the scalar norm penalty.
+    Translations are divided by the problem's scale; its translation
+    parameter is then in units of that scale.  The Jacobian of the
+    sandwich product q * v * conj(q) with respect to q is
+    w_matrix(q)' w_matrix(v) + q_matrix(q) q_matrix(v) conj, evaluated
+    batched over problems and motions; the operators of v and p are
+    stacked along the motion axis, (J, 2n, 4, 4), to share its calls.
     """
-    vp, v = cs.camera_axis, cs.hand_axis
-    n = len(cs)
-    kmi = cs.camera_rotation - np.eye(3)
-    pp = cs.camera_translation / scale
-    p = cs.hand_translation / scale
-    sa = np.sqrt(axis_weight)
-    sb = np.sqrt(transfer_weight)
-    sp = np.sqrt(unit_penalty)
-    w_v = quat.w_matrix(quat.embed(v))
-    qc_v = quat.q_matrix(quat.embed(v)) @ _CONJ
-    w_p = quat.w_matrix(quat.embed(p))
-    qc_p = quat.q_matrix(quat.embed(p)) @ _CONJ
 
-    def residuals(x):
-        q, t = x[:4], x[4:]
-        sandwich = quat.w_matrix(q).T @ quat.q_matrix(q)
-        rot = sandwich[1:, 1:]
-        r = np.empty(6 * n + 1)
-        r[: 3 * n] = (sa * (vp - v @ rot.T)).reshape(-1)
-        r[3 * n : 6 * n] = (sb * (p @ rot.T - kmi @ t - pp)).reshape(-1)
-        r[-1] = sp * (1.0 - q @ q)
+    def __init__(self, arrays, weights):
+        self.arrays, self.weights = arrays, weights
+        self.vp, self.v, self.kmi, self.pp, self.p, self.w_vp, self.qc_vp = arrays
+        self.sa, self.sb, self.sp = weights
+
+    @classmethod
+    def build(cls, cs: ConstraintSet, axis_weight, transfer_weight, unit_penalty, scale):
+        v = cs.hand_axis
+        p = cs.hand_translation / scale[:, None, None]
+        vp_embedded = quat.embed(np.concatenate([v, p], axis=1))
+        arrays = (
+            cs.camera_axis,
+            v,
+            cs.camera_rotation - np.eye(3),
+            cs.camera_translation / scale[:, None, None],
+            p,
+            quat.w_matrix(vp_embedded),
+            quat.q_matrix(vp_embedded) @ _CONJ,
+        )
+        return cls(arrays, tuple(np.sqrt([axis_weight, transfer_weight, unit_penalty])))
+
+    def take(self, rows) -> "_LMProblem":
+        return _LMProblem(tuple(a[rows] for a in self.arrays), self.weights)
+
+    def residuals(self, x: np.ndarray) -> np.ndarray:
+        size, n = x.shape[0], self.v.shape[1]
+        q, t = x[:, :4], x[:, 4:]
+        sandwich = np.swapaxes(quat.w_matrix(q), -1, -2) @ quat.q_matrix(q)
+        rot_t = np.swapaxes(sandwich[:, 1:, 1:], -1, -2)
+        r = np.empty((size, 6 * n + 1))
+        r[:, : 3 * n] = (self.sa * (self.vp - self.v @ rot_t)).reshape(size, -1)
+        moved = self.p @ rot_t - (self.kmi @ t[:, None, :, None])[..., 0] - self.pp
+        r[:, 3 * n : 6 * n] = (self.sb * moved).reshape(size, -1)
+        r[:, -1] = self.sp * (1.0 - quat.vdot(q, q))
         return r
 
-    def jacobian(x):
-        q = x[:4]
-        wq_t = quat.w_matrix(q).T
+    def jacobian(self, x: np.ndarray) -> np.ndarray:
+        size, n = x.shape[0], self.v.shape[1]
+        q = x[:, :4]
+        wq_t = np.swapaxes(quat.w_matrix(q), -1, -2)
         qq = quat.q_matrix(q)
-        dv = np.einsum("ab,nbc->nac", wq_t, w_v) + np.einsum("ab,nbc->nac", qq, qc_v)
-        dp = np.einsum("ab,nbc->nac", wq_t, w_p) + np.einsum("ab,nbc->nac", qq, qc_p)
-        jac = np.zeros((6 * n + 1, 7))
-        jac[: 3 * n, :4] = (-sa * dv[:, 1:, :]).reshape(-1, 4)
-        jac[3 * n : 6 * n, :4] = (sb * dp[:, 1:, :]).reshape(-1, 4)
-        jac[3 * n : 6 * n, 4:] = (-sb * kmi).reshape(-1, 3)
-        jac[-1, :4] = -2.0 * sp * q
+        d = np.einsum("jab,jnbc->jnac", wq_t, self.w_vp)
+        d += np.einsum("jab,jnbc->jnac", qq, self.qc_vp)
+        jac = np.zeros((size, 6 * n + 1, 7))
+        jac[:, : 3 * n, :4] = (-self.sa * d[:, :n, 1:, :]).reshape(size, -1, 4)
+        jac[:, 3 * n : 6 * n, :4] = (self.sb * d[:, n:, 1:, :]).reshape(size, -1, 4)
+        jac[:, 3 * n : 6 * n, 4:] = (-self.sb * self.kmi).reshape(size, -1, 3)
+        jac[:, -1, :4] = -2.0 * self.sp * q
         return jac
 
-    return residuals, jacobian
+
+def _levenberg_marquardt(problem: _LMProblem, x, live, max_iterations):
+    """Masked LM over problems ``live`` of ``x`` (updated in place).
+
+    Returns (iterations, converged by step or decrease) for all rows of x.
+    The active set is compacted, and the problem's arrays re-indexed, only
+    when some problem terminates.
+    """
+    iterations = np.zeros(len(x), dtype=int)
+    converged = np.zeros(len(x), dtype=bool)
+    if not len(live):
+        return iterations, converged
+    if len(live) < len(x):
+        problem = problem.take(live)
+    xs = x[live]
+    r = problem.residuals(xs)
+    cost = quat.vdot(r, r)
+    done = cost == 0.0
+    stop = done.copy()
+    mu = np.full(len(live), np.nan)
+    count = np.zeros(len(live), dtype=int)
+    eye7 = np.eye(7)
+    while True:
+        stop |= count >= max_iterations
+        if stop.any():
+            x[live[stop]] = xs[stop]
+            iterations[live[stop]] = count[stop]
+            converged[live[stop]] = done[stop]
+            keep = ~stop
+            if not keep.any():
+                break
+            live, xs, r, cost, mu, count, done = (
+                a[keep] for a in (live, xs, r, cost, mu, count, done)
+            )
+            stop = np.zeros(len(live), dtype=bool)
+            problem = problem.take(keep)
+        jac = problem.jacobian(xs)
+        jac_t = np.swapaxes(jac, -1, -2)
+        grad = (jac_t @ r[..., None])[..., 0]
+        jtj = jac_t @ jac
+        fresh = np.isnan(mu)
+        if fresh.any():
+            mu = np.where(fresh, 1e-3 * np.max(np.diagonal(jtj, axis1=-2, axis2=-1), axis=-1), mu)
+        count += 1
+        step = np.linalg.solve(jtj + mu[:, None, None] * eye7, -grad[..., None])[..., 0]
+        x_new = xs + step
+        r_new = problem.residuals(x_new)
+        cost_new = quat.vdot(r_new, r_new)
+        accept = cost_new <= cost
+        decrease = cost - cost_new
+        xs = np.where(accept[:, None], x_new, xs)
+        r = np.where(accept[:, None], r_new, r)
+        cost = np.where(accept, cost_new, cost)
+        mu = mu * np.where(accept, 0.1, 10.0)
+        done = accept & (
+            (quat.vnorm(step) < 1e-12) | (decrease < 1e-14 * np.maximum(cost, 1e-300))
+        )
+        stop = done | (~accept & (mu > 1e64))
+    return iterations, converged
 
 
 def translation_span(constraints) -> float:
-    """RMS motion-translation magnitude of a constraint set, mm."""
+    """RMS motion-translation magnitude of a constraint set, mm (one per
+    problem of a batch)."""
     cs = ConstraintSet.of(constraints)
     pp, p = cs.camera_translation, cs.hand_translation
-    return float(np.sqrt(0.5 * np.mean(np.sum(pp**2, axis=1) + np.sum(p**2, axis=1))))
+    squares = np.sum(pp**2, axis=-1) + np.sum(p**2, axis=-1)
+    return np.sqrt(0.5 * np.mean(squares, axis=-1))[()]
+
+
+def _nonlinear(
+    cs: ConstraintSet,
+    rotation: np.ndarray,
+    translation: np.ndarray,
+    fail: _Failures,
+    axis_weight: float = DEFAULT_AXIS_WEIGHT,
+    transfer_weight: float = DEFAULT_TRANSFER_WEIGHT,
+    unit_penalty: float = DEFAULT_UNIT_PENALTY,
+    max_iterations: int = 200,
+    translation_scale: float | None = None,
+) -> SolutionBatch:
+    """LM from the start rows (rotation, translation); problems that
+    ``fail`` already rejects keep their error and are not iterated."""
+    size, n = len(cs.camera_rotation), len(cs)
+    if n < 2:
+        return _rejected(Method.NONLINEAR, size, f"need at least 2 motions, got {n}")
+    if translation_scale is None:
+        scale = translation_span(cs)
+    else:
+        scale = np.full(size, float(translation_scale))
+    scale = np.where(scale <= 0.0, 1.0, scale)
+    problem = _LMProblem.build(cs, axis_weight, transfer_weight, unit_penalty, scale)
+    x = np.concatenate([rotation, translation / scale[:, None]], axis=1)
+    ok = np.flatnonzero(fail.ok)
+    iterations, converged = _levenberg_marquardt(problem, x, ok, max_iterations)
+
+    # Capped or stalled: converged after all if the gradient vanishes.
+    stalled = ok[~converged[ok]]
+    if len(stalled):
+        sub = problem.take(stalled)
+        jac_t = 2.0 * np.swapaxes(sub.jacobian(x[stalled]), -1, -2)
+        grad = (jac_t @ sub.residuals(x[stalled])[..., None])[..., 0]
+        converged[stalled] = quat.vnorm(grad) <= 1e-6
+
+    q = x[:, :4] / quat.vnorm(x[:, :4])[:, None]
+    t = x[:, 4:] * scale[:, None]
+    rot_res, tr_res = _metrics(cs, q, t, fail)
+    return fail.finish(
+        Method.NONLINEAR, _as_unit(q, fail), t, rot_res, tr_res, iterations, converged
+    )
 
 
 def solve_nonlinear(
@@ -439,68 +728,20 @@ def solve_nonlinear(
         cap was reached with a gradient norm above 1e-6 (the best iterate
         is still returned).
     """
-    cs = ConstraintSet.of(constraints)
-    if len(cs) < 2:
-        raise TooFewMotionsError(f"need at least 2 motions, got {len(cs)}")
+    cs = _one(constraints)
     if init is None:
-        init = solve_closed_form(cs)
+        start = _closed_form(cs)
+        rotation, translation, fail = start.rotation, start.translation, _Failures(start.errors)
     else:
-        _unique_rotation(cs)
-        _translation_system(cs)
-
-    if translation_scale is None:
-        translation_scale = translation_span(cs)
-    if translation_scale <= 0.0:
-        translation_scale = 1.0
-    residuals, jacobian = _lm_problem(
-        cs, axis_weight, transfer_weight, unit_penalty, translation_scale
-    )
-    x = np.concatenate([init.rotation, init.translation / translation_scale])
-    r = residuals(x)
-    cost = float(r @ r)
-    eye7 = np.eye(7)
-
-    iterations = 0
-    converged = cost == 0.0
-    mu = None
-    need_update = True
-    jtj = grad = None
-    while not converged and iterations < max_iterations:
-        if need_update:
-            jac = jacobian(x)
-            grad = jac.T @ r
-            jtj = jac.T @ jac
-            if mu is None:
-                mu = 1e-3 * float(np.max(np.diag(jtj)))
-            need_update = False
-        iterations += 1
-        step = np.linalg.solve(jtj + mu * eye7, -grad)
-        x_new = x + step
-        r_new = residuals(x_new)
-        cost_new = float(r_new @ r_new)
-        if cost_new <= cost:
-            decrease = cost - cost_new
-            x, r, cost = x_new, r_new, cost_new
-            mu *= 0.1
-            need_update = True
-            if np.linalg.norm(step) < 1e-12 or decrease < 1e-14 * max(cost, 1e-300):
-                converged = True
-        else:
-            mu *= 10.0
-            if mu > 1e64:
-                break
-
-    if not converged:
-        grad = 2.0 * jacobian(x).T @ residuals(x)
-        converged = float(np.linalg.norm(grad)) <= 1e-6
-
-    q = x[:4] / np.linalg.norm(x[:4])
-    t = x[4:] * translation_scale
-    rot_res, tr_res = _metrics(cs, q, t)
-    return HandEyeSolution(
-        quat.as_unit(q), t, rot_res, tr_res, Method.NONLINEAR,
-        iterations=iterations, converged=converged,
-    )
+        fail = _Failures.none(1)
+        if len(cs) >= 2:
+            _unique_rotation(cs, fail)
+            _translation_system(cs, fail)
+        rotation, translation = init.rotation[None], init.translation[None]
+    return _nonlinear(
+        cs, rotation, translation, fail, axis_weight, transfer_weight, unit_penalty,
+        max_iterations, translation_scale,
+    ).solution()
 
 
 SOLVERS = {
@@ -512,3 +753,24 @@ SOLVERS = {
 
 def solve(method: Method, constraints) -> HandEyeSolution:
     return SOLVERS[Method(method)](constraints)
+
+
+def solve_batch(constraints, methods=tuple(Method)) -> dict[Method, SolutionBatch]:
+    """Every method of ``methods`` on a batch of problems (J, n, ...).
+
+    The nonlinear solver starts from the closed-form batch, computed once.
+    Problem j of each result is bit-identical to the single-problem solver
+    on problem j, and a problem it would reject is recorded, not raised.
+    """
+    cs = ConstraintSet.of(constraints)
+    out = {}
+    if Method.TSAI_LENZ in methods:
+        out[Method.TSAI_LENZ] = _tsai_lenz(cs)
+    if Method.CLOSED_FORM in methods or Method.NONLINEAR in methods:
+        start = _closed_form(cs)
+        out[Method.CLOSED_FORM] = start
+        if Method.NONLINEAR in methods:
+            out[Method.NONLINEAR] = _nonlinear(
+                cs, start.rotation, start.translation, _Failures(start.errors)
+            )
+    return {Method(m): out[Method(m)] for m in methods}

@@ -235,6 +235,21 @@ def test_simulate_flag_conflicts(tmp_path):
     assert main(["nonsense"]) == EXIT_FLAGS
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--levels", "nan", "--trials", "1", "--output"],
+        ["simulate", "--levels", "0.01,inf", "--trials", "1", "--output"],
+        ["generate", "--noise-level", "nan"],
+    ],
+    ids=["simulate-levels-nan", "simulate-levels-inf", "generate-noise-level-nan"],
+)
+def test_non_finite_noise_level_is_flag_error(tmp_path, argv):
+    out = tmp_path / "out"
+    assert main(argv + [str(out)]) == EXIT_FLAGS
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_report_csv_shape():
     from handeye.simulate import ReportRow, StabilityReport
     from handeye.solvers import Method

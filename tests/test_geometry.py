@@ -12,6 +12,7 @@ from handeye.errors import (
 )
 from handeye.geometry import (
     Intrinsics,
+    MotionConstraint,
     PerspectiveMatrix,
     RigidMotion,
     camera_motion,
@@ -35,6 +36,27 @@ from conftest import random_motion, random_rotation, rodrigues
 def test_rigid_motion_rejects_bad_rotation():
     with pytest.raises(NotARotationError):
         RigidMotion(np.eye(3) * 1.001, np.zeros(3))
+
+
+def test_non_finite_entries_rejected(rng):
+    with pytest.raises(NotARotationError):
+        RigidMotion(np.full((3, 3), np.nan), np.zeros(3))
+    with pytest.raises(ValueError):
+        RigidMotion(np.eye(3), np.array([0.0, np.nan, 0.0]))
+    fields = vars(motion_constraint(random_motion(rng), random_motion(rng)))
+    for name, value in fields.items():
+        for bad in (np.nan, np.inf):
+            broken = dict(fields, **{name: np.where(np.arange(value.size) == 1, bad, value.ravel())
+                                     .reshape(value.shape)})
+            error = NotARotationError if name.endswith("rotation") else ValueError
+            with pytest.raises(error):
+                MotionConstraint(**broken)
+    # the batched constructor runs the same checks
+    camera, hand = random_motion(rng), random_motion(rng)
+    rotations = np.stack([camera.rotation, hand.rotation])
+    translations = np.stack([camera.translation, [1.0, np.inf, 2.0]])
+    with pytest.raises(ValueError):
+        geo.ConstraintSet.from_motions(rotations, translations, rotations[::-1], translations)
 
 
 def test_compose_invert_basics(rng):

@@ -159,6 +159,8 @@ def test_from_rotation_matrix_rejects_non_rotation():
         quat.from_rotation_matrix(1.5 * np.eye(3))
     with pytest.raises(NotARotationError):
         quat.from_rotation_matrix(np.diag([1.0, 1.0, -1.0]))  # reflection
+    with pytest.raises(NotARotationError):
+        quat.from_rotation_matrix(np.full((3, 3), np.nan))
 
 
 def test_operator_identities(rng):
@@ -202,3 +204,22 @@ def test_axis_angle_round_trip(rng):
         got_axis, got_angle = quat.axis_angle(q)
         assert got_angle == pytest.approx(angle, abs=1e-12)
         assert np.allclose(got_axis, axis, atol=1e-12)
+
+
+def test_helpers_broadcast_bit_identically(rng):
+    # a stack gives exactly the per-entry results, on every branch of
+    # from_rotation_matrix (generic rotations, the identity, half-turns)
+    mats = [quat.to_rotation_matrix(random_unit_quaternion(rng)) for _ in range(300)]
+    mats += [np.eye(3), np.diag([1.0, -1.0, -1.0]), np.diag([-1.0, 1.0, -1.0]),
+             np.diag([-1.0, -1.0, 1.0])]
+    batch = quat.from_rotation_matrix(np.stack(mats))
+    assert np.array_equal(batch, np.stack([quat.from_rotation_matrix(m) for m in mats]))
+    axes, angles = quat.axis_angle(batch)
+    singles = [quat.axis_angle(q) for q in batch]
+    assert np.array_equal(axes, np.stack([axis for axis, _ in singles]))
+    assert np.array_equal(angles, np.array([angle for _, angle in singles]))
+    rebuilt = quat.from_axis_angle(axes, angles)
+    assert np.array_equal(rebuilt, np.stack([quat.from_axis_angle(a, t) for a, t in zip(axes, angles)]))
+    signed = np.concatenate([batch, -batch, [[0.0, 0.0, -1.0, 0.0], [0.0, -0.0, 0.0, 0.0]]])
+    assert np.array_equal(quat.canonicalize(signed), np.stack([quat.canonicalize(q) for q in signed]))
+    assert np.array_equal(quat.as_unit(batch), batch)

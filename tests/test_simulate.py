@@ -114,6 +114,12 @@ def test_perspective_scenario_equivalent_truth():
 # ---------------------------------------------------------------------------
 # perturbation
 
+def test_noise_model_rejects_non_finite_level():
+    for level in (float("nan"), float("inf"), -0.01):
+        with pytest.raises(ValueError):
+            NoiseModel(Distribution.GAUSSIAN, level)
+
+
 def test_perturb_zero_level_returns_same_object(rng):
     motion = random_motion(rng)
     noise = NoiseModel(Distribution.GAUSSIAN, 0.0, NoiseTargets.ROTATION_AND_TRANSLATION, 0)
@@ -273,17 +279,27 @@ def test_motion_count_sweep_row_layout():
     assert report.trials == 5
 
 
-def test_noise_sweep_solves_trial_constraints():
-    # a sweep trial is exactly the constraint list trial_constraints builds
-    scenario = default_scenario(2, seed=3)
+def _assert_rows_equal_single_solves(n, trials):
+    # a sweep trial is exactly the constraint set trial_constraints builds,
+    # solved alone
+    scenario = default_scenario(n, seed=3)
     noise = NoiseModel(Distribution.GAUSSIAN, 0.04, NoiseTargets.ROTATION_AND_TRANSLATION, 5)
-    report = noise_sweep(scenario, [0.04], noise, trials=3)
-    trials = [
+    report = noise_sweep(scenario, [0.04], noise, trials=trials)
+    sets = [
         sim.trial_constraints(scenario, Distribution.GAUSSIAN, 0.04, 0.04, sim._generator(5, 0, j))
-        for j in range(3)
+        for j in range(trials)
     ]
     assert len(report.rows) == 3
     for row in report.rows:
-        solutions = [SOLVERS[row.method](constraints) for constraints in trials]
+        solutions = [SOLVERS[row.method](constraints) for constraints in sets]
         assert row.failed_trials == 0
         assert (row.e_rot, row.e_tr) == error_stats(solutions, scenario.ground_truth)
+
+
+def test_noise_sweep_solves_trial_constraints():
+    _assert_rows_equal_single_solves(2, 3)
+
+
+@pytest.mark.parametrize("n", [2, 5])
+def test_noise_sweep_across_block_boundary_solves_trial_constraints(n):
+    _assert_rows_equal_single_solves(n, sim._BLOCK + 3)

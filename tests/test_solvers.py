@@ -3,8 +3,13 @@ import pytest
 
 import handeye.solvers as solvers
 from handeye import quaternion as quat
-from handeye.errors import IllConditionedError, NotSymmetricError, TooFewMotionsError
-from handeye.geometry import MotionConstraint, RigidMotion
+from handeye.errors import (
+    CalibrationError,
+    IllConditionedError,
+    NotSymmetricError,
+    TooFewMotionsError,
+)
+from handeye.geometry import ConstraintSet, MotionConstraint, RigidMotion
 from handeye.solvers import (
     Method,
     axis_alignment_matrix,
@@ -126,6 +131,11 @@ def test_translation_ls_single_constraint_rejected(rng):
     cons = consistent_constraints(rng, truth, 1)
     with pytest.raises(IllConditionedError):
         solve_translation_ls(cons, quat.from_rotation_matrix(truth.rotation))
+
+
+def test_translation_ls_empty_set_rejected():
+    with pytest.raises(TooFewMotionsError):
+        solve_translation_ls([], quat.IDENTITY)
 
 
 # ---------------------------------------------------------------------------
@@ -498,3 +508,37 @@ def test_solution_residual_magnitudes_on_noisy_data(rng):
         sol = solver(cons)
         assert 1e-6 < sol.rotation_residual < 1.0
         assert 1e-6 < sol.translation_residual < 1.0
+
+
+# ---------------------------------------------------------------------------
+# batches
+
+def _batch(*problems):
+    """Constraint sets of equal motion count stacked into one batch."""
+    sets = [ConstraintSet.of(p) for p in problems]
+    return ConstraintSet(*(np.stack(arrays) for arrays in zip(*(s.arrays for s in sets))))
+
+
+def test_batch_records_degenerate_problems_and_solves_the_rest_exactly(rng):
+    truth = random_motion(rng, 150.0)
+    good = _noisy(consistent_constraints(rng, truth, 3), rng)
+    bad = [parallel_axis_constraints(rng, truth, 3) for _ in range(2)]
+    results = solvers.solve_batch(_batch(bad[0], good, bad[1]))
+    assert list(results) == list(Method)
+    for method, batch in results.items():
+        solver = solvers.SOLVERS[method]
+        assert list(batch.ok) == [False, True, False]
+        for j, problem in ((0, bad[0]), (2, bad[1])):
+            with pytest.raises(CalibrationError) as alone:
+                solver(problem)
+            assert type(batch.errors[j]) is type(alone.value)
+            assert str(batch.errors[j]) == str(alone.value)
+            with pytest.raises(type(alone.value)):
+                batch.solution(j)
+        expected = solver(good)
+        got = batch.solution(1)
+        assert np.array_equal(got.rotation, expected.rotation)
+        assert np.array_equal(got.translation, expected.translation)
+        assert got.rotation_residual == expected.rotation_residual
+        assert got.translation_residual == expected.translation_residual
+        assert (got.iterations, got.converged) == (expected.iterations, expected.converged)
