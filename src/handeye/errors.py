@@ -16,8 +16,9 @@ class SingularProjectionError(CalibrationError):
 class DegenerateRotationError(CalibrationError):
     """Rotation angle too small to define an axis.
 
-    ``index`` identifies the offending motion when raised while building a
-    constraint list; it is None for standalone calls.
+    ``index`` identifies the offending motion when raised while building
+    constraints, and the offending matrix when ``rotation_axis`` is given a
+    stack; it is None for a single matrix.
     """
 
     def __init__(self, message: str, index: int | None = None):

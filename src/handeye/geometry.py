@@ -69,23 +69,15 @@ def _check_rotation(
     return m
 
 
-def _check_vector(
-    v, what: str, unit: bool = False, batched: bool = False, message: str | None = None
-) -> np.ndarray:
-    """A finite 3-vector (unit with ``unit``), or a (..., 3) stack of them.
-
-    ValueError otherwise, with ``message`` (formatted with the shape) for
-    a wrong shape or norm.
-    """
+def _check_vector(v, what: str, unit: bool = False, batched: bool = False) -> np.ndarray:
+    """A finite 3-vector (unit with ``unit``), or a (..., 3) stack of them."""
     v = np.asarray(v, dtype=float)
-    if message is None:
-        message = f"{what} must be a {'unit ' if unit else ''}3-vector"
     if (v.shape[-1:] if batched else v.shape) != (3,):
-        raise ValueError(message.format(shape=v.shape))
+        raise ValueError(f"{what} must be a 3-vector, got shape {v.shape}")
     if not np.isfinite(v).all():
         raise ValueError(f"{what} must be finite")
     if unit and (abs(np.linalg.norm(v, axis=-1) - 1.0) > 1e-9).any():
-        raise ValueError(message.format(shape=v.shape))
+        raise ValueError(f"{what} must be a unit 3-vector")
     return v
 
 
@@ -100,11 +92,7 @@ class RigidMotion:
         object.__setattr__(
             self, "rotation", _check_rotation(self.rotation, "RigidMotion.rotation")
         )
-        t = _check_vector(
-            self.translation, "translation",
-            message="translation must be a 3-vector, got shape {shape}",
-        )
-        object.__setattr__(self, "translation", t)
+        object.__setattr__(self, "translation", _check_vector(self.translation, "translation"))
 
     @classmethod
     def identity(cls) -> "RigidMotion":
@@ -273,21 +261,17 @@ class ConstraintSet:
     def from_motions(
         cls, camera_rotation, camera_translation, hand_rotation, hand_translation
     ) -> "ConstraintSet":
-        """:func:`motion_constraint` over stacks of motions: rotations
-        (..., 3, 3) and translations (..., 3), every leading index one
-        (camera motion, hand motion) pair.  Runs the record's checks on
-        every entry and raises the first failure; a DegenerateRotationError
-        carries the flat index of its pair."""
-        (camera_axis, camera_angle), (hand_axis, hand_angle) = (
-            quat.axis_angle(quat.from_rotation_matrix(m)) for m in (camera_rotation, hand_rotation)
-        )
-        angle = np.stack([camera_angle, hand_angle], axis=-1)
-        degenerate = (angle < MIN_ROTATION_ANGLE).reshape(-1)
-        if degenerate.any():
-            first = int(np.argmax(degenerate))
-            raise _degenerate(angle.reshape(-1)[first], MIN_ROTATION_ANGLE, index=first // 2)
+        """Constraint records of stacks of motions: rotations (..., 3, 3)
+        and translations (..., 3), every leading index one (camera motion,
+        hand motion) pair.  Runs the record's checks on every entry and
+        raises the first failure; a DegenerateRotationError carries the
+        flat index of its pair."""
+        try:
+            axes = rotation_axis(np.stack([camera_rotation, hand_rotation], axis=-3))
+        except DegenerateRotationError as err:
+            raise DegenerateRotationError(str(err), index=err.index // 2) from None
         cs = cls(
-            camera_rotation, hand_rotation, camera_axis, hand_axis,
+            camera_rotation, hand_rotation, axes[..., 0, :], axes[..., 1, :],
             camera_translation, hand_translation,
         )
         return cls(*_checked_fields(cs, batched=True))
@@ -378,23 +362,23 @@ def orthonormalize(m, max_residual: float = 0.5) -> np.ndarray:
 
 
 def rotation_axis(m, min_angle: float = MIN_ROTATION_ANGLE) -> np.ndarray:
-    """Unit rotation axis (eigenvector for the unit eigenvalue).
+    """Unit rotation axis (eigenvector for the unit eigenvalue) of a
+    rotation matrix, or of each in a (..., 3, 3) stack.
 
     The sign follows the canonical-sign quaternion of the matrix.  Raises
     DegenerateRotationError below ``min_angle``: a near-identity motion
-    carries no usable axis and must be rejected rather than guessed.
+    carries no usable axis and must be rejected rather than guessed.  For
+    a stack the error carries the flat index of the first such matrix.
     """
     axis, angle = quat.axis_angle(quat.from_rotation_matrix(m))
-    bad = angle < min_angle
+    bad = np.reshape(angle < min_angle, -1)
     if bad.any():
-        raise _degenerate(_first(angle, bad), min_angle)
+        first = int(np.argmax(bad))
+        raise DegenerateRotationError(
+            f"rotation angle {np.reshape(angle, -1)[first]:.3e} rad below {min_angle:.1e}",
+            index=first if np.ndim(angle) else None,
+        )
     return axis
-
-
-def _degenerate(angle, min_angle: float, index: int | None = None) -> DegenerateRotationError:
-    return DegenerateRotationError(
-        f"rotation angle {angle:.3e} rad below {min_angle:.1e}", index=index
-    )
 
 
 def rotation_angle(m) -> np.ndarray:
@@ -471,14 +455,10 @@ def line_of_sight(m: PerspectiveMatrix, u: float, v: float) -> Line3:
 
 def motion_constraint(camera: RigidMotion, hand: RigidMotion) -> MotionConstraint:
     """Constraint record of one (camera motion, hand motion) pair."""
-    return MotionConstraint(
-        camera_rotation=camera.rotation,
-        hand_rotation=hand.rotation,
-        camera_axis=rotation_axis(camera.rotation),
-        hand_axis=rotation_axis(hand.rotation),
-        camera_translation=camera.translation,
-        hand_translation=hand.translation,
+    (record,) = ConstraintSet.from_motions(
+        camera.rotation[None], camera.translation[None], hand.rotation[None], hand.translation[None]
     )
+    return record
 
 
 def _stacked(motions) -> tuple[np.ndarray, np.ndarray]:

@@ -38,30 +38,30 @@ def embed(v) -> np.ndarray:
     return out
 
 
-# Entry (i, j) of q_matrix(r) is sign[i, j] * r[index[i, j]], same for w_matrix.
-_OPERATOR_INDEX = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
-_Q_SIGN = np.array(
-    [[1.0, -1.0, -1.0, -1.0], [1.0, 1.0, -1.0, 1.0], [1.0, 1.0, 1.0, -1.0], [1.0, -1.0, 1.0, 1.0]]
-)
-_W_SIGN = np.array(
-    [[1.0, -1.0, -1.0, -1.0], [1.0, 1.0, 1.0, -1.0], [1.0, -1.0, 1.0, 1.0], [1.0, 1.0, -1.0, 1.0]]
-)
-
-
 def q_matrix(r) -> np.ndarray:
-    """4x4 matrix of left-multiplication by r: q_matrix(r) @ q = qmul(r, q).
-
-    Rows (w, -x, -y, -z), (x, w, -z, y), (y, z, w, -x), (z, -y, x, w).
-    """
-    return np.take(np.asarray(r, dtype=float), _OPERATOR_INDEX, axis=-1) * _Q_SIGN
+    """4x4 matrix of left-multiplication by r: q_matrix(r) @ q = qmul(r, q)."""
+    r = np.asarray(r, dtype=float)
+    w, x, y, z = r[..., 0], r[..., 1], r[..., 2], r[..., 3]
+    entries = (
+        w, -x, -y, -z,
+        x, w, -z, y,
+        y, z, w, -x,
+        z, -y, x, w,
+    )
+    return np.stack(entries, axis=-1).reshape(r.shape[:-1] + (4, 4))
 
 
 def w_matrix(r) -> np.ndarray:
-    """4x4 matrix of right-multiplication by r: w_matrix(r) @ q = qmul(q, r).
-
-    Rows (w, -x, -y, -z), (x, w, z, -y), (y, -z, w, x), (z, y, -x, w).
-    """
-    return np.take(np.asarray(r, dtype=float), _OPERATOR_INDEX, axis=-1) * _W_SIGN
+    """4x4 matrix of right-multiplication by r: w_matrix(r) @ q = qmul(q, r)."""
+    r = np.asarray(r, dtype=float)
+    w, x, y, z = r[..., 0], r[..., 1], r[..., 2], r[..., 3]
+    entries = (
+        w, -x, -y, -z,
+        x, w, z, -y,
+        y, -z, w, x,
+        z, y, -x, w,
+    )
+    return np.stack(entries, axis=-1).reshape(r.shape[:-1] + (4, 4))
 
 
 def qmul(r, q) -> np.ndarray:
@@ -124,12 +124,21 @@ def canonicalize(q) -> np.ndarray:
     return q * (1.0 - 2.0 * (pattern @ _LEAD_WEIGHTS < 0.0))[..., None]
 
 
+# Largest |q.q - 1| that ``as_unit`` accepts.
+UNIT_TOL = 1e-12
+
+
 def unit_error(q) -> np.ndarray:
     """|q.q - 1| of each quaternion: the quantity ``as_unit`` bounds."""
     return np.abs(norm2(q) - 1.0)
 
 
-def as_unit(q, tol: float = 1e-12) -> np.ndarray:
+def off_unity(err: float) -> ValueError:
+    """The error ``as_unit`` raises for a quaternion with |q.q - 1| = err."""
+    return ValueError(f"quaternion norm off unity by {err:.3e}")
+
+
+def as_unit(q, tol: float = UNIT_TOL) -> np.ndarray:
     """Validate unit norm and return the canonical-sign representative.
 
     Raises ValueError when |q.q - 1| > tol for any quaternion; does not
@@ -138,7 +147,7 @@ def as_unit(q, tol: float = 1e-12) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     err = unit_error(q)
     if np.any(err > tol):
-        raise ValueError(f"quaternion norm off unity by {np.max(err):.3e}")
+        raise off_unity(np.max(err))
     return canonicalize(q)
 
 
@@ -165,25 +174,12 @@ def to_rotation_matrix(q) -> np.ndarray:
     return np.stack(entries, axis=-1).reshape(q.shape[:-1] + (3, 3))
 
 
-# Entries of a flattened 3x3 matrix: the diagonal, the differences
-# (m21 - m12, m02 - m20, m10 - m01) and the sums (m01 + m10, m02 + m20,
-# m12 + m21).
-_DIAGONAL = np.array([0, 4, 8])
-_DIFFERENCES = (np.array([7, 2, 3]), np.array([5, 6, 1]))
-_SUMS = (np.array([1, 2, 5]), np.array([3, 6, 7]))
-# Row i: sign of the diagonal entry m_ii in the radicands of the branches
-# led by x, y and z, e.g. 1 + m00 - m11 - m22 for x.
-_RADICAND_SIGNS = np.array([[1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]])
-# Components of each branch's quaternion (led by the trace, x, y, z) as
-# indices into (s / 4, differences / s, sums / s).
-_BRANCH_COMPONENTS = np.array([[0, 1, 2, 3], [1, 0, 4, 5], [2, 4, 0, 6], [3, 5, 6, 0]])
-
-
 def from_rotation_matrix(m, tol: float = 1e-6) -> np.ndarray:
     """Canonical-sign unit quaternion of a rotation matrix.
 
     Branches on the largest of (trace, diagonal entries), which keeps the
-    divisor away from zero for every rotation angle.
+    divisor away from zero for every rotation angle.  A stack evaluates
+    all four branches and selects one per matrix.
 
     Raises NotARotationError when a matrix is farther than ``tol`` from
     orthonormal (Frobenius), or not finite, or has non-positive
@@ -198,27 +194,30 @@ def from_rotation_matrix(m, tol: float = 1e-6) -> np.ndarray:
     if not (np.linalg.det(m) > 0.0).all():
         raise NotARotationError("determinant is not positive")
 
-    flat = m.reshape(m.shape[:-2] + (9,))
-    diagonal = np.take(flat, _DIAGONAL, axis=-1)
-    m00, m11, m22 = diagonal[..., 0], diagonal[..., 1], diagonal[..., 2]
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = (
+        (m[..., i, 0], m[..., i, 1], m[..., i, 2]) for i in range(3)
+    )
     t = m00 + m11 + m22
-    branch = ~(t >= np.max(diagonal, axis=-1)) * (
-        1 + ~(m00 >= np.maximum(m11, m22)) * (1 + ~(m11 >= m22))
+    # the branches a matrix does not take may divide by zero or take the
+    # square root of a negative number
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = 2.0 * np.sqrt(1.0 + t)
+        by_trace = (0.25 * s, (m21 - m12) / s, (m02 - m20) / s, (m10 - m01) / s)
+        s = 2.0 * np.sqrt(1.0 + m00 - m11 - m22)
+        by_x = ((m21 - m12) / s, 0.25 * s, (m01 + m10) / s, (m02 + m20) / s)
+        s = 2.0 * np.sqrt(1.0 - m00 + m11 - m22)
+        by_y = ((m02 - m20) / s, (m01 + m10) / s, 0.25 * s, (m12 + m21) / s)
+        s = 2.0 * np.sqrt(1.0 - m00 - m11 + m22)
+        by_z = ((m10 - m01) / s, (m02 + m20) / s, (m12 + m21) / s, 0.25 * s)
+    q = np.where(
+        (t >= np.maximum(np.maximum(m00, m11), m22))[..., None],
+        np.stack(by_trace, axis=-1),
+        np.where(
+            (m00 >= np.maximum(m11, m22))[..., None],
+            np.stack(by_x, axis=-1),
+            np.where((m11 >= m22)[..., None], np.stack(by_y, axis=-1), np.stack(by_z, axis=-1)),
+        ),
     )
-    radicand = np.empty(t.shape + (4,))
-    radicand[..., 0] = 1.0 + t
-    radicand[..., 1:] = (
-        1.0
-        + m00[..., None] * _RADICAND_SIGNS[0]
-        + m11[..., None] * _RADICAND_SIGNS[1]
-        + m22[..., None] * _RADICAND_SIGNS[2]
-    )
-    s = 2.0 * np.sqrt(np.take_along_axis(radicand, branch[..., None], axis=-1))
-    parts = np.empty(t.shape + (7,))
-    parts[..., :1] = 0.25 * s
-    parts[..., 1:4] = (np.take(flat, _DIFFERENCES[0], -1) - np.take(flat, _DIFFERENCES[1], -1)) / s
-    parts[..., 4:] = (np.take(flat, _SUMS[0], -1) + np.take(flat, _SUMS[1], -1)) / s
-    q = np.take_along_axis(parts, _BRANCH_COMPONENTS[branch], axis=-1)
     return canonicalize(q / vnorm(q)[..., None])
 
 

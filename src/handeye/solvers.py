@@ -234,7 +234,7 @@ def _skew(v: np.ndarray) -> np.ndarray:
 def _as_unit(q: np.ndarray, fail: _Failures) -> np.ndarray:
     """``quat.as_unit`` of each row, recording its ValueError."""
     err = quat.unit_error(q)
-    fail.record(err > 1e-12, lambda j: ValueError(f"quaternion norm off unity by {err[j]:.3e}"))
+    fail.record(err > quat.UNIT_TOL, lambda j: quat.off_unity(err[j]))
     return quat.canonicalize(q)
 
 

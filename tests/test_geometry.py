@@ -130,11 +130,24 @@ def test_rotation_axis_is_fixed_vector(rng):
         assert np.linalg.norm(axis) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_rotation_axis_rejects_near_identity():
-    with pytest.raises(DegenerateRotationError):
+def test_rotation_axis_rejects_near_identity(rng):
+    with pytest.raises(DegenerateRotationError) as err:
         rotation_axis(np.eye(3))
+    assert err.value.index is None
     with pytest.raises(DegenerateRotationError):
         rotation_axis(rodrigues([1.0, 0.0, 0.0], 1e-8))
+    # a stack reports its first degenerate entry
+    good = [random_rotation(rng) for _ in range(3)]
+    stack = np.stack([good[0], good[1], np.eye(3), good[2], np.eye(3)])
+    assert np.array_equal(rotation_axis(stack[:2]), np.stack([rotation_axis(r) for r in good[:2]]))
+    with pytest.raises(DegenerateRotationError) as err:
+        rotation_axis(stack)
+    assert err.value.index == 2
+    # entry 2 of the stack is the camera side of pair 1
+    translations = np.zeros((2, 3))
+    with pytest.raises(DegenerateRotationError) as err:
+        geo.ConstraintSet.from_motions(stack[[0, 2]], translations, stack[[1, 3]], translations)
+    assert err.value.index == 1
 
 
 def test_reduced_motion_same_matrix_gives_identity():
