@@ -322,9 +322,6 @@ def main(argv: list[str] | None = None) -> int:
     except SchemaError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_SCHEMA
-    except ZeroDivisionError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_DEGENERATE
     except CalibrationError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DEGENERATE

@@ -17,7 +17,14 @@ and at least 2 entries; exactly 2 positions (a single motion) load with a
 warning, since one motion cannot determine the transform uniquely.
 Every matrix entry must be finite.  Rotation blocks farther than 1e-6
 from orthonormal are rejected; closer ones are polar-projected onto the
-rotation group.
+rotation group.  Each pose list is validated as one stacked (n, 4, 4) or
+(n, 3, 4) array; only when that pass finds a bad entry are the entries
+checked one at a time, so the error names the first bad index.
+
+YAML is read and written through libyaml's C scanner, parser and emitter
+when PyYAML was built with it (``yaml.CSafeLoader`` / ``CSafeDumper``),
+and through PyYAML's pure-Python ones otherwise.  Both feed the same
+Python constructor and representer, so documents and bytes are the same.
 
 A solution document records one estimate in every common parametrization
 (quaternion, matrix, axis-angle) plus the two residual metrics; loading
@@ -57,6 +64,11 @@ from .solvers import HandEyeSolution, Method
 
 _EXTRINSIC_ROTATION_TOL = 1e-6
 _BOTTOM_ROW_TOL = 1e-9
+_BOTTOM_ROW = np.array([0.0, 0.0, 0.0, 1.0])
+_EYE3 = np.eye(3)
+
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 
 @dataclass
@@ -89,19 +101,58 @@ def _matrix(entry, rows: int, what: str) -> np.ndarray:
 
 def _rigid_motion(entry, what: str) -> RigidMotion:
     m = _matrix(entry, 4, what)
-    if np.max(np.abs(m[3] - np.array([0.0, 0.0, 0.0, 1.0]))) > _BOTTOM_ROW_TOL:
+    if np.max(np.abs(m[3] - _BOTTOM_ROW)) > _BOTTOM_ROW_TOL:
         raise SchemaError(f"{what}: bottom row {m[3].tolist()} is not (0, 0, 0, 1)")
     r = m[:3, :3]
-    residual = np.linalg.norm(r.T @ r - np.eye(3))
+    residual = np.linalg.norm(r.T @ r - _EYE3)
     if residual > _EXTRINSIC_ROTATION_TOL or np.linalg.det(r) <= 0:
         raise SchemaError(f"{what}: rotation block residual {residual:.3e} (or reflection)")
     return RigidMotion(orthonormalize(r), m[:3, 3])
 
 
+def _stack(raw: list, rows: int) -> np.ndarray | None:
+    """The entries of a list as one finite (n, rows, 4) array, or None."""
+    try:
+        m = np.array(raw, dtype=float)
+    except (TypeError, ValueError):
+        return None
+    if m.shape != (len(raw), rows, 4) or not np.isfinite(m).all():
+        return None
+    return m
+
+
+def _rigid_motions(raw: list, what: str) -> list[RigidMotion]:
+    """The poses of a list, checked and orthonormalized as one stack."""
+    m = _stack(raw, 4)
+    if m is not None:
+        r = m[:, :3, :3]
+        residual = np.linalg.norm(np.swapaxes(r, -1, -2) @ r - _EYE3, axis=(-2, -1))
+        ok = (
+            (np.max(np.abs(m[:, 3] - _BOTTOM_ROW), axis=-1) <= _BOTTOM_ROW_TOL)
+            & (residual <= _EXTRINSIC_ROTATION_TOL)
+            & (np.linalg.det(r) > 0)
+        )
+    if m is None or not ok.all():
+        # One entry at a time, so the first bad entry raises with its index.
+        return [_rigid_motion(entry, f"{what}[{i}]") for i, entry in enumerate(raw)]
+    return [RigidMotion(rot, t) for rot, t in zip(orthonormalize(r), m[:, :3, 3])]
+
+
+def _perspective_matrices(raw: list, what: str) -> list[PerspectiveMatrix]:
+    """The 3x4 matrices of a list, checked as one stack."""
+    m = _stack(raw, 3)
+    if m is None:
+        return [
+            PerspectiveMatrix.from_matrix(_matrix(entry, 3, f"{what}[{i}]"))
+            for i, entry in enumerate(raw)
+        ]
+    return [PerspectiveMatrix(linear, offset) for linear, offset in zip(m[:, :, :3], m[:, :, 3])]
+
+
 def _load_yaml(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = yaml.safe_load(fh)
+            doc = yaml.load(fh, Loader=_LOADER)
     except yaml.YAMLError as err:
         raise ParseError(f"{path}: {err}") from err
     if not isinstance(doc, dict):
@@ -131,7 +182,7 @@ def load_dataset(path) -> Dataset:
     hand_raw = doc.get("hand_poses")
     if not isinstance(hand_raw, list):
         raise SchemaError("hand_poses: missing or not a list")
-    hand_poses = [_rigid_motion(m, f"hand_poses[{i}]") for i, m in enumerate(hand_raw)]
+    hand_poses = _rigid_motions(hand_raw, "hand_poses")
 
     has_extr = "camera_extrinsics" in doc
     has_persp = "perspective_matrices" in doc
@@ -152,18 +203,13 @@ def load_dataset(path) -> Dataset:
         raw = doc["camera_extrinsics"]
         if not isinstance(raw, list):
             raise SchemaError("camera_extrinsics: not a list")
-        camera_extrinsics = [
-            _rigid_motion(m, f"camera_extrinsics[{i}]") for i, m in enumerate(raw)
-        ]
+        camera_extrinsics = _rigid_motions(raw, "camera_extrinsics")
         n_camera = len(camera_extrinsics)
     else:
         raw = doc["perspective_matrices"]
         if not isinstance(raw, list):
             raise SchemaError("perspective_matrices: not a list")
-        perspective_matrices = [
-            PerspectiveMatrix.from_matrix(_matrix(m, 3, f"perspective_matrices[{i}]"))
-            for i, m in enumerate(raw)
-        ]
+        perspective_matrices = _perspective_matrices(raw, "perspective_matrices")
         n_camera = len(perspective_matrices)
 
     if n_camera != len(hand_poses):
@@ -189,6 +235,11 @@ def _listify(m: np.ndarray):
     return [[float(x) for x in row] for row in np.atleast_2d(m)]
 
 
+def _dump(doc: dict, path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        yaml.dump(doc, fh, Dumper=_DUMPER, sort_keys=False, default_flow_style=None)
+
+
 def save_dataset(dataset: Dataset, path) -> None:
     doc: dict = {"formulation": dataset.formulation.value}
     doc["hand_poses"] = [_listify(p.matrix) for p in dataset.hand_poses]
@@ -198,8 +249,7 @@ def save_dataset(dataset: Dataset, path) -> None:
         doc["perspective_matrices"] = [_listify(m.matrix) for m in dataset.perspective_matrices]
     if dataset.metadata:
         doc["metadata"] = dataset.metadata
-    with open(path, "w", encoding="utf-8") as fh:
-        yaml.safe_dump(doc, fh, sort_keys=False, default_flow_style=None)
+    _dump(doc, path)
 
 
 def save_solution(solution: HandEyeSolution, path) -> None:
@@ -216,8 +266,7 @@ def save_solution(solution: HandEyeSolution, path) -> None:
         "iterations": int(solution.iterations),
         "converged": bool(solution.converged),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        yaml.safe_dump(doc, fh, sort_keys=False, default_flow_style=None)
+    _dump(doc, path)
 
 
 def load_solution(path) -> HandEyeSolution:

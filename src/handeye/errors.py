@@ -51,7 +51,8 @@ class NotSymmetricError(CalibrationError):
 
 
 class ZeroTranslationError(CalibrationError):
-    """Relative translation error is undefined for a zero nominal translation."""
+    """A relative translation error is undefined: the nominal translation,
+    or a solution's translation-transfer norm, is zero."""
 
 
 class ParseError(CalibrationError):

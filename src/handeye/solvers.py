@@ -49,6 +49,7 @@ from .errors import (
     IllConditionedError,
     NotSymmetricError,
     TooFewMotionsError,
+    ZeroTranslationError,
 )
 from .geometry import ConstraintSet
 
@@ -111,9 +112,10 @@ class SolutionBatch(NamedTuple):
     """One method's solutions of a batch of J problems, one row each.
 
     ``errors[j]`` is the exception the single-problem solver raises for
-    problem j (a ``CalibrationError``, or the ``ZeroDivisionError`` /
-    ``ValueError`` of a vanishing transfer norm or a non-unit result), or
-    None; the rows of a failed problem hold no estimate.
+    problem j (a ``CalibrationError``, among them the
+    ``ZeroTranslationError`` of a vanishing transfer norm, or the
+    ``ValueError`` of a non-unit result), or None; the rows of a failed
+    problem hold no estimate.
     """
 
     method: Method
@@ -258,7 +260,7 @@ def _metrics(cs: ConstraintSet, q: np.ndarray, t: np.ndarray, fail: _Failures):
     denom = np.sum((transfer**2).reshape(size, -1), axis=-1)
     fail.record(
         denom == 0.0,
-        lambda j: ZeroDivisionError(
+        lambda j: ZeroTranslationError(
             "translation-transfer norm is zero; relative error undefined"
         ),
     )
@@ -270,7 +272,7 @@ def report_residuals(constraints, solution: HandEyeSolution) -> tuple[float, flo
     """The two table metrics of a solution on a constraint set.
 
     Returns (summed squared rotation-equation error, relative summed
-    squared translation-equation error).  Raises ZeroDivisionError when
+    squared translation-equation error).  Raises ZeroTranslationError when
     the translation-transfer norm vanishes.
     """
     fail = _Failures.none(1)

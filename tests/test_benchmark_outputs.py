@@ -1,20 +1,32 @@
-"""The benchmark's seed-0 sweeps reproduce its committed reference CSVs.
+"""The benchmark's seed-0 workloads reproduce its committed references.
 
 Runs the ``sweep-noise`` and ``sweep-count`` commands that
 ``perfbench/workloads.py`` issues at seed 0 (1000 trials each) through
 ``handeye.cli.main`` and compares every CSV with ``perfbench/reference/``:
 ``e_rot`` and ``e_tr`` within 1e-9 relative, ``failed_trials`` exactly.
+The seed-0 ``calibrate`` corpus (the three samples plus the ten generated
+datasets) is calibrated with every method and compared with
+``reference/calibrate.json``: 1e-8 absolute per quaternion component,
+1e-8 relative to the norm for the translation.
 """
 
+import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
+import yaml
 
 from handeye.cli import EXIT_OK, main
 
-REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
+ROOT = Path(__file__).resolve().parent.parent
+REFERENCE = ROOT / "perfbench" / "reference"
 RTOL = 1e-9
+SOLUTION_TOL = 1e-8
+METHODS = ("tsai-lenz", "closed-form", "nonlinear")
+SAMPLES = ("classical", "perspective", "synthetic_with_truth")
+SYNTHETIC = [(form, n) for form in ("classical", "perspective") for n in (2, 5, 10, 20, 30)]
 
 COMMANDS = {
     "sweep-noise": (
@@ -58,3 +70,30 @@ def test_seed_zero_sweep_matches_reference(tmp_path, workload):
             assert _close(float(row[2]), float(ref[2])), (name, row, ref)
             assert _close(float(row[3]), float(ref[3])), (name, row, ref)
             assert int(row[4]) == int(ref[4]), (name, row, ref)
+
+
+def test_seed_zero_calibrate_matches_reference(tmp_path):
+    datasets = [(name, ROOT / "samples" / f"{name}.yaml") for name in SAMPLES]
+    for index, (form, n) in enumerate(SYNTHETIC):
+        path = tmp_path / f"{form}_n{n}.yaml"
+        assert main([
+            "generate", "--motions", str(n), "--seed", str(index), "--formulation", form,
+            "--noise-level", "0.01", "--noise-distribution", "gaussian",
+            "--noise-targets", "rotation-translation", str(path),
+        ]) == EXIT_OK
+        datasets.append((f"{form}_n{n}", path))
+    reference = json.loads((REFERENCE / "calibrate.json").read_text(encoding="utf-8"))
+    assert len(reference) == len(datasets) * len(METHODS)
+    for name, path in datasets:
+        for method in METHODS:
+            output = tmp_path / "solution.yaml"
+            argv = ["calibrate", str(path), "--method", method, "--output", str(output)]
+            assert main(argv) == EXIT_OK, (name, method)
+            doc = yaml.safe_load(output.read_text(encoding="utf-8"))
+            ref = reference[f"{name}|{method}"]
+            q, t = np.array(doc["quaternion_wxyz"]), np.array(doc["translation_mm"])
+            ref_q, ref_t = np.array(ref["quaternion_wxyz"]), np.array(ref["translation_mm"])
+            assert np.max(np.abs(q - ref_q)) <= SOLUTION_TOL, (name, method, q, ref_q)
+            assert np.linalg.norm(t - ref_t) <= SOLUTION_TOL * np.linalg.norm(ref_t), (
+                name, method, t, ref_t,
+            )

@@ -94,6 +94,18 @@ def test_calibrate_degenerate_dataset(tmp_path, rng):
     assert main(["calibrate", str(path)]) == EXIT_DEGENERATE
 
 
+@pytest.mark.parametrize("method", ["tsai-lenz", "closed-form", "nonlinear"])
+def test_calibrate_zero_translation_dataset_is_degenerate(tmp_path, capsys, method):
+    # Every translation zero: the relative translation residual is undefined.
+    ds = synthetic_dataset(4, 0, Formulation.CLASSICAL)
+    hand = [RigidMotion(p.rotation, np.zeros(3)) for p in ds.hand_poses]
+    camera = [RigidMotion(p.rotation, np.zeros(3)) for p in ds.camera_extrinsics]
+    path = tmp_path / "zero.yaml"
+    save_dataset(Dataset(Formulation.CLASSICAL, hand, camera_extrinsics=camera), path)
+    assert main(["calibrate", str(path), "--method", method]) == EXIT_DEGENERATE
+    assert "translation-transfer norm is zero" in capsys.readouterr().err
+
+
 def test_residuals_malformed_solution(tmp_path):
     ds = tmp_path / "ds.yaml"
     main(["generate", str(ds)])

@@ -1,8 +1,12 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 import yaml
 
 import handeye as he
+from handeye import datafiles
 from handeye.datafiles import (
     Dataset,
     load_dataset,
@@ -11,10 +15,12 @@ from handeye.datafiles import (
     save_solution,
     synthetic_dataset,
 )
-from handeye.errors import ParseError, SchemaError
+from handeye.errors import ParseError, SchemaError, SingularProjectionError
 from handeye.simulate import Distribution, Formulation, NoiseModel, NoiseTargets
 
 from conftest import random_motion
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 
 def _truth_of(dataset):
@@ -63,15 +69,17 @@ def _write(tmp_path, doc):
     return path
 
 
-def _valid_doc(n=3):
-    dataset = synthetic_dataset(n, 0, Formulation.CLASSICAL)
-    return {
-        "formulation": "classical",
-        "hand_poses": [[[float(x) for x in row] for row in p.matrix] for p in dataset.hand_poses],
-        "camera_extrinsics": [
-            [[float(x) for x in row] for row in p.matrix] for p in dataset.camera_extrinsics
-        ],
+def _valid_doc(n=3, formulation=Formulation.CLASSICAL):
+    dataset = synthetic_dataset(n, 0, formulation)
+    doc = {
+        "formulation": formulation.value,
+        "hand_poses": [p.matrix.tolist() for p in dataset.hand_poses],
     }
+    if formulation == Formulation.CLASSICAL:
+        doc["camera_extrinsics"] = [p.matrix.tolist() for p in dataset.camera_extrinsics]
+    else:
+        doc["perspective_matrices"] = [m.matrix.tolist() for m in dataset.perspective_matrices]
+    return doc
 
 
 def test_load_rejects_single_position(tmp_path):
@@ -188,3 +196,170 @@ def test_solution_document_schema_errors(tmp_path):
     )
     with pytest.raises(SchemaError, match="norm"):
         load_solution(path)
+
+
+# ---------------------------------------------------------------------------
+# stacked validation: the first bad entry is named with the per-entry message
+
+_POSE = [[1.0, 0.0, 0.0, 5.0], [0.0, 1.0, 0.0, 6.0], [0.0, 0.0, 1.0, 7.0], [0.0, 0.0, 0.0, 1.0]]
+_RAGGED = re.escape("not a numeric matrix (") + ".*inhomogeneous.*"
+
+# case: (replacement for an entry, the message after the entry's name, as a regex)
+_POSE_CASES = {
+    "ragged": ([_POSE[0], _POSE[1][:2], _POSE[2], _POSE[3]], _RAGGED),
+    "wrong-shape": (_POSE[:3], re.escape("expected 4x4, got (3, 4)")),
+    "nan": (
+        [_POSE[0], [0.0, float("nan"), 0.0, 6.0], _POSE[2], _POSE[3]],
+        re.escape("non-finite entry"),
+    ),
+    "bottom-row": (
+        _POSE[:3] + [[0.0, 0.0, 1e-6, 1.0]],
+        re.escape("bottom row [0.0, 0.0, 1e-06, 1.0] is not (0, 0, 0, 1)"),
+    ),
+    "reflection": (
+        [_POSE[0], _POSE[1], [0.0, 0.0, -1.0, 7.0], _POSE[3]],
+        re.escape("rotation block residual 0.000e+00 (or reflection)"),
+    ),
+    "non-orthonormal": (
+        [[1.5, 0.0, 0.0, 5.0]] + _POSE[1:],
+        re.escape("rotation block residual 1.250e+00 (or reflection)"),
+    ),
+}
+
+_PROJECTION = [[800.0, 0.0, 320.0, 10.0], [0.0, 800.0, 240.0, 20.0], [0.0, 0.0, 1.0, 30.0]]
+_PROJECTION_CASES = {
+    "ragged": ([_PROJECTION[0], _PROJECTION[1][:3], _PROJECTION[2]], _RAGGED),
+    "wrong-shape": (_POSE, re.escape("expected 3x4, got (4, 4)")),
+    "nan": (
+        [_PROJECTION[0], _PROJECTION[1], [0.0, 0.0, float("inf"), 30.0]],
+        re.escape("non-finite entry"),
+    ),
+}
+
+
+def _bad_entry_cases():
+    for key, formulation, cases in (
+        ("hand_poses", Formulation.CLASSICAL, _POSE_CASES),
+        ("hand_poses", Formulation.PERSPECTIVE, _POSE_CASES),
+        ("camera_extrinsics", Formulation.CLASSICAL, _POSE_CASES),
+        ("perspective_matrices", Formulation.PERSPECTIVE, _PROJECTION_CASES),
+    ):
+        for case in cases:
+            name = f"{key}-{formulation.value}-{case}"
+            yield pytest.param(key, formulation, cases[case], id=name)
+
+
+@pytest.mark.parametrize("key, formulation, case", list(_bad_entry_cases()))
+@pytest.mark.parametrize("index", [0, 2, 4])
+def test_stacked_validation_names_the_bad_entry(tmp_path, key, formulation, case, index):
+    entry, message = case
+    doc = _valid_doc(4, formulation)
+    doc[key][index] = entry
+    with pytest.raises(SchemaError) as err:
+        load_dataset(_write(tmp_path, doc))
+    assert re.fullmatch(re.escape(f"{key}[{index}]: ") + message, str(err.value))
+
+
+@pytest.mark.parametrize("key, formulation, case", list(_bad_entry_cases()))
+def test_stacked_validation_reports_the_first_of_two_bad_entries(
+    tmp_path, key, formulation, case
+):
+    entry, message = case
+    cases = _PROJECTION_CASES if key == "perspective_matrices" else _POSE_CASES
+    doc = _valid_doc(4, formulation)
+    for other, _ in cases.values():
+        doc[key][1] = entry
+        doc[key][3] = other
+        with pytest.raises(SchemaError) as err:
+            load_dataset(_write(tmp_path, doc))
+        assert re.fullmatch(re.escape(f"{key}[1]: ") + message, str(err.value))
+
+
+def test_stacked_validation_checks_entries_in_order_across_kinds(tmp_path):
+    # A singular projection before a non-finite one fails on the singular
+    # block, as checking one entry at a time does.
+    doc = _valid_doc(4, Formulation.PERSPECTIVE)
+    singular = [[1.0, 0.0, 0.0, 1.0], [2.0, 0.0, 0.0, 2.0], [0.0, 0.0, 1.0, 3.0]]
+    doc["perspective_matrices"][1] = singular
+    doc["perspective_matrices"][2] = _PROJECTION_CASES["nan"][0]
+    with pytest.raises(SingularProjectionError, match="left 3x3 block determinant"):
+        load_dataset(_write(tmp_path, doc))
+    # Hand poses are checked before the camera list.
+    doc = _valid_doc(4)
+    doc["camera_extrinsics"][0] = _POSE_CASES["nan"][0]
+    doc["hand_poses"][3] = _POSE_CASES["reflection"][0]
+    with pytest.raises(SchemaError, match=re.escape("hand_poses[3]: rotation block")):
+        load_dataset(_write(tmp_path, doc))
+
+
+@pytest.mark.parametrize("formulation", [Formulation.CLASSICAL, Formulation.PERSPECTIVE])
+def test_stacked_validation_matches_per_entry_construction(tmp_path, formulation):
+    doc = _valid_doc(6, formulation)
+    # rounded entries exercise the orthonormalizing projection
+    doc["hand_poses"] = np.round(doc["hand_poses"], 9).tolist()
+    dataset = load_dataset(_write(tmp_path, doc))
+    for i, (pose, raw) in enumerate(zip(dataset.hand_poses, doc["hand_poses"])):
+        expected = datafiles._rigid_motion(raw, f"hand_poses[{i}]")
+        assert np.array_equal(pose.rotation, expected.rotation)
+        assert np.array_equal(pose.translation, expected.translation)
+    if formulation == Formulation.CLASSICAL:
+        for pose, raw in zip(dataset.camera_extrinsics, doc["camera_extrinsics"]):
+            expected = datafiles._rigid_motion(raw, "camera_extrinsics")
+            assert np.array_equal(pose.rotation, expected.rotation)
+            assert np.array_equal(pose.translation, expected.translation)
+    else:
+        for matrix, raw in zip(dataset.perspective_matrices, doc["perspective_matrices"]):
+            assert np.array_equal(matrix.matrix, np.array(raw))
+
+
+def test_empty_pose_lists_fail_on_their_length(tmp_path):
+    doc = _valid_doc(4)
+    doc["hand_poses"] = []
+    with pytest.raises(SchemaError, match="lengths differ"):
+        load_dataset(_write(tmp_path, doc))
+    doc["camera_extrinsics"] = []
+    with pytest.raises(SchemaError, match="at least 2"):
+        load_dataset(_write(tmp_path, doc))
+
+
+# ---------------------------------------------------------------------------
+# libyaml and the pure-Python fallback agree
+
+
+def _yaml_documents(tmp_path):
+    paths = sorted(SAMPLES.glob("*.yaml"))
+    for formulation in (Formulation.CLASSICAL, Formulation.PERSPECTIVE):
+        for n in (2, 30):
+            noise = NoiseModel(
+                Distribution.GAUSSIAN, 0.01, NoiseTargets.ROTATION_AND_TRANSLATION, n
+            )
+            path = tmp_path / f"{formulation.value}_n{n}.yaml"
+            save_dataset(synthetic_dataset(n, n, formulation, noise), path)
+            paths.append(path)
+    return paths
+
+
+def _pure_python_dump(doc) -> str:
+    return yaml.safe_dump(doc, sort_keys=False, default_flow_style=None)
+
+
+def test_loaders_agree_on_samples_and_generated_datasets(tmp_path):
+    assert datafiles._LOADER is (yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader)
+    assert datafiles._DUMPER is (yaml.CSafeDumper if yaml.__with_libyaml__ else yaml.SafeDumper)
+    for path in _yaml_documents(tmp_path):
+        expected = yaml.load(path.read_text(encoding="utf-8"), Loader=yaml.SafeLoader)
+        assert datafiles._load_yaml(path) == expected, path.name
+
+
+def test_dumpers_write_the_pure_python_bytes(tmp_path):
+    for path in _yaml_documents(tmp_path):
+        dataset = load_dataset(path)
+        out = tmp_path / "resaved.yaml"
+        save_dataset(dataset, out)
+        doc = yaml.load(out.read_text(encoding="utf-8"), Loader=yaml.SafeLoader)
+        assert out.read_text(encoding="utf-8") == _pure_python_dump(doc), path.name
+        for method in he.Method:
+            solution = he.solve(method, dataset.constraints())
+            save_solution(solution, out)
+            doc = yaml.load(out.read_text(encoding="utf-8"), Loader=yaml.SafeLoader)
+            assert out.read_text(encoding="utf-8") == _pure_python_dump(doc), (path.name, method)

@@ -8,6 +8,7 @@ from handeye.errors import (
     IllConditionedError,
     NotSymmetricError,
     TooFewMotionsError,
+    ZeroTranslationError,
 )
 from handeye.geometry import ConstraintSet, MotionConstraint, RigidMotion
 from handeye.solvers import (
@@ -496,7 +497,7 @@ def test_report_residuals_zero_denominator(rng):
         for _ in range(2)
     ]
     guess = solvers.HandEyeSolution(quat.IDENTITY, np.zeros(3), 0.0, 0.0, Method.TSAI_LENZ)
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(ZeroTranslationError, match="translation-transfer norm is zero"):
         report_residuals(cons, guess)
 
 
@@ -537,6 +538,29 @@ def test_batch_records_degenerate_problems_and_solves_the_rest_exactly(rng):
                 batch.solution(j)
         expected = solver(good)
         got = batch.solution(1)
+        assert np.array_equal(got.rotation, expected.rotation)
+        assert np.array_equal(got.translation, expected.translation)
+        assert got.rotation_residual == expected.rotation_residual
+        assert got.translation_residual == expected.translation_residual
+        assert (got.iterations, got.converged) == (expected.iterations, expected.converged)
+
+
+def test_batch_records_zero_transfer_and_solves_the_rest_exactly(rng):
+    # All translations zero: every solver's residual has a zero denominator.
+    truth = random_motion(rng, 150.0)
+    zero = consistent_constraints(rng, RigidMotion(truth.rotation, np.zeros(3)), 3, translation=0.0)
+    good = _noisy(consistent_constraints(rng, truth, 3), rng)
+    results = solvers.solve_batch(_batch(good, zero))
+    for method, batch in results.items():
+        solver = solvers.SOLVERS[method]
+        assert list(batch.ok) == [True, False]
+        assert isinstance(batch.errors[1], ZeroTranslationError)
+        with pytest.raises(ZeroTranslationError) as alone:
+            solver(zero)
+        assert str(batch.errors[1]) == str(alone.value)
+        assert "translation-transfer norm is zero" in str(alone.value)
+        expected = solver(good)
+        got = batch.solution(0)
         assert np.array_equal(got.rotation, expected.rotation)
         assert np.array_equal(got.translation, expected.translation)
         assert got.rotation_residual == expected.rotation_residual
