@@ -21,29 +21,31 @@ from handeye.geometry import (
     perspective_constraints,
     project_point,
 )
-from handeye.simulate import default_scenario, derive_hand_motions, perspective_scenario
+from handeye.simulate import default_scenario, perspective_scenario
 from handeye.solvers import solve_nonlinear
 
 np.set_printoptions(precision=4, suppress=True)
 
 SEED = 21
-classical = default_scenario(4, SEED)
-persp = perspective_scenario(4, SEED)  # same camera poses, times one intrinsic block
+classical = default_scenario(4, SEED)  # camera poses, a (5, 4, 4) stack
+persp = perspective_scenario(4, SEED)  # same poses times one intrinsic block, (5, 3, 4)
 
-# Rebuild absolute hand poses from the derived motions (gauge: first = identity).
+# Rebuild the (5, 4, 4) stack of absolute hand poses from the scenario's
+# noise-free hand motions (gauge: first = identity).  Classical motions
+# chain consecutive positions; perspective ones all start at position 1.
 def hand_poses_for(scenario, first_referenced):
-    motions = derive_hand_motions(scenario)
+    rotation, translation = scenario.motion_arrays  # (n, 2, ...), hand motion second
     poses = [RigidMotion.identity()]
-    for b in motions:
+    for r, t in zip(rotation[:, 1], translation[:, 1]):
         anchor = poses[0] if first_referenced else poses[-1]
-        poses.append(compose(anchor, invert(b)))
-    return poses
+        poses.append(compose(anchor, invert(RigidMotion(r, t))))
+    return np.stack([pose.matrix for pose in poses])
 
 classical_sol = solve_nonlinear(
-    classical_constraints(list(classical.camera_poses), hand_poses_for(classical, False))
+    classical_constraints(classical.camera_poses, hand_poses_for(classical, False))
 )
 persp_sol = solve_nonlinear(
-    perspective_constraints(list(persp.camera_poses), hand_poses_for(persp, True))
+    perspective_constraints(persp.camera_poses, hand_poses_for(persp, True))
 )
 
 x_est = RigidMotion(classical_sol.rotation_matrix, classical_sol.translation)
@@ -51,7 +53,7 @@ y_est = RigidMotion(persp_sol.rotation_matrix, persp_sol.translation)
 print("plain transform (hand -> camera), translation mm:")
 print("  from decomposed poses:   ", x_est.translation)
 # The first-referenced estimate differs by the first camera pose exactly.
-lifted = compose(classical.camera_poses[0], y_est)
+lifted = compose(RigidMotion.from_matrix(classical.camera_poses[0]), y_est)
 print("  from raw 3x4 matrices:   ", lifted.translation)
 print("  ground truth:            ", classical.ground_truth.translation)
 print("  agreement (Frobenius):    "
@@ -59,7 +61,7 @@ print("  agreement (Frobenius):    "
 
 # The raw matrices still answer geometric questions without decomposition:
 # project a point and intersect the two image planes back into a ray.
-m: PerspectiveMatrix = persp.camera_poses[0]
+m = PerspectiveMatrix.from_matrix(persp.camera_poses[0])
 target = np.array([40.0, -25.0, 710.0])
 u, v = project_point(m, target)
 ray = line_of_sight(m, u, v)

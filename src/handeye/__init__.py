@@ -3,133 +3,30 @@
 Estimates the fixed rigid transform between a robot hand and a camera
 mounted on it, from either decomposed camera poses (the AX = XB route)
 or raw 3x4 perspective matrices (the MY = M'YB route), with three
-interchangeable solvers and a Monte-Carlo stability harness.
+interchangeable solvers and a Monte-Carlo stability harness.  The
+package namespace holds the names of the library quick start; everything
+else lives in the submodules (``geometry``, ``solvers``, ``simulate``,
+``datafiles``, ``quaternion``, ``errors``).
 """
 
-from .errors import (
-    CalibrationError,
-    DegenerateRotationError,
-    DegenerateViewError,
-    FlagError,
-    IllConditionedError,
-    NotARotationError,
-    NotSymmetricError,
-    ParseError,
-    PointAtInfinityError,
-    SchemaError,
-    SingularProjectionError,
-    TooFewMotionsError,
-    TooFewPosesError,
-    ZeroTranslationError,
-)
-from .geometry import (
-    Intrinsics,
-    Line3,
-    MotionConstraint,
-    PerspectiveMatrix,
-    RigidMotion,
-    camera_motion,
-    classical_constraints,
-    compose,
-    hand_motion,
-    invert,
-    line_of_sight,
-    motion_constraint,
-    orthonormalize,
-    perspective_constraints,
-    project_point,
-    reduced_motion,
-    rotation_angle,
-    rotation_axis,
-)
-from .simulate import (
-    Distribution,
-    Formulation,
-    NoiseModel,
-    NoiseTargets,
-    Scenario,
-    StabilityReport,
-    default_scenario,
-    derive_hand_motions,
-    error_stats,
-    motion_count_sweep,
-    noise_sweep,
-    perspective_scenario,
-    perturb,
-)
-from .solvers import (
-    HandEyeSolution,
-    Method,
-    QuadraticObjective,
-    build_quadratic,
-    eigen_sym4,
-    objective_value,
-    report_residuals,
-    solve,
-    solve_closed_form,
-    solve_nonlinear,
-    solve_translation_ls,
-    solve_tsai_lenz,
-)
+from .datafiles import load_dataset
+from .errors import CalibrationError, IllConditionedError, TooFewMotionsError
+from .geometry import ConstraintSet, classical_constraints, perspective_constraints
+from .solvers import Method, solve, solve_closed_form, solve_nonlinear, solve_tsai_lenz
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CalibrationError",
-    "DegenerateRotationError",
-    "DegenerateViewError",
-    "Distribution",
-    "FlagError",
-    "Formulation",
-    "HandEyeSolution",
+    "ConstraintSet",
     "IllConditionedError",
-    "Intrinsics",
-    "Line3",
     "Method",
-    "MotionConstraint",
-    "NoiseModel",
-    "NoiseTargets",
-    "NotARotationError",
-    "NotSymmetricError",
-    "ParseError",
-    "PerspectiveMatrix",
-    "PointAtInfinityError",
-    "QuadraticObjective",
-    "RigidMotion",
-    "Scenario",
-    "SchemaError",
-    "SingularProjectionError",
-    "StabilityReport",
     "TooFewMotionsError",
-    "TooFewPosesError",
-    "ZeroTranslationError",
-    "build_quadratic",
-    "camera_motion",
     "classical_constraints",
-    "compose",
-    "default_scenario",
-    "derive_hand_motions",
-    "eigen_sym4",
-    "error_stats",
-    "hand_motion",
-    "invert",
-    "line_of_sight",
-    "motion_constraint",
-    "motion_count_sweep",
-    "noise_sweep",
-    "objective_value",
-    "orthonormalize",
+    "load_dataset",
     "perspective_constraints",
-    "perspective_scenario",
-    "perturb",
-    "project_point",
-    "reduced_motion",
-    "report_residuals",
-    "rotation_angle",
-    "rotation_axis",
     "solve",
     "solve_closed_form",
     "solve_nonlinear",
-    "solve_translation_ls",
     "solve_tsai_lenz",
 ]

@@ -15,16 +15,21 @@ Exactly one of ``camera_extrinsics`` / ``perspective_matrices`` must be
 present and must match the formulation tag.  Lists must have equal length
 and at least 2 entries; exactly 2 positions (a single motion) load with a
 warning, since one motion cannot determine the transform uniquely.
-Every matrix entry must be finite.  Rotation blocks farther than 1e-6
-from orthonormal are rejected; closer ones are polar-projected onto the
-rotation group.  Each pose list is validated as one stacked (n, 4, 4) or
-(n, 3, 4) array; only when that pass finds a bad entry are the entries
+Every matrix entry must be finite, and the left 3x3 block of every
+perspective matrix invertible.  Rotation blocks farther than 1e-6 from
+orthonormal are rejected; closer ones are polar-projected onto the
+rotation group, and the bottom row is set to exactly (0, 0, 0, 1).
+
+A :class:`Dataset` holds each pose list as one array: (n, 4, 4) poses and
+(n, 3, 4) perspective matrices.  Each list is validated as that stacked
+array; only when the stacked checks find a bad entry are the entries
 checked one at a time, so the error names the first bad index.
 
 YAML is read and written through libyaml's C scanner, parser and emitter
 when PyYAML was built with it (``yaml.CSafeLoader`` / ``CSafeDumper``),
 and through PyYAML's pure-Python ones otherwise.  Both feed the same
 Python constructor and representer, so documents and bytes are the same.
+A file that is not valid UTF-8 is a ParseError.
 
 A solution document records one estimate in every common parametrization
 (quaternion, matrix, axis-angle) plus the two residual metrics; loading
@@ -39,14 +44,14 @@ from dataclasses import dataclass, field
 import numpy as np
 import yaml
 
-from .errors import ParseError, SchemaError
+from .errors import ParseError, SchemaError, SingularProjectionError
 from .geometry import (
     ConstraintSet,
     PerspectiveMatrix,
-    RigidMotion,
+    _compose,
+    _homogeneous,
+    _invert,
     classical_constraints,
-    compose,
-    invert,
     orthonormalize,
     perspective_constraints,
 )
@@ -54,10 +59,12 @@ from .quaternion import axis_angle
 from .simulate import (
     Formulation,
     NoiseModel,
+    NoiseTargets,
+    _draw_counts,
     _generator,
+    _perturbed,
     default_scenario,
     perspective_scenario,
-    perturb_motions,
     random_intrinsics,
 )
 from .solvers import HandEyeSolution, Method
@@ -73,12 +80,13 @@ _DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 @dataclass
 class Dataset:
-    """In-memory form of a dataset file."""
+    """In-memory form of a dataset file: (n, 4, 4) hand poses plus either
+    (n, 4, 4) camera extrinsics or (n, 3, 4) perspective matrices."""
 
     formulation: Formulation
-    hand_poses: list[RigidMotion]
-    camera_extrinsics: list[RigidMotion] | None = None
-    perspective_matrices: list[PerspectiveMatrix] | None = None
+    hand_poses: np.ndarray
+    camera_extrinsics: np.ndarray | None = None
+    perspective_matrices: np.ndarray | None = None
     metadata: dict = field(default_factory=dict)
 
     def constraints(self) -> ConstraintSet:
@@ -99,7 +107,8 @@ def _matrix(entry, rows: int, what: str) -> np.ndarray:
     return m
 
 
-def _rigid_motion(entry, what: str) -> RigidMotion:
+def _check_pose(entry, what: str) -> None:
+    """The checks of one 4x4 pose entry; raises the first that fails."""
     m = _matrix(entry, 4, what)
     if np.max(np.abs(m[3] - _BOTTOM_ROW)) > _BOTTOM_ROW_TOL:
         raise SchemaError(f"{what}: bottom row {m[3].tolist()} is not (0, 0, 0, 1)")
@@ -107,11 +116,12 @@ def _rigid_motion(entry, what: str) -> RigidMotion:
     residual = np.linalg.norm(r.T @ r - _EYE3)
     if residual > _EXTRINSIC_ROTATION_TOL or np.linalg.det(r) <= 0:
         raise SchemaError(f"{what}: rotation block residual {residual:.3e} (or reflection)")
-    return RigidMotion(orthonormalize(r), m[:3, 3])
 
 
 def _stack(raw: list, rows: int) -> np.ndarray | None:
     """The entries of a list as one finite (n, rows, 4) array, or None."""
+    if not raw:
+        return np.empty((0, rows, 4))
     try:
         m = np.array(raw, dtype=float)
     except (TypeError, ValueError):
@@ -121,8 +131,9 @@ def _stack(raw: list, rows: int) -> np.ndarray | None:
     return m
 
 
-def _rigid_motions(raw: list, what: str) -> list[RigidMotion]:
-    """The poses of a list, checked and orthonormalized as one stack."""
+def _rigid_motions(raw: list, what: str) -> np.ndarray:
+    """The poses of a list as one (n, 4, 4) array, checked and
+    orthonormalized as one stack."""
     m = _stack(raw, 4)
     if m is not None:
         r = m[:, :3, :3]
@@ -134,26 +145,31 @@ def _rigid_motions(raw: list, what: str) -> list[RigidMotion]:
         )
     if m is None or not ok.all():
         # One entry at a time, so the first bad entry raises with its index.
-        return [_rigid_motion(entry, f"{what}[{i}]") for i, entry in enumerate(raw)]
-    return [RigidMotion(rot, t) for rot, t in zip(orthonormalize(r), m[:, :3, 3])]
+        for i, entry in enumerate(raw):
+            _check_pose(entry, f"{what}[{i}]")
+    return _homogeneous(orthonormalize(r), m[:, :3, 3])
 
 
-def _perspective_matrices(raw: list, what: str) -> list[PerspectiveMatrix]:
-    """The 3x4 matrices of a list, checked as one stack."""
+def _perspective_matrices(raw: list, what: str) -> np.ndarray:
+    """The 3x4 matrices of a list as one (n, 3, 4) array, checked as one
+    stack."""
     m = _stack(raw, 3)
-    if m is None:
-        return [
-            PerspectiveMatrix.from_matrix(_matrix(entry, 3, f"{what}[{i}]"))
-            for i, entry in enumerate(raw)
-        ]
-    return [PerspectiveMatrix(linear, offset) for linear, offset in zip(m[:, :, :3], m[:, :, 3])]
+    if m is None or (np.abs(np.linalg.det(m[:, :, :3])) <= 1e-12).any():
+        # One entry at a time, so the first bad entry raises with its index.
+        for i, entry in enumerate(raw):
+            name = f"{what}[{i}]"
+            try:
+                PerspectiveMatrix.from_matrix(_matrix(entry, 3, name))
+            except SingularProjectionError as err:
+                raise SingularProjectionError(f"{name}: {err}") from None
+    return m
 
 
 def _load_yaml(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = yaml.load(fh, Loader=_LOADER)
-    except yaml.YAMLError as err:
+    except (yaml.YAMLError, UnicodeDecodeError) as err:
         raise ParseError(f"{path}: {err}") from err
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be a mapping")
@@ -242,11 +258,11 @@ def _dump(doc: dict, path) -> None:
 
 def save_dataset(dataset: Dataset, path) -> None:
     doc: dict = {"formulation": dataset.formulation.value}
-    doc["hand_poses"] = [_listify(p.matrix) for p in dataset.hand_poses]
+    doc["hand_poses"] = [_listify(p) for p in dataset.hand_poses]
     if dataset.camera_extrinsics is not None:
-        doc["camera_extrinsics"] = [_listify(p.matrix) for p in dataset.camera_extrinsics]
+        doc["camera_extrinsics"] = [_listify(p) for p in dataset.camera_extrinsics]
     if dataset.perspective_matrices is not None:
-        doc["perspective_matrices"] = [_listify(m.matrix) for m in dataset.perspective_matrices]
+        doc["perspective_matrices"] = [_listify(m) for m in dataset.perspective_matrices]
     if dataset.metadata:
         doc["metadata"] = dataset.metadata
     _dump(doc, path)
@@ -300,8 +316,9 @@ def synthetic_dataset(
     """Schema-valid dataset with its ground truth recorded in metadata.
 
     Builds the default random scenario for ``n`` motions, optionally
-    perturbs the relative motions, and integrates them back into absolute
-    poses (first hand pose pinned at the identity; the solvers only see
+    perturbs the relative motions (the camera motions' draws first, then
+    the hand motions'), and integrates them back into absolute poses
+    (first hand pose pinned at the identity; the solvers only see
     relative motions, so that gauge is free).
     """
     scenario = (
@@ -309,14 +326,21 @@ def synthetic_dataset(
         if formulation == Formulation.CLASSICAL
         else perspective_scenario(n, seed)
     )
-    a_motions, b_motions = zip(*scenario.motion_pairs)
+    rotation, translation = scenario.motion_arrays
     if noise is not None and noise.level > 0:
         rng = _generator(noise.seed, 2)
         scale = scenario.nominal_translation
-        a_motions = perturb_motions(a_motions, noise, rng, scale)
-        b_motions = perturb_motions(b_motions, noise, rng, scale)
+        trans_level = (
+            noise.level if noise.targets == NoiseTargets.ROTATION_AND_TRANSLATION else 0.0
+        )
+        k = sum(_draw_counts(noise.distribution, noise.level, trans_level, scale))
+        draws = rng.random(2 * n * k).reshape(2, n, k).swapaxes(0, 1)
+        rotation, translation = _perturbed(
+            rotation, translation, noise.distribution, noise.level, trans_level, scale, draws
+        )
+    ra, ta = rotation[:, 0], translation[:, 0]  # camera motions
+    rb, tb = rotation[:, 1], translation[:, 1]  # hand motions
 
-    hand_poses = [RigidMotion.identity()]
     truth = scenario.ground_truth
     metadata = {
         "ground_truth": {
@@ -332,11 +356,17 @@ def synthetic_dataset(
         },
     }
 
+    eye, zero = np.eye(3), np.zeros(3)
     if formulation == Formulation.CLASSICAL:
-        camera_poses = [scenario.camera_poses[0]]
-        for a, b in zip(a_motions, b_motions):
-            camera_poses.append(compose(a, camera_poses[-1]))
-            hand_poses.append(compose(hand_poses[-1], invert(b)))
+        # pose i + 1 = motion i o pose i, one position after the other
+        first = scenario.camera_poses[0]
+        camera = [(first[:3, :3], first[:3, 3])]
+        hand = [(eye, zero)]
+        for i in range(n):
+            camera.append(_compose(ra[i], ta[i], *camera[-1]))
+            hand.append(_compose(*hand[-1], *_invert(rb[i], tb[i])))
+        camera_poses = _homogeneous(*(np.stack(a) for a in zip(*camera)))
+        hand_poses = _homogeneous(*(np.stack(a) for a in zip(*hand)))
         return Dataset(formulation, hand_poses, camera_extrinsics=camera_poses, metadata=metadata)
 
     # Perspective: motions are referenced to position 1, and the matrices
@@ -344,9 +374,11 @@ def synthetic_dataset(
     # intrinsic block.
     intr = random_intrinsics(_generator(seed, 1))
     first = default_scenario(n, seed).camera_poses[0]
-    camera_poses = [first]
-    for a, b in zip(a_motions, b_motions):
-        camera_poses.append(compose(first, a))
-        hand_poses.append(compose(hand_poses[0], invert(b)))
-    matrices = [PerspectiveMatrix.from_pinhole(intr, pose) for pose in camera_poses]
-    return Dataset(formulation, hand_poses, perspective_matrices=matrices, metadata=metadata)
+    camera = _compose(first[:3, :3], first[:3, 3], ra, ta)
+    hand = _compose(eye, zero, *_invert(rb, tb))
+    camera_poses = np.concatenate([first[None], _homogeneous(*camera)])
+    hand_poses = np.concatenate([np.eye(4)[None], _homogeneous(*hand)])
+    return Dataset(
+        formulation, hand_poses, perspective_matrices=intr.matrices(camera_poses),
+        metadata=metadata,
+    )

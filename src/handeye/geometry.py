@@ -6,15 +6,20 @@ takes calibration-frame points to camera-frame points and ``hand_pose``
 takes hand-frame points to robot-base points.  Translations are in
 millimetres.
 
+A single transform is a :class:`RigidMotion` (or a
+:class:`PerspectiveMatrix`); every list of them is one array.  Absolute
+poses are (n, 4, 4) homogeneous stacks, perspective matrices (n, 3, 4)
+stacks, and motions (n, 3, 3) rotations plus (n, 3) translations.
+
 Every solver in this package consumes the same per-motion data,
 regardless of whether it was extracted from decomposed camera poses (the
 AX = XB route) or from raw 3x4 perspective matrices (the MY = M'YB
-route): a :class:`ConstraintSet`, the fields of n :class:`MotionConstraint`
-records stacked as arrays.  ``classical_constraints`` and
-``perspective_constraints`` build one set per dataset in array operations
-over all motions, and ``ConstraintSet.from_motions`` builds a batch of
-sets, (J, n, ...), for the Monte-Carlo harness; iterating a set yields
-its records.  Constructors reject non-finite entries.
+route): a :class:`ConstraintSet`, one (n, ...) array per field.
+``classical_constraints`` and ``perspective_constraints`` build one set
+per dataset in array operations over all motions, and
+``ConstraintSet.from_motions`` builds a batch of sets, (J, n, ...), for
+the Monte-Carlo harness.  It and the single-transform constructors reject
+non-finite entries.
 """
 
 from __future__ import annotations
@@ -69,15 +74,13 @@ def _check_rotation(
     return m
 
 
-def _check_vector(v, what: str, unit: bool = False, batched: bool = False) -> np.ndarray:
-    """A finite 3-vector (unit with ``unit``), or a (..., 3) stack of them."""
+def _check_vector(v, what: str, batched: bool = False) -> np.ndarray:
+    """A finite 3-vector, or a (..., 3) stack of them."""
     v = np.asarray(v, dtype=float)
     if (v.shape[-1:] if batched else v.shape) != (3,):
         raise ValueError(f"{what} must be a 3-vector, got shape {v.shape}")
     if not np.isfinite(v).all():
         raise ValueError(f"{what} must be finite")
-    if unit and (abs(np.linalg.norm(v, axis=-1) - 1.0) > 1e-9).any():
-        raise ValueError(f"{what} must be a unit 3-vector")
     return v
 
 
@@ -110,10 +113,7 @@ class RigidMotion:
 
     @property
     def matrix(self) -> np.ndarray:
-        m = np.eye(4)
-        m[:3, :3] = self.rotation
-        m[:3, 3] = self.translation
-        return m
+        return _homogeneous(self.rotation, self.translation)
 
     def apply(self, points) -> np.ndarray:
         """Transform 3-D point(s), shape (..., 3)."""
@@ -152,8 +152,7 @@ class PerspectiveMatrix:
     @classmethod
     def from_pinhole(cls, intrinsics: "Intrinsics", pose: RigidMotion) -> "PerspectiveMatrix":
         """Compose an intrinsic block with a camera pose: M = C @ [R | t]."""
-        c = intrinsics.block
-        return cls(c @ pose.rotation, c @ pose.translation)
+        return cls.from_matrix(intrinsics.matrices(pose.matrix))
 
     @property
     def matrix(self) -> np.ndarray:
@@ -183,48 +182,26 @@ class Intrinsics:
             ]
         )
 
+    def matrices(self, poses) -> np.ndarray:
+        """Perspective matrices C [R | t] of a pose or a (..., 4, 4) stack,
+        shape (..., 3, 4)."""
+        poses = np.asarray(poses, dtype=float)
+        c = self.block
+        return np.concatenate([c @ poses[..., :3, :3], c @ poses[..., :3, 3:]], axis=-1)
+
 
 @dataclass(frozen=True, eq=False)
-class MotionConstraint:
-    """Everything one device motion contributes to the calibration solve.
+class ConstraintSet:
+    """Everything n device motions contribute to the calibration solve,
+    one (n, ...) array per field, in motion order.
 
     ``camera_rotation`` is the camera-side rotation (either the relative
     camera rotation or the reduced perspective block), ``camera_axis`` /
     ``hand_axis`` are its rotation axis and the hand motion's axis, and
     ``camera_translation`` / ``hand_translation`` the two translations.
     The full hand rotation is kept as well: the quadratic form of the
-    simultaneous objective needs it.
-    """
-
-    camera_rotation: np.ndarray   # 3x3
-    hand_rotation: np.ndarray     # 3x3
-    camera_axis: np.ndarray       # unit 3-vector
-    hand_axis: np.ndarray         # unit 3-vector
-    camera_translation: np.ndarray  # mm
-    hand_translation: np.ndarray    # mm
-
-    def __post_init__(self):
-        for f, value in zip(fields(self), _checked_fields(self)):
-            object.__setattr__(self, f.name, value)
-
-
-def _checked_fields(record, batched: bool = False) -> tuple[np.ndarray, ...]:
-    """The six constraint fields of ``record`` as validated float arrays."""
-    out = [
-        _check_rotation(record.camera_rotation, "camera_rotation", batched=batched),
-        _check_rotation(record.hand_rotation, "hand_rotation", batched=batched),
-    ]
-    for name in ("camera_axis", "hand_axis"):
-        out.append(_check_vector(getattr(record, name), name, unit=True, batched=batched))
-    for name in ("camera_translation", "hand_translation"):
-        out.append(_check_vector(getattr(record, name), name, batched=batched))
-    return tuple(out)
-
-
-@dataclass(frozen=True, eq=False)
-class ConstraintSet:
-    """Constraint records stacked once, in motion order: each field is the
-    (n, ...) stack of the :class:`MotionConstraint` field of that name.
+    simultaneous objective needs it.  ``from_motions`` checks every
+    entry; the plain constructor takes the arrays as they are.
 
     A batch of J independent problems with the same motion count stacks
     one more leading axis, (J, n, ...); ``len`` is the motion count n
@@ -233,10 +210,10 @@ class ConstraintSet:
 
     camera_rotation: np.ndarray     # (n, 3, 3)
     hand_rotation: np.ndarray       # (n, 3, 3)
-    camera_axis: np.ndarray         # (n, 3)
-    hand_axis: np.ndarray           # (n, 3)
-    camera_translation: np.ndarray  # (n, 3)
-    hand_translation: np.ndarray    # (n, 3)
+    camera_axis: np.ndarray         # (n, 3), unit
+    hand_axis: np.ndarray           # (n, 3), unit
+    camera_translation: np.ndarray  # (n, 3), mm
+    hand_translation: np.ndarray    # (n, 3), mm
 
     def __len__(self) -> int:
         return self.camera_rotation.shape[-3]
@@ -246,40 +223,26 @@ class ConstraintSet:
         return tuple(getattr(self, f.name) for f in fields(self))
 
     @classmethod
-    def of(cls, constraints) -> "ConstraintSet":
-        """A set unchanged; a sequence of records stacked field by field."""
-        if isinstance(constraints, cls):
-            return constraints
-        if not constraints:
-            rotations, vectors = np.empty((0, 3, 3)), np.empty((0, 3))
-            return cls(rotations, rotations, vectors, vectors, vectors, vectors)
-        return cls(
-            *(np.stack([getattr(c, f.name) for c in constraints]) for f in fields(cls))
-        )
-
-    @classmethod
     def from_motions(
         cls, camera_rotation, camera_translation, hand_rotation, hand_translation
     ) -> "ConstraintSet":
-        """Constraint records of stacks of motions: rotations (..., 3, 3)
-        and translations (..., 3), every leading index one (camera motion,
-        hand motion) pair.  Runs the record's checks on every entry and
-        raises the first failure; a DegenerateRotationError carries the
-        flat index of its pair."""
+        """Constraints of stacks of motions: rotations (..., 3, 3) and
+        translations (..., 3), every leading index one (camera motion,
+        hand motion) pair.  Checks every entry and raises the first
+        failure; a DegenerateRotationError carries the flat index of its
+        pair."""
         try:
             axes = rotation_axis(np.stack([camera_rotation, hand_rotation], axis=-3))
         except DegenerateRotationError as err:
             raise DegenerateRotationError(str(err), index=err.index // 2) from None
-        cs = cls(
-            camera_rotation, hand_rotation, axes[..., 0, :], axes[..., 1, :],
-            camera_translation, hand_translation,
+        return cls(
+            _check_rotation(camera_rotation, "camera_rotation", batched=True),
+            _check_rotation(hand_rotation, "hand_rotation", batched=True),
+            axes[..., 0, :],
+            axes[..., 1, :],
+            _check_vector(camera_translation, "camera_translation", batched=True),
+            _check_vector(hand_translation, "hand_translation", batched=True),
         )
-        return cls(*_checked_fields(cs, batched=True))
-
-    def __iter__(self):
-        """The :class:`MotionConstraint` records of a set, in motion order."""
-        for values in zip(*self.arrays):
-            yield MotionConstraint(*values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -316,6 +279,31 @@ def _invert(r, t) -> tuple[np.ndarray, np.ndarray]:
     return rt, (-rt @ t[..., None])[..., 0]
 
 
+def _homogeneous(r, t) -> np.ndarray:
+    """(..., 4, 4) matrices of rotations (..., 3, 3) and translations
+    (..., 3), bottom row exactly (0, 0, 0, 1)."""
+    m = np.zeros(np.shape(r)[:-2] + (4, 4))
+    m[..., :3, :3] = r
+    m[..., :3, 3] = t
+    m[..., 3, 3] = 1.0
+    return m
+
+
+def _consecutive_motions(poses) -> tuple[np.ndarray, np.ndarray]:
+    """Motions between consecutive poses of an (n, 4, 4) camera pose
+    stack: pose i+1 o pose i^-1."""
+    r, t = poses[:, :3, :3], poses[:, :3, 3]
+    return _compose(r[1:], t[1:], *_invert(r[:-1], t[:-1]))
+
+
+def _stack_of(poses, rows: int, what: str) -> np.ndarray:
+    """``poses`` as an (n, rows, 4) float array; ValueError otherwise."""
+    m = np.asarray(poses, dtype=float)
+    if m.ndim != 3 or m.shape[1:] != (rows, 4):
+        raise ValueError(f"{what} must be an (n, {rows}, 4) stack, got shape {m.shape}")
+    return m
+
+
 def compose(a: RigidMotion, b: RigidMotion) -> RigidMotion:
     """Motion applying b first, then a."""
     return RigidMotion(*_compose(a.rotation, a.translation, b.rotation, b.translation))
@@ -323,16 +311,6 @@ def compose(a: RigidMotion, b: RigidMotion) -> RigidMotion:
 
 def invert(a: RigidMotion) -> RigidMotion:
     return RigidMotion(*_invert(a.rotation, a.translation))
-
-
-def camera_motion(pose1: RigidMotion, pose2: RigidMotion) -> RigidMotion:
-    """Camera motion between two absolute camera poses (pose2 o pose1^-1)."""
-    return compose(pose2, invert(pose1))
-
-
-def hand_motion(pose1: RigidMotion, pose2: RigidMotion) -> RigidMotion:
-    """Hand motion between two hand->base poses (pose2^-1 o pose1)."""
-    return compose(invert(pose2), pose1)
 
 
 def orthonormalize(m, max_residual: float = 0.5) -> np.ndarray:
@@ -388,9 +366,17 @@ def rotation_angle(m) -> np.ndarray:
     return np.arccos(np.clip(c, -1.0, 1.0))[()]
 
 
-def _reduced(n1, v1, n2, v2) -> tuple[np.ndarray, np.ndarray]:
-    """(rotation, translation) that blocks (n1, v1) and (n2, v2) encode;
-    n2 and v2 may stack several matrices."""
+def _reduced(m1, m2) -> tuple[np.ndarray, np.ndarray]:
+    """Relative motion two perspective matrices m1 = [N1 | n1] and
+    m2 = [N2 | n2] encode, without decomposing either into intrinsic and
+    extrinsic parts; m2 may be a (..., 3, 4) stack.
+
+    Returns the rigid motion (N1^-1 N2, N1^-1 (n2 - n1)).  For matrices that
+    share the intrinsic block the rotation part is exact; otherwise it is
+    polar-projected onto the rotation group, and rejected if its
+    orthonormality residual exceeds 0.1 before projection.
+    """
+    n1, v1, n2, v2 = m1[:, :3], m1[:, 3], m2[..., :3], m2[..., 3]
     if abs(np.linalg.det(n1)) <= 1e-12:
         raise SingularProjectionError("first perspective matrix has a singular 3x3 block")
     k = np.linalg.solve(n1, n2)
@@ -398,18 +384,6 @@ def _reduced(n1, v1, n2, v2) -> tuple[np.ndarray, np.ndarray]:
         raise NotARotationError("reduced rotation block is too far from orthonormal")
     t = np.linalg.solve(n1, (v2 - v1)[..., None])[..., 0]
     return orthonormalize(k), t
-
-
-def reduced_motion(m1: PerspectiveMatrix, m2: PerspectiveMatrix) -> RigidMotion:
-    """Relative motion two perspective matrices encode, without decomposing
-    either into intrinsic and extrinsic parts.
-
-    Returns the rigid motion (N1^-1 N2, N1^-1 (n2 - n1)).  For matrices that
-    share the intrinsic block the rotation part is exact; otherwise it is
-    polar-projected onto the rotation group, and rejected if its
-    orthonormality residual exceeds 0.1 before projection.
-    """
-    return RigidMotion(*_reduced(m1.linear, m1.offset, m2.linear, m2.offset))
 
 
 # ---------------------------------------------------------------------------
@@ -453,42 +427,28 @@ def line_of_sight(m: PerspectiveMatrix, u: float, v: float) -> Line3:
 # ---------------------------------------------------------------------------
 # constraint extraction
 
-def motion_constraint(camera: RigidMotion, hand: RigidMotion) -> MotionConstraint:
-    """Constraint record of one (camera motion, hand motion) pair."""
-    (record,) = ConstraintSet.from_motions(
-        camera.rotation[None], camera.translation[None], hand.rotation[None], hand.translation[None]
-    )
-    return record
-
-
-def _stacked(motions) -> tuple[np.ndarray, np.ndarray]:
-    return (
-        np.stack([m.rotation for m in motions]),
-        np.stack([m.translation for m in motions]),
-    )
-
-
-def classical_constraints(
-    camera_poses: list[RigidMotion], hand_poses: list[RigidMotion]
-) -> ConstraintSet:
+def classical_constraints(camera_poses, hand_poses) -> ConstraintSet:
     """Constraints from consecutive position pairs of absolute poses.
 
     Args:
-        camera_poses: calibration->camera transforms, one per position.
-        hand_poses: hand->robot-base transforms, same length.
+        camera_poses: (n, 4, 4) calibration->camera transforms, one per
+            position.
+        hand_poses: (n, 4, 4) hand->robot-base transforms, same length.
 
     Returns:
         n - 1 constraints for n positions, in position order.
     """
+    camera_poses = _stack_of(camera_poses, 4, "camera_poses")
+    hand_poses = _stack_of(hand_poses, 4, "hand_poses")
     if len(camera_poses) != len(hand_poses):
         raise ValueError(
             f"pose lists differ in length: {len(camera_poses)} != {len(hand_poses)}"
         )
     if len(camera_poses) < 2:
         raise TooFewPosesError(f"need at least 2 positions, got {len(camera_poses)}")
-    rc, tc = _stacked(camera_poses)
-    rh, th = _stacked(hand_poses)
-    camera = _compose(rc[1:], tc[1:], *_invert(rc[:-1], tc[:-1]))
+    camera = _consecutive_motions(camera_poses)
+    # hand motion pose2^-1 o pose1
+    rh, th = hand_poses[:, :3, :3], hand_poses[:, :3, 3]
     hand = _compose(*_invert(rh[1:], th[1:]), rh[:-1], th[:-1])
     try:
         return ConstraintSet.from_motions(*camera, *hand)
@@ -497,28 +457,24 @@ def classical_constraints(
         raise DegenerateRotationError(f"motion {i}->{i + 1}: {err}", index=i) from err
 
 
-def perspective_constraints(
-    matrices: list[PerspectiveMatrix], hand_poses: list[RigidMotion]
-) -> ConstraintSet:
+def perspective_constraints(matrices, hand_poses) -> ConstraintSet:
     """Constraints pairing every position against position 1.
 
-    The camera side of each constraint is the reduced motion of the two raw
-    perspective matrices; no intrinsic/extrinsic decomposition happens.
+    ``matrices`` is the (n, 3, 4) stack of raw perspective matrices and
+    ``hand_poses`` the (n, 4, 4) stack of hand->robot-base transforms.  The
+    camera side of each constraint is the reduced motion of two raw
+    matrices; no intrinsic/extrinsic decomposition happens.
     """
+    matrices = _stack_of(matrices, 3, "matrices")
+    hand_poses = _stack_of(hand_poses, 4, "hand_poses")
     if len(matrices) != len(hand_poses):
         raise ValueError(
             f"input lists differ in length: {len(matrices)} != {len(hand_poses)}"
         )
     if len(matrices) < 2:
         raise TooFewPosesError(f"need at least 2 positions, got {len(matrices)}")
-    first = matrices[0]
-    camera = _reduced(
-        first.linear,
-        first.offset,
-        np.stack([m.linear for m in matrices[1:]]),
-        np.stack([m.offset for m in matrices[1:]]),
-    )
-    rh, th = _stacked(hand_poses)
+    camera = _reduced(matrices[0], matrices[1:])
+    rh, th = hand_poses[:, :3, :3], hand_poses[:, :3, 3]
     hand = _compose(*_invert(rh[1:], th[1:]), rh[0], th[0])
     try:
         return ConstraintSet.from_motions(*camera, *hand)

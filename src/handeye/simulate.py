@@ -1,11 +1,13 @@
 """Monte-Carlo stability harness for the three solvers.
 
-A :class:`Scenario` fixes a ground-truth hand-eye transform and a set of
-camera poses (or raw perspective matrices); the hand motions are derived
-from them, so the noise-free problem is exactly consistent.  The harness
-perturbs the relative camera and hand motions, re-solves with every
-method on the same perturbed data, and reports RMS rotation and relative
-translation errors against the ground truth.
+A :class:`Scenario` fixes a ground-truth hand-eye transform and a stack
+of camera poses, (n + 1, 4, 4), or of raw perspective matrices,
+(n + 1, 3, 4).  Its n noise-free motion pairs are derived from them as
+stacked arrays, the hand motions as the camera motions conjugated by the
+ground truth, so the noise-free problem is exactly consistent.  The
+harness perturbs the relative camera and hand motions, re-solves with
+every method on the same perturbed data, and reports RMS rotation and
+relative translation errors against the ground truth.
 
 Noise is a ratio: a rotation axis is a unit vector, so each of its
 components receives a sample of the stated level directly; translation
@@ -43,12 +45,14 @@ from .geometry import (
     MIN_ROTATION_ANGLE,
     ConstraintSet,
     Intrinsics,
-    PerspectiveMatrix,
     RigidMotion,
-    camera_motion,
+    _compose,
+    _consecutive_motions,
+    _homogeneous,
+    _invert,
+    _reduced,
     compose,
     invert,
-    reduced_motion,
     rotation_angle,
     rotation_axis,
 )
@@ -106,39 +110,47 @@ class NoiseModel:
 class Scenario:
     """Ground truth plus the camera side of every position.
 
-    ``camera_poses`` holds RigidMotion entries for the classical
-    formulation and PerspectiveMatrix entries for the perspective one;
-    ``ground_truth`` is the transform the corresponding formulation
-    estimates.
+    ``camera_poses`` is the (n + 1, 4, 4) stack of calibration->camera
+    poses for the classical formulation and the (n + 1, 3, 4) stack of
+    perspective matrices for the perspective one; ``ground_truth`` is the
+    transform the corresponding formulation estimates.
     """
 
     ground_truth: RigidMotion
-    camera_poses: tuple
+    camera_poses: np.ndarray
     formulation: Formulation = Formulation.CLASSICAL
 
     @cached_property
-    def motion_pairs(self) -> tuple[tuple[RigidMotion, RigidMotion], ...]:
-        """Noise-free (camera motion, hand motion) pairs, derived once."""
-        return tuple(zip(camera_relative_motions(self), derive_hand_motions(self)))
+    def motion_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The noise-free motion pairs, derived once: rotations (n, 2, 3, 3)
+        and translations (n, 2, 3), camera motion first.
+
+        Classical scenarios pair consecutive positions; perspective
+        scenarios reduce every matrix against the first one.  The hand
+        motions are exactly consistent with the ground truth.
+        """
+        poses = self.camera_poses
+        if self.formulation == Formulation.CLASSICAL:
+            camera = _consecutive_motions(poses)
+        else:
+            camera = _reduced(poses[0], poses[1:])
+        near_identity = rotation_angle(camera[0]) < MIN_ROTATION_ANGLE
+        if near_identity.any():
+            i = int(np.argmax(near_identity))
+            raise DegenerateRotationError(f"camera motion {i} is near identity", index=i)
+        # hand motion X^-1 A X for camera motion A and ground truth X
+        x = self.ground_truth
+        hand = _compose(
+            *_invert(x.rotation, x.translation), *_compose(*camera, x.rotation, x.translation)
+        )
+        return np.stack([camera[0], hand[0]], axis=1), np.stack([camera[1], hand[1]], axis=1)
 
     @cached_property
     def nominal_translation(self) -> float:
         """Mean motion translation magnitude over both sides, mm."""
-        total = sum(
-            np.linalg.norm(a.translation) + np.linalg.norm(b.translation)
-            for a, b in self.motion_pairs
-        )
-        return float(total) / (2 * len(self.motion_pairs))
-
-    @cached_property
-    def motion_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """The motion pairs stacked: rotations (n, 2, 3, 3) and translations
-        (n, 2, 3), camera motion first."""
-        pairs = self.motion_pairs
-        return (
-            np.array([[a.rotation, b.rotation] for a, b in pairs]),
-            np.array([[a.translation, b.translation] for a, b in pairs]),
-        )
+        translation = self.motion_arrays[1]
+        total = sum(np.linalg.norm(a) + np.linalg.norm(b) for a, b in translation)
+        return float(total) / (2 * len(translation))
 
 
 @dataclass(frozen=True)
@@ -240,8 +252,13 @@ def _perturbed(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Perturbed rotations (..., 3, 3) and translations (..., 3).
 
-    ``draws`` holds each motion's uniform draws, (..., k) as counted by
-    :func:`_draw_counts`: the rotation axis's first, then the translation's.
+    Each rotation axis gets one sample of ``rot_level`` per component and
+    is renormalized (a non-unit axis defines no rotation); the angle is
+    untouched, and a near-identity rotation raises
+    DegenerateRotationError.  Translation components get samples of
+    ``trans_level`` times ``translation_scale``.  ``draws`` holds each
+    motion's uniform draws, (..., k) as counted by :func:`_draw_counts`:
+    the rotation axis's first, then the translation's.
     """
     k_rot, k_tr = _draw_counts(distribution, rot_level, trans_level, translation_scale)
     if rot_level > 0.0:
@@ -256,50 +273,6 @@ def _perturbed(
         level = trans_level * translation_scale
         translation = translation + _noise(draws[..., k_rot:], distribution, level)
     return rotation, translation
-
-
-def perturb_motions(
-    motions: Sequence[RigidMotion],
-    noise: NoiseModel,
-    rng: np.random.Generator,
-    translation_scale: float,
-) -> list[RigidMotion]:
-    """:func:`perturb` of each motion in turn, drawing from one stream."""
-    rot_level = noise.level
-    trans_level = (
-        noise.level if noise.targets == NoiseTargets.ROTATION_AND_TRANSLATION else 0.0
-    )
-    if rot_level == 0.0 and trans_level == 0.0:
-        return list(motions)
-    k = sum(_draw_counts(noise.distribution, rot_level, trans_level, translation_scale))
-    rotation, translation = _perturbed(
-        np.stack([m.rotation for m in motions]),
-        np.stack([m.translation for m in motions]),
-        noise.distribution, rot_level, trans_level, translation_scale,
-        rng.random(k * len(motions)).reshape(len(motions), k),
-    )
-    return [RigidMotion(r, t) for r, t in zip(rotation, translation)]
-
-
-def perturb(
-    motion: RigidMotion,
-    noise: NoiseModel,
-    rng: np.random.Generator,
-    translation_scale: float | None = None,
-) -> RigidMotion:
-    """Perturbed copy of a relative motion.
-
-    The rotation axis gets one sample of ``noise.level`` per component and
-    is renormalized (a non-unit axis defines no rotation); the angle is
-    untouched.  Translation components get samples of ``noise.level`` times
-    ``translation_scale`` when the noise targets include translation;
-    the scale defaults to the motion's own translation norm when no
-    scenario-wide nominal value is supplied.  A zero level returns the
-    motion unchanged.
-    """
-    if translation_scale is None:
-        translation_scale = float(np.linalg.norm(motion.translation))
-    return perturb_motions([motion], noise, rng, translation_scale)[0]
 
 
 def _error_stats(
@@ -334,30 +307,6 @@ def error_stats(
 # ---------------------------------------------------------------------------
 # scenarios
 
-def camera_relative_motions(scenario: Scenario) -> list[RigidMotion]:
-    """The camera-side motions the solvers will see.
-
-    Classical scenarios pair consecutive positions; perspective scenarios
-    reduce every matrix against the first one.
-    """
-    poses = scenario.camera_poses
-    if scenario.formulation == Formulation.CLASSICAL:
-        return [camera_motion(poses[i - 1], poses[i]) for i in range(1, len(poses))]
-    return [reduced_motion(poses[0], poses[i]) for i in range(1, len(poses))]
-
-
-def derive_hand_motions(scenario: Scenario) -> list[RigidMotion]:
-    """Hand motions exactly consistent with the scenario's ground truth."""
-    x = scenario.ground_truth
-    x_inv = invert(x)
-    out = []
-    for i, a in enumerate(camera_relative_motions(scenario)):
-        if rotation_angle(a.rotation) < MIN_ROTATION_ANGLE:
-            raise DegenerateRotationError(f"camera motion {i} is near identity", index=i)
-        out.append(compose(x_inv, compose(a, x)))
-    return out
-
-
 def default_scenario(n: int, seed: int) -> Scenario:
     """Random classical scenario with ``n`` motions (n + 1 camera poses).
 
@@ -377,7 +326,7 @@ def default_scenario(n: int, seed: int) -> Scenario:
     )
     rot = quat.to_rotation_matrix(_random_unit_quaternion(rng))
     center = _random_unit_vector(rng) * _uniform_in(rng, *_START_DISTANCE)
-    poses = [RigidMotion(rot, -rot @ center)]
+    rotations, translations = [rot], [-rot @ center]
     axes: list[np.ndarray] = []
     for _ in range(n):
         while True:
@@ -396,8 +345,10 @@ def default_scenario(n: int, seed: int) -> Scenario:
                 break
         center = candidate
         rot = step_rot @ rot
-        poses.append(RigidMotion(rot, -rot @ center))
-    return Scenario(truth, tuple(poses), Formulation.CLASSICAL)
+        rotations.append(rot)
+        translations.append(-rot @ center)
+    poses = _homogeneous(np.stack(rotations), np.stack(translations))
+    return Scenario(truth, poses, Formulation.CLASSICAL)
 
 
 def random_intrinsics(rng: np.random.Generator) -> Intrinsics:
@@ -417,9 +368,8 @@ def perspective_scenario(n: int, seed: int) -> Scenario:
     transform the perspective formulation estimates.
     """
     base = default_scenario(n, seed)
-    intr = random_intrinsics(_generator(seed, 1))
-    matrices = tuple(PerspectiveMatrix.from_pinhole(intr, pose) for pose in base.camera_poses)
-    truth = compose(invert(base.camera_poses[0]), base.ground_truth)
+    matrices = random_intrinsics(_generator(seed, 1)).matrices(base.camera_poses)
+    truth = compose(invert(RigidMotion.from_matrix(base.camera_poses[0])), base.ground_truth)
     return Scenario(truth, matrices, Formulation.PERSPECTIVE)
 
 

@@ -46,6 +46,7 @@ import numpy as np
 
 from . import quaternion as quat
 from .errors import (
+    CalibrationError,
     IllConditionedError,
     NotSymmetricError,
     TooFewMotionsError,
@@ -113,7 +114,8 @@ class SolutionBatch(NamedTuple):
 
     ``errors[j]`` is the exception the single-problem solver raises for
     problem j (a ``CalibrationError``, among them the
-    ``ZeroTranslationError`` of a vanishing transfer norm, or the
+    ``ZeroTranslationError`` of a vanishing transfer norm and the plain
+    ``CalibrationError`` of a non-finite estimate or metric, or the
     ``ValueError`` of a non-unit result), or None; the rows of a failed
     problem hold no estimate.
     """
@@ -176,7 +178,22 @@ class _Failures:
             raise self.errors[0]
 
     def finish(self, method, q, t, rot_res, tr_res, iterations=None, converged=None):
+        """The batch's solutions; a row still ok whose estimate or metric
+        is not finite (the input overflowed) fails with CalibrationError."""
         size = len(q)
+        for what, values in (
+            ("quaternion", q),
+            ("translation", t),
+            ("rotation residual", rot_res),
+            ("translation residual", tr_res),
+        ):
+            finite = np.isfinite(values.reshape(size, -1)).all(axis=-1)
+            self.record(
+                ~finite,
+                lambda j, what=what: CalibrationError(
+                    f"{what} is not finite: the input is out of numeric range"
+                ),
+            )
         return SolutionBatch(
             method, q, t, rot_res, tr_res,
             np.zeros(size, dtype=int) if iterations is None else iterations,
@@ -185,9 +202,9 @@ class _Failures:
         )
 
 
-def _one(constraints) -> ConstraintSet:
+def _one(constraints: ConstraintSet) -> ConstraintSet:
     """A single problem as a batch of one."""
-    return ConstraintSet(*(a[None] for a in ConstraintSet.of(constraints).arrays))
+    return ConstraintSet(*(a[None] for a in constraints.arrays))
 
 
 def _rejected(method: Method, size: int, message: str) -> SolutionBatch:
@@ -240,11 +257,10 @@ def _as_unit(q: np.ndarray, fail: _Failures) -> np.ndarray:
     return quat.canonicalize(q)
 
 
-def axis_alignment_matrix(constraints) -> np.ndarray:
+def axis_alignment_matrix(constraints: ConstraintSet) -> np.ndarray:
     """4x4 symmetric matrix whose quadratic form over unit quaternions is
     the summed squared axis-alignment error (one per problem of a batch)."""
-    cs = ConstraintSet.of(constraints)
-    vp, v = cs.camera_axis, cs.hand_axis
+    vp, v = constraints.camera_axis, constraints.hand_axis
     d = quat.q_matrix(quat.embed(vp)) - quat.w_matrix(quat.embed(v))
     return np.einsum("...nji,...njk->...ik", d, d)
 
@@ -268,7 +284,9 @@ def _metrics(cs: ConstraintSet, q: np.ndarray, t: np.ndarray, fail: _Failures):
         return rot, np.sum((mismatch**2).reshape(size, -1), axis=-1) / denom
 
 
-def report_residuals(constraints, solution: HandEyeSolution) -> tuple[float, float]:
+def report_residuals(
+    constraints: ConstraintSet, solution: HandEyeSolution
+) -> tuple[float, float]:
     """The two table metrics of a solution on a constraint set.
 
     Returns (summed squared rotation-equation error, relative summed
@@ -337,7 +355,7 @@ def _translation_ls(cs: ConstraintSet, q: np.ndarray, fail: _Failures) -> np.nda
     return _lstsq(a, rhs.reshape(len(q), -1), fail.ok)
 
 
-def solve_translation_ls(constraints, rotation) -> np.ndarray:
+def solve_translation_ls(constraints: ConstraintSet, rotation) -> np.ndarray:
     """Least-squares translation at a fixed rotation.
 
     Stacks the translation equation of every constraint and solves the
@@ -376,7 +394,7 @@ def _tsai_lenz(cs: ConstraintSet) -> SolutionBatch:
     return fail.finish(Method.TSAI_LENZ, _as_unit(q, fail), t, rot_res, tr_res)
 
 
-def solve_tsai_lenz(constraints) -> HandEyeSolution:
+def solve_tsai_lenz(constraints: ConstraintSet) -> HandEyeSolution:
     """Linear two-step solver: scaled-axis vector first, translation second.
 
     The axis equation camera_axis = R(hand_axis) linearizes over the
@@ -401,7 +419,7 @@ def _closed_form(cs: ConstraintSet) -> SolutionBatch:
     return fail.finish(Method.CLOSED_FORM, _as_unit(q, fail), t, rot_res, tr_res)
 
 
-def solve_closed_form(constraints) -> HandEyeSolution:
+def solve_closed_form(constraints: ConstraintSet) -> HandEyeSolution:
     """Optimal rotation over unit quaternions, then linear translation.
 
     The summed squared axis-alignment error is a quadratic form q' A q;
@@ -458,13 +476,13 @@ class QuadraticObjective:
 
 
 def build_quadratic(
-    constraints,
+    constraints: ConstraintSet,
     axis_weight: float = DEFAULT_AXIS_WEIGHT,
     transfer_weight: float = DEFAULT_TRANSFER_WEIGHT,
     unit_penalty: float = DEFAULT_UNIT_PENALTY,
 ) -> QuadraticObjective:
     """Assemble the constant-size quadratic form of the coupled objective."""
-    cs = ConstraintSet.of(constraints)
+    cs = constraints
     rb, pp, p = cs.hand_rotation, cs.camera_translation, cs.hand_translation
     kmi = cs.camera_rotation - np.eye(3)
 
@@ -491,7 +509,7 @@ def build_quadratic(
 
 
 def objective_value(
-    constraints,
+    constraints: ConstraintSet,
     q,
     t,
     axis_weight: float = DEFAULT_AXIS_WEIGHT,
@@ -499,7 +517,7 @@ def objective_value(
     unit_penalty: float = DEFAULT_UNIT_PENALTY,
 ) -> float:
     """Directly summed simultaneous objective (no quadratic shortcut)."""
-    cs = ConstraintSet.of(constraints)
+    cs = constraints
     k, vp, v = cs.camera_rotation, cs.camera_axis, cs.hand_axis
     pp, p = cs.camera_translation, cs.hand_translation
     q = np.asarray(q, dtype=float)
@@ -637,11 +655,10 @@ def _levenberg_marquardt(problem: _LMProblem, x, live, max_iterations):
     return iterations, converged
 
 
-def translation_span(constraints) -> float:
+def translation_span(constraints: ConstraintSet) -> float:
     """RMS motion-translation magnitude of a constraint set, mm (one per
     problem of a batch)."""
-    cs = ConstraintSet.of(constraints)
-    pp, p = cs.camera_translation, cs.hand_translation
+    pp, p = constraints.camera_translation, constraints.hand_translation
     squares = np.sum(pp**2, axis=-1) + np.sum(p**2, axis=-1)
     return np.sqrt(0.5 * np.mean(squares, axis=-1))[()]
 
@@ -689,7 +706,7 @@ def _nonlinear(
 
 
 def solve_nonlinear(
-    constraints,
+    constraints: ConstraintSet,
     init: HandEyeSolution | None = None,
     axis_weight: float = DEFAULT_AXIS_WEIGHT,
     transfer_weight: float = DEFAULT_TRANSFER_WEIGHT,
@@ -753,18 +770,20 @@ SOLVERS = {
 }
 
 
-def solve(method: Method, constraints) -> HandEyeSolution:
+def solve(method: Method, constraints: ConstraintSet) -> HandEyeSolution:
     return SOLVERS[Method(method)](constraints)
 
 
-def solve_batch(constraints, methods=tuple(Method)) -> dict[Method, SolutionBatch]:
+def solve_batch(
+    constraints: ConstraintSet, methods=tuple(Method)
+) -> dict[Method, SolutionBatch]:
     """Every method of ``methods`` on a batch of problems (J, n, ...).
 
     The nonlinear solver starts from the closed-form batch, computed once.
     Problem j of each result is bit-identical to the single-problem solver
     on problem j, and a problem it would reject is recorded, not raised.
     """
-    cs = ConstraintSet.of(constraints)
+    cs = constraints
     out = {}
     if Method.TSAI_LENZ in methods:
         out[Method.TSAI_LENZ] = _tsai_lenz(cs)

@@ -9,7 +9,7 @@ than tautology.
 import numpy as np
 import pytest
 
-from handeye.geometry import MotionConstraint, RigidMotion, compose, invert
+from handeye.geometry import ConstraintSet, RigidMotion, compose, invert
 
 # Hamilton basis products: entry (a, b) is (sign, index) of e_a * e_b with
 # basis order (1, i, j, k).
@@ -70,25 +70,28 @@ def separated_axes(rng, n, min_separation_deg=15.0):
 
 
 def consistent_constraints(rng, truth, n, translation=300.0, angles=(0.35, 1.57)):
-    """Noise-free constraints a ground-truth transform satisfies exactly.
+    """Noise-free constraint set a ground-truth transform satisfies exactly.
 
     Camera motions get pairwise-separated rotation axes; the hand motions
     are the exact conjugates under ``truth``.
     """
     truth_inv = invert(truth)
-    out = []
+    pairs = []
     for axis in separated_axes(rng, n):
         angle = rng.uniform(*angles)
         camera = RigidMotion(rodrigues(axis, angle), rng.normal(size=3) * translation)
-        hand = compose(truth_inv, compose(camera, truth))
-        out.append(_constraint_from_pair(camera, hand))
-    return out
+        pairs.append((camera, compose(truth_inv, compose(camera, truth))))
+    return constraints_from_pairs(pairs)
 
 
-def _constraint_from_pair(camera, hand):
-    # Axis extraction via an eigen route, not the package's quaternion route.
-    # Orientation matches the canonical-sign convention: along the skew part
-    # (positive sin) or, for half-turns, first nonzero component positive.
+def constraints_from_pairs(pairs):
+    """Constraint set of (camera motion, hand motion) pairs.
+
+    Axis extraction goes via an eigen route, not the package's quaternion
+    route.  Orientation matches the canonical-sign convention: along the
+    skew part (positive sin) or, for half-turns, first nonzero component
+    positive.
+    """
     def unit_axis(m):
         w, v = np.linalg.eig(m)
         axis = np.real(v[:, np.argmin(np.abs(w - 1.0))])
@@ -106,14 +109,28 @@ def _constraint_from_pair(camera, hand):
                     break
         return axis
 
-    return MotionConstraint(
-        camera_rotation=camera.rotation,
-        hand_rotation=hand.rotation,
-        camera_axis=unit_axis(camera.rotation),
-        hand_axis=unit_axis(hand.rotation),
-        camera_translation=camera.translation,
-        hand_translation=hand.translation,
+    return constraint_set(
+        [
+            dict(
+                camera_rotation=camera.rotation,
+                hand_rotation=hand.rotation,
+                camera_axis=unit_axis(camera.rotation),
+                hand_axis=unit_axis(hand.rotation),
+                camera_translation=camera.translation,
+                hand_translation=hand.translation,
+            )
+            for camera, hand in pairs
+        ]
     )
+
+
+def constraint_set(entries):
+    """ConstraintSet of per-motion field mappings, stacked in order; an
+    empty list gives the empty set."""
+    if not entries:
+        rotations, vectors = np.empty((0, 3, 3)), np.empty((0, 3))
+        return ConstraintSet(rotations, rotations, vectors, vectors, vectors, vectors)
+    return ConstraintSet(**{name: np.stack([e[name] for e in entries]) for name in entries[0]})
 
 
 def parallel_axis_constraints(rng, truth, n, angle_spread=(0.4, 1.4)):
@@ -121,15 +138,14 @@ def parallel_axis_constraints(rng, truth, n, angle_spread=(0.4, 1.4)):
     truth_inv = invert(truth)
     base = rng.normal(size=3)
     base /= np.linalg.norm(base)
-    out = []
+    pairs = []
     for i in range(n):
         axis = base if i % 2 == 0 else -base
         camera = RigidMotion(
             rodrigues(axis, rng.uniform(*angle_spread)), rng.normal(size=3) * 200.0
         )
-        hand = compose(truth_inv, compose(camera, truth))
-        out.append(_constraint_from_pair(camera, hand))
-    return out
+        pairs.append((camera, compose(truth_inv, compose(camera, truth))))
+    return constraints_from_pairs(pairs)
 
 
 @pytest.fixture

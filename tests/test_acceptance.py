@@ -15,7 +15,7 @@ import handeye.simulate as sim
 from handeye import quaternion as quat
 from handeye.cli import report_csv
 from handeye.errors import CalibrationError, IllConditionedError, TooFewMotionsError
-from handeye.geometry import MotionConstraint, compose, invert
+from handeye.geometry import RigidMotion, compose
 from handeye.simulate import (
     Distribution,
     Formulation,
@@ -38,6 +38,7 @@ from handeye.solvers import (
 
 from conftest import (
     consistent_constraints,
+    constraint_set,
     parallel_axis_constraints,
     random_motion,
     random_unit_quaternion,
@@ -170,8 +171,8 @@ def test_criterion_03_formulation_equivalence():
         persp = perspective_scenario(3, seed)
         constraints = _noise_free_constraints(persp)
         sol = solve_closed_form(constraints)
-        estimated = sim.RigidMotion(sol.rotation_matrix, sol.translation)
-        recovered = compose(classical.camera_poses[0], estimated)
+        estimated = RigidMotion(sol.rotation_matrix, sol.translation)
+        recovered = compose(RigidMotion.from_matrix(classical.camera_poses[0]), estimated)
         worst = max(worst, float(np.linalg.norm(recovered.matrix - classical.ground_truth.matrix)))
     assert worst <= 1e-8
     _ok(3, f"first-pose-relative solution matches the plain transform, worst {worst:.2e}")
@@ -189,7 +190,7 @@ def test_criterion_04_quadratic_identity():
             axis /= np.linalg.norm(axis)
             rb = quat.to_rotation_matrix(random_unit_quaternion(rng))
             constraints.append(
-                MotionConstraint(
+                dict(
                     camera_rotation=r3 @ rb @ r3.T,
                     hand_rotation=rb,
                     camera_axis=axis,
@@ -198,6 +199,7 @@ def test_criterion_04_quadratic_identity():
                     hand_translation=rng.normal(size=3) * 300,
                 )
             )
+        constraints = constraint_set(constraints)
         t = rng.normal(size=3) * 250
         direct = objective_value(constraints, q, t)
         quadratic = build_quadratic(constraints).evaluate(q, t)

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 import yaml
@@ -13,10 +15,11 @@ from handeye.cli import (
     report_csv,
 )
 from handeye.datafiles import Dataset, load_solution, save_dataset, synthetic_dataset
-from handeye.geometry import RigidMotion
 from handeye.simulate import Formulation
 
 from conftest import random_motion
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 
 def test_generate_calibrate_residuals_round_trip(tmp_path, capsys):
@@ -86,8 +89,8 @@ def test_calibrate_degenerate_dataset(tmp_path, rng):
     hand = random_motion(rng)
     dataset = Dataset(
         Formulation.CLASSICAL,
-        [hand, hand, hand],
-        camera_extrinsics=[pose, pose, pose],
+        np.stack([hand.matrix] * 3),
+        camera_extrinsics=np.stack([pose.matrix] * 3),
     )
     path = tmp_path / "degenerate.yaml"
     save_dataset(dataset, path)
@@ -98,8 +101,8 @@ def test_calibrate_degenerate_dataset(tmp_path, rng):
 def test_calibrate_zero_translation_dataset_is_degenerate(tmp_path, capsys, method):
     # Every translation zero: the relative translation residual is undefined.
     ds = synthetic_dataset(4, 0, Formulation.CLASSICAL)
-    hand = [RigidMotion(p.rotation, np.zeros(3)) for p in ds.hand_poses]
-    camera = [RigidMotion(p.rotation, np.zeros(3)) for p in ds.camera_extrinsics]
+    hand, camera = ds.hand_poses.copy(), ds.camera_extrinsics.copy()
+    hand[:, :3, 3] = camera[:, :3, 3] = 0.0
     path = tmp_path / "zero.yaml"
     save_dataset(Dataset(Formulation.CLASSICAL, hand, camera_extrinsics=camera), path)
     assert main(["calibrate", str(path), "--method", method]) == EXIT_DEGENERATE
@@ -137,6 +140,41 @@ def test_non_finite_entry_is_schema_error(tmp_path, command, key, index):
     target.write_text(yaml.safe_dump(doc), encoding="utf-8")
     args = [command, str(ds)] + ([str(sol)] if command == "residuals" else [])
     assert main(args) == EXIT_SCHEMA
+
+
+@pytest.mark.parametrize("command", ["calibrate", "residuals"])
+def test_non_utf8_file_is_parse_error(tmp_path, capsys, command):
+    ds = tmp_path / "ds.yaml"
+    sol = tmp_path / "sol.yaml"
+    assert main(["generate", str(ds)]) == EXIT_OK
+    assert main(["calibrate", str(ds), "--output", str(sol)]) == EXIT_OK
+    target = ds if command == "calibrate" else sol
+    raw = target.read_bytes()
+    at = raw.index(b"hand_poses" if command == "calibrate" else b"quaternion_wxyz") + 20
+    target.write_bytes(raw[:at] + b"\xff" + raw[at:])
+    capsys.readouterr()
+    args = [command, str(ds)] + ([str(sol)] if command == "residuals" else [])
+    assert main(args) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {target}: 'utf-8' codec can't decode byte 0xff")
+
+
+@pytest.mark.parametrize("method", ["tsai-lenz", "closed-form", "nonlinear"])
+def test_calibrate_overflowing_translations_are_degenerate(tmp_path, capsys, method):
+    # Finite entries whose squares overflow: the residual would print as nan.
+    doc = yaml.safe_load((SAMPLES / "classical.yaml").read_text(encoding="utf-8"))
+    for key in ("hand_poses", "camera_extrinsics"):
+        for matrix in doc[key]:
+            for row in matrix[:3]:
+                row[3] *= 1e160
+    path = tmp_path / "huge.yaml"
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["calibrate", str(path), "--method", method])
+    assert code == EXIT_DEGENERATE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "is not finite: the input is out of numeric range" in err
 
 
 def test_residuals_multiple_solutions(tmp_path, capsys):

@@ -16,6 +16,7 @@ from handeye.datafiles import (
     synthetic_dataset,
 )
 from handeye.errors import ParseError, SchemaError, SingularProjectionError
+from handeye.geometry import RigidMotion, orthonormalize
 from handeye.simulate import Distribution, Formulation, NoiseModel, NoiseTargets
 
 from conftest import random_motion
@@ -57,10 +58,11 @@ def test_dataset_round_trip(tmp_path, formulation):
     save_dataset(dataset, path)
     loaded = load_dataset(path)
     assert loaded.formulation == dataset.formulation
-    for a, b in zip(dataset.constraints(), loaded.constraints()):
-        assert np.allclose(a.camera_rotation, b.camera_rotation, atol=1e-12)
-        assert np.allclose(a.camera_translation, b.camera_translation, atol=1e-9)
-        assert np.allclose(a.hand_translation, b.hand_translation, atol=1e-9)
+    a, b = dataset.constraints(), loaded.constraints()
+    assert len(a) == len(b) == 3
+    assert np.allclose(a.camera_rotation, b.camera_rotation, atol=1e-12)
+    assert np.allclose(a.camera_translation, b.camera_translation, atol=1e-9)
+    assert np.allclose(a.hand_translation, b.hand_translation, atol=1e-9)
 
 
 def _write(tmp_path, doc):
@@ -73,12 +75,12 @@ def _valid_doc(n=3, formulation=Formulation.CLASSICAL):
     dataset = synthetic_dataset(n, 0, formulation)
     doc = {
         "formulation": formulation.value,
-        "hand_poses": [p.matrix.tolist() for p in dataset.hand_poses],
+        "hand_poses": dataset.hand_poses.tolist(),
     }
     if formulation == Formulation.CLASSICAL:
-        doc["camera_extrinsics"] = [p.matrix.tolist() for p in dataset.camera_extrinsics]
+        doc["camera_extrinsics"] = dataset.camera_extrinsics.tolist()
     else:
-        doc["perspective_matrices"] = [m.matrix.tolist() for m in dataset.perspective_matrices]
+        doc["perspective_matrices"] = dataset.perspective_matrices.tolist()
     return doc
 
 
@@ -157,7 +159,7 @@ def test_loader_orthonormalizes_printed_rotations(tmp_path, rng):
     doc = _valid_doc()
     doc["hand_poses"][0] = [[float(x) for x in row] for row in rounded]
     dataset = load_dataset(_write(tmp_path, doc))
-    r = dataset.hand_poses[0].rotation
+    r = dataset.hand_poses[0, :3, :3]
     assert np.allclose(r.T @ r, np.eye(3), atol=1e-12)
 
 
@@ -275,14 +277,25 @@ def test_stacked_validation_reports_the_first_of_two_bad_entries(
         assert re.fullmatch(re.escape(f"{key}[1]: ") + message, str(err.value))
 
 
+_SINGULAR = [[1.0, 0.0, 0.0, 1.0], [2.0, 0.0, 0.0, 2.0], [0.0, 0.0, 1.0, 3.0]]
+
+
+@pytest.mark.parametrize("index", [0, 2, 4])
+def test_stacked_validation_names_a_singular_projection(tmp_path, index):
+    doc = _valid_doc(4, Formulation.PERSPECTIVE)
+    doc["perspective_matrices"][index] = _SINGULAR
+    with pytest.raises(SingularProjectionError) as err:
+        load_dataset(_write(tmp_path, doc))
+    assert str(err.value) == f"perspective_matrices[{index}]: left 3x3 block determinant 0.000e+00"
+
+
 def test_stacked_validation_checks_entries_in_order_across_kinds(tmp_path):
     # A singular projection before a non-finite one fails on the singular
     # block, as checking one entry at a time does.
     doc = _valid_doc(4, Formulation.PERSPECTIVE)
-    singular = [[1.0, 0.0, 0.0, 1.0], [2.0, 0.0, 0.0, 2.0], [0.0, 0.0, 1.0, 3.0]]
-    doc["perspective_matrices"][1] = singular
+    doc["perspective_matrices"][1] = _SINGULAR
     doc["perspective_matrices"][2] = _PROJECTION_CASES["nan"][0]
-    with pytest.raises(SingularProjectionError, match="left 3x3 block determinant"):
+    with pytest.raises(SingularProjectionError, match=re.escape("perspective_matrices[1]: left")):
         load_dataset(_write(tmp_path, doc))
     # Hand poses are checked before the camera list.
     doc = _valid_doc(4)
@@ -298,18 +311,21 @@ def test_stacked_validation_matches_per_entry_construction(tmp_path, formulation
     # rounded entries exercise the orthonormalizing projection
     doc["hand_poses"] = np.round(doc["hand_poses"], 9).tolist()
     dataset = load_dataset(_write(tmp_path, doc))
-    for i, (pose, raw) in enumerate(zip(dataset.hand_poses, doc["hand_poses"])):
-        expected = datafiles._rigid_motion(raw, f"hand_poses[{i}]")
-        assert np.array_equal(pose.rotation, expected.rotation)
-        assert np.array_equal(pose.translation, expected.translation)
+
+    def one_at_a_time(raw):
+        # each entry orthonormalized alone, with the matrix RigidMotion writes
+        m = np.array(raw)
+        return RigidMotion(orthonormalize(m[:3, :3]), m[:3, 3]).matrix
+
+    assert dataset.hand_poses.shape == (7, 4, 4)
+    for pose, raw in zip(dataset.hand_poses, doc["hand_poses"]):
+        assert np.array_equal(pose, one_at_a_time(raw))
     if formulation == Formulation.CLASSICAL:
+        assert dataset.camera_extrinsics.shape == (7, 4, 4)
         for pose, raw in zip(dataset.camera_extrinsics, doc["camera_extrinsics"]):
-            expected = datafiles._rigid_motion(raw, "camera_extrinsics")
-            assert np.array_equal(pose.rotation, expected.rotation)
-            assert np.array_equal(pose.translation, expected.translation)
+            assert np.array_equal(pose, one_at_a_time(raw))
     else:
-        for matrix, raw in zip(dataset.perspective_matrices, doc["perspective_matrices"]):
-            assert np.array_equal(matrix.matrix, np.array(raw))
+        assert np.array_equal(dataset.perspective_matrices, np.array(doc["perspective_matrices"]))
 
 
 def test_empty_pose_lists_fail_on_their_length(tmp_path):

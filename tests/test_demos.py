@@ -1,6 +1,8 @@
-"""Every narrative script under demos/ runs to completion."""
+"""Every narrative script under demos/, and the README's library quick
+start, runs to completion."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,15 +13,23 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
+def _run(args):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, *args], cwd=ROOT, env=env, capture_output=True, text=True, timeout=600
+    )
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
 def test_demo_exits_cleanly(demo):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    result = subprocess.run(
-        [sys.executable, str(demo)],
-        cwd=ROOT,
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=600,
-    )
+    result = _run([str(demo)])
+    assert result.returncode == 0, result.stderr
+
+
+def test_readme_quick_start_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("## Library quick start"):]
+    code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    assert "[...]" not in code
+    result = _run(["-c", code])
     assert result.returncode == 0, result.stderr

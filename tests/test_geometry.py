@@ -11,26 +11,43 @@ from handeye.errors import (
     TooFewPosesError,
 )
 from handeye.geometry import (
+    ConstraintSet,
     Intrinsics,
-    MotionConstraint,
     PerspectiveMatrix,
     RigidMotion,
-    camera_motion,
     classical_constraints,
     compose,
-    hand_motion,
     invert,
     line_of_sight,
-    motion_constraint,
     orthonormalize,
     perspective_constraints,
     project_point,
-    reduced_motion,
     rotation_angle,
     rotation_axis,
 )
 
 from conftest import random_motion, random_rotation, rodrigues
+
+
+def _one_pair(camera, hand):
+    """Constraint set of one (camera motion, hand motion) pair."""
+    return ConstraintSet.from_motions(
+        camera.rotation[None], camera.translation[None], hand.rotation[None], hand.translation[None]
+    )
+
+
+def _stack(motions):
+    return np.stack([m.matrix for m in motions])
+
+
+def _motions_of_two_positions(camera_poses, hand_poses):
+    """(camera motion, hand motion) of the constraint two positions give."""
+    cs = classical_constraints(_stack(camera_poses), _stack(hand_poses))
+    assert len(cs) == 1
+    return (
+        RigidMotion(cs.camera_rotation[0], cs.camera_translation[0]),
+        RigidMotion(cs.hand_rotation[0], cs.hand_translation[0]),
+    )
 
 
 def test_rigid_motion_rejects_bad_rotation():
@@ -43,20 +60,21 @@ def test_non_finite_entries_rejected(rng):
         RigidMotion(np.full((3, 3), np.nan), np.zeros(3))
     with pytest.raises(ValueError):
         RigidMotion(np.eye(3), np.array([0.0, np.nan, 0.0]))
-    fields = vars(motion_constraint(random_motion(rng), random_motion(rng)))
-    for name, value in fields.items():
+    # from_motions checks every rotation and translation of a stack
+    camera, hand = random_motion(rng), random_motion(rng)
+    motions = dict(
+        camera_rotation=np.stack([camera.rotation, hand.rotation]),
+        camera_translation=np.stack([camera.translation, hand.translation]),
+        hand_rotation=np.stack([hand.rotation, camera.rotation]),
+        hand_translation=np.stack([hand.translation, camera.translation]),
+    )
+    for name, value in motions.items():
         for bad in (np.nan, np.inf):
-            broken = dict(fields, **{name: np.where(np.arange(value.size) == 1, bad, value.ravel())
-                                     .reshape(value.shape)})
+            broken = value.copy()
+            broken[1].flat[1] = bad
             error = NotARotationError if name.endswith("rotation") else ValueError
             with pytest.raises(error):
-                MotionConstraint(**broken)
-    # the batched constructor runs the same checks
-    camera, hand = random_motion(rng), random_motion(rng)
-    rotations = np.stack([camera.rotation, hand.rotation])
-    translations = np.stack([camera.translation, [1.0, np.inf, 2.0]])
-    with pytest.raises(ValueError):
-        geo.ConstraintSet.from_motions(rotations, translations, rotations[::-1], translations)
+                ConstraintSet.from_motions(**dict(motions, **{name: broken}))
 
 
 def test_compose_invert_basics(rng):
@@ -81,25 +99,30 @@ def test_homogeneous_round_trip(rng):
         RigidMotion.from_matrix(bad)
 
 
-def test_camera_motion_pairing(rng):
+def test_classical_constraints_camera_motion_pairing(rng):
+    # camera motion pose2 o pose1^-1; two equal poses are rejected as
+    # degenerate (test_classical_constraints_errors)
+    hands = [random_motion(rng), random_motion(rng)]
     t = random_motion(rng)
-    assert np.allclose(camera_motion(RigidMotion.identity(), t).matrix, t.matrix, atol=1e-12)
-    assert np.allclose(camera_motion(t, t).matrix, np.eye(4), atol=1e-9)
+    camera, _ = _motions_of_two_positions([RigidMotion.identity(), t], hands)
+    assert np.allclose(camera.matrix, t.matrix, atol=1e-12)
     for _ in range(20):
         a1, a2 = random_motion(rng), random_motion(rng)
+        camera, _ = _motions_of_two_positions([a1, a2], hands)
         # motion applied after the first pose reproduces the second
-        assert np.allclose(compose(camera_motion(a1, a2), a1).matrix, a2.matrix, atol=1e-8)
+        assert np.allclose(compose(camera, a1).matrix, a2.matrix, atol=1e-8)
 
 
-def test_hand_motion_pairing(rng):
+def test_classical_constraints_hand_motion_pairing(rng):
+    # hand motion pose2^-1 o pose1
+    cameras = [random_motion(rng), random_motion(rng)]
     t = random_motion(rng)
-    assert np.allclose(hand_motion(t, t).matrix, np.eye(4), atol=1e-9)
-    assert np.allclose(
-        hand_motion(RigidMotion.identity(), t).matrix, invert(t).matrix, atol=1e-12
-    )
+    _, hand = _motions_of_two_positions(cameras, [RigidMotion.identity(), t])
+    assert np.allclose(hand.matrix, invert(t).matrix, atol=1e-12)
     for _ in range(20):
         b1, b2 = random_motion(rng), random_motion(rng)
-        assert np.allclose(compose(b2, hand_motion(b1, b2)).matrix, b1.matrix, atol=1e-8)
+        _, hand = _motions_of_two_positions(cameras, [b1, b2])
+        assert np.allclose(compose(b2, hand).matrix, b1.matrix, atol=1e-8)
 
 
 def test_orthonormalize_basics(rng):
@@ -150,9 +173,14 @@ def test_rotation_axis_rejects_near_identity(rng):
     assert err.value.index == 1
 
 
+def _reduced(m1, m2):
+    """Reduced motion of two 3x4 matrices (the second may be a stack)."""
+    return RigidMotion(*geo._reduced(m1, m2))
+
+
 def test_reduced_motion_same_matrix_gives_identity():
-    m = PerspectiveMatrix.from_matrix(np.hstack([np.eye(3), np.zeros((3, 1))]))
-    reduced = reduced_motion(m, m)
+    m = np.hstack([np.eye(3), np.zeros((3, 1))])
+    reduced = _reduced(m, m)
     assert np.allclose(reduced.rotation, np.eye(3), atol=1e-12)
     assert np.allclose(reduced.translation, np.zeros(3), atol=1e-12)
 
@@ -160,9 +188,9 @@ def test_reduced_motion_same_matrix_gives_identity():
 def test_reduced_motion_identity_first(rng):
     r = random_rotation(rng)
     t = rng.normal(size=3) * 100
-    m1 = PerspectiveMatrix(np.eye(3), np.zeros(3))
-    m2 = PerspectiveMatrix(r, t)
-    reduced = reduced_motion(m1, m2)
+    m1 = np.hstack([np.eye(3), np.zeros((3, 1))])
+    m2 = np.hstack([r, t[:, None]])
+    reduced = _reduced(m1, m2)
     assert np.allclose(reduced.rotation, r, atol=1e-12)
     assert np.allclose(reduced.translation, t, atol=1e-12)
 
@@ -175,21 +203,24 @@ def test_reduced_motion_from_pinhole_pair(rng):
             rng.uniform(800, 1500), rng.uniform(800, 1500), rng.uniform(200, 500), rng.uniform(200, 500)
         )
         a1, a2 = random_motion(rng, 500.0), random_motion(rng, 500.0)
-        m1 = PerspectiveMatrix.from_pinhole(intr, a1)
-        m2 = PerspectiveMatrix.from_pinhole(intr, a2)
-        reduced = reduced_motion(m1, m2)
+        m1, m2 = intr.matrices(_stack([a1, a2]))
+        # the stacked pin-hole composition is the single one, entry by entry
+        assert np.array_equal(m1, PerspectiveMatrix.from_pinhole(intr, a1).matrix)
+        reduced = _reduced(m1, m2)
         expected = compose(invert(a1), a2)
         assert np.allclose(reduced.rotation, expected.rotation, atol=1e-9)
         assert np.allclose(reduced.translation, expected.translation, atol=1e-6)
 
 
 def test_reduced_motion_errors():
-    good = PerspectiveMatrix(np.eye(3), np.zeros(3))
+    good = np.hstack([np.eye(3), np.zeros((3, 1))])
     with pytest.raises(SingularProjectionError):
         PerspectiveMatrix(np.diag([1.0, 1.0, 0.0]), np.zeros(3))
-    skewed = PerspectiveMatrix(np.eye(3) + np.array([[0, 0.5, 0], [0, 0, 0], [0, 0, 0]]), np.zeros(3))
+    with pytest.raises(SingularProjectionError):
+        _reduced(np.diag([1.0, 1.0, 0.0, 0.0])[:3], good)
+    skewed = np.hstack([np.eye(3) + np.array([[0, 0.5, 0], [0, 0, 0], [0, 0, 0]]), np.zeros((3, 1))])
     with pytest.raises(NotARotationError):
-        reduced_motion(good, skewed)
+        _reduced(good, skewed)
 
 
 def test_project_point_simple():
@@ -260,6 +291,7 @@ def test_line_of_sight_degenerate_view():
 
 
 def _synthetic_poses(rng, truth, n_positions):
+    """(n, 4, 4) camera and hand pose stacks consistent with ``truth``."""
     camera_poses = [random_motion(rng, 400.0)]
     truth_inv = invert(truth)
     for _ in range(n_positions - 1):
@@ -269,10 +301,21 @@ def _synthetic_poses(rng, truth, n_positions):
         camera_poses.append(compose(step, camera_poses[-1]))
     hand_poses = [RigidMotion.identity()]
     for i in range(1, n_positions):
-        a = camera_motion(camera_poses[i - 1], camera_poses[i])
+        a = compose(camera_poses[i], invert(camera_poses[i - 1]))
         b = compose(truth_inv, compose(a, truth))
         hand_poses.append(compose(hand_poses[-1], invert(b)))
-    return camera_poses, hand_poses
+    return _stack(camera_poses), _stack(hand_poses)
+
+
+def _assert_constraints_satisfy(c, truth):
+    rotated_axes = c.hand_axis @ truth.rotation.T
+    assert np.allclose(c.camera_axis, rotated_axes, atol=1e-9)
+    lhs = (c.camera_rotation - np.eye(3)) @ truth.translation
+    rhs = c.hand_translation @ truth.rotation.T - c.camera_translation
+    assert np.allclose(lhs, rhs, atol=1e-8)
+    # conjugation identity between the two rotations
+    rebuilt = truth.rotation @ c.hand_rotation @ truth.rotation.T
+    assert np.linalg.norm(rebuilt - c.camera_rotation, axis=(-2, -1)).max() < 1e-9
 
 
 def test_classical_constraints_satisfy_ground_truth(rng):
@@ -280,27 +323,25 @@ def test_classical_constraints_satisfy_ground_truth(rng):
     camera_poses, hand_poses = _synthetic_poses(rng, truth, 4)
     constraints = classical_constraints(camera_poses, hand_poses)
     assert len(constraints) == 3
-    for c in constraints:
-        assert np.allclose(c.camera_axis, truth.rotation @ c.hand_axis, atol=1e-9)
-        lhs = (c.camera_rotation - np.eye(3)) @ truth.translation
-        rhs = truth.rotation @ c.hand_translation - c.camera_translation
-        assert np.allclose(lhs, rhs, atol=1e-8)
-        # conjugation identity between the two rotations
-        rebuilt = truth.rotation @ c.hand_rotation @ truth.rotation.T
-        assert np.linalg.norm(rebuilt - c.camera_rotation) < 1e-9
-        # similarity preserves the rotation angle
-        assert rotation_angle(c.camera_rotation) == pytest.approx(
-            rotation_angle(c.hand_rotation), abs=1e-9
-        )
+    _assert_constraints_satisfy(constraints, truth)
+    # similarity preserves the rotation angle
+    assert np.allclose(
+        rotation_angle(constraints.camera_rotation),
+        rotation_angle(constraints.hand_rotation),
+        atol=1e-9,
+    )
 
 
 def test_classical_constraints_errors(rng):
-    pose = random_motion(rng)
+    pose = random_motion(rng).matrix
     with pytest.raises(TooFewPosesError):
         classical_constraints([pose], [pose])
     with pytest.raises(ValueError):
         classical_constraints([pose, pose], [pose])
-    err = None
+    with pytest.raises(ValueError, match=r"camera_poses must be an \(n, 4, 4\) stack"):
+        classical_constraints(pose, pose)
+    with pytest.raises(ValueError, match=r"hand_poses must be an \(n, 4, 4\) stack"):
+        classical_constraints([pose, pose], [pose[:3], pose[:3]])
     with pytest.raises(DegenerateRotationError) as err:
         classical_constraints([pose, pose], [pose, pose])
     assert err.value.index == 0
@@ -313,23 +354,22 @@ def test_perspective_constraints_equivalent_to_classical(rng):
     truth = random_motion(rng, 150.0)
     camera_poses, hand_poses = _synthetic_poses(rng, truth, 5)
     intr = Intrinsics(1300.0, 1250.0, 330.0, 250.0)
-    matrices = [PerspectiveMatrix.from_pinhole(intr, p) for p in camera_poses]
-    constraints = perspective_constraints(matrices, hand_poses)
+    constraints = perspective_constraints(intr.matrices(camera_poses), hand_poses)
     assert len(constraints) == 4
-    equivalent = compose(invert(camera_poses[0]), truth)
-    for c in constraints:
-        assert np.allclose(c.camera_axis, equivalent.rotation @ c.hand_axis, atol=1e-9)
-        lhs = (c.camera_rotation - np.eye(3)) @ equivalent.translation
-        rhs = equivalent.rotation @ c.hand_translation - c.camera_translation
-        assert np.allclose(lhs, rhs, atol=1e-8)
+    equivalent = compose(invert(RigidMotion.from_matrix(camera_poses[0])), truth)
+    _assert_constraints_satisfy(constraints, equivalent)
 
 
 def test_perspective_constraints_errors(rng):
     intr = Intrinsics(1000.0, 1000.0, 320.0, 240.0)
-    pose = random_motion(rng, 400.0)
-    m = PerspectiveMatrix.from_pinhole(intr, pose)
+    pose = random_motion(rng, 400.0).matrix
+    m = intr.matrices(pose)
     with pytest.raises(TooFewPosesError):
         perspective_constraints([m], [pose])
+    with pytest.raises(ValueError, match="input lists differ in length"):
+        perspective_constraints([m, m], [pose])
+    with pytest.raises(ValueError, match=r"matrices must be an \(n, 3, 4\) stack"):
+        perspective_constraints([pose, pose], [pose, pose])
     with pytest.raises(DegenerateRotationError):
         perspective_constraints([m, m], [pose, pose])
 
@@ -341,10 +381,13 @@ def test_constraint_count_matches_positions(rng):
         assert len(classical_constraints(camera_poses, hand_poses)) == n - 1
 
 
-def test_motion_constraint_carries_parts(rng):
+def test_from_motions_carries_parts(rng):
     camera = random_motion(rng)
     hand = random_motion(rng)
-    c = motion_constraint(camera, hand)
-    assert np.array_equal(c.camera_translation, camera.translation)
-    assert np.array_equal(c.hand_translation, hand.translation)
-    assert np.allclose(camera.rotation @ c.camera_axis, c.camera_axis, atol=1e-9)
+    c = _one_pair(camera, hand)
+    assert np.array_equal(c.camera_rotation[0], camera.rotation)
+    assert np.array_equal(c.hand_rotation[0], hand.rotation)
+    assert np.array_equal(c.camera_translation[0], camera.translation)
+    assert np.array_equal(c.hand_translation[0], hand.translation)
+    assert np.allclose(camera.rotation @ c.camera_axis[0], c.camera_axis[0], atol=1e-9)
+    assert np.allclose(hand.rotation @ c.hand_axis[0], c.hand_axis[0], atol=1e-9)

@@ -4,7 +4,7 @@ import pytest
 import handeye.simulate as sim
 from handeye import quaternion as quat
 from handeye.errors import DegenerateRotationError, ZeroTranslationError
-from handeye.geometry import RigidMotion, camera_motion, compose, invert, rotation_angle, rotation_axis
+from handeye.geometry import RigidMotion, compose, invert, rotation_angle, rotation_axis
 from handeye.simulate import (
     Distribution,
     Formulation,
@@ -12,12 +12,10 @@ from handeye.simulate import (
     NoiseTargets,
     Scenario,
     default_scenario,
-    derive_hand_motions,
     error_stats,
     motion_count_sweep,
     noise_sweep,
     perspective_scenario,
-    perturb,
 )
 from handeye.solvers import SOLVERS, HandEyeSolution, Method, solve_closed_form
 
@@ -30,25 +28,45 @@ def _solution(rotation_matrix, translation):
     )
 
 
+def _pose(matrix):
+    return RigidMotion.from_matrix(matrix)
+
+
+def _camera_motion(poses, i):
+    """Motion from position i to position i + 1 of a pose stack."""
+    return compose(_pose(poses[i + 1]), invert(_pose(poses[i])))
+
+
 # ---------------------------------------------------------------------------
 # scenarios and hand-motion derivation
 
-def test_derive_hand_motions_identity_truth(rng):
+def test_motion_arrays_identity_truth(rng):
     scenario = default_scenario(3, seed=5)
     identity_scenario = Scenario(RigidMotion.identity(), scenario.camera_poses)
-    b_motions = derive_hand_motions(identity_scenario)
-    poses = scenario.camera_poses
-    for i, b in enumerate(b_motions):
-        a = camera_motion(poses[i], poses[i + 1])
+    rotation, translation = identity_scenario.motion_arrays
+    assert rotation.shape == (3, 2, 3, 3) and translation.shape == (3, 2, 3)
+    for i in range(3):
+        a = _camera_motion(scenario.camera_poses, i)
+        assert np.allclose(rotation[i, 0], a.rotation, atol=1e-12)
+        assert np.allclose(translation[i, 0], a.translation, atol=1e-9)
+        # with the identity as ground truth the hand motion is the camera's
+        b = RigidMotion(rotation[i, 1], translation[i, 1])
         assert np.allclose(b.matrix, a.matrix, atol=1e-9)
 
 
-def test_derive_hand_motions_degenerate_scenario(rng):
-    pose = random_motion(rng)
-    scenario = Scenario(random_motion(rng, 100.0), (pose, pose, pose))
+def test_motion_arrays_degenerate_scenario(rng):
+    pose = random_motion(rng).matrix
+    scenario = Scenario(random_motion(rng, 100.0), np.stack([pose, pose, pose]))
     with pytest.raises(DegenerateRotationError) as err:
-        derive_hand_motions(scenario)
+        scenario.motion_arrays
     assert err.value.index == 0
+    assert str(err.value) == "camera motion 0 is near identity"
+    # the first degenerate motion is named
+    other = random_motion(rng).matrix
+    scenario = Scenario(random_motion(rng, 100.0), np.stack([pose, other, other]))
+    with pytest.raises(DegenerateRotationError) as err:
+        scenario.motion_arrays
+    assert err.value.index == 1
 
 
 def test_scenario_constraints_solve_back_to_truth():
@@ -64,7 +82,9 @@ def test_scenario_constraints_solve_back_to_truth():
 
 def test_default_scenario_shape_and_norms():
     scenario = default_scenario(2, seed=0)
-    assert len(scenario.camera_poses) == 3
+    assert scenario.camera_poses.shape == (3, 4, 4)
+    assert np.array_equal(scenario.camera_poses[:, 3], np.tile([0.0, 0.0, 0.0, 1.0], (3, 1)))
+    assert perspective_scenario(2, seed=0).camera_poses.shape == (3, 3, 4)
     assert scenario.formulation is Formulation.CLASSICAL
     assert np.linalg.norm(scenario.ground_truth.translation) == pytest.approx(157.0, abs=1e-9)
     with pytest.raises(ValueError):
@@ -77,8 +97,8 @@ def test_default_scenario_geometry_guarantees():
     for seed in range(1000):
         scenario = default_scenario(3, seed)
         axes = []
-        for i in range(1, len(scenario.camera_poses)):
-            motion = camera_motion(scenario.camera_poses[i - 1], scenario.camera_poses[i])
+        for i in range(len(scenario.camera_poses) - 1):
+            motion = _camera_motion(scenario.camera_poses, i)
             angle = rotation_angle(motion.rotation)
             assert np.radians(20.0) - 1e-9 <= angle <= np.radians(90.0) + 1e-9
             axes.append(rotation_axis(motion.rotation))
@@ -86,16 +106,14 @@ def test_default_scenario_geometry_guarantees():
             for j in range(i + 1, len(axes)):
                 assert abs(axes[i] @ axes[j]) <= limit
         for pose in scenario.camera_poses:
-            assert 300.0 - 1e-6 <= np.linalg.norm(pose.translation) <= 800.0 + 1e-6
+            assert 300.0 - 1e-6 <= np.linalg.norm(pose[:3, 3]) <= 800.0 + 1e-6
 
 
 def test_default_scenario_prefix_property():
     small = default_scenario(2, seed=42)
     large = default_scenario(7, seed=42)
     for i in range(3):
-        assert np.allclose(
-            small.camera_poses[i].matrix, large.camera_poses[i].matrix, atol=1e-15
-        )
+        assert np.allclose(small.camera_poses[i], large.camera_poses[i], atol=1e-15)
 
 
 def test_perspective_scenario_equivalent_truth():
@@ -103,11 +121,13 @@ def test_perspective_scenario_equivalent_truth():
         classical = default_scenario(3, seed)
         persp = perspective_scenario(3, seed)
         assert persp.formulation is Formulation.PERSPECTIVE
-        recovered = compose(classical.camera_poses[0], persp.ground_truth)
+        first = _pose(classical.camera_poses[0])
+        recovered = compose(first, persp.ground_truth)
         assert np.allclose(recovered.matrix, classical.ground_truth.matrix, atol=1e-9)
-        reduced = sim.camera_relative_motions(persp)
-        for i, motion in enumerate(reduced):
-            expected = compose(invert(classical.camera_poses[0]), classical.camera_poses[i + 1])
+        rotation, translation = persp.motion_arrays
+        for i in range(3):
+            motion = RigidMotion(rotation[i, 0], translation[i, 0])
+            expected = compose(invert(first), _pose(classical.camera_poses[i + 1]))
             assert np.allclose(motion.matrix, expected.matrix, atol=1e-7)
 
 
@@ -120,37 +140,61 @@ def test_noise_model_rejects_non_finite_level():
             NoiseModel(Distribution.GAUSSIAN, level)
 
 
-def test_perturb_zero_level_returns_same_object(rng):
-    motion = random_motion(rng)
-    noise = NoiseModel(Distribution.GAUSSIAN, 0.0, NoiseTargets.ROTATION_AND_TRANSLATION, 0)
-    out = perturb(motion, noise, sim._generator(0))
-    assert out is motion
+def _perturb(motions, noise, rng, translation_scale):
+    """Perturbed stacked motions, one stream, draws in motion order."""
+    rotation = np.stack([m.rotation for m in motions])
+    translation = np.stack([m.translation for m in motions])
+    trans_level = noise.level if noise.targets == NoiseTargets.ROTATION_AND_TRANSLATION else 0.0
+    k = sum(sim._draw_counts(noise.distribution, noise.level, trans_level, translation_scale))
+    draws = rng.random(k * len(motions)).reshape(len(motions), k)
+    return sim._perturbed(
+        rotation, translation, noise.distribution, noise.level, trans_level, translation_scale,
+        draws,
+    )
 
 
-def test_perturb_rotation_only_keeps_translation(rng):
+def test_perturbed_zero_level_returns_same_arrays(rng):
+    rotation = np.stack([random_rotation(rng) for _ in range(3)])
+    translation = rng.normal(size=(3, 3))
+    out = sim._perturbed(
+        rotation, translation, Distribution.GAUSSIAN, 0.0, 0.0, 100.0, np.empty((3, 0))
+    )
+    assert out[0] is rotation and out[1] is translation
+
+
+def test_perturbed_rotation_only_keeps_translation(rng):
     motion = random_motion(rng)
     noise = NoiseModel(Distribution.GAUSSIAN, 0.05, NoiseTargets.ROTATION, 0)
-    out = perturb(motion, noise, sim._generator(1))
-    assert np.array_equal(out.translation, motion.translation)
-    assert not np.allclose(out.rotation, motion.rotation, atol=1e-12)
+    rotation, translation = _perturb([motion], noise, sim._generator(1), 300.0)
+    assert np.array_equal(translation[0], motion.translation)
+    assert not np.allclose(rotation[0], motion.rotation, atol=1e-12)
 
 
-def test_perturb_preserves_rotation_angle(rng):
+def test_perturbed_preserves_rotation_angle(rng):
     noise = NoiseModel(Distribution.UNIFORM, 0.08, NoiseTargets.ROTATION_AND_TRANSLATION, 0)
-    stream = sim._generator(3)
-    for _ in range(50):
-        motion = random_motion(rng)
-        out = perturb(motion, noise, stream)
-        assert rotation_angle(out.rotation) == pytest.approx(
-            rotation_angle(motion.rotation), abs=1e-9
-        )
-        assert np.linalg.norm(rotation_axis(out.rotation)) == pytest.approx(1.0, abs=1e-12)
+    motions = [random_motion(rng) for _ in range(50)]
+    rotation, _ = _perturb(motions, noise, sim._generator(3), 300.0)
+    for motion, out in zip(motions, rotation):
+        assert rotation_angle(out) == pytest.approx(rotation_angle(motion.rotation), abs=1e-9)
+        assert np.linalg.norm(rotation_axis(out)) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_perturb_requires_defined_axis(rng):
+def test_perturbed_requires_defined_axis(rng):
     noise = NoiseModel(Distribution.GAUSSIAN, 0.05, NoiseTargets.ROTATION, 0)
     with pytest.raises(DegenerateRotationError):
-        perturb(RigidMotion.identity(), noise, sim._generator(0))
+        _perturb([random_motion(rng), RigidMotion.identity()], noise, sim._generator(0), 1.0)
+
+
+def test_perturbed_draws_each_motion_from_its_own_slice(rng):
+    # a motion's perturbation depends only on its own row of draws
+    noise = NoiseModel(Distribution.GAUSSIAN, 0.05, NoiseTargets.ROTATION_AND_TRANSLATION, 0)
+    motions = [random_motion(rng) for _ in range(4)]
+    together = _perturb(motions, noise, sim._generator(5), 300.0)
+    stream = sim._generator(5)
+    for i, motion in enumerate(motions):
+        alone = _perturb([motion], noise, stream, 300.0)
+        assert np.array_equal(alone[0][0], together[0][i])
+        assert np.array_equal(alone[1][0], together[1][i])
 
 
 def test_noise_calibration_gaussian():
@@ -171,12 +215,8 @@ def test_noise_calibration_uniform():
 def test_translation_noise_scales_with_nominal(rng):
     motion = random_motion(rng, 100.0)
     noise = NoiseModel(Distribution.GAUSSIAN, 0.02, NoiseTargets.ROTATION_AND_TRANSLATION, 0)
-    deltas = []
-    stream = sim._generator(11)
-    for _ in range(2000):
-        out = perturb(motion, noise, stream, translation_scale=500.0)
-        deltas.append(out.translation - motion.translation)
-    std = np.array(deltas).std()
+    _, translation = _perturb([motion] * 2000, noise, sim._generator(11), 500.0)
+    std = (translation - motion.translation).std()
     assert abs(std - 0.01 * 500.0) / (0.01 * 500.0) < 0.05
 
 

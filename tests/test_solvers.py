@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from handeye.errors import (
     TooFewMotionsError,
     ZeroTranslationError,
 )
-from handeye.geometry import ConstraintSet, MotionConstraint, RigidMotion
+from handeye.geometry import ConstraintSet, RigidMotion
 from handeye.solvers import (
     Method,
     axis_alignment_matrix,
@@ -27,6 +29,7 @@ from handeye.solvers import (
 
 from conftest import (
     consistent_constraints,
+    constraint_set,
     parallel_axis_constraints,
     random_motion,
     random_rotation,
@@ -35,24 +38,25 @@ from conftest import (
 )
 
 
-def _noisy(constraints, rng, level=0.03):
+def _noisy(cs, rng, level=0.03):
     """Crude perturbation for tests that need inconsistent data."""
-    out = []
-    for c in constraints:
-        def jiggle(axis):
-            v = axis + rng.normal(size=3) * level
-            return v / np.linalg.norm(v)
-        out.append(
-            MotionConstraint(
-                camera_rotation=c.camera_rotation @ rodrigues(jiggle([0, 0, 1.0]), level),
-                hand_rotation=c.hand_rotation @ rodrigues(jiggle([0, 1.0, 0]), level),
-                camera_axis=jiggle(c.camera_axis),
-                hand_axis=jiggle(c.hand_axis),
-                camera_translation=c.camera_translation + rng.normal(size=3) * level * 100,
-                hand_translation=c.hand_translation + rng.normal(size=3) * level * 100,
+    def jiggle(axis):
+        v = axis + rng.normal(size=3) * level
+        return v / np.linalg.norm(v)
+
+    return constraint_set(
+        [
+            dict(
+                camera_rotation=cs.camera_rotation[i] @ rodrigues(jiggle([0, 0, 1.0]), level),
+                hand_rotation=cs.hand_rotation[i] @ rodrigues(jiggle([0, 1.0, 0]), level),
+                camera_axis=jiggle(cs.camera_axis[i]),
+                hand_axis=jiggle(cs.hand_axis[i]),
+                camera_translation=cs.camera_translation[i] + rng.normal(size=3) * level * 100,
+                hand_translation=cs.hand_translation[i] + rng.normal(size=3) * level * 100,
             )
-        )
-    return out
+            for i in range(len(cs))
+        ]
+    )
 
 
 def _recovery_errors(solution, truth):
@@ -112,8 +116,8 @@ def test_translation_ls_recovers_truth(rng):
 
 
 def test_translation_ls_identity_camera_rotations_rejected(rng):
-    cons = [
-        MotionConstraint(
+    cons = constraint_set([
+        dict(
             camera_rotation=np.eye(3),
             hand_rotation=random_rotation(rng),
             camera_axis=np.array([1.0, 0, 0]),
@@ -122,7 +126,7 @@ def test_translation_ls_identity_camera_rotations_rejected(rng):
             hand_translation=rng.normal(size=3),
         )
         for _ in range(3)
-    ]
+    ])
     with pytest.raises(IllConditionedError):
         solve_translation_ls(cons, quat.IDENTITY)
 
@@ -136,7 +140,7 @@ def test_translation_ls_single_constraint_rejected(rng):
 
 def test_translation_ls_empty_set_rejected():
     with pytest.raises(TooFewMotionsError):
-        solve_translation_ls([], quat.IDENTITY)
+        solve_translation_ls(constraint_set([]), quat.IDENTITY)
 
 
 # ---------------------------------------------------------------------------
@@ -146,8 +150,7 @@ def test_tsai_lenz_pure_translation_gives_identity_rotation(rng):
     # camera and hand axes agree, so the scaled-axis system solves to zero
     truth = RigidMotion(np.eye(3), rng.normal(size=3) * 120)
     cons = consistent_constraints(rng, truth, 3)
-    for c in cons:
-        assert np.allclose(c.camera_axis, c.hand_axis, atol=1e-12)
+    assert np.allclose(cons.camera_axis, cons.hand_axis, atol=1e-12)
     sol = solve_tsai_lenz(cons)
     assert np.allclose(sol.rotation, quat.IDENTITY, atol=1e-9)
 
@@ -189,7 +192,7 @@ def test_closed_form_aligned_axes_identity():
     for axis in (np.array([1.0, 0, 0]), np.array([0.0, 1.0, 0])):
         r = rodrigues(axis, 0.8)
         cons.append(
-            MotionConstraint(
+            dict(
                 camera_rotation=r,
                 hand_rotation=r,
                 camera_axis=axis,
@@ -198,6 +201,7 @@ def test_closed_form_aligned_axes_identity():
                 hand_translation=np.array([4.0, 8.0, -3.0]),
             )
         )
+    cons = constraint_set(cons)
     sol = solve_closed_form(cons)
     assert np.allclose(sol.rotation, quat.IDENTITY, atol=1e-10)
     vals, _ = eigen_sym4(axis_alignment_matrix(cons))
@@ -235,9 +239,7 @@ def test_axis_alignment_quadratic_matches_direct_sum(rng):
         cons = _noisy(consistent_constraints(rng, truth, 3), rng)
         coeff = axis_alignment_matrix(cons)
         q = random_unit_quaternion(rng)
-        vp = np.stack([c.camera_axis for c in cons])
-        v = np.stack([c.hand_axis for c in cons])
-        direct = float(np.sum((vp - quat.rotate_vector(q, v)) ** 2))
+        direct = float(np.sum((cons.camera_axis - quat.rotate_vector(q, cons.hand_axis)) ** 2))
         assert q @ coeff @ q == pytest.approx(direct, rel=1e-10)
 
 
@@ -246,9 +248,8 @@ def test_closed_form_rotation_residual_consistency(rng):
     cons = _noisy(consistent_constraints(rng, truth, 4), rng)
     sol = solve_closed_form(cons)
     coeff = axis_alignment_matrix(cons)
-    vp = np.stack([c.camera_axis for c in cons])
-    v = np.stack([c.hand_axis for c in cons])
-    direct = float(np.sum((vp - quat.rotate_vector(sol.rotation, v)) ** 2))
+    rotated = quat.rotate_vector(sol.rotation, cons.hand_axis)
+    direct = float(np.sum((cons.camera_axis - rotated) ** 2))
     assert sol.rotation @ coeff @ sol.rotation == pytest.approx(direct, abs=1e-9)
 
 
@@ -268,8 +269,8 @@ def test_closed_form_beats_random_quaternions(rng):
 # quadratic form of the coupled objective
 
 def test_build_quadratic_zero_data_gives_zero_blocks():
-    cons = [
-        MotionConstraint(
+    cons = constraint_set([
+        dict(
             camera_rotation=np.eye(3),
             hand_rotation=np.eye(3),
             camera_axis=np.array([1.0, 0, 0]),
@@ -278,7 +279,7 @@ def test_build_quadratic_zero_data_gives_zero_blocks():
             hand_translation=np.zeros(3),
         )
         for _ in range(2)
-    ]
+    ])
     quad = build_quadratic(cons, axis_weight=0.0)
     assert np.allclose(quad.rotation_quad, np.zeros((4, 4)), atol=1e-15)
     assert np.allclose(quad.translation_quad, np.zeros((3, 3)), atol=1e-15)
@@ -308,7 +309,7 @@ def test_quadratic_matches_direct_sum(rng):
             rb = random_rotation(rng)
             axis = rng.normal(size=3)
             cons.append(
-                MotionConstraint(
+                dict(
                     camera_rotation=r3 @ rb @ r3.T,
                     hand_rotation=rb,
                     camera_axis=axis / np.linalg.norm(axis),
@@ -317,6 +318,7 @@ def test_quadratic_matches_direct_sum(rng):
                     hand_translation=rng.normal(size=3) * 200,
                 )
             )
+        cons = constraint_set(cons)
         t = rng.normal(size=3) * 250
         direct = objective_value(cons, q, t)
         quadratic = build_quadratic(cons).evaluate(q, t)
@@ -332,7 +334,7 @@ def test_quadratic_nonnegative_on_unit_sphere(rng):
         rb = random_rotation(rng)
         axis = rng.normal(size=3)
         cons.append(
-            MotionConstraint(
+            dict(
                 camera_rotation=r3 @ rb @ r3.T,
                 hand_rotation=rb,
                 camera_axis=axis / np.linalg.norm(axis),
@@ -341,7 +343,7 @@ def test_quadratic_nonnegative_on_unit_sphere(rng):
                 hand_translation=rng.normal(size=3) * 150,
             )
         )
-    quad = build_quadratic(cons)
+    quad = build_quadratic(constraint_set(cons))
     # nonnegative at the conjugating quaternion for any translation
     for _ in range(200):
         assert quad.evaluate(q_true, rng.normal(size=3) * 500) >= -1e-9
@@ -393,11 +395,8 @@ def test_nonlinear_objective_never_above_initializer(rng):
 def test_nonlinear_scaled_objective_never_above_initializer(rng):
     # same dominance in the units the default configuration optimizes
     def scaled_objective(cons, q, t, span):
-        k = np.stack([c.camera_rotation for c in cons])
-        vp = np.stack([c.camera_axis for c in cons])
-        v = np.stack([c.hand_axis for c in cons])
-        pp = np.stack([c.camera_translation for c in cons]) / span
-        p = np.stack([c.hand_translation for c in cons]) / span
+        k, vp, v = cons.camera_rotation, cons.camera_axis, cons.hand_axis
+        pp, p = cons.camera_translation / span, cons.hand_translation / span
         f1 = np.sum((vp - quat.rotate_vector(q, v)) ** 2)
         f2 = np.sum((quat.rotate_vector(q, p) - (k - np.eye(3)) @ (t / span) - pp) ** 2)
         return f1 + f2 + 2e6 * (1 - q @ q) ** 2
@@ -485,8 +484,8 @@ def test_report_residuals_positive_for_identity_guess(rng):
 
 
 def test_report_residuals_zero_denominator(rng):
-    cons = [
-        MotionConstraint(
+    cons = constraint_set([
+        dict(
             camera_rotation=random_rotation(rng),
             hand_rotation=random_rotation(rng),
             camera_axis=np.array([1.0, 0, 0]),
@@ -495,7 +494,7 @@ def test_report_residuals_zero_denominator(rng):
             hand_translation=np.zeros(3),
         )
         for _ in range(2)
-    ]
+    ])
     guess = solvers.HandEyeSolution(quat.IDENTITY, np.zeros(3), 0.0, 0.0, Method.TSAI_LENZ)
     with pytest.raises(ZeroTranslationError, match="translation-transfer norm is zero"):
         report_residuals(cons, guess)
@@ -516,8 +515,7 @@ def test_solution_residual_magnitudes_on_noisy_data(rng):
 
 def _batch(*problems):
     """Constraint sets of equal motion count stacked into one batch."""
-    sets = [ConstraintSet.of(p) for p in problems]
-    return ConstraintSet(*(np.stack(arrays) for arrays in zip(*(s.arrays for s in sets))))
+    return ConstraintSet(*(np.stack(arrays) for arrays in zip(*(p.arrays for p in problems))))
 
 
 def test_batch_records_degenerate_problems_and_solves_the_rest_exactly(rng):
@@ -566,3 +564,29 @@ def test_batch_records_zero_transfer_and_solves_the_rest_exactly(rng):
         assert got.rotation_residual == expected.rotation_residual
         assert got.translation_residual == expected.translation_residual
         assert (got.iterations, got.converged) == (expected.iterations, expected.converged)
+
+
+def test_batch_records_non_finite_rows_and_solves_the_rest_exactly(rng):
+    # Translations near 1e160 are finite, but their squares overflow.
+    truth = random_motion(rng, 150.0)
+    good = [_noisy(consistent_constraints(rng, truth, 3), rng) for _ in range(2)]
+    huge = dataclasses.replace(
+        good[0],
+        camera_translation=1e160 * good[0].camera_translation,
+        hand_translation=1e160 * good[0].hand_translation,
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        results = solvers.solve_batch(_batch(good[0], huge, good[1]))
+    for method, batch in results.items():
+        solver = solvers.SOLVERS[method]
+        assert list(batch.ok) == [True, False, True]
+        assert type(batch.errors[1]) is CalibrationError
+        assert str(batch.errors[1]).endswith("is not finite: the input is out of numeric range")
+        for j, problem in ((0, good[0]), (2, good[1])):
+            expected = solver(problem)
+            got = batch.solution(j)
+            assert np.array_equal(got.rotation, expected.rotation)
+            assert np.array_equal(got.translation, expected.translation)
+            assert got.rotation_residual == expected.rotation_residual
+            assert got.translation_residual == expected.translation_residual
+            assert (got.iterations, got.converged) == (expected.iterations, expected.converged)
