@@ -15,10 +15,12 @@ Exactly one of ``camera_extrinsics`` / ``perspective_matrices`` must be
 present and must match the formulation tag.  Lists must have equal length
 and at least 2 entries; exactly 2 positions (a single motion) load with a
 warning, since one motion cannot determine the transform uniquely.
-Every matrix entry must be finite, and the left 3x3 block of every
-perspective matrix invertible.  Rotation blocks farther than 1e-6 from
-orthonormal are rejected; closer ones are polar-projected onto the
-rotation group, and the bottom row is set to exactly (0, 0, 0, 1).
+Every matrix entry must be a finite YAML number (``true`` or a quoted
+string is not one), and the left 3x3 block of every perspective matrix
+invertible; a perspective matrix may have any nonzero scale.  Rotation
+blocks farther than 1e-6 from orthonormal are rejected; closer ones are
+polar-projected onto the rotation group, and the bottom row is set to
+exactly (0, 0, 0, 1).
 
 A :class:`Dataset` holds each pose list as one array: (n, 4, 4) poses and
 (n, 3, 4) perspective matrices.  Each list is validated as that stacked
@@ -40,6 +42,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 import yaml
@@ -73,6 +76,9 @@ _EXTRINSIC_ROTATION_TOL = 1e-6
 _BOTTOM_ROW_TOL = 1e-9
 _BOTTOM_ROW = np.array([0.0, 0.0, 0.0, 1.0])
 _EYE3 = np.eye(3)
+# YAML scalar types of a matrix entry; numpy would also read a bool or a
+# numeric string as a float.
+_NUMBERS = frozenset((int, float))
 
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 _DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
@@ -102,6 +108,9 @@ def _matrix(entry, rows: int, what: str) -> np.ndarray:
         raise SchemaError(f"{what}: not a numeric matrix ({err})") from err
     if m.shape != (rows, 4):
         raise SchemaError(f"{what}: expected {rows}x4, got {m.shape}")
+    for x in chain.from_iterable(entry):
+        if type(x) not in _NUMBERS:
+            raise SchemaError(f"{what}: entry {x!r} is not a number")
     if not np.isfinite(m).all():
         raise SchemaError(f"{what}: non-finite entry")
     return m
@@ -119,7 +128,8 @@ def _check_pose(entry, what: str) -> None:
 
 
 def _stack(raw: list, rows: int) -> np.ndarray | None:
-    """The entries of a list as one finite (n, rows, 4) array, or None."""
+    """The entries of a list as one finite (n, rows, 4) array of numbers,
+    or None."""
     if not raw:
         return np.empty((0, rows, 4))
     try:
@@ -127,6 +137,8 @@ def _stack(raw: list, rows: int) -> np.ndarray | None:
     except (TypeError, ValueError):
         return None
     if m.shape != (len(raw), rows, 4) or not np.isfinite(m).all():
+        return None
+    if not _NUMBERS.issuperset(map(type, chain.from_iterable(chain.from_iterable(raw)))):
         return None
     return m
 

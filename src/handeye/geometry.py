@@ -464,6 +464,13 @@ def perspective_constraints(matrices, hand_poses) -> ConstraintSet:
     ``hand_poses`` the (n, 4, 4) stack of hand->robot-base transforms.  The
     camera side of each constraint is the reduced motion of two raw
     matrices; no intrinsic/extrinsic decomposition happens.
+
+    A perspective matrix is defined only up to a nonzero scale, so each
+    one is first divided by ±|n3|, the norm of the third row of its left
+    3x3 block N, with the sign that makes det N positive (the
+    normalization of Faugeras & Toscani, 1986).  For M = C [R | t] with
+    C's last row (0, 0, 1) that scale is 1; any other scale of any matrix
+    gives the same constraints.
     """
     matrices = _stack_of(matrices, 3, "matrices")
     hand_poses = _stack_of(hand_poses, 4, "hand_poses")
@@ -473,6 +480,10 @@ def perspective_constraints(matrices, hand_poses) -> ConstraintSet:
         )
     if len(matrices) < 2:
         raise TooFewPosesError(f"need at least 2 positions, got {len(matrices)}")
+    block = matrices[:, :, :3]
+    scale = np.linalg.norm(block[:, 2], axis=-1) * np.sign(np.linalg.det(block))
+    # A singular block keeps its scale, so _reduced still rejects it.
+    matrices = matrices / np.where(scale == 0.0, 1.0, scale)[:, None, None]
     camera = _reduced(matrices[0], matrices[1:])
     rh, th = hand_poses[:, :3, :3], hand_poses[:, :3, 3]
     hand = _compose(*_invert(rh[1:], th[1:]), rh[0], th[0])

@@ -16,6 +16,13 @@ how much it decouples:
   all seven parameters simultaneously with Levenberg-Marquardt, starting
   from the closed-form solution.
 
+Each stacked linear least-squares system (the Tsai-Lenz axis system and
+the translation system of both direct methods) is decomposed once, by one
+``np.linalg.svd`` of the whole batch.  Its singular values are the
+degeneracy gate: a system whose condition number exceeds
+``CONDITION_LIMIT`` (1e8) is rejected as IllConditionedError.  Its factors
+give the solution x = V diag(1/s) U' b.
+
 The solvers run on batches: a ``ConstraintSet`` of shape (J, n, ...) holds
 J independent problems with n motions each, and every step is an array
 operation over the leading problem axis.  The Levenberg-Marquardt loop is
@@ -214,9 +221,16 @@ def _rejected(method: Method, size: int, message: str) -> SolutionBatch:
     return fail.finish(method, np.full((size, 4), np.nan), np.full((size, 3), np.nan), nan, nan)
 
 
-def _check_condition(a: np.ndarray, what: str, fail: _Failures):
-    svals = np.linalg.svd(a, compute_uv=False)
-    lo, hi = svals[:, -1], svals[:, 0]
+def _least_squares(a: np.ndarray, b: np.ndarray, what: str, fail: _Failures) -> np.ndarray:
+    """Least-squares solution x = V diag(1/s) U' b of each problem's system
+    a x = b, from one SVD of the whole batch.
+
+    Its singular values are the condition gate: a problem whose system is
+    singular or beyond ``CONDITION_LIMIT`` is recorded as
+    IllConditionedError.  Problems that are not ok get NaN.
+    """
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    lo, hi = s[:, -1], s[:, 0]
     with np.errstate(divide="ignore", invalid="ignore"):
         cond = hi / lo
     fail.record(
@@ -227,18 +241,9 @@ def _check_condition(a: np.ndarray, what: str, fail: _Failures):
             f"exceeds {CONDITION_LIMIT:.0e}"
         ),
     )
-
-
-def _lstsq(a: np.ndarray, b: np.ndarray, ok: np.ndarray) -> np.ndarray:
-    """Least-squares solution of each ok problem's system, NaN for the rest.
-
-    ``np.linalg.lstsq`` does not broadcast, so this is the one loop over
-    problems in the solvers.
-    """
-    x = np.full(b.shape[:-1] + a.shape[-1:], np.nan)
-    for j in np.flatnonzero(ok):
-        x[j] = np.linalg.lstsq(a[j], b[j], rcond=None)[0]
-    return x
+    coefficients = (np.swapaxes(u, -1, -2) @ b[..., None])[..., 0]
+    coefficients /= np.where(fail.ok[:, None], s, np.nan)
+    return (np.swapaxes(vt, -1, -2) @ coefficients[..., None])[..., 0]
 
 
 def _skew(v: np.ndarray) -> np.ndarray:
@@ -270,18 +275,20 @@ def _metrics(cs: ConstraintSet, q: np.ndarray, t: np.ndarray, fail: _Failures):
     pp, p = cs.camera_translation, cs.hand_translation
     size = len(q)
     r3 = quat.to_rotation_matrix(q)
-    rot = np.sum(((k @ r3[:, None] - r3[:, None] @ rb) ** 2).reshape(size, -1), axis=-1)
-    transfer = p @ np.swapaxes(r3, -1, -2) - pp     # what the translation must explain
-    mismatch = ((k - np.eye(3)) @ t[:, None, :, None])[..., 0] - transfer
-    denom = np.sum((transfer**2).reshape(size, -1), axis=-1)
+    # Huge finite input overflows here; ``finish`` records the row.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        rot = np.sum(((k @ r3[:, None] - r3[:, None] @ rb) ** 2).reshape(size, -1), axis=-1)
+        transfer = p @ np.swapaxes(r3, -1, -2) - pp     # what the translation must explain
+        mismatch = ((k - np.eye(3)) @ t[:, None, :, None])[..., 0] - transfer
+        denom = np.sum((transfer**2).reshape(size, -1), axis=-1)
+        tr = np.sum((mismatch**2).reshape(size, -1), axis=-1) / denom
     fail.record(
         denom == 0.0,
         lambda j: ZeroTranslationError(
             "translation-transfer norm is zero; relative error undefined"
         ),
     )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return rot, np.sum((mismatch**2).reshape(size, -1), axis=-1) / denom
+    return rot, tr
 
 
 def report_residuals(
@@ -302,10 +309,9 @@ def report_residuals(
 # ---------------------------------------------------------------------------
 # symmetric 4x4 eigensolver
 
-def _eigen_sym4(m: np.ndarray, fail: _Failures) -> tuple[np.ndarray, np.ndarray]:
-    asymmetry = np.linalg.norm(m - np.swapaxes(m, -1, -2), axis=(-2, -1))
-    fail.record(asymmetry > 1e-9, lambda j: NotSymmetricError("matrix is not symmetric"))
-    vals, vecs = np.linalg.eigh(0.5 * (m + np.swapaxes(m, -1, -2)))
+def _eigen_sym4(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``eigh`` of each exactly symmetric 4x4, with the eigenvector sign rule."""
+    vals, vecs = np.linalg.eigh(m)
     lead = np.take_along_axis(vecs, np.argmax(np.abs(vecs), axis=-2)[..., None, :], axis=-2)
     return vals, np.where(lead < 0, -vecs, vecs)
 
@@ -315,28 +321,23 @@ def eigen_sym4(m) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (eigenvalues ascending, eigenvectors as columns).  Eigenvector
     signs are fixed so the largest-magnitude component is positive.
+    Raises NotSymmetricError when m differs from its transpose by more
+    than 1e-9 (Frobenius); within that, its symmetric part is decomposed.
     """
     m = np.asarray(m, dtype=float)
     if m.shape != (4, 4):
         raise NotSymmetricError(f"expected 4x4 matrix, got {m.shape}")
-    fail = _Failures.none(1)
-    vals, vecs = _eigen_sym4(m[None], fail)
-    fail.raise_first()
-    return vals[0], vecs[0]
+    if np.linalg.norm(m - m.T) > 1e-9:
+        raise NotSymmetricError("matrix is not symmetric")
+    return _eigen_sym4(0.5 * (m + m.T))
 
 
 # ---------------------------------------------------------------------------
 # decoupled solvers
 
-def _translation_system(cs: ConstraintSet, fail: _Failures) -> np.ndarray:
-    a = (cs.camera_rotation - np.eye(3)).reshape(len(cs.camera_rotation), -1, 3)
-    _check_condition(a, "translation system", fail)
-    return a
-
-
 def _unique_rotation(cs: ConstraintSet, fail: _Failures) -> np.ndarray:
     """The closed-form rotation; IllConditionedError when it is not unique."""
-    vals, vecs = _eigen_sym4(axis_alignment_matrix(cs), fail)
+    vals, vecs = _eigen_sym4(axis_alignment_matrix(cs))
     fail.record(
         vals[:, 1] - vals[:, 0] < EIGENVALUE_GAP,
         lambda j: IllConditionedError(
@@ -350,9 +351,9 @@ def _unique_rotation(cs: ConstraintSet, fail: _Failures) -> np.ndarray:
 
 def _translation_ls(cs: ConstraintSet, q: np.ndarray, fail: _Failures) -> np.ndarray:
     r3 = quat.to_rotation_matrix(q)
-    a = _translation_system(cs, fail)
+    a = (cs.camera_rotation - np.eye(3)).reshape(len(q), -1, 3)
     rhs = cs.hand_translation @ np.swapaxes(r3, -1, -2) - cs.camera_translation
-    return _lstsq(a, rhs.reshape(len(q), -1), fail.ok)
+    return _least_squares(a, rhs.reshape(len(q), -1), "translation system", fail)
 
 
 def solve_translation_ls(constraints: ConstraintSet, rotation) -> np.ndarray:
@@ -380,8 +381,7 @@ def _tsai_lenz(cs: ConstraintSet) -> SolutionBatch:
     fail = _Failures.none(size)
     vp, v = cs.camera_axis, cs.hand_axis
     a = _skew(vp + v).reshape(size, -1, 3)
-    _check_condition(a, "axis system", fail)
-    g = _lstsq(a, (v - vp).reshape(size, -1), fail.ok)
+    g = _least_squares(a, (v - vp).reshape(size, -1), "axis system", fail)
     magnitude = quat.vnorm(g)
     identity = magnitude <= 1e-12
     # atan-based angle recovery stays finite for large |g| (angles near pi)
@@ -455,7 +455,6 @@ class QuadraticObjective:
     translation_linear: np.ndarray  # (3,)
     coupling: np.ndarray           # (4,), purely imaginary row
     unit_penalty: float
-    weights: tuple[float, float]
 
     def __post_init__(self):
         if np.linalg.norm(self.rotation_quad - self.rotation_quad.T) > 1e-12:
@@ -504,7 +503,6 @@ def build_quadratic(
         translation_linear=trans_lin,
         coupling=quat.embed(coupling),
         unit_penalty=unit_penalty,
-        weights=(axis_weight, transfer_weight),
     )
 
 
@@ -659,7 +657,8 @@ def translation_span(constraints: ConstraintSet) -> float:
     """RMS motion-translation magnitude of a constraint set, mm (one per
     problem of a batch)."""
     pp, p = constraints.camera_translation, constraints.hand_translation
-    squares = np.sum(pp**2, axis=-1) + np.sum(p**2, axis=-1)
+    with np.errstate(over="ignore"):  # an infinite span fails in the metrics
+        squares = np.sum(pp**2, axis=-1) + np.sum(p**2, axis=-1)
     return np.sqrt(0.5 * np.mean(squares, axis=-1))[()]
 
 
@@ -698,7 +697,8 @@ def _nonlinear(
         converged[stalled] = quat.vnorm(grad) <= 1e-6
 
     q = x[:, :4] / quat.vnorm(x[:, :4])[:, None]
-    t = x[:, 4:] * scale[:, None]
+    with np.errstate(invalid="ignore"):  # 0 * inf of an overflowed span
+        t = x[:, 4:] * scale[:, None]
     rot_res, tr_res = _metrics(cs, q, t, fail)
     return fail.finish(
         Method.NONLINEAR, _as_unit(q, fail), t, rot_res, tr_res, iterations, converged
@@ -734,9 +734,9 @@ def solve_nonlinear(
 
     Degenerate constraint sets (non-unique rotation, or a translation
     stack beyond the condition limit) are rejected up front by the
-    closed-form solver's checks, which also run when ``init`` is given:
-    an optimum along a flat direction would be an arbitrary answer, not
-    an estimate.
+    closed-form solve, which runs whether or not ``init`` is given
+    (``init`` replaces only its start point): an optimum along a flat
+    direction would be an arbitrary answer, not an estimate.
 
     Args:
         constraints: at least two motions.
@@ -748,18 +748,12 @@ def solve_nonlinear(
         is still returned).
     """
     cs = _one(constraints)
-    if init is None:
-        start = _closed_form(cs)
-        rotation, translation, fail = start.rotation, start.translation, _Failures(start.errors)
-    else:
-        fail = _Failures.none(1)
-        if len(cs) >= 2:
-            _unique_rotation(cs, fail)
-            _translation_system(cs, fail)
-        rotation, translation = init.rotation[None], init.translation[None]
+    start = _closed_form(cs)
+    if init is not None:
+        start = start._replace(rotation=init.rotation[None], translation=init.translation[None])
     return _nonlinear(
-        cs, rotation, translation, fail, axis_weight, transfer_weight, unit_penalty,
-        max_iterations, translation_scale,
+        cs, start.rotation, start.translation, _Failures(start.errors), axis_weight,
+        transfer_weight, unit_penalty, max_iterations, translation_scale,
     ).solution()
 
 

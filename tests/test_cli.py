@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -160,8 +163,9 @@ def test_non_utf8_file_is_parse_error(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("method", ["tsai-lenz", "closed-form", "nonlinear"])
-def test_calibrate_overflowing_translations_are_degenerate(tmp_path, capsys, method):
+def test_calibrate_overflowing_translations_are_degenerate(tmp_path, method):
     # Finite entries whose squares overflow: the residual would print as nan.
+    # Run as a command, so numpy's warnings would reach stderr unfiltered.
     doc = yaml.safe_load((SAMPLES / "classical.yaml").read_text(encoding="utf-8"))
     for key in ("hand_poses", "camera_extrinsics"):
         for matrix in doc[key]:
@@ -169,12 +173,48 @@ def test_calibrate_overflowing_translations_are_degenerate(tmp_path, capsys, met
                 row[3] *= 1e160
     path = tmp_path / "huge.yaml"
     path.write_text(yaml.safe_dump(doc), encoding="utf-8")
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = main(["calibrate", str(path), "--method", method])
-    assert code == EXIT_DEGENERATE
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert "is not finite: the input is out of numeric range" in err
+    result = subprocess.run(
+        [sys.executable, "-m", "handeye.cli", "calibrate", str(path), "--method", method],
+        env=dict(os.environ, PYTHONPATH=str(SAMPLES.parent / "src")),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == EXIT_DEGENERATE
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [
+        "error: translation residual is not finite: the input is out of numeric range"
+    ]
+
+
+def _times_two(matrices):
+    matrices[1] = [[2.0 * x for x in row] for row in matrices[1]]
+
+
+def _negated(matrices):
+    matrices[2] = [[-x for x in row] for row in matrices[2]]
+
+
+def _m34_one(matrices):
+    # the usual DLT output
+    matrices[:] = [[[x / m[2][3] for x in row] for row in m] for m in matrices]
+
+
+@pytest.mark.parametrize("rescale", [_times_two, _negated, _m34_one], ids=lambda f: f.__name__)
+def test_calibrate_accepts_perspective_matrices_at_any_scale(tmp_path, rescale):
+    sample = SAMPLES / "perspective.yaml"
+    doc = yaml.safe_load(sample.read_text(encoding="utf-8"))
+    rescale(doc["perspective_matrices"])
+    path = tmp_path / "rescaled.yaml"
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    solutions = []
+    for i, dataset in enumerate((sample, path)):
+        output = tmp_path / f"solution{i}.yaml"
+        assert main(["calibrate", str(dataset), "--output", str(output)]) == EXIT_OK
+        solutions.append(load_solution(output))
+    expected, got = solutions
+    assert np.max(np.abs(got.rotation - expected.rotation)) <= 1e-9
+    assert np.linalg.norm(got.translation - expected.translation) <= 1e-9 * np.linalg.norm(
+        expected.translation
+    )
 
 
 def test_residuals_multiple_solutions(tmp_path, capsys):

@@ -214,6 +214,14 @@ _POSE_CASES = {
         [_POSE[0], [0.0, float("nan"), 0.0, 6.0], _POSE[2], _POSE[3]],
         re.escape("non-finite entry"),
     ),
+    "boolean": (
+        [_POSE[0], [0.0, True, 0.0, 6.0], _POSE[2], _POSE[3]],
+        re.escape("entry True is not a number"),
+    ),
+    "string": (
+        [_POSE[0], _POSE[1], [0.0, 0.0, "1.0", 7.0], _POSE[3]],
+        re.escape("entry '1.0' is not a number"),
+    ),
     "bottom-row": (
         _POSE[:3] + [[0.0, 0.0, 1e-6, 1.0]],
         re.escape("bottom row [0.0, 0.0, 1e-06, 1.0] is not (0, 0, 0, 1)"),
@@ -235,6 +243,10 @@ _PROJECTION_CASES = {
     "nan": (
         [_PROJECTION[0], _PROJECTION[1], [0.0, 0.0, float("inf"), 30.0]],
         re.escape("non-finite entry"),
+    ),
+    "boolean": (
+        [_PROJECTION[0], _PROJECTION[1], [0.0, 0.0, True, 30.0]],
+        re.escape("entry True is not a number"),
     ),
 }
 
@@ -275,6 +287,12 @@ def test_stacked_validation_reports_the_first_of_two_bad_entries(
         with pytest.raises(SchemaError) as err:
             load_dataset(_write(tmp_path, doc))
         assert re.fullmatch(re.escape(f"{key}[1]: ") + message, str(err.value))
+
+
+def test_booleans_outside_matrices_still_load(tmp_path):
+    doc = _valid_doc(3)
+    doc["metadata"] = {"checked": True, "notes": [False, 1.0]}
+    assert load_dataset(_write(tmp_path, doc)).metadata == doc["metadata"]
 
 
 _SINGULAR = [[1.0, 0.0, 0.0, 1.0], [2.0, 0.0, 0.0, 2.0], [0.0, 0.0, 1.0, 3.0]]

@@ -105,6 +105,34 @@ def test_eigen_sym4_rejects_asymmetric():
 
 
 # ---------------------------------------------------------------------------
+# least-squares kernel
+
+def test_least_squares_matches_lstsq_and_gates_the_condition_number(rng):
+    # Systems with condition numbers 1 to 1e10, consistent up to small
+    # noise; np.linalg.lstsq solved one at a time is the reference.
+    conds = 10.0 ** np.arange(11)
+    u = np.linalg.qr(rng.normal(size=(len(conds), 12, 3)))[0]
+    v = np.linalg.qr(rng.normal(size=(len(conds), 3, 3)))[0]
+    a = u * np.stack([np.ones_like(conds), conds**-0.5, 1 / conds], axis=-1)[:, None] @ v
+    b = (a @ rng.normal(size=(len(conds), 3, 1)))[..., 0]
+    b += 1e-6 * rng.normal(size=b.shape)
+    fail = solvers._Failures.none(len(conds))
+    x = solvers._least_squares(a, b, "test system", fail)
+    ok = conds <= solvers.CONDITION_LIMIT
+    assert list(fail.ok) == list(ok)
+    for j in np.flatnonzero(~ok):
+        assert np.isnan(x[j]).all()
+        assert isinstance(fail.errors[j], IllConditionedError)
+        assert str(fail.errors[j]) == (
+            f"test system: condition number {conds[j]:.2e} exceeds 1e+08"
+        )
+    for j in np.flatnonzero(ok):
+        expected = np.linalg.lstsq(a[j], b[j], rcond=None)[0]
+        # a backward-stable solve of either kind: error ~ cond * eps
+        assert np.linalg.norm(x[j] - expected) <= 50 * conds[j] * 2.2e-16 * np.linalg.norm(expected)
+
+
+# ---------------------------------------------------------------------------
 # translation step
 
 def test_translation_ls_recovers_truth(rng):
@@ -419,7 +447,7 @@ def test_nonlinear_degenerate_inputs_rejected(rng):
         solve_nonlinear(consistent_constraints(rng, truth, 1))
     with pytest.raises(IllConditionedError):
         solve_nonlinear(parallel_axis_constraints(rng, truth, 3))
-    # a given start point skips the closed-form solve but not its checks
+    # a given start point replaces only the closed-form start, not its checks
     init = solvers.HandEyeSolution(
         quat.from_rotation_matrix(truth.rotation), truth.translation, 0.0, 0.0, Method.NONLINEAR
     )
@@ -575,8 +603,7 @@ def test_batch_records_non_finite_rows_and_solves_the_rest_exactly(rng):
         camera_translation=1e160 * good[0].camera_translation,
         hand_translation=1e160 * good[0].hand_translation,
     )
-    with np.errstate(over="ignore", invalid="ignore"):
-        results = solvers.solve_batch(_batch(good[0], huge, good[1]))
+    results = solvers.solve_batch(_batch(good[0], huge, good[1]))
     for method, batch in results.items():
         solver = solvers.SOLVERS[method]
         assert list(batch.ok) == [True, False, True]
