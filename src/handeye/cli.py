@@ -34,7 +34,6 @@ from .errors import (
 )
 from .quaternion import axis_angle
 from .simulate import (
-    DEFAULT_METHODS,
     Distribution,
     Formulation,
     NoiseModel,
@@ -239,7 +238,6 @@ def _cmd_residuals(args) -> int:
 
 
 def _simulate_one(args, distribution: Distribution, targets: NoiseTargets) -> str:
-    methods = DEFAULT_METHODS
     if args.motions is not None:
         counts = _parse_counts(args.motions)
         if Formulation(args.formulation) == Formulation.CLASSICAL:
@@ -255,7 +253,6 @@ def _simulate_one(args, distribution: Distribution, targets: NoiseTargets) -> st
             trials=args.trials,
             distribution=distribution,
             seed=args.seed,
-            methods=methods,
         )
     else:
         levels = _parse_levels(args.levels) if args.levels is not None else list(DEFAULT_LEVELS)
@@ -265,7 +262,7 @@ def _simulate_one(args, distribution: Distribution, targets: NoiseTargets) -> st
             else perspective_scenario(2, args.seed)
         )
         noise = NoiseModel(distribution=distribution, targets=targets, seed=args.seed)
-        report = noise_sweep(scenario, levels, noise, args.trials, methods)
+        report = noise_sweep(scenario, levels, noise, args.trials)
     return report_csv(report)
 
 
@@ -307,27 +304,25 @@ _COMMANDS = {
     "simulate": _cmd_simulate,
 }
 
+# Exit code of each error type; the first type an error is an instance of
+# decides, so subclasses of CalibrationError come before it.
+_EXIT_CODES = (
+    (FlagError, EXIT_FLAGS),
+    (ParseError, EXIT_PARSE),
+    (SchemaError, EXIT_SCHEMA),
+    (CalibrationError, EXIT_DEGENERATE),
+    (OSError, EXIT_IO),
+)
+
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except FlagError as err:
+    except (CalibrationError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_FLAGS
-    except ParseError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_PARSE
-    except SchemaError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_SCHEMA
-    except CalibrationError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_IO
+        return next(code for kind, code in _EXIT_CODES if isinstance(err, kind))
 
 
 if __name__ == "__main__":

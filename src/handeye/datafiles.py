@@ -15,12 +15,12 @@ Exactly one of ``camera_extrinsics`` / ``perspective_matrices`` must be
 present and must match the formulation tag.  Lists must have equal length
 and at least 2 entries; exactly 2 positions (a single motion) load with a
 warning, since one motion cannot determine the transform uniquely.
-Every matrix entry must be a finite YAML number (``true`` or a quoted
-string is not one), and the left 3x3 block of every perspective matrix
-invertible; a perspective matrix may have any nonzero scale.  Rotation
-blocks farther than 1e-6 from orthonormal are rejected; closer ones are
-polar-projected onto the rotation group, and the bottom row is set to
-exactly (0, 0, 0, 1).
+Every matrix entry must be a finite YAML number (``true``, a quoted
+string or an integer beyond float range is not one), and the left 3x3
+block of every perspective matrix invertible; a perspective matrix may
+have any nonzero scale.  Rotation blocks farther than 1e-6 from
+orthonormal are rejected; closer ones are polar-projected onto the
+rotation group, and the bottom row is set to exactly (0, 0, 0, 1).
 
 A :class:`Dataset` holds each pose list as one array: (n, 4, 4) poses and
 (n, 3, 4) perspective matrices.  Each list is validated as that stacked
@@ -31,11 +31,13 @@ YAML is read and written through libyaml's C scanner, parser and emitter
 when PyYAML was built with it (``yaml.CSafeLoader`` / ``CSafeDumper``),
 and through PyYAML's pure-Python ones otherwise.  Both feed the same
 Python constructor and representer, so documents and bytes are the same.
-A file that is not valid UTF-8 is a ParseError.
+A file that is not valid UTF-8, or holds a date that does not exist
+(``2001-13-45``), is a ParseError.
 
 A solution document records one estimate in every common parametrization
 (quaternion, matrix, axis-angle) plus the two residual metrics; loading
-one rejects a non-finite quaternion, translation or residual.
+one rejects a quaternion, translation or residual entry that is not a
+finite YAML number.
 """
 
 from __future__ import annotations
@@ -76,7 +78,7 @@ _EXTRINSIC_ROTATION_TOL = 1e-6
 _BOTTOM_ROW_TOL = 1e-9
 _BOTTOM_ROW = np.array([0.0, 0.0, 0.0, 1.0])
 _EYE3 = np.eye(3)
-# YAML scalar types of a matrix entry; numpy would also read a bool or a
+# YAML scalar types of a numeric entry; numpy would also read a bool or a
 # numeric string as a float.
 _NUMBERS = frozenset((int, float))
 
@@ -104,7 +106,7 @@ class Dataset:
 def _matrix(entry, rows: int, what: str) -> np.ndarray:
     try:
         m = np.array(entry, dtype=float)
-    except (TypeError, ValueError) as err:
+    except (TypeError, ValueError, OverflowError) as err:
         raise SchemaError(f"{what}: not a numeric matrix ({err})") from err
     if m.shape != (rows, 4):
         raise SchemaError(f"{what}: expected {rows}x4, got {m.shape}")
@@ -134,7 +136,7 @@ def _stack(raw: list, rows: int) -> np.ndarray | None:
         return np.empty((0, rows, 4))
     try:
         m = np.array(raw, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         return None
     if m.shape != (len(raw), rows, 4) or not np.isfinite(m).all():
         return None
@@ -181,7 +183,7 @@ def _load_yaml(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = yaml.load(fh, Loader=_LOADER)
-    except (yaml.YAMLError, UnicodeDecodeError) as err:
+    except (yaml.YAMLError, ValueError) as err:  # ValueError: bad UTF-8 or date
         raise ParseError(f"{path}: {err}") from err
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be a mapping")
@@ -297,17 +299,29 @@ def save_solution(solution: HandEyeSolution, path) -> None:
     _dump(doc, path)
 
 
+def _numbers(entries, key: str, path) -> np.ndarray:
+    """The entries of ``key``, each a YAML number, as a float array."""
+    for x in entries:
+        if type(x) not in _NUMBERS:
+            raise SchemaError(f"{path}: {key}: entry {x!r} is not a number")
+    try:
+        return np.array(entries, dtype=float)
+    except OverflowError as err:
+        raise SchemaError(f"{path}: {key}: {err}") from err
+
+
 def load_solution(path) -> HandEyeSolution:
     doc = _load_yaml(path)
     try:
         method = Method(doc["method"])
-        q = np.array(doc["quaternion_wxyz"], dtype=float)
-        t = np.array(doc["translation_mm"], dtype=float)
-        rot_res = float(doc["rotation_residual"])
-        tr_res = float(doc["translation_residual"])
+        q, t = (_numbers(doc[key], key, path) for key in ("quaternion_wxyz", "translation_mm"))
+        rot_res, tr_res = (
+            float(_numbers([doc[key]], key, path)[0])
+            for key in ("rotation_residual", "translation_residual")
+        )
         iterations = int(doc.get("iterations", 0))
         converged = bool(doc.get("converged", True))
-    except (KeyError, TypeError, ValueError) as err:
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise SchemaError(f"{path}: {err!r}") from err
     if q.shape != (4,) or t.shape != (3,):
         raise SchemaError(f"{path}: quaternion_wxyz must have 4 entries, translation_mm 3")

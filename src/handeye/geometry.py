@@ -45,6 +45,10 @@ _ROTATION_TOL = 1e-9
 # Rotations with a smaller angle have no usable axis.
 MIN_ROTATION_ANGLE = 1e-6
 
+# Farthest from orthonormal a matrix ``orthonormalize`` projects; farther
+# is wrong data, not noise.
+_MAX_PROJECTION_RESIDUAL = 0.5
+
 _EYE3 = np.eye(3)
 
 
@@ -53,22 +57,20 @@ def _first(values, bad):
     return np.asarray(values)[np.asarray(bad)].flat[0]
 
 
-def _check_rotation(
-    m: np.ndarray, what: str, tol: float = _ROTATION_TOL, batched: bool = False
-) -> np.ndarray:
+def _check_rotation(m: np.ndarray, what: str, batched: bool = False) -> np.ndarray:
     """A 3x3 rotation, or with ``batched`` a (..., 3, 3) stack of them."""
     m = np.asarray(m, dtype=float)
     if (m.shape[-2:] if batched else m.shape) != (3, 3):
         raise NotARotationError(f"{what}: expected 3x3, got {m.shape}")
     gram = np.swapaxes(m, -1, -2) @ m - _EYE3
     residual = np.sqrt(np.add.reduce(gram * gram, axis=(-2, -1)))
-    if not (residual <= tol).all():  # NaN fails this too
+    if not (residual <= _ROTATION_TOL).all():  # NaN fails this too
         if not np.isfinite(m).all():
             raise NotARotationError(f"{what}: non-finite entry")
-        bad = residual > tol
+        bad = residual > _ROTATION_TOL
         raise NotARotationError(f"{what}: orthonormality residual {_first(residual, bad):.3e}")
     det = np.linalg.det(m)
-    bad = abs(det - 1.0) > tol
+    bad = abs(det - 1.0) > _ROTATION_TOL
     if bad.any():
         raise NotARotationError(f"{what}: determinant {_first(det, bad):.12f}")
     return m
@@ -102,12 +104,12 @@ class RigidMotion:
         return cls(np.eye(3), np.zeros(3))
 
     @classmethod
-    def from_matrix(cls, m, tol: float = 1e-9) -> "RigidMotion":
+    def from_matrix(cls, m) -> "RigidMotion":
         """Build from a 4x4 homogeneous matrix; bottom row must be (0,0,0,1)."""
         m = np.asarray(m, dtype=float)
         if m.shape != (4, 4):
             raise ValueError(f"expected 4x4 matrix, got {m.shape}")
-        if np.max(np.abs(m[3] - np.array([0.0, 0.0, 0.0, 1.0]))) > tol:
+        if np.max(np.abs(m[3] - np.array([0.0, 0.0, 0.0, 1.0]))) > 1e-9:
             raise ValueError(f"bottom row {m[3].tolist()} is not (0, 0, 0, 1)")
         return cls(m[:3, :3], m[:3, 3])
 
@@ -313,21 +315,22 @@ def invert(a: RigidMotion) -> RigidMotion:
     return RigidMotion(*_invert(a.rotation, a.translation))
 
 
-def orthonormalize(m, max_residual: float = 0.5) -> np.ndarray:
+def orthonormalize(m) -> np.ndarray:
     """Nearest rotation in Frobenius norm (polar projection), of a 3x3
     matrix or of each in a (..., 3, 3) stack.
 
-    Rejects input farther than ``max_residual`` from orthonormal or with
-    non-positive determinant; those are wrong data, not noise.
+    Rejects input farther than 0.5 from orthonormal (Frobenius residual of
+    m'm - I) or with non-positive determinant; those are wrong data, not
+    noise.
     """
     m = np.asarray(m, dtype=float)
     if m.shape[-2:] != (3, 3):
         raise NotARotationError(f"expected 3x3 matrix, got {m.shape}")
     residual = np.linalg.norm(np.swapaxes(m, -1, -2) @ m - np.eye(3), axis=(-2, -1))
-    bad = residual > max_residual
+    bad = residual > _MAX_PROJECTION_RESIDUAL
     if bad.any():
         raise NotARotationError(
-            f"orthonormality residual {_first(residual, bad):.3e} > {max_residual}"
+            f"orthonormality residual {_first(residual, bad):.3e} > {_MAX_PROJECTION_RESIDUAL}"
         )
     if (np.linalg.det(m) <= 0.0).any():
         raise NotARotationError("determinant is not positive")
@@ -339,21 +342,23 @@ def orthonormalize(m, max_residual: float = 0.5) -> np.ndarray:
     return r
 
 
-def rotation_axis(m, min_angle: float = MIN_ROTATION_ANGLE) -> np.ndarray:
+def rotation_axis(m) -> np.ndarray:
     """Unit rotation axis (eigenvector for the unit eigenvalue) of a
     rotation matrix, or of each in a (..., 3, 3) stack.
 
     The sign follows the canonical-sign quaternion of the matrix.  Raises
-    DegenerateRotationError below ``min_angle``: a near-identity motion
-    carries no usable axis and must be rejected rather than guessed.  For
-    a stack the error carries the flat index of the first such matrix.
+    DegenerateRotationError below ``MIN_ROTATION_ANGLE``: a near-identity
+    motion carries no usable axis and must be rejected rather than
+    guessed.  For a stack the error carries the flat index of the first
+    such matrix.
     """
     axis, angle = quat.axis_angle(quat.from_rotation_matrix(m))
-    bad = np.reshape(angle < min_angle, -1)
+    bad = np.reshape(angle < MIN_ROTATION_ANGLE, -1)
     if bad.any():
         first = int(np.argmax(bad))
         raise DegenerateRotationError(
-            f"rotation angle {np.reshape(angle, -1)[first]:.3e} rad below {min_angle:.1e}",
+            f"rotation angle {np.reshape(angle, -1)[first]:.3e} rad "
+            f"below {MIN_ROTATION_ANGLE:.1e}",
             index=first if np.ndim(angle) else None,
         )
     return axis

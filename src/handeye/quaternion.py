@@ -127,6 +127,10 @@ def canonicalize(q) -> np.ndarray:
 # Largest |q.q - 1| that ``as_unit`` accepts.
 UNIT_TOL = 1e-12
 
+# Largest orthonormality residual (Frobenius) ``from_rotation_matrix``
+# accepts.
+_ORTHONORMALITY_TOL = 1e-6
+
 
 def unit_error(q) -> np.ndarray:
     """|q.q - 1| of each quaternion: the quantity ``as_unit`` bounds."""
@@ -138,15 +142,15 @@ def off_unity(err: float) -> ValueError:
     return ValueError(f"quaternion norm off unity by {err:.3e}")
 
 
-def as_unit(q, tol: float = UNIT_TOL) -> np.ndarray:
+def as_unit(q) -> np.ndarray:
     """Validate unit norm and return the canonical-sign representative.
 
-    Raises ValueError when |q.q - 1| > tol for any quaternion; does not
-    renormalize.
+    Raises ValueError when |q.q - 1| > ``UNIT_TOL`` for any quaternion;
+    does not renormalize.
     """
     q = np.asarray(q, dtype=float)
     err = unit_error(q)
-    if np.any(err > tol):
+    if np.any(err > UNIT_TOL):
         raise off_unity(np.max(err))
     return canonicalize(q)
 
@@ -174,14 +178,14 @@ def to_rotation_matrix(q) -> np.ndarray:
     return np.stack(entries, axis=-1).reshape(q.shape[:-1] + (3, 3))
 
 
-def from_rotation_matrix(m, tol: float = 1e-6) -> np.ndarray:
+def from_rotation_matrix(m) -> np.ndarray:
     """Canonical-sign unit quaternion of a rotation matrix.
 
     Branches on the largest of (trace, diagonal entries), which keeps the
     divisor away from zero for every rotation angle.  A stack evaluates
     all four branches and selects one per matrix.
 
-    Raises NotARotationError when a matrix is farther than ``tol`` from
+    Raises NotARotationError when a matrix is farther than 1e-6 from
     orthonormal (Frobenius), or not finite, or has non-positive
     determinant.
     """
@@ -189,8 +193,10 @@ def from_rotation_matrix(m, tol: float = 1e-6) -> np.ndarray:
     if m.shape[-2:] != (3, 3):
         raise NotARotationError(f"expected 3x3 matrix, got {m.shape}")
     residual = np.linalg.norm(np.swapaxes(m, -1, -2) @ m - np.eye(3), axis=(-2, -1))
-    if not (residual <= tol).all():
-        raise NotARotationError(f"orthonormality residual {np.max(residual):.3e} > {tol:.1e}")
+    if not (residual <= _ORTHONORMALITY_TOL).all():
+        raise NotARotationError(
+            f"orthonormality residual {np.max(residual):.3e} > {_ORTHONORMALITY_TOL:.1e}"
+        )
     if not (np.linalg.det(m) > 0.0).all():
         raise NotARotationError("determinant is not positive")
 

@@ -58,8 +58,6 @@ from .geometry import (
 )
 from .solvers import HandEyeSolution, Method, solve_batch
 
-DEFAULT_METHODS = (Method.TSAI_LENZ, Method.CLOSED_FORM, Method.NONLINEAR)
-
 # Default nominal length of the ground-truth translation, in mm.
 GROUND_TRUTH_TRANSLATION_MM = 157.0
 
@@ -231,13 +229,13 @@ def _uniform_in(rng: np.random.Generator, lo: float, hi: float) -> float:
 # perturbation and error statistics
 
 def _draw_counts(
-    distribution: Distribution, rot_level: float, trans_level: float, translation_scale: float
+    distribution: Distribution, rot_level: float, trans_level: float, nominal_translation: float
 ) -> tuple[int, int]:
     """Uniform draws one perturbation takes for its rotation axis and for
     its translation; a zero level draws nothing."""
     per_vector = 3 * _DRAWS[distribution]
     rotation = per_vector if rot_level > 0.0 else 0
-    noisy_translation = trans_level > 0.0 and trans_level * translation_scale != 0.0
+    noisy_translation = trans_level > 0.0 and trans_level * nominal_translation != 0.0
     return rotation, per_vector if noisy_translation else 0
 
 
@@ -247,7 +245,7 @@ def _perturbed(
     distribution: Distribution,
     rot_level: float,
     trans_level: float,
-    translation_scale: float,
+    nominal_translation: float,
     draws: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Perturbed rotations (..., 3, 3) and translations (..., 3).
@@ -256,11 +254,12 @@ def _perturbed(
     is renormalized (a non-unit axis defines no rotation); the angle is
     untouched, and a near-identity rotation raises
     DegenerateRotationError.  Translation components get samples of
-    ``trans_level`` times ``translation_scale``.  ``draws`` holds each
-    motion's uniform draws, (..., k) as counted by :func:`_draw_counts`:
-    the rotation axis's first, then the translation's.
+    ``trans_level`` times ``nominal_translation`` (mm).  ``draws`` holds
+    each motion's uniform draws, (..., k) as counted by
+    :func:`_draw_counts`: the rotation axis's first, then the
+    translation's.
     """
-    k_rot, k_tr = _draw_counts(distribution, rot_level, trans_level, translation_scale)
+    k_rot, k_tr = _draw_counts(distribution, rot_level, trans_level, nominal_translation)
     if rot_level > 0.0:
         axis = rotation_axis(rotation)
         angle = rotation_angle(rotation)
@@ -270,7 +269,7 @@ def _perturbed(
         axis = np.where(usable[..., None], noisy / np.where(usable, norm, 1.0)[..., None], axis)
         rotation = quat.to_rotation_matrix(quat.from_axis_angle(axis, angle))
     if k_tr:
-        level = trans_level * translation_scale
+        level = trans_level * nominal_translation
         translation = translation + _noise(draws[..., k_rot:], distribution, level)
     return rotation, translation
 
@@ -420,24 +419,22 @@ def trial_constraints(
     return ConstraintSet(*(a[0] for a in cs.arrays))
 
 
-def _sweep(
-    points, distribution: Distribution, trials: int, seed: int, methods
-) -> list[ReportRow]:
+def _sweep(points, distribution: Distribution, trials: int, seed: int) -> list[ReportRow]:
     rows = []
     for index, (sweep_var, scenario, rot_level, trans_level) in enumerate(points):
-        estimates: dict[Method, list] = {m: [] for m in methods}
-        failed = {m: 0 for m in methods}
+        estimates: dict[Method, list] = {m: [] for m in Method}
+        failed = dict.fromkeys(Method, 0)
         for first in range(0, trials, _BLOCK):
             rngs = [_generator(seed, index, j) for j in range(first, min(first + _BLOCK, trials))]
             constraints = _trial_constraints(scenario, distribution, rot_level, trans_level, rngs)
-            for m, batch in solve_batch(constraints, methods).items():
+            for m, batch in solve_batch(constraints).items():
                 for err in batch.errors:
                     if err is not None and not isinstance(err, CalibrationError):
                         raise err
                 ok = batch.ok
                 failed[m] += int(np.count_nonzero(~ok))
                 estimates[m].append((batch.rotation[ok], batch.translation[ok]))
-        for m in methods:
+        for m in Method:
             if failed[m] < trials:
                 rotation, translation = (np.concatenate(a) for a in zip(*estimates[m]))
                 e_rot, e_tr = _error_stats(rotation, translation, scenario.ground_truth)
@@ -452,14 +449,13 @@ def noise_sweep(
     levels: Sequence[float],
     noise: NoiseModel,
     trials: int,
-    methods: Sequence[Method] = DEFAULT_METHODS,
 ) -> StabilityReport:
     """Error statistics versus noise level.
 
     For each level, ``trials`` independent trials perturb every camera and
     hand motion, rebuild the constraints once, and hand the same noisy
-    data to every method.  Trials a solver rejects are excluded from the
-    RMS and counted in ``failed_trials``.
+    data to all three methods.  Trials a solver rejects are excluded from
+    the RMS and counted in ``failed_trials``.
     """
     if trials < 1:
         raise ValueError("at least one trial is required")
@@ -472,7 +468,7 @@ def noise_sweep(
         )
         for level in levels
     ]
-    rows = _sweep(points, noise.distribution, trials, noise.seed, tuple(methods))
+    rows = _sweep(points, noise.distribution, trials, noise.seed)
     t_norm = float(np.linalg.norm(scenario.ground_truth.translation))
     return StabilityReport(tuple(rows), trials, t_norm)
 
@@ -485,7 +481,6 @@ def motion_count_sweep(
     trials: int = 1000,
     distribution: Distribution = Distribution.GAUSSIAN,
     seed: int = 0,
-    methods: Sequence[Method] = DEFAULT_METHODS,
 ) -> StabilityReport:
     """Error statistics versus the number of motions, at fixed noise.
 
@@ -495,6 +490,6 @@ def motion_count_sweep(
     if trials < 1:
         raise ValueError("at least one trial is required")
     points = [(n, scenario_family(n), rot_level, trans_level) for n in counts]
-    rows = _sweep(points, distribution, trials, seed, tuple(methods))
+    rows = _sweep(points, distribution, trials, seed)
     t_norm = float(np.linalg.norm(points[0][1].ground_truth.translation)) if points else 0.0
     return StabilityReport(tuple(rows), trials, t_norm)

@@ -11,10 +11,16 @@ how much it decouples:
   quaternions exactly, as the eigenvector of a 4x4 symmetric matrix for
   its smallest eigenvalue (``np.linalg.eigh``), then solves translation
   the same way.
-* The nonlinear solver minimizes the full coupled objective (axis
-  alignment plus translation transfer plus a soft unit-norm penalty) over
-  all seven parameters simultaneously with Levenberg-Marquardt, starting
-  from the closed-form solution.
+* The nonlinear solver minimizes the full coupled objective over all
+  seven parameters simultaneously with Levenberg-Marquardt, starting from
+  the closed-form solution.
+
+The coupled objective is fixed: the axis-alignment and translation-transfer
+terms have unit weight, the unit-norm penalty weighs ``UNIT_PENALTY``
+(2e6), and translations are divided by the RMS motion-translation span of
+the constraint set.  The optimizer stops after ``MAX_ITERATIONS`` (200)
+iterations; a solution that stops there with a gradient norm above 1e-6
+is not converged.
 
 Each stacked linear least-squares system (the Tsai-Lenz axis system and
 the translation system of both direct methods) is decomposed once, by one
@@ -29,14 +35,14 @@ operation over the leading problem axis.  The Levenberg-Marquardt loop is
 masked: each problem keeps its own damping, acceptance and termination,
 and leaves the active set when it terminates.  A problem that a check
 rejects is not raised but recorded in ``SolutionBatch.errors``, with the
-exception the single-problem solver raises for it.  ``solve_batch`` runs
-any subset of the methods on one batch and shares the closed-form
+exception the single-problem solver raises for it.  ``solve_batch``
+always runs all three methods on one batch and shares the closed-form
 solution with the nonlinear start.  ``solve_tsai_lenz``,
-``solve_closed_form`` and ``solve_nonlinear`` run the same code on a batch
-of one and raise the recorded error.  Batching changes no arithmetic:
-every row passes through the same library kernels in the same memory
-layout, so a problem solved in a batch is bit-identical to the same
-problem solved alone.
+``solve_closed_form`` and ``solve_nonlinear`` run the same code on a
+batch of one and raise the recorded error.  Batching changes no
+arithmetic: every row passes through the same library kernels in the
+same memory layout, so a problem solved in a batch is bit-identical to
+the same problem solved alone.
 
 ``build_quadratic`` assembles the closed quadratic form of the coupled
 objective whose term count does not grow with the number of motions; it is
@@ -68,10 +74,14 @@ CONDITION_LIMIT = 1e8
 # Eigenvalue gap below which the minimizing quaternion is not unique.
 EIGENVALUE_GAP = 1e-9
 
-# Published defaults for the simultaneous objective.
-DEFAULT_AXIS_WEIGHT = 1.0
-DEFAULT_TRANSFER_WEIGHT = 1.0
-DEFAULT_UNIT_PENALTY = 2.0e6
+# Weight of the squared unit-norm violation in the simultaneous objective.
+UNIT_PENALTY = 2.0e6
+
+# Iteration cap of the Levenberg-Marquardt loop.
+MAX_ITERATIONS = 200
+
+# Row weight of the unit-norm residual, whose square is UNIT_PENALTY.
+_PENALTY_ROW = np.sqrt(UNIT_PENALTY)
 
 _CONJ = np.diag([1.0, -1.0, -1.0, -1.0])
 
@@ -442,19 +452,17 @@ class QuadraticObjective:
 
         q' rotation_quad q + t' translation_quad t + translation_linear . t
         + coupling (q_matrix(q)' w_matrix(q)) embed(t)
-        + unit_penalty (1 - q.q)^2
+        + UNIT_PENALTY (1 - q.q)^2
 
     which matches the directly summed objective at any unit quaternion
     whenever each constraint's camera rotation is the similarity image of
-    its hand rotation under q. Weights are already folded into the
-    coefficient blocks.
+    its hand rotation under q.
     """
 
     rotation_quad: np.ndarray      # 4x4 symmetric
     translation_quad: np.ndarray   # 3x3
     translation_linear: np.ndarray  # (3,)
     coupling: np.ndarray           # (4,), purely imaginary row
-    unit_penalty: float
 
     def __post_init__(self):
         if np.linalg.norm(self.rotation_quad - self.rotation_quad.T) > 1e-12:
@@ -469,51 +477,32 @@ class QuadraticObjective:
             + t @ self.translation_quad @ t
             + self.translation_linear @ t
             + self.coupling @ sandwich @ quat.embed(t)
-            + self.unit_penalty * (1.0 - q @ q) ** 2
+            + UNIT_PENALTY * (1.0 - q @ q) ** 2
         )
         return float(value)
 
 
-def build_quadratic(
-    constraints: ConstraintSet,
-    axis_weight: float = DEFAULT_AXIS_WEIGHT,
-    transfer_weight: float = DEFAULT_TRANSFER_WEIGHT,
-    unit_penalty: float = DEFAULT_UNIT_PENALTY,
-) -> QuadraticObjective:
+def build_quadratic(constraints: ConstraintSet) -> QuadraticObjective:
     """Assemble the constant-size quadratic form of the coupled objective."""
     cs = constraints
     rb, pp, p = cs.hand_rotation, cs.camera_translation, cs.hand_translation
     kmi = cs.camera_rotation - np.eye(3)
 
-    rot_quad = axis_weight * axis_alignment_matrix(cs)
     w_p = quat.w_matrix(quat.embed(p))
     q_pp = quat.q_matrix(quat.embed(pp))
     cross = np.einsum("nji,njk->ik", w_p, q_pp)
-    rot_quad = rot_quad + transfer_weight * (
+    rot_quad = axis_alignment_matrix(cs) + (
         float(np.sum(p * p) + np.sum(pp * pp)) * np.eye(4) - cross - cross.T
-    )
-    trans_quad = transfer_weight * np.einsum("nji,njk->ik", kmi, kmi)
-    trans_lin = transfer_weight * 2.0 * np.einsum("ni,nij->j", pp, kmi)
-    coupling = transfer_weight * (-2.0) * np.einsum(
-        "ni,nij->j", p, rb - np.eye(3)
     )
     return QuadraticObjective(
         rotation_quad=rot_quad,
-        translation_quad=trans_quad,
-        translation_linear=trans_lin,
-        coupling=quat.embed(coupling),
-        unit_penalty=unit_penalty,
+        translation_quad=np.einsum("nji,njk->ik", kmi, kmi),
+        translation_linear=2.0 * np.einsum("ni,nij->j", pp, kmi),
+        coupling=quat.embed(-2.0 * np.einsum("ni,nij->j", p, rb - np.eye(3))),
     )
 
 
-def objective_value(
-    constraints: ConstraintSet,
-    q,
-    t,
-    axis_weight: float = DEFAULT_AXIS_WEIGHT,
-    transfer_weight: float = DEFAULT_TRANSFER_WEIGHT,
-    unit_penalty: float = DEFAULT_UNIT_PENALTY,
-) -> float:
+def objective_value(constraints: ConstraintSet, q, t) -> float:
     """Directly summed simultaneous objective (no quadratic shortcut)."""
     cs = constraints
     k, vp, v = cs.camera_rotation, cs.camera_axis, cs.hand_axis
@@ -524,8 +513,7 @@ def objective_value(
     rotated_p = quat.rotate_vector(q, p)
     f1 = float(np.sum((vp - rotated_v) ** 2))
     f2 = float(np.sum((rotated_p - (k - np.eye(3)) @ t - pp) ** 2))
-    penalty = unit_penalty * (1.0 - float(q @ q)) ** 2
-    return axis_weight * f1 + transfer_weight * f2 + penalty
+    return f1 + f2 + UNIT_PENALTY * (1.0 - float(q @ q)) ** 2
 
 
 
@@ -542,13 +530,12 @@ class _LMProblem:
     stacked along the motion axis, (J, 2n, 4, 4), to share its calls.
     """
 
-    def __init__(self, arrays, weights):
-        self.arrays, self.weights = arrays, weights
+    def __init__(self, arrays):
+        self.arrays = arrays
         self.vp, self.v, self.kmi, self.pp, self.p, self.w_vp, self.qc_vp = arrays
-        self.sa, self.sb, self.sp = weights
 
     @classmethod
-    def build(cls, cs: ConstraintSet, axis_weight, transfer_weight, unit_penalty, scale):
+    def build(cls, cs: ConstraintSet, scale):
         v = cs.hand_axis
         p = cs.hand_translation / scale[:, None, None]
         vp_embedded = quat.embed(np.concatenate([v, p], axis=1))
@@ -561,10 +548,10 @@ class _LMProblem:
             quat.w_matrix(vp_embedded),
             quat.q_matrix(vp_embedded) @ _CONJ,
         )
-        return cls(arrays, tuple(np.sqrt([axis_weight, transfer_weight, unit_penalty])))
+        return cls(arrays)
 
     def take(self, rows) -> "_LMProblem":
-        return _LMProblem(tuple(a[rows] for a in self.arrays), self.weights)
+        return _LMProblem(tuple(a[rows] for a in self.arrays))
 
     def residuals(self, x: np.ndarray) -> np.ndarray:
         size, n = x.shape[0], self.v.shape[1]
@@ -572,10 +559,10 @@ class _LMProblem:
         sandwich = np.swapaxes(quat.w_matrix(q), -1, -2) @ quat.q_matrix(q)
         rot_t = np.swapaxes(sandwich[:, 1:, 1:], -1, -2)
         r = np.empty((size, 6 * n + 1))
-        r[:, : 3 * n] = (self.sa * (self.vp - self.v @ rot_t)).reshape(size, -1)
+        r[:, : 3 * n] = (self.vp - self.v @ rot_t).reshape(size, -1)
         moved = self.p @ rot_t - (self.kmi @ t[:, None, :, None])[..., 0] - self.pp
-        r[:, 3 * n : 6 * n] = (self.sb * moved).reshape(size, -1)
-        r[:, -1] = self.sp * (1.0 - quat.vdot(q, q))
+        r[:, 3 * n : 6 * n] = moved.reshape(size, -1)
+        r[:, -1] = _PENALTY_ROW * (1.0 - quat.vdot(q, q))
         return r
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
@@ -586,14 +573,14 @@ class _LMProblem:
         d = np.einsum("jab,jnbc->jnac", wq_t, self.w_vp)
         d += np.einsum("jab,jnbc->jnac", qq, self.qc_vp)
         jac = np.zeros((size, 6 * n + 1, 7))
-        jac[:, : 3 * n, :4] = (-self.sa * d[:, :n, 1:, :]).reshape(size, -1, 4)
-        jac[:, 3 * n : 6 * n, :4] = (self.sb * d[:, n:, 1:, :]).reshape(size, -1, 4)
-        jac[:, 3 * n : 6 * n, 4:] = (-self.sb * self.kmi).reshape(size, -1, 3)
-        jac[:, -1, :4] = -2.0 * self.sp * q
+        jac[:, : 3 * n, :4] = (-d[:, :n, 1:, :]).reshape(size, -1, 4)
+        jac[:, 3 * n : 6 * n, :4] = d[:, n:, 1:, :].reshape(size, -1, 4)
+        jac[:, 3 * n : 6 * n, 4:] = (-self.kmi).reshape(size, -1, 3)
+        jac[:, -1, :4] = -2.0 * _PENALTY_ROW * q
         return jac
 
 
-def _levenberg_marquardt(problem: _LMProblem, x, live, max_iterations):
+def _levenberg_marquardt(problem: _LMProblem, x, live):
     """Masked LM over problems ``live`` of ``x`` (updated in place).
 
     Returns (iterations, converged by step or decrease) for all rows of x.
@@ -615,7 +602,7 @@ def _levenberg_marquardt(problem: _LMProblem, x, live, max_iterations):
     count = np.zeros(len(live), dtype=int)
     eye7 = np.eye(7)
     while True:
-        stop |= count >= max_iterations
+        stop |= count >= MAX_ITERATIONS
         if stop.any():
             x[live[stop]] = xs[stop]
             iterations[live[stop]] = count[stop]
@@ -662,31 +649,19 @@ def translation_span(constraints: ConstraintSet) -> float:
     return np.sqrt(0.5 * np.mean(squares, axis=-1))[()]
 
 
-def _nonlinear(
-    cs: ConstraintSet,
-    rotation: np.ndarray,
-    translation: np.ndarray,
-    fail: _Failures,
-    axis_weight: float = DEFAULT_AXIS_WEIGHT,
-    transfer_weight: float = DEFAULT_TRANSFER_WEIGHT,
-    unit_penalty: float = DEFAULT_UNIT_PENALTY,
-    max_iterations: int = 200,
-    translation_scale: float | None = None,
-) -> SolutionBatch:
-    """LM from the start rows (rotation, translation); problems that
-    ``fail`` already rejects keep their error and are not iterated."""
+def _nonlinear(cs: ConstraintSet, start: SolutionBatch) -> SolutionBatch:
+    """LM from the rows of ``start``; problems it already rejects keep
+    their error and are not iterated."""
     size, n = len(cs.camera_rotation), len(cs)
     if n < 2:
         return _rejected(Method.NONLINEAR, size, f"need at least 2 motions, got {n}")
-    if translation_scale is None:
-        scale = translation_span(cs)
-    else:
-        scale = np.full(size, float(translation_scale))
-    scale = np.where(scale <= 0.0, 1.0, scale)
-    problem = _LMProblem.build(cs, axis_weight, transfer_weight, unit_penalty, scale)
-    x = np.concatenate([rotation, translation / scale[:, None]], axis=1)
+    span = translation_span(cs)
+    scale = np.where(span <= 0.0, 1.0, span)
+    problem = _LMProblem.build(cs, scale)
+    fail = _Failures(start.errors)
+    x = np.concatenate([start.rotation, start.translation / scale[:, None]], axis=1)
     ok = np.flatnonzero(fail.ok)
-    iterations, converged = _levenberg_marquardt(problem, x, ok, max_iterations)
+    iterations, converged = _levenberg_marquardt(problem, x, ok)
 
     # Capped or stalled: converged after all if the gradient vanishes.
     stalled = ok[~converged[ok]]
@@ -706,31 +681,26 @@ def _nonlinear(
 
 
 def solve_nonlinear(
-    constraints: ConstraintSet,
-    init: HandEyeSolution | None = None,
-    axis_weight: float = DEFAULT_AXIS_WEIGHT,
-    transfer_weight: float = DEFAULT_TRANSFER_WEIGHT,
-    unit_penalty: float = DEFAULT_UNIT_PENALTY,
-    max_iterations: int = 200,
-    translation_scale: float | None = None,
+    constraints: ConstraintSet, init: HandEyeSolution | None = None
 ) -> HandEyeSolution:
     """Simultaneous rotation-translation estimate by Levenberg-Marquardt.
 
     Minimizes the coupled objective over 4 quaternion + 3 translation
-    parameters with an analytic Jacobian.  Damping starts at 1e-3 times
-    the largest diagonal of J'J and is multiplied by 10 on a rejected
-    step, divided by 10 on an accepted one.  Converged when the step norm
-    drops below 1e-12 or the relative objective decrease below 1e-14,
-    capped at ``max_iterations``.
+    parameters with an analytic Jacobian: the summed squared axis
+    alignment and translation transfer, both with unit weight, plus 2e6
+    (``UNIT_PENALTY``) times the squared unit-norm violation.  Damping
+    starts at 1e-3 times the largest diagonal of J'J and is multiplied by
+    10 on a rejected step, divided by 10 on an accepted one.  Converged
+    when the step norm drops below 1e-12 or the relative objective
+    decrease below 1e-14, capped at 200 iterations (``MAX_ITERATIONS``).
 
-    With the default unit weights, millimetre translations would make the
-    translation term drown out the axis term by several orders of
-    magnitude and actually degrade the rotation estimate.  The objective
-    is therefore evaluated with translations divided by
-    ``translation_scale``, which defaults to the RMS motion-translation
-    magnitude of the constraint set; the two terms then carry comparable
-    weight and the simultaneous estimate dominates the decoupled ones.
-    Pass ``translation_scale=1.0`` for the raw objective.
+    With unit weights, millimetre translations would make the translation
+    term drown out the axis term by several orders of magnitude and
+    actually degrade the rotation estimate.  The objective is therefore
+    evaluated with translations divided by the RMS motion-translation
+    magnitude of the constraint set (``translation_span``); the two terms
+    then carry comparable weight and the simultaneous estimate dominates
+    the decoupled ones.
 
     Degenerate constraint sets (non-unique rotation, or a translation
     stack beyond the condition limit) are rejected up front by the
@@ -751,10 +721,7 @@ def solve_nonlinear(
     start = _closed_form(cs)
     if init is not None:
         start = start._replace(rotation=init.rotation[None], translation=init.translation[None])
-    return _nonlinear(
-        cs, start.rotation, start.translation, _Failures(start.errors), axis_weight,
-        transfer_weight, unit_penalty, max_iterations, translation_scale,
-    ).solution()
+    return _nonlinear(cs, start).solution()
 
 
 SOLVERS = {
@@ -768,24 +735,18 @@ def solve(method: Method, constraints: ConstraintSet) -> HandEyeSolution:
     return SOLVERS[Method(method)](constraints)
 
 
-def solve_batch(
-    constraints: ConstraintSet, methods=tuple(Method)
-) -> dict[Method, SolutionBatch]:
-    """Every method of ``methods`` on a batch of problems (J, n, ...).
+def solve_batch(constraints: ConstraintSet) -> dict[Method, SolutionBatch]:
+    """All three methods, in ``Method`` order, on a batch of problems
+    (J, n, ...).
 
     The nonlinear solver starts from the closed-form batch, computed once.
     Problem j of each result is bit-identical to the single-problem solver
     on problem j, and a problem it would reject is recorded, not raised.
     """
     cs = constraints
-    out = {}
-    if Method.TSAI_LENZ in methods:
-        out[Method.TSAI_LENZ] = _tsai_lenz(cs)
-    if Method.CLOSED_FORM in methods or Method.NONLINEAR in methods:
-        start = _closed_form(cs)
-        out[Method.CLOSED_FORM] = start
-        if Method.NONLINEAR in methods:
-            out[Method.NONLINEAR] = _nonlinear(
-                cs, start.rotation, start.translation, _Failures(start.errors)
-            )
-    return {Method(m): out[Method(m)] for m in methods}
+    start = _closed_form(cs)
+    return {
+        Method.TSAI_LENZ: _tsai_lenz(cs),
+        Method.CLOSED_FORM: start,
+        Method.NONLINEAR: _nonlinear(cs, start),
+    }

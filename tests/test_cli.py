@@ -11,12 +11,15 @@ from handeye.cli import (
     CSV_HEADER,
     EXIT_DEGENERATE,
     EXIT_FLAGS,
+    EXIT_IO,
+    EXIT_NO_CONVERGENCE,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_SCHEMA,
     main,
     report_csv,
 )
+from handeye import solvers
 from handeye.datafiles import Dataset, load_solution, save_dataset, synthetic_dataset
 from handeye.simulate import Formulation
 
@@ -121,15 +124,21 @@ def test_residuals_malformed_solution(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "command, key, index",
+    "command, key, index, value",
     [
-        ("calibrate", "hand_poses", (1, 0, 3)),
-        ("calibrate", "hand_poses", (1, 0, 0)),
-        ("residuals", "quaternion_wxyz", (0,)),
+        ("calibrate", "hand_poses", (1, 0, 3), float("nan")),
+        ("calibrate", "hand_poses", (1, 0, 0), float("nan")),
+        ("residuals", "quaternion_wxyz", (0,), float("nan")),
+        # a 400-digit YAML integer loads as a Python int no float can hold
+        ("calibrate", "hand_poses", (1, 0, 3), 10**400),
+        ("residuals", "quaternion_wxyz", (0,), 10**400),
     ],
-    ids=["hand-translation", "hand-rotation", "solution-quaternion"],
+    ids=[
+        "hand-translation", "hand-rotation", "solution-quaternion",
+        "hand-translation-oversized-integer", "solution-quaternion-oversized-integer",
+    ],
 )
-def test_non_finite_entry_is_schema_error(tmp_path, command, key, index):
+def test_non_finite_entry_is_schema_error(tmp_path, capsys, command, key, index, value):
     ds = tmp_path / "ds.yaml"
     sol = tmp_path / "sol.yaml"
     assert main(["generate", str(ds)]) == EXIT_OK
@@ -139,10 +148,50 @@ def test_non_finite_entry_is_schema_error(tmp_path, command, key, index):
     entry = doc[key]
     for i in index[:-1]:
         entry = entry[i]
-    entry[index[-1]] = float("nan")
+    entry[index[-1]] = value
     target.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    capsys.readouterr()
     args = [command, str(ds)] + ([str(sol)] if command == "residuals" else [])
     assert main(args) == EXIT_SCHEMA
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_calibrate_capped_optimizer_exits_4(tmp_path, capsys, monkeypatch):
+    ds = tmp_path / "ds.yaml"
+    argv = ["generate", "--motions", "4", "--seed", "3", "--noise-level", "0.05", str(ds)]
+    assert main(argv) == EXIT_OK
+    monkeypatch.setattr(solvers, "MAX_ITERATIONS", 1)
+    capsys.readouterr()
+    assert main(["calibrate", str(ds), "--method", "nonlinear"]) == EXIT_NO_CONVERGENCE
+    captured = capsys.readouterr()
+    assert "iterations:           1\n" in captured.out
+    assert captured.err == "warning: optimizer hit its iteration cap before converging\n"
+
+
+def test_calibrate_output_into_missing_directory_exits_5(tmp_path, capsys):
+    ds = tmp_path / "ds.yaml"
+    assert main(["generate", str(ds)]) == EXIT_OK
+    capsys.readouterr()
+    out = tmp_path / "missing" / "sol.yaml"
+    assert main(["calibrate", str(ds), "--output", str(out)]) == EXIT_IO
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(out) in err[0]
+
+
+@pytest.mark.parametrize("command", ["calibrate", "residuals"])
+def test_nonexistent_date_is_parse_error(tmp_path, capsys, command):
+    # YAML reads 2001-13-45 as a timestamp, and constructing it fails
+    ds = tmp_path / "ds.yaml"
+    sol = tmp_path / "sol.yaml"
+    assert main(["generate", str(ds)]) == EXIT_OK
+    assert main(["calibrate", str(ds), "--output", str(sol)]) == EXIT_OK
+    target = ds if command == "calibrate" else sol
+    target.write_text(target.read_text(encoding="utf-8") + "when: 2001-13-45\n", encoding="utf-8")
+    capsys.readouterr()
+    args = [command, str(ds)] + ([str(sol)] if command == "residuals" else [])
+    assert main(args) == EXIT_PARSE
+    assert capsys.readouterr().err == f"error: {target}: month must be in 1..12\n"
 
 
 @pytest.mark.parametrize("command", ["calibrate", "residuals"])

@@ -22,6 +22,7 @@ from handeye.simulate import Distribution, Formulation, NoiseModel, NoiseTargets
 from conftest import random_motion
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+HUGE = 10**400  # a YAML integer no float can hold
 
 
 def _truth_of(dataset):
@@ -200,11 +201,49 @@ def test_solution_document_schema_errors(tmp_path):
         load_solution(path)
 
 
+def _solution_doc(tmp_path):
+    path = tmp_path / "sol.yaml"
+    dataset = synthetic_dataset(3, 0, Formulation.CLASSICAL)
+    save_solution(he.solve_closed_form(dataset.constraints()), path)
+    return path, yaml.safe_load(path.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("quaternion_wxyz", [True, 0, 0, 0], "quaternion_wxyz: entry True is not a number"),
+        ("quaternion_wxyz", ["1.0", 0, 0, 0], "quaternion_wxyz: entry '1.0' is not a number"),
+        ("quaternion_wxyz", [HUGE, 0, 0, 0], "quaternion_wxyz: int too large to convert to float"),
+        ("translation_mm", [0.0, False, 0.0], "translation_mm: entry False is not a number"),
+        ("rotation_residual", True, "rotation_residual: entry True is not a number"),
+        ("translation_residual", "0.5", "translation_residual: entry '0.5' is not a number"),
+        ("translation_residual", [0.5], "translation_residual: entry [0.5] is not a number"),
+    ],
+)
+def test_solution_entries_must_be_numbers(tmp_path, key, value, message):
+    # numpy and float() would read a boolean or a numeric string as a number
+    path, doc = _solution_doc(tmp_path)
+    doc[key] = value
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    with pytest.raises(SchemaError) as err:
+        load_solution(path)
+    assert str(err.value) == f"{path}: {message}"
+
+
+def test_solution_iterations_and_converged_flag_still_load(tmp_path):
+    path, doc = _solution_doc(tmp_path)
+    doc["iterations"], doc["converged"] = True, True
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    solution = load_solution(path)
+    assert (solution.iterations, solution.converged) == (1, True)
+
+
 # ---------------------------------------------------------------------------
 # stacked validation: the first bad entry is named with the per-entry message
 
 _POSE = [[1.0, 0.0, 0.0, 5.0], [0.0, 1.0, 0.0, 6.0], [0.0, 0.0, 1.0, 7.0], [0.0, 0.0, 0.0, 1.0]]
 _RAGGED = re.escape("not a numeric matrix (") + ".*inhomogeneous.*"
+_OVERFLOW = re.escape("not a numeric matrix (int too large to convert to float)")
 
 # case: (replacement for an entry, the message after the entry's name, as a regex)
 _POSE_CASES = {
@@ -222,6 +261,7 @@ _POSE_CASES = {
         [_POSE[0], _POSE[1], [0.0, 0.0, "1.0", 7.0], _POSE[3]],
         re.escape("entry '1.0' is not a number"),
     ),
+    "oversized-integer": ([_POSE[0], [0.0, 1.0, 0.0, HUGE], _POSE[2], _POSE[3]], _OVERFLOW),
     "bottom-row": (
         _POSE[:3] + [[0.0, 0.0, 1e-6, 1.0]],
         re.escape("bottom row [0.0, 0.0, 1e-06, 1.0] is not (0, 0, 0, 1)"),
@@ -248,6 +288,7 @@ _PROJECTION_CASES = {
         [_PROJECTION[0], _PROJECTION[1], [0.0, 0.0, True, 30.0]],
         re.escape("entry True is not a number"),
     ),
+    "oversized-integer": ([[HUGE, 0.0, 320.0, 10.0]] + _PROJECTION[1:], _OVERFLOW),
 }
 
 

@@ -10,11 +10,18 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from handeye import simulate as sim
-from handeye.datafiles import load_dataset, save_dataset, synthetic_dataset
+from handeye.datafiles import (
+    load_dataset,
+    load_solution,
+    save_dataset,
+    save_solution,
+    synthetic_dataset,
+)
 from handeye.errors import CalibrationError
 from handeye.geometry import ConstraintSet, orthonormalize, perspective_constraints
 from handeye.simulate import Distribution, Formulation, NoiseModel, NoiseTargets
@@ -145,3 +152,70 @@ def test_scaling_perspective_matrices_keeps_the_solution(n, seed, factors):
         tol = 1e-8 if method is Method.NONLINEAR else 1e-12
         assert np.max(np.abs(after.rotation - before.rotation)) <= tol
         assert _relative(after.translation, before.translation) <= max(tol, 1e-9)
+
+
+def _valid_documents():
+    """(YAML text, loader) of a valid dataset of each formulation and of a
+    valid solution document."""
+    documents = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.yaml"
+        for formulation in Formulation:
+            dataset = synthetic_dataset(3, 0, formulation)
+            save_dataset(dataset, path)
+            documents.append((path.read_text(encoding="utf-8"), load_dataset))
+        save_solution(SOLVERS[Method.NONLINEAR](dataset.constraints()), path)
+        documents.append((path.read_text(encoding="utf-8"), load_solution))
+    return documents
+
+
+_DOCUMENTS = _valid_documents()
+
+
+def _node_paths(node, path=()):
+    """The key path of every node of a parsed document, the root first."""
+    yield path
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _node_paths(child, path + (key,))
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+wrong_nodes = st.one_of(
+    st.booleans(),
+    st.none(),
+    st.text(max_size=6),
+    st.lists(st.lists(st.integers(-2, 2), max_size=3), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(-2, 2), max_size=2),
+    st.just(float("nan")),
+    # beyond the float range
+    st.integers(2**1024, 2**1100).flatmap(lambda m: st.sampled_from([m, -m])),
+)
+
+
+@PROPERTY
+@given(st.sampled_from(_DOCUMENTS), st.data(), wrong_nodes)
+def test_any_document_loads_or_raises_a_calibration_error(document, data, wrong):
+    text, load = document
+    doc = yaml.safe_load(text)
+    doc = _replaced(doc, data.draw(st.sampled_from(list(_node_paths(doc)))), wrong)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.yaml"
+        path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # two positions
+            try:
+                loaded = load(path)
+                if load is load_dataset:
+                    loaded.constraints()
+            except CalibrationError:
+                pass

@@ -281,16 +281,6 @@ def test_noise_sweep_deterministic():
     assert first == second
 
 
-def test_noise_sweep_methods_see_identical_data():
-    # dropping methods must not change the remaining rows
-    scenario = default_scenario(2, seed=2)
-    noise = NoiseModel(Distribution.GAUSSIAN, 0.05, NoiseTargets.ROTATION_AND_TRANSLATION, 3)
-    full = noise_sweep(scenario, [0.05], noise, trials=25)
-    only_tsai = noise_sweep(scenario, [0.05], noise, trials=25, methods=[Method.TSAI_LENZ])
-    tsai_row = [r for r in full.rows if r.method is Method.TSAI_LENZ][0]
-    assert tsai_row == only_tsai.rows[0]
-
-
 def test_noise_sweep_nonlinear_leads_at_high_noise():
     scenario = default_scenario(2, seed=0)
     noise = NoiseModel(Distribution.GAUSSIAN, 0.0, NoiseTargets.ROTATION_AND_TRANSLATION, 0)
