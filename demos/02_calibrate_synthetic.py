@@ -10,7 +10,7 @@ Run:  python demos/02_calibrate_synthetic.py
 import numpy as np
 
 from handeye import quaternion as quat
-from handeye.simulate import Distribution, default_scenario, trial_constraints, _generator
+from handeye.simulate import Distribution, default_scenario, trial_constraints
 from handeye.solvers import solve_closed_form, solve_nonlinear, solve_tsai_lenz
 
 np.set_printoptions(precision=4, suppress=True)
@@ -22,7 +22,7 @@ print("true translation (mm):     ", truth.translation)
 
 for label, rot_noise, trans_noise in (("noise-free", 0.0, 0.0), ("2% noise", 0.02, 0.02)):
     constraints = trial_constraints(
-        scenario, Distribution.GAUSSIAN, rot_noise, trans_noise, _generator(99, 0, 0)
+        scenario, Distribution.GAUSSIAN, rot_noise, trans_noise, np.random.default_rng(99)
     )
     print(f"\n--- {label} ({len(constraints)} motions) ---")
     print(f"{'method':12s} {'rot err':>10s} {'tr err %':>10s} {'rot metric':>12s} "

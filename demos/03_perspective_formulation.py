@@ -16,7 +16,6 @@ from handeye.geometry import (
     RigidMotion,
     classical_constraints,
     compose,
-    invert,
     line_of_sight,
     perspective_constraints,
     project_point,
@@ -30,23 +29,14 @@ SEED = 21
 classical = default_scenario(4, SEED)  # camera poses, a (5, 4, 4) stack
 persp = perspective_scenario(4, SEED)  # same poses times one intrinsic block, (5, 3, 4)
 
-# Rebuild the (5, 4, 4) stack of absolute hand poses from the scenario's
-# noise-free hand motions (gauge: first = identity).  Classical motions
-# chain consecutive positions; perspective ones all start at position 1.
-def hand_poses_for(scenario, first_referenced):
-    rotation, translation = scenario.motion_arrays  # (n, 2, ...), hand motion second
-    poses = [RigidMotion.identity()]
-    for r, t in zip(rotation[:, 1], translation[:, 1]):
-        anchor = poses[0] if first_referenced else poses[-1]
-        poses.append(compose(anchor, invert(RigidMotion(r, t))))
-    return np.stack([pose.matrix for pose in poses])
-
+# Each scenario integrates its noise-free motions back into (5, ...) stacks
+# of camera entries and absolute hand poses (gauge: first hand pose =
+# identity).  Classical motions chain consecutive positions; perspective
+# ones all start at position 1.
 classical_sol = solve_nonlinear(
-    classical_constraints(classical.camera_poses, hand_poses_for(classical, False))
+    classical_constraints(*classical.positions(*classical.motion_arrays))
 )
-persp_sol = solve_nonlinear(
-    perspective_constraints(persp.camera_poses, hand_poses_for(persp, True))
-)
+persp_sol = solve_nonlinear(perspective_constraints(*persp.positions(*persp.motion_arrays)))
 
 x_est = RigidMotion(classical_sol.rotation_matrix, classical_sol.translation)
 y_est = RigidMotion(persp_sol.rotation_matrix, persp_sol.translation)

@@ -19,13 +19,7 @@ import math
 import sys
 from pathlib import Path
 
-from .datafiles import (
-    load_dataset,
-    load_solution,
-    save_dataset,
-    save_solution,
-    synthetic_dataset,
-)
+from .datafiles import load_dataset, load_solution, save_dataset, save_solution
 from .errors import (
     CalibrationError,
     FlagError,
@@ -34,15 +28,17 @@ from .errors import (
 )
 from .quaternion import axis_angle
 from .simulate import (
+    COUNT_ROTATION_LEVEL,
+    COUNT_TRANSLATION_LEVEL,
+    SCENARIOS,
     Distribution,
     Formulation,
     NoiseModel,
     NoiseTargets,
     StabilityReport,
-    default_scenario,
     motion_count_sweep,
     noise_sweep,
-    perspective_scenario,
+    synthetic_dataset,
 )
 from .solvers import Method, report_residuals, solve
 
@@ -238,31 +234,21 @@ def _cmd_residuals(args) -> int:
 
 
 def _simulate_one(args, distribution: Distribution, targets: NoiseTargets) -> str:
+    build = SCENARIOS[Formulation(args.formulation)]
     if args.motions is not None:
-        counts = _parse_counts(args.motions)
-        if Formulation(args.formulation) == Formulation.CLASSICAL:
-            family = lambda n: default_scenario(n, args.seed)  # noqa: E731
-        else:
-            family = lambda n: perspective_scenario(n, args.seed)  # noqa: E731
-        trans_level = 0.02 if targets == NoiseTargets.ROTATION_AND_TRANSLATION else 0.0
         report = motion_count_sweep(
-            family,
-            counts,
-            rot_level=0.06,
-            trans_level=trans_level,
+            lambda n: build(n, args.seed),
+            _parse_counts(args.motions),
+            rot_level=COUNT_ROTATION_LEVEL,
+            trans_level=targets.translation_level(COUNT_TRANSLATION_LEVEL),
             trials=args.trials,
             distribution=distribution,
             seed=args.seed,
         )
     else:
         levels = _parse_levels(args.levels) if args.levels is not None else list(DEFAULT_LEVELS)
-        scenario = (
-            default_scenario(2, args.seed)
-            if Formulation(args.formulation) == Formulation.CLASSICAL
-            else perspective_scenario(2, args.seed)
-        )
         noise = NoiseModel(distribution=distribution, targets=targets, seed=args.seed)
-        report = noise_sweep(scenario, levels, noise, args.trials)
+        report = noise_sweep(build(2, args.seed), levels, noise, args.trials)
     return report_csv(report)
 
 

@@ -1,4 +1,7 @@
-"""YAML dataset and solution documents.
+"""YAML dataset and solution documents: reading, validating and writing.
+
+This module only turns documents into arrays and back; synthetic datasets
+are built in ``simulate`` (``simulate.synthetic_dataset``).
 
 A dataset file is one YAML mapping::
 
@@ -37,7 +40,8 @@ A file that is not valid UTF-8, or holds a date that does not exist
 A solution document records one estimate in every common parametrization
 (quaternion, matrix, axis-angle) plus the two residual metrics; loading
 one rejects a quaternion, translation or residual entry that is not a
-finite YAML number.
+finite YAML number, an ``iterations`` that is not a YAML integer >= 0 (a
+boolean reads as 0 or 1), and a ``converged`` that is not a YAML boolean.
 """
 
 from __future__ import annotations
@@ -51,27 +55,16 @@ import yaml
 
 from .errors import ParseError, SchemaError, SingularProjectionError
 from .geometry import (
+    MIN_BLOCK_DETERMINANT,
     ConstraintSet,
+    Formulation,
     PerspectiveMatrix,
-    _compose,
     _homogeneous,
-    _invert,
     classical_constraints,
     orthonormalize,
     perspective_constraints,
 )
 from .quaternion import axis_angle
-from .simulate import (
-    Formulation,
-    NoiseModel,
-    NoiseTargets,
-    _draw_counts,
-    _generator,
-    _perturbed,
-    default_scenario,
-    perspective_scenario,
-    random_intrinsics,
-)
 from .solvers import HandEyeSolution, Method
 
 _EXTRINSIC_ROTATION_TOL = 1e-6
@@ -168,7 +161,7 @@ def _perspective_matrices(raw: list, what: str) -> np.ndarray:
     """The 3x4 matrices of a list as one (n, 3, 4) array, checked as one
     stack."""
     m = _stack(raw, 3)
-    if m is None or (np.abs(np.linalg.det(m[:, :, :3])) <= 1e-12).any():
+    if m is None or (np.abs(np.linalg.det(m[:, :, :3])) <= MIN_BLOCK_DETERMINANT).any():
         # One entry at a time, so the first bad entry raises with its index.
         for i, entry in enumerate(raw):
             name = f"{what}[{i}]"
@@ -261,10 +254,6 @@ def load_dataset(path) -> Dataset:
     return Dataset(formulation, hand_poses, camera_extrinsics, perspective_matrices, metadata)
 
 
-def _listify(m: np.ndarray):
-    return [[float(x) for x in row] for row in np.atleast_2d(m)]
-
-
 def _dump(doc: dict, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         yaml.dump(doc, fh, Dumper=_DUMPER, sort_keys=False, default_flow_style=None)
@@ -272,11 +261,11 @@ def _dump(doc: dict, path) -> None:
 
 def save_dataset(dataset: Dataset, path) -> None:
     doc: dict = {"formulation": dataset.formulation.value}
-    doc["hand_poses"] = [_listify(p) for p in dataset.hand_poses]
+    doc["hand_poses"] = dataset.hand_poses.tolist()
     if dataset.camera_extrinsics is not None:
-        doc["camera_extrinsics"] = [_listify(p) for p in dataset.camera_extrinsics]
+        doc["camera_extrinsics"] = dataset.camera_extrinsics.tolist()
     if dataset.perspective_matrices is not None:
-        doc["perspective_matrices"] = [_listify(m) for m in dataset.perspective_matrices]
+        doc["perspective_matrices"] = dataset.perspective_matrices.tolist()
     if dataset.metadata:
         doc["metadata"] = dataset.metadata
     _dump(doc, path)
@@ -286,11 +275,11 @@ def save_solution(solution: HandEyeSolution, path) -> None:
     axis, angle = axis_angle(solution.rotation)
     doc = {
         "method": solution.method.value,
-        "quaternion_wxyz": [float(x) for x in solution.rotation],
-        "rotation_matrix": _listify(solution.rotation_matrix),
-        "axis": [float(x) for x in axis],
+        "quaternion_wxyz": solution.rotation.tolist(),
+        "rotation_matrix": solution.rotation_matrix.tolist(),
+        "axis": axis.tolist(),
         "angle_rad": float(angle),
-        "translation_mm": [float(x) for x in solution.translation],
+        "translation_mm": solution.translation.tolist(),
         "rotation_residual": float(solution.rotation_residual),
         "translation_residual": float(solution.translation_residual),
         "iterations": int(solution.iterations),
@@ -319,8 +308,6 @@ def load_solution(path) -> HandEyeSolution:
             float(_numbers([doc[key]], key, path)[0])
             for key in ("rotation_residual", "translation_residual")
         )
-        iterations = int(doc.get("iterations", 0))
-        converged = bool(doc.get("converged", True))
     except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise SchemaError(f"{path}: {err!r}") from err
     if q.shape != (4,) or t.shape != (3,):
@@ -330,81 +317,10 @@ def load_solution(path) -> HandEyeSolution:
     norm = np.linalg.norm(q)
     if abs(norm - 1.0) > 1e-6:
         raise SchemaError(f"{path}: quaternion norm {norm:.6f} is not 1")
-    return HandEyeSolution(q / norm, t, rot_res, tr_res, method, iterations, converged)
-
-
-# ---------------------------------------------------------------------------
-# synthetic datasets
-
-def synthetic_dataset(
-    n: int, seed: int, formulation: Formulation, noise: NoiseModel | None = None
-) -> Dataset:
-    """Schema-valid dataset with its ground truth recorded in metadata.
-
-    Builds the default random scenario for ``n`` motions, optionally
-    perturbs the relative motions (the camera motions' draws first, then
-    the hand motions'), and integrates them back into absolute poses
-    (first hand pose pinned at the identity; the solvers only see
-    relative motions, so that gauge is free).
-    """
-    scenario = (
-        default_scenario(n, seed)
-        if formulation == Formulation.CLASSICAL
-        else perspective_scenario(n, seed)
-    )
-    rotation, translation = scenario.motion_arrays
-    if noise is not None and noise.level > 0:
-        rng = _generator(noise.seed, 2)
-        scale = scenario.nominal_translation
-        trans_level = (
-            noise.level if noise.targets == NoiseTargets.ROTATION_AND_TRANSLATION else 0.0
-        )
-        k = sum(_draw_counts(noise.distribution, noise.level, trans_level, scale))
-        draws = rng.random(2 * n * k).reshape(2, n, k).swapaxes(0, 1)
-        rotation, translation = _perturbed(
-            rotation, translation, noise.distribution, noise.level, trans_level, scale, draws
-        )
-    ra, ta = rotation[:, 0], translation[:, 0]  # camera motions
-    rb, tb = rotation[:, 1], translation[:, 1]  # hand motions
-
-    truth = scenario.ground_truth
-    metadata = {
-        "ground_truth": {
-            "rotation_matrix": _listify(truth.rotation),
-            "translation_mm": [float(x) for x in truth.translation],
-        },
-        "generator": {
-            "motions": int(n),
-            "seed": int(seed),
-            "noise_level": float(noise.level) if noise else 0.0,
-            "noise_distribution": noise.distribution.value if noise else None,
-            "noise_targets": noise.targets.value if noise else None,
-        },
-    }
-
-    eye, zero = np.eye(3), np.zeros(3)
-    if formulation == Formulation.CLASSICAL:
-        # pose i + 1 = motion i o pose i, one position after the other
-        first = scenario.camera_poses[0]
-        camera = [(first[:3, :3], first[:3, 3])]
-        hand = [(eye, zero)]
-        for i in range(n):
-            camera.append(_compose(ra[i], ta[i], *camera[-1]))
-            hand.append(_compose(*hand[-1], *_invert(rb[i], tb[i])))
-        camera_poses = _homogeneous(*(np.stack(a) for a in zip(*camera)))
-        hand_poses = _homogeneous(*(np.stack(a) for a in zip(*hand)))
-        return Dataset(formulation, hand_poses, camera_extrinsics=camera_poses, metadata=metadata)
-
-    # Perspective: motions are referenced to position 1, and the matrices
-    # are rebuilt from the (possibly perturbed) camera poses with one
-    # intrinsic block.
-    intr = random_intrinsics(_generator(seed, 1))
-    first = default_scenario(n, seed).camera_poses[0]
-    camera = _compose(first[:3, :3], first[:3, 3], ra, ta)
-    hand = _compose(eye, zero, *_invert(rb, tb))
-    camera_poses = np.concatenate([first[None], _homogeneous(*camera)])
-    hand_poses = np.concatenate([np.eye(4)[None], _homogeneous(*hand)])
-    return Dataset(
-        formulation, hand_poses, perspective_matrices=intr.matrices(camera_poses),
-        metadata=metadata,
-    )
+    iterations, converged = doc.get("iterations", 0), doc.get("converged", True)
+    # A boolean is a YAML integer too, so iterations may read as 0 or 1.
+    if not isinstance(iterations, int) or iterations < 0:
+        raise SchemaError(f"{path}: iterations: entry {iterations!r} is not an integer >= 0")
+    if type(converged) is not bool:
+        raise SchemaError(f"{path}: converged: entry {converged!r} is not a boolean")
+    return HandEyeSolution(q / norm, t, rot_res, tr_res, method, int(iterations), converged)

@@ -25,6 +25,7 @@ non-finite entries.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from enum import Enum
 
 import numpy as np
 
@@ -45,11 +46,19 @@ _ROTATION_TOL = 1e-9
 # Rotations with a smaller angle have no usable axis.
 MIN_ROTATION_ANGLE = 1e-6
 
+# A perspective matrix's left 3x3 block is singular at or below this |det|.
+MIN_BLOCK_DETERMINANT = 1e-12
+
 # Farthest from orthonormal a matrix ``orthonormalize`` projects; farther
 # is wrong data, not noise.
 _MAX_PROJECTION_RESIDUAL = 0.5
 
 _EYE3 = np.eye(3)
+
+
+class Formulation(str, Enum):
+    CLASSICAL = "classical"
+    PERSPECTIVE = "perspective"
 
 
 def _first(values, bad):
@@ -139,7 +148,7 @@ class PerspectiveMatrix:
         v = np.asarray(self.offset, dtype=float)
         if n.shape != (3, 3) or v.shape != (3,):
             raise ValueError(f"bad perspective matrix blocks: {n.shape}, {v.shape}")
-        if abs(np.linalg.det(n)) <= 1e-12:
+        if abs(np.linalg.det(n)) <= MIN_BLOCK_DETERMINANT:
             raise SingularProjectionError(f"left 3x3 block determinant {np.linalg.det(n):.3e}")
         object.__setattr__(self, "linear", n)
         object.__setattr__(self, "offset", v)
@@ -382,7 +391,7 @@ def _reduced(m1, m2) -> tuple[np.ndarray, np.ndarray]:
     orthonormality residual exceeds 0.1 before projection.
     """
     n1, v1, n2, v2 = m1[:, :3], m1[:, 3], m2[..., :3], m2[..., 3]
-    if abs(np.linalg.det(n1)) <= 1e-12:
+    if abs(np.linalg.det(n1)) <= MIN_BLOCK_DETERMINANT:
         raise SingularProjectionError("first perspective matrix has a singular 3x3 block")
     k = np.linalg.solve(n1, n2)
     if (np.linalg.norm(np.swapaxes(k, -1, -2) @ k - np.eye(3), axis=(-2, -1)) > 0.1).any():

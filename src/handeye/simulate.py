@@ -1,4 +1,4 @@
-"""Monte-Carlo stability harness for the three solvers.
+"""Synthetic data: scenarios, Monte-Carlo stability sweeps, and datasets.
 
 A :class:`Scenario` fixes a ground-truth hand-eye transform and a stack
 of camera poses, (n + 1, 4, 4), or of raw perspective matrices,
@@ -15,6 +15,11 @@ components receive level times the nominal translation magnitude of the
 scenario (mean motion translation norm over both sides).  ``level`` is
 the full width of the uniform window and twice the standard deviation of
 the Gaussian.
+
+``synthetic_dataset`` builds one scenario (``SCENARIOS``), perturbs its
+motions from stream (seed, 2) and integrates them back into positions
+(:meth:`Scenario.positions`); a perspective dataset's matrices are then
+M0 [K | t], and no intrinsic or extrinsic parameter is made explicit.
 
 Reproducibility contract: all randomness comes from Philox (counter-based,
 64-bit) streams keyed by (seed, stream id); trial (i, j) of a sweep uses
@@ -40,10 +45,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import quaternion as quat
+from .datafiles import Dataset
 from .errors import CalibrationError, DegenerateRotationError, ZeroTranslationError
 from .geometry import (
     MIN_ROTATION_ANGLE,
     ConstraintSet,
+    Formulation,
     Intrinsics,
     RigidMotion,
     _compose,
@@ -69,6 +76,14 @@ _START_DISTANCE = (450.0, 650.0)
 _CENTER_STEP = (230.0, 390.0)
 _MOTION_ANGLE = (np.radians(20.0), np.radians(90.0))
 _MIN_AXIS_SEPARATION = np.radians(15.0)
+# Pin-hole intrinsics of perspective scenarios (pixels).
+_FOCAL_LENGTH = (900.0, 1600.0)
+_PRINCIPAL_POINT = (240.0, 520.0)
+
+# Noise of the motion-count study: the worst case of the noise study, 6 %
+# on rotation axes and 2 % on translations.
+COUNT_ROTATION_LEVEL = 0.06
+COUNT_TRANSLATION_LEVEL = 0.02
 
 # Trials of a sweep point solved together.  Bounds the memory of a sweep;
 # the rows do not depend on it.
@@ -84,10 +99,9 @@ class NoiseTargets(str, Enum):
     ROTATION = "rotation"
     ROTATION_AND_TRANSLATION = "rotation-translation"
 
-
-class Formulation(str, Enum):
-    CLASSICAL = "classical"
-    PERSPECTIVE = "perspective"
+    def translation_level(self, level: float) -> float:
+        """``level`` if these targets include translations, else 0."""
+        return level if self is NoiseTargets.ROTATION_AND_TRANSLATION else 0.0
 
 
 @dataclass(frozen=True)
@@ -142,6 +156,31 @@ class Scenario:
             *_invert(x.rotation, x.translation), *_compose(*camera, x.rotation, x.translation)
         )
         return np.stack([camera[0], hand[0]], axis=1), np.stack([camera[1], hand[1]], axis=1)
+
+    def positions(self, rotation: np.ndarray, translation: np.ndarray) -> tuple:
+        """Inverse of :attr:`motion_arrays`: the camera stack and the
+        (n + 1, 4, 4) hand stack of motions laid out like it.
+
+        The first camera entry is the scenario's and the first hand pose
+        the identity (a free gauge).  Classical motions chain consecutive
+        positions; perspective matrices are the first one composed with
+        each motion, M0 [K | t], which ``_reduced(M0, .)`` takes back.
+        """
+        first = self.camera_poses[0]
+        ra, ta = rotation[:, 0], translation[:, 0]  # camera motions
+        rb, tb = rotation[:, 1], translation[:, 1]  # hand motions
+        eye, zero = np.eye(3), np.zeros(3)
+        if self.formulation == Formulation.PERSPECTIVE:
+            camera = first @ _homogeneous(ra, ta)
+            hand = _homogeneous(*_compose(eye, zero, *_invert(rb, tb)))
+            return np.concatenate([first[None], camera]), np.concatenate([np.eye(4)[None], hand])
+        # pose i + 1 = motion i o pose i, one position after the other
+        camera = [(first[:3, :3], first[:3, 3])]
+        hand = [(eye, zero)]
+        for i in range(len(rotation)):
+            camera.append(_compose(ra[i], ta[i], *camera[-1]))
+            hand.append(_compose(*hand[-1], *_invert(rb[i], tb[i])))
+        return tuple(_homogeneous(*(np.stack(a) for a in zip(*side))) for side in (camera, hand))
 
     @cached_property
     def nominal_translation(self) -> float:
@@ -350,26 +389,27 @@ def default_scenario(n: int, seed: int) -> Scenario:
     return Scenario(truth, poses, Formulation.CLASSICAL)
 
 
-def random_intrinsics(rng: np.random.Generator) -> Intrinsics:
-    return Intrinsics(
-        focal_u=_uniform_in(rng, 900.0, 1600.0),
-        focal_v=_uniform_in(rng, 900.0, 1600.0),
-        center_u=_uniform_in(rng, 240.0, 520.0),
-        center_v=_uniform_in(rng, 240.0, 520.0),
-    )
-
-
 def perspective_scenario(n: int, seed: int) -> Scenario:
     """Perspective twin of ``default_scenario(n, seed)``.
 
     Camera poses are identical; each is composed with one random pin-hole
-    intrinsic block, and the ground truth becomes the first-pose-relative
-    transform the perspective formulation estimates.
+    intrinsic block drawn from stream (seed, 1): focal lengths 900-1600
+    and principal point 240-520 pixels.  The ground truth becomes the
+    first-pose-relative transform the perspective formulation estimates.
     """
     base = default_scenario(n, seed)
-    matrices = random_intrinsics(_generator(seed, 1)).matrices(base.camera_poses)
+    rng = _generator(seed, 1)
+    focal = [_uniform_in(rng, *_FOCAL_LENGTH) for _ in range(2)]
+    intrinsics = Intrinsics(*focal, *(_uniform_in(rng, *_PRINCIPAL_POINT) for _ in range(2)))
     truth = compose(invert(RigidMotion.from_matrix(base.camera_poses[0])), base.ground_truth)
-    return Scenario(truth, matrices, Formulation.PERSPECTIVE)
+    return Scenario(truth, intrinsics.matrices(base.camera_poses), Formulation.PERSPECTIVE)
+
+
+# The scenario builder of each formulation, called as builder(n, seed).
+SCENARIOS: dict[Formulation, Callable[[int, int], Scenario]] = {
+    Formulation.CLASSICAL: default_scenario,
+    Formulation.PERSPECTIVE: perspective_scenario,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -459,15 +499,7 @@ def noise_sweep(
     """
     if trials < 1:
         raise ValueError("at least one trial is required")
-    points = [
-        (
-            level,
-            scenario,
-            level,
-            level if noise.targets == NoiseTargets.ROTATION_AND_TRANSLATION else 0.0,
-        )
-        for level in levels
-    ]
+    points = [(level, scenario, level, noise.targets.translation_level(level)) for level in levels]
     rows = _sweep(points, noise.distribution, trials, noise.seed)
     t_norm = float(np.linalg.norm(scenario.ground_truth.translation))
     return StabilityReport(tuple(rows), trials, t_norm)
@@ -476,16 +508,17 @@ def noise_sweep(
 def motion_count_sweep(
     scenario_family: Callable[[int], Scenario],
     counts: Sequence[int],
-    rot_level: float = 0.06,
-    trans_level: float = 0.02,
+    rot_level: float = COUNT_ROTATION_LEVEL,
+    trans_level: float = COUNT_TRANSLATION_LEVEL,
     trials: int = 1000,
     distribution: Distribution = Distribution.GAUSSIAN,
     seed: int = 0,
 ) -> StabilityReport:
     """Error statistics versus the number of motions, at fixed noise.
 
-    Defaults follow the worst-case study design: Gaussian noise at 6% on
-    rotation axes and 2% on translations.
+    Defaults follow the worst-case study design: Gaussian noise, with
+    ``COUNT_ROTATION_LEVEL`` on rotation axes and ``COUNT_TRANSLATION_LEVEL``
+    on translations.
     """
     if trials < 1:
         raise ValueError("at least one trial is required")
@@ -493,3 +526,46 @@ def motion_count_sweep(
     rows = _sweep(points, distribution, trials, seed)
     t_norm = float(np.linalg.norm(points[0][1].ground_truth.translation)) if points else 0.0
     return StabilityReport(tuple(rows), trials, t_norm)
+
+
+# ---------------------------------------------------------------------------
+# synthetic datasets
+
+def synthetic_dataset(
+    n: int, seed: int, formulation: Formulation, noise: NoiseModel | None = None
+) -> Dataset:
+    """Schema-valid dataset with its ground truth recorded in metadata.
+
+    Builds the formulation's scenario for ``n`` motions once, optionally
+    perturbs its relative motions from stream (noise.seed, 2) (the camera
+    motions' draws first, then the hand motions'), and integrates them
+    back into absolute positions with :meth:`Scenario.positions`.
+    """
+    scenario = SCENARIOS[formulation](n, seed)
+    rotation, translation = scenario.motion_arrays
+    if noise is not None and noise.level > 0:
+        scale = scenario.nominal_translation
+        trans_level = noise.targets.translation_level(noise.level)
+        k = sum(_draw_counts(noise.distribution, noise.level, trans_level, scale))
+        draws = _generator(noise.seed, 2).random(2 * n * k).reshape(2, n, k).swapaxes(0, 1)
+        rotation, translation = _perturbed(
+            rotation, translation, noise.distribution, noise.level, trans_level, scale, draws
+        )
+    camera, hand = scenario.positions(rotation, translation)
+
+    truth = scenario.ground_truth
+    metadata = {
+        "ground_truth": {
+            "rotation_matrix": truth.rotation.tolist(),
+            "translation_mm": truth.translation.tolist(),
+        },
+        "generator": {
+            "motions": int(n),
+            "seed": int(seed),
+            "noise_level": float(noise.level) if noise else 0.0,
+            "noise_distribution": noise.distribution.value if noise else None,
+            "noise_targets": noise.targets.value if noise else None,
+        },
+    }
+    key = "camera_extrinsics" if formulation == Formulation.CLASSICAL else "perspective_matrices"
+    return Dataset(formulation, hand, metadata=metadata, **{key: camera})

@@ -20,8 +20,8 @@ from handeye.cli import (
     report_csv,
 )
 from handeye import solvers
-from handeye.datafiles import Dataset, load_solution, save_dataset, synthetic_dataset
-from handeye.simulate import Formulation
+from handeye.datafiles import Dataset, load_solution, save_dataset
+from handeye.simulate import Formulation, synthetic_dataset
 
 from conftest import random_motion
 

@@ -1,3 +1,4 @@
+import ast
 import re
 from pathlib import Path
 
@@ -13,16 +14,31 @@ from handeye.datafiles import (
     load_solution,
     save_dataset,
     save_solution,
-    synthetic_dataset,
 )
 from handeye.errors import ParseError, SchemaError, SingularProjectionError
 from handeye.geometry import RigidMotion, orthonormalize
-from handeye.simulate import Distribution, Formulation, NoiseModel, NoiseTargets
+from handeye.simulate import (
+    Distribution,
+    Formulation,
+    NoiseModel,
+    NoiseTargets,
+    synthetic_dataset,
+)
 
 from conftest import random_motion
 
-SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+ROOT = Path(__file__).resolve().parent.parent
+SAMPLES = ROOT / "samples"
 HUGE = 10**400  # a YAML integer no float can hold
+
+
+def test_datafiles_imports_nothing_from_simulate():
+    tree = ast.parse((ROOT / "src" / "handeye" / "datafiles.py").read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            module = getattr(node, "module", None) or ""
+            for alias in node.names:
+                assert "simulate" not in f"{module}.{alias.name}".split("."), ast.unparse(node)
 
 
 def _truth_of(dataset):
@@ -218,6 +234,12 @@ def _solution_doc(tmp_path):
         ("rotation_residual", True, "rotation_residual: entry True is not a number"),
         ("translation_residual", "0.5", "translation_residual: entry '0.5' is not a number"),
         ("translation_residual", [0.5], "translation_residual: entry [0.5] is not a number"),
+        ("iterations", -7.9, "iterations: entry -7.9 is not an integer >= 0"),
+        ("iterations", "3", "iterations: entry '3' is not an integer >= 0"),
+        ("iterations", -1, "iterations: entry -1 is not an integer >= 0"),
+        ("iterations", None, "iterations: entry None is not an integer >= 0"),
+        ("converged", "false", "converged: entry 'false' is not a boolean"),
+        ("converged", 1, "converged: entry 1 is not a boolean"),
     ],
 )
 def test_solution_entries_must_be_numbers(tmp_path, key, value, message):

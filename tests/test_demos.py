@@ -1,6 +1,7 @@
 """Every narrative script under demos/, and the README's library quick
-start, runs to completion."""
+start, runs to completion; the demos import only public names."""
 
+import ast
 import os
 import re
 import subprocess
@@ -24,6 +25,17 @@ def _run(args):
 def test_demo_exits_cleanly(demo):
     result = _run([str(demo)])
     assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
+def test_demo_imports_only_public_names(demo):
+    for node in ast.walk(ast.parse(demo.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            module = getattr(node, "module", None) or ""
+            for alias in node.names:
+                parts = f"{module}.{alias.name}".strip(".").split(".")
+                if parts[0] == "handeye":
+                    assert not any(p.startswith("_") for p in parts), ast.unparse(node)
 
 
 def test_readme_quick_start_runs():

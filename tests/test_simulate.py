@@ -1,10 +1,22 @@
+import ast
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import handeye.simulate as sim
 from handeye import quaternion as quat
 from handeye.errors import DegenerateRotationError, ZeroTranslationError
-from handeye.geometry import RigidMotion, compose, invert, rotation_angle, rotation_axis
+from handeye.geometry import (
+    RigidMotion,
+    classical_constraints,
+    compose,
+    invert,
+    perspective_constraints,
+    rotation_angle,
+    rotation_axis,
+)
 from handeye.simulate import (
     Distribution,
     Formulation,
@@ -16,6 +28,7 @@ from handeye.simulate import (
     motion_count_sweep,
     noise_sweep,
     perspective_scenario,
+    synthetic_dataset,
 )
 from handeye.solvers import SOLVERS, HandEyeSolution, Method, solve_closed_form
 
@@ -129,6 +142,52 @@ def test_perspective_scenario_equivalent_truth():
             motion = RigidMotion(rotation[i, 0], translation[i, 0])
             expected = compose(invert(first), _pose(classical.camera_poses[i + 1]))
             assert np.allclose(motion.matrix, expected.matrix, atol=1e-7)
+
+
+def test_no_module_imports_private_names_from_simulate():
+    for path in Path(sim.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("simulate"):
+                private = [a.name for a in node.names if a.name.startswith("_")]
+                assert not private, f"{path.name} imports {private}"
+
+
+@pytest.mark.parametrize(
+    "noise", [None, NoiseModel(Distribution.GAUSSIAN, 0.01, seed=3)], ids=["noise-free", "noisy"]
+)
+def test_perspective_dataset_builds_one_scenario(monkeypatch, noise):
+    calls = []
+
+    def counted(n, seed):
+        calls.append((n, seed))
+        return default_scenario(n, seed)
+
+    # every binding of the name, so a second scenario is counted wherever it is built
+    modules = [module for name, module in sys.modules.items() if name.startswith("handeye")]
+    for module in modules:
+        if getattr(module, "default_scenario", None) is default_scenario:
+            monkeypatch.setattr(module, "default_scenario", counted)
+    synthetic_dataset(4, 7, Formulation.PERSPECTIVE, noise)
+    assert calls == [(4, 7)]
+
+
+@pytest.mark.parametrize("formulation", list(Formulation))
+def test_positions_inverts_motion_arrays(formulation):
+    scenario = sim.SCENARIOS[formulation](5, 2)
+    rotation, translation = scenario.motion_arrays
+    camera, hand = scenario.positions(rotation, translation)
+    assert camera.shape == (6,) + scenario.camera_poses.shape[1:] and hand.shape == (6, 4, 4)
+    assert np.array_equal(camera[0], scenario.camera_poses[0])
+    assert np.array_equal(hand[0], np.eye(4))
+    assert np.allclose(camera, scenario.camera_poses, rtol=1e-12, atol=1e-9)
+    if formulation is Formulation.CLASSICAL:
+        cs = classical_constraints(camera, hand)
+    else:
+        cs = perspective_constraints(camera, hand)
+    assert np.allclose(cs.camera_rotation, rotation[:, 0], atol=1e-12)
+    assert np.allclose(cs.hand_rotation, rotation[:, 1], atol=1e-12)
+    assert np.allclose(cs.camera_translation, translation[:, 0], atol=1e-9)
+    assert np.allclose(cs.hand_translation, translation[:, 1], atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
