@@ -12,7 +12,7 @@ A dataset file is one YAML mapping::
       - [[...], [...], [...], [0.0, 0.0, 0.0, 1.0]]
     perspective_matrices:             # 3x4 row-major, perspective only
       - [[...], [...], [...]]
-    metadata: {}                      # optional free-form mapping
+    metadata: {}                      # optional mapping; absent or null is {}
 
 Exactly one of ``camera_extrinsics`` / ``perspective_matrices`` must be
 present and must match the formulation tag.  Lists must have equal length
@@ -25,10 +25,12 @@ have any nonzero scale.  Rotation blocks farther than 1e-6 from
 orthonormal are rejected; closer ones are polar-projected onto the
 rotation group, and the bottom row is set to exactly (0, 0, 0, 1).
 
-A :class:`Dataset` holds each pose list as one array: (n, 4, 4) poses and
-(n, 3, 4) perspective matrices.  Each list is validated as that stacked
-array; only when the stacked checks find a bad entry are the entries
-checked one at a time, so the error names the first bad index.
+A :class:`Dataset` holds the formulation tag and each list as one array.
+Each list gets one stacked check.  Only a list that does not parse as one
+finite array of numbers is parsed entry by entry, to name its first
+structurally bad entry, and the entries before that one are checked as a
+stack.  Either way the error names the first bad entry, with the message
+of its first failing check.
 
 YAML is read and written through libyaml's C scanner, parser and emitter
 when PyYAML was built with it (``yaml.CSafeLoader`` / ``CSafeDumper``),
@@ -40,8 +42,9 @@ A file that is not valid UTF-8, or holds a date that does not exist
 A solution document records one estimate in every common parametrization
 (quaternion, matrix, axis-angle) plus the two residual metrics; loading
 one rejects a quaternion, translation or residual entry that is not a
-finite YAML number, an ``iterations`` that is not a YAML integer >= 0 (a
-boolean reads as 0 or 1), and a ``converged`` that is not a YAML boolean.
+finite YAML number, a negative residual, an ``iterations`` that is not a
+YAML integer >= 0 (a boolean reads as 0 or 1), and a ``converged`` that is
+not a YAML boolean.
 """
 
 from __future__ import annotations
@@ -55,10 +58,11 @@ import yaml
 
 from .errors import ParseError, SchemaError, SingularProjectionError
 from .geometry import (
+    MAX_BOTTOM_ROW_DEVIATION,
     MIN_BLOCK_DETERMINANT,
     ConstraintSet,
     Formulation,
-    PerspectiveMatrix,
+    _bottom_row_deviation,
     _homogeneous,
     classical_constraints,
     orthonormalize,
@@ -68,8 +72,6 @@ from .quaternion import axis_angle
 from .solvers import HandEyeSolution, Method
 
 _EXTRINSIC_ROTATION_TOL = 1e-6
-_BOTTOM_ROW_TOL = 1e-9
-_BOTTOM_ROW = np.array([0.0, 0.0, 0.0, 1.0])
 _EYE3 = np.eye(3)
 # YAML scalar types of a numeric entry; numpy would also read a bool or a
 # numeric string as a float.
@@ -81,19 +83,19 @@ _DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 @dataclass
 class Dataset:
-    """In-memory form of a dataset file: (n, 4, 4) hand poses plus either
-    (n, 4, 4) camera extrinsics or (n, 3, 4) perspective matrices."""
+    """In-memory form of a dataset file: (n, 4, 4) hand poses, and the
+    camera side laid out like ``simulate.Scenario.camera_poses``: (n, 4, 4)
+    extrinsics (classical) or (n, 3, 4) perspective matrices (perspective)."""
 
     formulation: Formulation
     hand_poses: np.ndarray
-    camera_extrinsics: np.ndarray | None = None
-    perspective_matrices: np.ndarray | None = None
+    camera_poses: np.ndarray
     metadata: dict = field(default_factory=dict)
 
     def constraints(self) -> ConstraintSet:
         if self.formulation == Formulation.CLASSICAL:
-            return classical_constraints(self.camera_extrinsics, self.hand_poses)
-        return perspective_constraints(self.perspective_matrices, self.hand_poses)
+            return classical_constraints(self.camera_poses, self.hand_poses)
+        return perspective_constraints(self.camera_poses, self.hand_poses)
 
 
 def _matrix(entry, rows: int, what: str) -> np.ndarray:
@@ -111,65 +113,72 @@ def _matrix(entry, rows: int, what: str) -> np.ndarray:
     return m
 
 
-def _check_pose(entry, what: str) -> None:
-    """The checks of one 4x4 pose entry; raises the first that fails."""
-    m = _matrix(entry, 4, what)
-    if np.max(np.abs(m[3] - _BOTTOM_ROW)) > _BOTTOM_ROW_TOL:
-        raise SchemaError(f"{what}: bottom row {m[3].tolist()} is not (0, 0, 0, 1)")
-    r = m[:3, :3]
-    residual = np.linalg.norm(r.T @ r - _EYE3)
-    if residual > _EXTRINSIC_ROTATION_TOL or np.linalg.det(r) <= 0:
-        raise SchemaError(f"{what}: rotation block residual {residual:.3e} (or reflection)")
+def _stack(raw: list, rows: int, what: str) -> tuple[np.ndarray, SchemaError | None]:
+    """The entries of a list as one finite (k, rows, 4) array of numbers.
 
-
-def _stack(raw: list, rows: int) -> np.ndarray | None:
-    """The entries of a list as one finite (n, rows, 4) array of numbers,
-    or None."""
-    if not raw:
-        return np.empty((0, rows, 4))
+    k is the length of the list, or, when an entry is structurally bad
+    (ragged, not a number, non-finite), the index of the first such entry,
+    which is returned with its error.  Only then is the list parsed one
+    entry at a time.
+    """
     try:
         m = np.array(raw, dtype=float)
+        stacked = (
+            m.shape == (len(raw), rows, 4)
+            and np.isfinite(m).all()
+            and _NUMBERS.issuperset(map(type, chain.from_iterable(chain.from_iterable(raw))))
+        )
     except (TypeError, ValueError, OverflowError):
-        return None
-    if m.shape != (len(raw), rows, 4) or not np.isfinite(m).all():
-        return None
-    if not _NUMBERS.issuperset(map(type, chain.from_iterable(chain.from_iterable(raw)))):
-        return None
-    return m
+        stacked = False
+    if stacked:
+        return m, None
+    entries, error = [], None
+    for i, entry in enumerate(raw):
+        try:
+            entries.append(_matrix(entry, rows, f"{what}[{i}]"))
+        except SchemaError as err:
+            error = err
+            break
+    return np.reshape(entries, (-1, rows, 4)), error
 
 
 def _rigid_motions(raw: list, what: str) -> np.ndarray:
     """The poses of a list as one (n, 4, 4) array, checked and
     orthonormalized as one stack."""
-    m = _stack(raw, 4)
-    if m is not None:
-        r = m[:, :3, :3]
-        residual = np.linalg.norm(np.swapaxes(r, -1, -2) @ r - _EYE3, axis=(-2, -1))
-        ok = (
-            (np.max(np.abs(m[:, 3] - _BOTTOM_ROW), axis=-1) <= _BOTTOM_ROW_TOL)
-            & (residual <= _EXTRINSIC_ROTATION_TOL)
-            & (np.linalg.det(r) > 0)
-        )
-    if m is None or not ok.all():
-        # One entry at a time, so the first bad entry raises with its index.
-        for i, entry in enumerate(raw):
-            _check_pose(entry, f"{what}[{i}]")
+    m, error = _stack(raw, 4, what)
+    r = m[:, :3, :3]
+    residual = np.linalg.norm(np.swapaxes(r, -1, -2) @ r - _EYE3, axis=(-2, -1))
+    bad_row = _bottom_row_deviation(m) > MAX_BOTTOM_ROW_DEVIATION
+    bad = bad_row | (residual > _EXTRINSIC_ROTATION_TOL) | (np.linalg.det(r) <= 0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if bad_row[i]:
+            raise SchemaError(f"{what}[{i}]: bottom row {m[i, 3].tolist()} is not (0, 0, 0, 1)")
+        raise SchemaError(f"{what}[{i}]: rotation block residual {residual[i]:.3e} (or reflection)")
+    if error is not None:
+        raise error
     return _homogeneous(orthonormalize(r), m[:, :3, 3])
 
 
 def _perspective_matrices(raw: list, what: str) -> np.ndarray:
     """The 3x4 matrices of a list as one (n, 3, 4) array, checked as one
     stack."""
-    m = _stack(raw, 3)
-    if m is None or (np.abs(np.linalg.det(m[:, :, :3])) <= MIN_BLOCK_DETERMINANT).any():
-        # One entry at a time, so the first bad entry raises with its index.
-        for i, entry in enumerate(raw):
-            name = f"{what}[{i}]"
-            try:
-                PerspectiveMatrix.from_matrix(_matrix(entry, 3, name))
-            except SingularProjectionError as err:
-                raise SingularProjectionError(f"{name}: {err}") from None
+    m, error = _stack(raw, 3, what)
+    det = np.linalg.det(m[:, :, :3])
+    bad = np.abs(det) <= MIN_BLOCK_DETERMINANT
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise SingularProjectionError(f"{what}[{i}]: left 3x3 block determinant {det[i]:.3e}")
+    if error is not None:
+        raise error
     return m
+
+
+# The document key and the stacked check of each formulation's camera list.
+_CAMERA = {
+    Formulation.CLASSICAL: ("camera_extrinsics", _rigid_motions),
+    Formulation.PERSPECTIVE: ("perspective_matrices", _perspective_matrices),
+}
 
 
 def _load_yaml(path) -> dict:
@@ -192,13 +201,9 @@ def load_dataset(path) -> Dataset:
             f"formulation: expected one of {[f.value for f in Formulation]}, "
             f"got {doc.get('formulation')!r}"
         ) from None
-    unknown = set(doc) - {
-        "formulation",
-        "hand_poses",
-        "camera_extrinsics",
-        "perspective_matrices",
-        "metadata",
-    }
+    key, check = _CAMERA[formulation]
+    keys = [k for k, _ in _CAMERA.values()]
+    unknown = set(doc) - {"formulation", "hand_poses", "metadata", *keys}
     if unknown:
         raise SchemaError(f"unknown keys: {sorted(unknown)}")
 
@@ -207,37 +212,22 @@ def load_dataset(path) -> Dataset:
         raise SchemaError("hand_poses: missing or not a list")
     hand_poses = _rigid_motions(hand_raw, "hand_poses")
 
-    has_extr = "camera_extrinsics" in doc
-    has_persp = "perspective_matrices" in doc
-    if has_extr == has_persp:
+    present = [k for k in keys if k in doc]
+    if len(present) != 1:
+        raise SchemaError(f"exactly one of {' / '.join(keys)} must be present")
+    if present != [key]:
         raise SchemaError(
-            "exactly one of camera_extrinsics / perspective_matrices must be present"
+            f"formulation {formulation.value!r} does not match the payload ({present[0]})"
         )
-    expected = Formulation.CLASSICAL if has_extr else Formulation.PERSPECTIVE
-    if formulation != expected:
-        raise SchemaError(
-            f"formulation {formulation.value!r} does not match the payload "
-            f"({'camera_extrinsics' if has_extr else 'perspective_matrices'})"
-        )
+    raw = doc[key]
+    if not isinstance(raw, list):
+        raise SchemaError(f"{key}: not a list")
+    camera_poses = check(raw, key)
 
-    camera_extrinsics = None
-    perspective_matrices = None
-    if has_extr:
-        raw = doc["camera_extrinsics"]
-        if not isinstance(raw, list):
-            raise SchemaError("camera_extrinsics: not a list")
-        camera_extrinsics = _rigid_motions(raw, "camera_extrinsics")
-        n_camera = len(camera_extrinsics)
-    else:
-        raw = doc["perspective_matrices"]
-        if not isinstance(raw, list):
-            raise SchemaError("perspective_matrices: not a list")
-        perspective_matrices = _perspective_matrices(raw, "perspective_matrices")
-        n_camera = len(perspective_matrices)
-
-    if n_camera != len(hand_poses):
+    if len(camera_poses) != len(hand_poses):
         raise SchemaError(
-            f"list lengths differ: {n_camera} camera entries, {len(hand_poses)} hand_poses"
+            f"list lengths differ: {len(camera_poses)} camera entries, "
+            f"{len(hand_poses)} hand_poses"
         )
     if len(hand_poses) < 2:
         raise SchemaError(f"need at least 2 positions, got {len(hand_poses)}")
@@ -248,10 +238,10 @@ def load_dataset(path) -> Dataset:
             stacklevel=2,
         )
 
-    metadata = doc.get("metadata") or {}
+    metadata = {} if doc.get("metadata") is None else doc["metadata"]
     if not isinstance(metadata, dict):
         raise SchemaError("metadata: not a mapping")
-    return Dataset(formulation, hand_poses, camera_extrinsics, perspective_matrices, metadata)
+    return Dataset(formulation, hand_poses, camera_poses, metadata)
 
 
 def _dump(doc: dict, path) -> None:
@@ -262,10 +252,7 @@ def _dump(doc: dict, path) -> None:
 def save_dataset(dataset: Dataset, path) -> None:
     doc: dict = {"formulation": dataset.formulation.value}
     doc["hand_poses"] = dataset.hand_poses.tolist()
-    if dataset.camera_extrinsics is not None:
-        doc["camera_extrinsics"] = dataset.camera_extrinsics.tolist()
-    if dataset.perspective_matrices is not None:
-        doc["perspective_matrices"] = dataset.perspective_matrices.tolist()
+    doc[_CAMERA[dataset.formulation][0]] = dataset.camera_poses.tolist()
     if dataset.metadata:
         doc["metadata"] = dataset.metadata
     _dump(doc, path)
@@ -314,6 +301,9 @@ def load_solution(path) -> HandEyeSolution:
         raise SchemaError(f"{path}: quaternion_wxyz must have 4 entries, translation_mm 3")
     if not np.isfinite([*q, *t, rot_res, tr_res]).all():
         raise SchemaError(f"{path}: non-finite quaternion, translation or residual")
+    for key in ("rotation_residual", "translation_residual"):
+        if doc[key] < 0:
+            raise SchemaError(f"{path}: {key}: entry {doc[key]!r} is not a number >= 0")
     norm = np.linalg.norm(q)
     if abs(norm - 1.0) > 1e-6:
         raise SchemaError(f"{path}: quaternion norm {norm:.6f} is not 1")

@@ -49,6 +49,10 @@ MIN_ROTATION_ANGLE = 1e-6
 # A perspective matrix's left 3x3 block is singular at or below this |det|.
 MIN_BLOCK_DETERMINANT = 1e-12
 
+# Largest deviation of a 4x4 pose's bottom row from (0, 0, 0, 1).
+MAX_BOTTOM_ROW_DEVIATION = 1e-9
+_BOTTOM_ROW = np.array([0.0, 0.0, 0.0, 1.0])
+
 # Farthest from orthonormal a matrix ``orthonormalize`` projects; farther
 # is wrong data, not noise.
 _MAX_PROJECTION_RESIDUAL = 0.5
@@ -64,6 +68,12 @@ class Formulation(str, Enum):
 def _first(values, bad):
     """The value of the first flagged entry, in C order."""
     return np.asarray(values)[np.asarray(bad)].flat[0]
+
+
+def _bottom_row_deviation(m: np.ndarray) -> np.ndarray:
+    """Largest deviation of the bottom row of each 4x4 matrix in ``m``
+    from (0, 0, 0, 1)."""
+    return np.max(np.abs(m[..., 3, :] - _BOTTOM_ROW), axis=-1)
 
 
 def _check_rotation(m: np.ndarray, what: str, batched: bool = False) -> np.ndarray:
@@ -118,7 +128,7 @@ class RigidMotion:
         m = np.asarray(m, dtype=float)
         if m.shape != (4, 4):
             raise ValueError(f"expected 4x4 matrix, got {m.shape}")
-        if np.max(np.abs(m[3] - np.array([0.0, 0.0, 0.0, 1.0]))) > 1e-9:
+        if _bottom_row_deviation(m) > MAX_BOTTOM_ROW_DEVIATION:
             raise ValueError(f"bottom row {m[3].tolist()} is not (0, 0, 0, 1)")
         return cls(m[:3, :3], m[:3, 3])
 

@@ -26,9 +26,6 @@ from .errors import NotARotationError
 
 IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
 
-# Flips the sign of the imaginary parts; conjugation as a matrix.
-_CONJ = np.diag([1.0, -1.0, -1.0, -1.0])
-
 
 def embed(v) -> np.ndarray:
     """Embed 3-vector(s) as purely imaginary quaternion(s)."""

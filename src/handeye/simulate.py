@@ -130,7 +130,7 @@ class Scenario:
 
     ground_truth: RigidMotion
     camera_poses: np.ndarray
-    formulation: Formulation = Formulation.CLASSICAL
+    formulation: Formulation
 
     @cached_property
     def motion_arrays(self) -> tuple[np.ndarray, np.ndarray]:
@@ -567,5 +567,4 @@ def synthetic_dataset(
             "noise_targets": noise.targets.value if noise else None,
         },
     }
-    key = "camera_extrinsics" if formulation == Formulation.CLASSICAL else "perspective_matrices"
-    return Dataset(formulation, hand, metadata=metadata, **{key: camera})
+    return Dataset(formulation, hand, camera, metadata)

@@ -83,6 +83,7 @@ MAX_ITERATIONS = 200
 # Row weight of the unit-norm residual, whose square is UNIT_PENALTY.
 _PENALTY_ROW = np.sqrt(UNIT_PENALTY)
 
+# Flips the sign of the imaginary parts; conjugation as a matrix.
 _CONJ = np.diag([1.0, -1.0, -1.0, -1.0])
 
 

@@ -69,11 +69,7 @@ def test_generate_rejects_single_motion(tmp_path):
 
 def test_calibrate_schema_errors(tmp_path):
     ds = synthetic_dataset(3, 0, Formulation.CLASSICAL)
-    short = Dataset(
-        Formulation.CLASSICAL,
-        ds.hand_poses[:1],
-        camera_extrinsics=ds.camera_extrinsics[:1],
-    )
+    short = Dataset(Formulation.CLASSICAL, ds.hand_poses[:1], ds.camera_poses[:1])
     path = tmp_path / "short.yaml"
     save_dataset(short, path)
     assert main(["calibrate", str(path)]) == EXIT_SCHEMA
@@ -94,9 +90,7 @@ def test_calibrate_degenerate_dataset(tmp_path, rng):
     pose = random_motion(rng)
     hand = random_motion(rng)
     dataset = Dataset(
-        Formulation.CLASSICAL,
-        np.stack([hand.matrix] * 3),
-        camera_extrinsics=np.stack([pose.matrix] * 3),
+        Formulation.CLASSICAL, np.stack([hand.matrix] * 3), np.stack([pose.matrix] * 3)
     )
     path = tmp_path / "degenerate.yaml"
     save_dataset(dataset, path)
@@ -107,10 +101,10 @@ def test_calibrate_degenerate_dataset(tmp_path, rng):
 def test_calibrate_zero_translation_dataset_is_degenerate(tmp_path, capsys, method):
     # Every translation zero: the relative translation residual is undefined.
     ds = synthetic_dataset(4, 0, Formulation.CLASSICAL)
-    hand, camera = ds.hand_poses.copy(), ds.camera_extrinsics.copy()
+    hand, camera = ds.hand_poses.copy(), ds.camera_poses.copy()
     hand[:, :3, 3] = camera[:, :3, 3] = 0.0
     path = tmp_path / "zero.yaml"
-    save_dataset(Dataset(Formulation.CLASSICAL, hand, camera_extrinsics=camera), path)
+    save_dataset(Dataset(Formulation.CLASSICAL, hand, camera), path)
     assert main(["calibrate", str(path), "--method", method]) == EXIT_DEGENERATE
     assert "translation-transfer norm is zero" in capsys.readouterr().err
 

@@ -90,15 +90,13 @@ def _write(tmp_path, doc):
 
 def _valid_doc(n=3, formulation=Formulation.CLASSICAL):
     dataset = synthetic_dataset(n, 0, formulation)
-    doc = {
+    classical = formulation == Formulation.CLASSICAL
+    camera = "camera_extrinsics" if classical else "perspective_matrices"
+    return {
         "formulation": formulation.value,
         "hand_poses": dataset.hand_poses.tolist(),
+        camera: dataset.camera_poses.tolist(),
     }
-    if formulation == Formulation.CLASSICAL:
-        doc["camera_extrinsics"] = dataset.camera_extrinsics.tolist()
-    else:
-        doc["perspective_matrices"] = dataset.perspective_matrices.tolist()
-    return doc
 
 
 def test_load_rejects_single_position(tmp_path):
@@ -234,6 +232,8 @@ def _solution_doc(tmp_path):
         ("rotation_residual", True, "rotation_residual: entry True is not a number"),
         ("translation_residual", "0.5", "translation_residual: entry '0.5' is not a number"),
         ("translation_residual", [0.5], "translation_residual: entry [0.5] is not a number"),
+        ("rotation_residual", -1.0, "rotation_residual: entry -1.0 is not a number >= 0"),
+        ("translation_residual", -1, "translation_residual: entry -1 is not a number >= 0"),
         ("iterations", -7.9, "iterations: entry -7.9 is not an integer >= 0"),
         ("iterations", "3", "iterations: entry '3' is not an integer >= 0"),
         ("iterations", -1, "iterations: entry -1 is not an integer >= 0"),
@@ -258,6 +258,14 @@ def test_solution_iterations_and_converged_flag_still_load(tmp_path):
     path.write_text(yaml.safe_dump(doc), encoding="utf-8")
     solution = load_solution(path)
     assert (solution.iterations, solution.converged) == (1, True)
+
+
+def test_solution_negative_zero_residuals_load(tmp_path):
+    path, doc = _solution_doc(tmp_path)
+    doc["rotation_residual"] = doc["translation_residual"] = -0.0
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    solution = load_solution(path)
+    assert (solution.rotation_residual, solution.translation_residual) == (0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +366,20 @@ def test_booleans_outside_matrices_still_load(tmp_path):
     assert load_dataset(_write(tmp_path, doc)).metadata == doc["metadata"]
 
 
+@pytest.mark.parametrize("metadata", [[], 0, False, ""], ids=["list", "zero", "false", "empty"])
+def test_falsy_metadata_that_is_not_a_mapping_is_rejected(tmp_path, metadata):
+    doc = _valid_doc(3)
+    doc["metadata"] = metadata
+    with pytest.raises(SchemaError, match="metadata: not a mapping"):
+        load_dataset(_write(tmp_path, doc))
+
+
+def test_null_metadata_loads_as_an_empty_mapping(tmp_path):
+    doc = _valid_doc(3)
+    doc["metadata"] = None
+    assert load_dataset(_write(tmp_path, doc)).metadata == {}
+
+
 _SINGULAR = [[1.0, 0.0, 0.0, 1.0], [2.0, 0.0, 0.0, 2.0], [0.0, 0.0, 1.0, 3.0]]
 
 
@@ -402,11 +424,11 @@ def test_stacked_validation_matches_per_entry_construction(tmp_path, formulation
     for pose, raw in zip(dataset.hand_poses, doc["hand_poses"]):
         assert np.array_equal(pose, one_at_a_time(raw))
     if formulation == Formulation.CLASSICAL:
-        assert dataset.camera_extrinsics.shape == (7, 4, 4)
-        for pose, raw in zip(dataset.camera_extrinsics, doc["camera_extrinsics"]):
+        assert dataset.camera_poses.shape == (7, 4, 4)
+        for pose, raw in zip(dataset.camera_poses, doc["camera_extrinsics"]):
             assert np.array_equal(pose, one_at_a_time(raw))
     else:
-        assert np.array_equal(dataset.perspective_matrices, np.array(doc["perspective_matrices"]))
+        assert np.array_equal(dataset.camera_poses, np.array(doc["perspective_matrices"]))
 
 
 def test_empty_pose_lists_fail_on_their_length(tmp_path):

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from handeye import quaternion as quat
 from handeye import simulate as sim
+from handeye import solvers
 from handeye.datafiles import (
     load_dataset,
     load_solution,
@@ -31,7 +32,7 @@ from handeye.simulate import (
     NoiseTargets,
     synthetic_dataset,
 )
-from handeye.solvers import SOLVERS, Method, solve_batch
+from handeye.solvers import SOLVERS, HandEyeSolution, Method, report_residuals, solve_batch
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -82,8 +83,7 @@ def test_noise_free_dataset_round_trips_and_recovers_its_truth(formulation, n, s
     assert loaded.formulation is formulation
     assert loaded.metadata == dataset.metadata
     classical = formulation is Formulation.CLASSICAL
-    camera = "camera_extrinsics" if classical else "perspective_matrices"
-    for key, rigid in (("hand_poses", True), (camera, classical)):
+    for key, rigid in (("hand_poses", True), ("camera_poses", classical)):
         saved, read = getattr(dataset, key).copy(), getattr(loaded, key).copy()
         assert read.shape == saved.shape == (n + 1, 4 if rigid else 3, 4)
         if rigid:
@@ -148,7 +148,7 @@ def test_scaling_perspective_matrices_keeps_the_solution(n, seed, factors):
     dataset = synthetic_dataset(n, seed, Formulation.PERSPECTIVE, noise)
     # lambda in +-[1e-3, 1e3], one per matrix
     lam = np.array([(-1.0 if negative else 1.0) * 10.0**e for e, negative in factors[: n + 1]])
-    matrices = dataset.perspective_matrices
+    matrices = dataset.camera_poses
     scaled = perspective_constraints(lam[:, None, None] * matrices, dataset.hand_poses)
     cs = perspective_constraints(matrices, dataset.hand_poses)
     for method in Method:
@@ -158,6 +158,62 @@ def test_scaling_perspective_matrices_keeps_the_solution(n, seed, factors):
         tol = 1e-8 if method is Method.NONLINEAR else 1e-12
         assert np.max(np.abs(after.rotation - before.rotation)) <= tol
         assert _relative(after.translation, before.translation) <= max(tol, 1e-9)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# Some components are exactly zero, where a sign flip could show as -0.0.
+unit_quaternions = (
+    st.lists(st.just(0.0) | st.floats(-1.0, 1.0), min_size=4, max_size=4)
+    .filter(lambda c: np.linalg.norm(c) > 0.1)
+    .map(lambda c: np.array(c) / np.linalg.norm(c))
+)
+
+
+@PROPERTY
+@given(
+    unit_quaternions,
+    st.lists(st.floats(-1000.0, 1000.0), min_size=3, max_size=3),
+    st.sampled_from(list(Method)),
+)
+def test_q_and_minus_q_give_the_same_bits(q, v, method):
+    for f in (quat.to_rotation_matrix, quat.canonicalize):
+        assert _same_bits(f(q), f(-q))
+    for a, b in zip(quat.axis_angle(q), quat.axis_angle(-q)):
+        assert _same_bits(a, b)
+    # Equal, but a zero entry may come out as 0.0 from q and -0.0 from -q.
+    assert np.array_equal(quat.rotate_vector(q, v), quat.rotate_vector(-q, v))
+
+    constraints = synthetic_dataset(3, 0, Formulation.CLASSICAL).constraints()
+    t = np.array(v)
+    plus, minus = (HandEyeSolution(p, t, 0.5, 0.25, method, 3, False) for p in (q, -q))
+    assert report_residuals(constraints, plus) == report_residuals(constraints, minus)
+    with tempfile.TemporaryDirectory() as tmp:
+        written = []
+        for solution in (plus, minus):
+            path = Path(tmp) / "sol.yaml"
+            save_solution(solution, path)
+            written.append(path.read_bytes())
+    assert written[0] == written[1]
+
+
+@PROPERTY
+@given(formulations, st.integers(2, 9), seeds, levels)
+def test_nonlinear_rows_from_q_and_minus_q_are_the_same(formulation, n, seed, level):
+    noise = NoiseModel(Distribution.GAUSSIAN, level, NoiseTargets.ROTATION_AND_TRANSLATION, seed)
+    cs = solvers._one(synthetic_dataset(n, seed, formulation, noise).constraints())
+    start = solvers._closed_form(cs)
+    plus = solvers._nonlinear(cs, start)
+    minus = solvers._nonlinear(cs, start._replace(rotation=-start.rotation))
+    for field in (
+        "rotation", "translation", "rotation_residual", "translation_residual",
+        "iterations", "converged",
+    ):
+        assert _same_bits(getattr(plus, field), getattr(minus, field))
+    assert [repr(e) for e in plus.errors] == [repr(e) for e in minus.errors]
 
 
 @PROPERTY
@@ -204,11 +260,8 @@ def test_changing_a_frame_moves_the_estimate_as_the_formulation_says(
 ):
     dataset = synthetic_dataset(n, seed, formulation)
     classical = formulation is Formulation.CLASSICAL
-    camera = "camera_extrinsics" if classical else "perspective_matrices"
     new_base = dataclasses.replace(dataset, hand_poses=g @ dataset.hand_poses)
-    new_target = dataclasses.replace(
-        dataset, **{camera: getattr(dataset, camera) @ np.linalg.inv(g)}
-    )
+    new_target = dataclasses.replace(dataset, camera_poses=dataset.camera_poses @ np.linalg.inv(g))
     for method in Method:
         estimate, base_moved, target_moved = (
             _estimate(SOLVERS[method](d.constraints())) for d in (dataset, new_base, new_target)
@@ -265,6 +318,7 @@ wrong_nodes = st.one_of(
     st.lists(st.lists(st.integers(-2, 2), max_size=3), max_size=3),
     st.dictionaries(st.text(max_size=3), st.integers(-2, 2), max_size=2),
     st.just(float("nan")),
+    st.just(-1.0),
     # beyond the float range
     st.integers(2**1024, 2**1100).flatmap(lambda m: st.sampled_from([m, -m])),
 )

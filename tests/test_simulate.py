@@ -55,7 +55,9 @@ def _camera_motion(poses, i):
 
 def test_motion_arrays_identity_truth(rng):
     scenario = default_scenario(3, seed=5)
-    identity_scenario = Scenario(RigidMotion.identity(), scenario.camera_poses)
+    identity_scenario = Scenario(
+        RigidMotion.identity(), scenario.camera_poses, Formulation.CLASSICAL
+    )
     rotation, translation = identity_scenario.motion_arrays
     assert rotation.shape == (3, 2, 3, 3) and translation.shape == (3, 2, 3)
     for i in range(3):
@@ -69,14 +71,18 @@ def test_motion_arrays_identity_truth(rng):
 
 def test_motion_arrays_degenerate_scenario(rng):
     pose = random_motion(rng).matrix
-    scenario = Scenario(random_motion(rng, 100.0), np.stack([pose, pose, pose]))
+    scenario = Scenario(
+        random_motion(rng, 100.0), np.stack([pose, pose, pose]), Formulation.CLASSICAL
+    )
     with pytest.raises(DegenerateRotationError) as err:
         scenario.motion_arrays
     assert err.value.index == 0
     assert str(err.value) == "camera motion 0 is near identity"
     # the first degenerate motion is named
     other = random_motion(rng).matrix
-    scenario = Scenario(random_motion(rng, 100.0), np.stack([pose, other, other]))
+    scenario = Scenario(
+        random_motion(rng, 100.0), np.stack([pose, other, other]), Formulation.CLASSICAL
+    )
     with pytest.raises(DegenerateRotationError) as err:
         scenario.motion_arrays
     assert err.value.index == 1
