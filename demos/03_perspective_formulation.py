@@ -12,13 +12,10 @@ Run:  python demos/03_perspective_formulation.py
 import numpy as np
 
 from handeye.geometry import (
-    PerspectiveMatrix,
     RigidMotion,
     classical_constraints,
     compose,
-    line_of_sight,
     perspective_constraints,
-    project_point,
 )
 from handeye.simulate import default_scenario, perspective_scenario
 from handeye.solvers import solve_nonlinear
@@ -48,14 +45,3 @@ print("  from raw 3x4 matrices:   ", lifted.translation)
 print("  ground truth:            ", classical.ground_truth.translation)
 print("  agreement (Frobenius):    "
       f"{np.linalg.norm(lifted.matrix - x_est.matrix):.2e}")
-
-# The raw matrices still answer geometric questions without decomposition:
-# project a point and intersect the two image planes back into a ray.
-m = PerspectiveMatrix.from_matrix(persp.camera_poses[0])
-target = np.array([40.0, -25.0, 710.0])
-u, v = project_point(m, target)
-ray = line_of_sight(m, u, v)
-gap = target - ray.point
-gap -= (gap @ ray.direction) * ray.direction
-print(f"\nimage of a 3-D point: ({u:.2f}, {v:.2f}) px")
-print(f"line of sight passes {np.linalg.norm(gap):.2e} mm from the point")

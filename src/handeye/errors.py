@@ -26,14 +26,6 @@ class DegenerateRotationError(CalibrationError):
         self.index = index
 
 
-class PointAtInfinityError(CalibrationError):
-    """Projection denominator vanishes; the point has no finite image."""
-
-
-class DegenerateViewError(CalibrationError):
-    """The two image-point planes are parallel; no line of sight exists."""
-
-
 class TooFewPosesError(CalibrationError):
     """Fewer than two device positions were supplied."""
 
@@ -44,10 +36,6 @@ class TooFewMotionsError(CalibrationError):
 
 class IllConditionedError(CalibrationError):
     """Linear system (or eigenproblem) too close to rank-deficient to trust."""
-
-
-class NotSymmetricError(CalibrationError):
-    """Matrix handed to the symmetric eigensolver is not symmetric."""
 
 
 class ZeroTranslationError(CalibrationError):

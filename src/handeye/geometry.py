@@ -6,10 +6,10 @@ takes calibration-frame points to camera-frame points and ``hand_pose``
 takes hand-frame points to robot-base points.  Translations are in
 millimetres.
 
-A single transform is a :class:`RigidMotion` (or a
-:class:`PerspectiveMatrix`); every list of them is one array.  Absolute
-poses are (n, 4, 4) homogeneous stacks, perspective matrices (n, 3, 4)
-stacks, and motions (n, 3, 3) rotations plus (n, 3) translations.
+A single transform is a :class:`RigidMotion`; every list of transforms
+is one array.  Absolute poses are (n, 4, 4) homogeneous stacks,
+perspective matrices (n, 3, 4) stacks, and motions (n, 3, 3) rotations
+plus (n, 3) translations.
 
 Every solver in this package consumes the same per-motion data,
 regardless of whether it was extracted from decomposed camera poses (the
@@ -32,9 +32,7 @@ import numpy as np
 from . import quaternion as quat
 from .errors import (
     DegenerateRotationError,
-    DegenerateViewError,
     NotARotationError,
-    PointAtInfinityError,
     SingularProjectionError,
     TooFewPosesError,
 )
@@ -136,49 +134,6 @@ class RigidMotion:
     def matrix(self) -> np.ndarray:
         return _homogeneous(self.rotation, self.translation)
 
-    def apply(self, points) -> np.ndarray:
-        """Transform 3-D point(s), shape (..., 3)."""
-        return np.asarray(points, dtype=float) @ self.rotation.T + self.translation
-
-
-@dataclass(frozen=True, eq=False)
-class PerspectiveMatrix:
-    """3x4 camera matrix split as [linear | offset].
-
-    The left 3x3 block of a pin-hole matrix is invertible (product of an
-    upper-triangular intrinsic block and a rotation); construction rejects
-    matrices whose block determinant is below 1e-12.
-    """
-
-    linear: np.ndarray  # 3x3 left block
-    offset: np.ndarray  # fourth column
-
-    def __post_init__(self):
-        n = np.asarray(self.linear, dtype=float)
-        v = np.asarray(self.offset, dtype=float)
-        if n.shape != (3, 3) or v.shape != (3,):
-            raise ValueError(f"bad perspective matrix blocks: {n.shape}, {v.shape}")
-        if abs(np.linalg.det(n)) <= MIN_BLOCK_DETERMINANT:
-            raise SingularProjectionError(f"left 3x3 block determinant {np.linalg.det(n):.3e}")
-        object.__setattr__(self, "linear", n)
-        object.__setattr__(self, "offset", v)
-
-    @classmethod
-    def from_matrix(cls, m) -> "PerspectiveMatrix":
-        m = np.asarray(m, dtype=float)
-        if m.shape != (3, 4):
-            raise ValueError(f"expected 3x4 matrix, got {m.shape}")
-        return cls(m[:, :3], m[:, 3])
-
-    @classmethod
-    def from_pinhole(cls, intrinsics: "Intrinsics", pose: RigidMotion) -> "PerspectiveMatrix":
-        """Compose an intrinsic block with a camera pose: M = C @ [R | t]."""
-        return cls.from_matrix(intrinsics.matrices(pose.matrix))
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.hstack([self.linear, self.offset[:, None]])
-
 
 @dataclass(frozen=True)
 class Intrinsics:
@@ -264,27 +219,6 @@ class ConstraintSet:
             _check_vector(camera_translation, "camera_translation", batched=True),
             _check_vector(hand_translation, "hand_translation", batched=True),
         )
-
-
-@dataclass(frozen=True, eq=False)
-class Line3:
-    """3-D line: a point on it (mm) and a unit direction."""
-
-    point: np.ndarray
-    direction: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.point, dtype=float)
-        d = np.asarray(self.direction, dtype=float)
-        if p.shape != (3,) or d.shape != (3,):
-            raise ValueError("point and direction must be 3-vectors")
-        if abs(np.linalg.norm(d) - 1.0) > 1e-12:
-            raise ValueError("direction must be unit")
-        object.__setattr__(self, "point", p)
-        object.__setattr__(self, "direction", d)
-
-    def at(self, s) -> np.ndarray:
-        return self.point + np.multiply.outer(np.asarray(s, dtype=float), self.direction)
 
 
 # ---------------------------------------------------------------------------
@@ -408,44 +342,6 @@ def _reduced(m1, m2) -> tuple[np.ndarray, np.ndarray]:
         raise NotARotationError("reduced rotation block is too far from orthonormal")
     t = np.linalg.solve(n1, (v2 - v1)[..., None])[..., 0]
     return orthonormalize(k), t
-
-
-# ---------------------------------------------------------------------------
-# pin-hole projection and its inverse ray
-
-def project_point(m: PerspectiveMatrix, point) -> tuple[float, float]:
-    """Pixel coordinates (u, v) of a 3-D point in the calibration frame."""
-    p = np.asarray(point, dtype=float)
-    num = m.linear @ p + m.offset
-    if abs(num[2]) <= 1e-12:
-        raise PointAtInfinityError(f"projective depth {num[2]:.3e} vanishes")
-    return float(num[0] / num[2]), float(num[1] / num[2])
-
-
-def line_of_sight(m: PerspectiveMatrix, u: float, v: float) -> Line3:
-    """Line of sight through image point (u, v), in the calibration frame.
-
-    Intersects the two planes a perspective matrix associates with an image
-    point.  The returned point is the one closest to the origin and the
-    direction sign makes the first nonzero component positive.
-    """
-    full = m.matrix
-    rows = np.array([full[0] - u * full[2], full[1] - v * full[2]])
-    normals = rows[:, :3]
-    rhs = -rows[:, 3]
-    direction = np.cross(normals[0], normals[1])
-    scale = np.linalg.norm(normals[0]) * np.linalg.norm(normals[1])
-    if np.linalg.norm(direction) <= 1e-12 * max(scale, 1e-300):
-        raise DegenerateViewError("image-point planes are parallel")
-    direction = direction / np.linalg.norm(direction)
-    for c in direction:
-        if c != 0.0:
-            if c < 0.0:
-                direction = -direction
-            break
-    point, *_ = np.linalg.lstsq(normals, rhs, rcond=None)
-    point = point - (point @ direction) * direction
-    return Line3(point, direction)
 
 
 # ---------------------------------------------------------------------------

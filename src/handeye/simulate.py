@@ -63,7 +63,7 @@ from .geometry import (
     rotation_angle,
     rotation_axis,
 )
-from .solvers import HandEyeSolution, Method, solve_batch
+from .solvers import Method, solve_batch
 
 # Default nominal length of the ground-truth translation, in mm.
 GROUND_TRUTH_TRANSLATION_MM = 157.0
@@ -76,6 +76,10 @@ _START_DISTANCE = (450.0, 650.0)
 _CENTER_STEP = (230.0, 390.0)
 _MOTION_ANGLE = (np.radians(20.0), np.radians(90.0))
 _MIN_AXIS_SEPARATION = np.radians(15.0)
+# Candidate axes drawn for one motion before giving up.  Around 60 axes
+# fill the sphere at that separation; n <= 30 motions take at most 30 draws
+# for any of seeds 0-2999.
+_MAX_AXIS_DRAWS = 10_000
 # Pin-hole intrinsics of perspective scenarios (pixels).
 _FOCAL_LENGTH = (900.0, 1600.0)
 _PRINCIPAL_POINT = (240.0, 520.0)
@@ -292,18 +296,23 @@ def _perturbed(
     Each rotation axis gets one sample of ``rot_level`` per component and
     is renormalized (a non-unit axis defines no rotation); the angle is
     untouched, and a near-identity rotation raises
-    DegenerateRotationError.  Translation components get samples of
-    ``trans_level`` times ``nominal_translation`` (mm).  ``draws`` holds
-    each motion's uniform draws, (..., k) as counted by
-    :func:`_draw_counts`: the rotation axis's first, then the
-    translation's.
+    DegenerateRotationError; a level so large that a noisy axis's norm
+    overflows raises CalibrationError.  Translation components get
+    samples of ``trans_level`` times ``nominal_translation`` (mm).
+    ``draws`` holds each motion's uniform draws, (..., k) as counted by
+    :func:`_draw_counts`: the rotation axis's first, then the translation's.
     """
     k_rot, k_tr = _draw_counts(distribution, rot_level, trans_level, nominal_translation)
     if rot_level > 0.0:
         axis = rotation_axis(rotation)
         angle = rotation_angle(rotation)
         noisy = axis + _noise(draws[..., :k_rot], distribution, rot_level)
-        norm = quat.vnorm(noisy)
+        with np.errstate(over="ignore"):
+            norm = quat.vnorm(noisy)
+        if not np.isfinite(norm).all():
+            raise CalibrationError(
+                f"rotation noise level {rot_level:g} overflows the norm of a noisy axis"
+            )
         usable = norm > 1e-12
         axis = np.where(usable[..., None], noisy / np.where(usable, norm, 1.0)[..., None], axis)
         rotation = quat.to_rotation_matrix(quat.from_axis_angle(axis, angle))
@@ -313,11 +322,13 @@ def _perturbed(
     return rotation, translation
 
 
-def _error_stats(
+def error_stats(
     rotation: np.ndarray, translation: np.ndarray, truth: RigidMotion
 ) -> tuple[float, float]:
-    """:func:`error_stats` of estimates stacked as (J, 4) unit quaternions
-    and (J, 3) translations."""
+    """RMS Frobenius rotation error and RMS relative translation error of
+    estimates stacked as (J, 4) unit quaternions and (J, 3) translations."""
+    if len(rotation) == 0:
+        raise ValueError("at least one estimate is required")
     t_norm = float(np.linalg.norm(truth.translation))
     if t_norm == 0.0:
         raise ZeroTranslationError("relative translation error undefined for zero translation")
@@ -326,19 +337,6 @@ def _error_stats(
     return (
         float(np.sqrt(np.mean(np.sum(rot_sq, axis=-1)))),
         float(np.sqrt(np.mean(np.sum(tr_sq, axis=-1)))) / t_norm,
-    )
-
-
-def error_stats(
-    estimates: Sequence[HandEyeSolution], truth: RigidMotion
-) -> tuple[float, float]:
-    """RMS Frobenius rotation error and RMS relative translation error."""
-    if not estimates:
-        raise ValueError("at least one estimate is required")
-    return _error_stats(
-        np.stack([sol.rotation for sol in estimates]),
-        np.stack([sol.translation for sol in estimates]),
-        truth,
     )
 
 
@@ -353,7 +351,8 @@ def default_scenario(n: int, seed: int) -> Scenario:
     calibration frame; consecutive motions rotate by 20-90 degrees about
     axes pairwise separated by at least 15 degrees and travel 230-390 mm.
     Deterministic per seed, and scenarios with the same seed share their
-    leading motions.
+    leading motions.  Raises CalibrationError when ``_MAX_AXIS_DRAWS``
+    draws find no axis for the next motion; about 60 axes fill the sphere.
     """
     if n < 2:
         raise ValueError(f"need at least 2 motions, got {n}")
@@ -367,13 +366,19 @@ def default_scenario(n: int, seed: int) -> Scenario:
     rotations, translations = [rot], [-rot @ center]
     axes: list[np.ndarray] = []
     for _ in range(n):
-        while True:
+        for _ in range(_MAX_AXIS_DRAWS):
             axis = _random_unit_vector(rng)
             if all(
                 np.arccos(min(1.0, abs(float(axis @ a)))) >= _MIN_AXIS_SEPARATION
                 for a in axes
             ):
                 break
+        else:
+            raise CalibrationError(
+                f"cannot place {n} motion axes pairwise at least "
+                f"{np.degrees(_MIN_AXIS_SEPARATION):.0f} degrees apart: "
+                f"no room for axis {len(axes) + 1} in {_MAX_AXIS_DRAWS} draws"
+            )
         axes.append(axis)
         angle = _uniform_in(rng, *_MOTION_ANGLE)
         step_rot = quat.to_rotation_matrix(quat.from_axis_angle(axis, angle))
@@ -477,7 +482,7 @@ def _sweep(points, distribution: Distribution, trials: int, seed: int) -> list[R
         for m in Method:
             if failed[m] < trials:
                 rotation, translation = (np.concatenate(a) for a in zip(*estimates[m]))
-                e_rot, e_tr = _error_stats(rotation, translation, scenario.ground_truth)
+                e_rot, e_tr = error_stats(rotation, translation, scenario.ground_truth)
             else:
                 e_rot = e_tr = float("nan")
             rows.append(ReportRow(float(sweep_var), m, e_rot, e_tr, failed[m]))

@@ -61,7 +61,6 @@ from . import quaternion as quat
 from .errors import (
     CalibrationError,
     IllConditionedError,
-    NotSymmetricError,
     TooFewMotionsError,
     ZeroTranslationError,
 )
@@ -321,26 +320,12 @@ def report_residuals(
 # symmetric 4x4 eigensolver
 
 def _eigen_sym4(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``eigh`` of each exactly symmetric 4x4, with the eigenvector sign rule."""
+    """``np.linalg.eigh`` of each exactly symmetric 4x4 of a stack:
+    eigenvalues ascending and eigenvectors as columns, each signed so its
+    largest-magnitude component is positive."""
     vals, vecs = np.linalg.eigh(m)
     lead = np.take_along_axis(vecs, np.argmax(np.abs(vecs), axis=-2)[..., None, :], axis=-2)
     return vals, np.where(lead < 0, -vecs, vecs)
-
-
-def eigen_sym4(m) -> tuple[np.ndarray, np.ndarray]:
-    """Eigen-decomposition of a symmetric 4x4 matrix by ``np.linalg.eigh``.
-
-    Returns (eigenvalues ascending, eigenvectors as columns).  Eigenvector
-    signs are fixed so the largest-magnitude component is positive.
-    Raises NotSymmetricError when m differs from its transpose by more
-    than 1e-9 (Frobenius); within that, its symmetric part is decomposed.
-    """
-    m = np.asarray(m, dtype=float)
-    if m.shape != (4, 4):
-        raise NotSymmetricError(f"expected 4x4 matrix, got {m.shape}")
-    if np.linalg.norm(m - m.T) > 1e-9:
-        raise NotSymmetricError("matrix is not symmetric")
-    return _eigen_sym4(0.5 * (m + m.T))
 
 
 # ---------------------------------------------------------------------------

@@ -383,6 +383,42 @@ def test_non_finite_noise_level_is_flag_error(tmp_path, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+def _run_cli(*argv, timeout):
+    """``handeye argv`` as a child process, numpy warnings raised as errors."""
+    return subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "handeye.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=str(SAMPLES.parent / "src")),
+        capture_output=True, text=True, timeout=timeout,
+    )
+
+
+def test_generate_more_motions_than_axes_fit_is_degenerate(tmp_path):
+    # About 60 axes 15 degrees apart fill the sphere; the 80th never fits.
+    out = tmp_path / "out.yaml"
+    result = _run_cli("generate", "--motions", "80", str(out), timeout=60)
+    assert result.returncode == EXIT_DEGENERATE
+    err = result.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot place 80 motion axes")
+    assert "15 degrees" in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--noise-level", "1e200"],
+        ["simulate", "--levels", "1e200", "--trials", "3", "--output"],
+    ],
+    ids=["generate", "simulate"],
+)
+def test_overflowing_noise_level_is_degenerate(tmp_path, argv):
+    result = _run_cli(*argv, str(tmp_path / "out"), timeout=60)
+    assert result.returncode == EXIT_DEGENERATE
+    err = result.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "1e+200" in err[0]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_report_csv_shape():
     from handeye.simulate import ReportRow, StabilityReport
     from handeye.solvers import Method

@@ -15,7 +15,7 @@ from handeye.datafiles import (
     save_dataset,
     save_solution,
 )
-from handeye.errors import ParseError, SchemaError, SingularProjectionError
+from handeye.errors import CalibrationError, ParseError, SchemaError, SingularProjectionError
 from handeye.geometry import RigidMotion, orthonormalize
 from handeye.simulate import (
     Distribution,
@@ -266,6 +266,45 @@ def test_solution_negative_zero_residuals_load(tmp_path):
     path.write_text(yaml.safe_dump(doc), encoding="utf-8")
     solution = load_solution(path)
     assert (solution.rotation_residual, solution.translation_residual) == (0.0, 0.0)
+
+
+# One value of each kind a document can hold in the wrong place.
+_WRONG_SCALARS = {
+    "bool": True,
+    "none": None,
+    "text": "x",
+    "nested-list": [[1, 2], [0]],
+    "mapping": {"a": 1},
+    "nan": float("nan"),
+    "negative": -1.0,
+    "huge": 2**1050,
+    "minus-huge": -(2**1050),
+}
+# What the schema accepts: a boolean is a YAML integer, any YAML integer
+# >= 0 counts iterations, and angle_rad, like axis and rotation_matrix,
+# restates the quaternion and is not read back.
+_ACCEPTED = {("iterations", "bool"), ("iterations", "huge"), ("converged", "bool")} | {
+    ("angle_rad", kind) for kind in _WRONG_SCALARS
+}
+
+
+@pytest.mark.parametrize("kind", list(_WRONG_SCALARS))
+@pytest.mark.parametrize(
+    "key",
+    ["method", "angle_rad", "rotation_residual", "translation_residual", "iterations", "converged"],
+)
+def test_a_wrong_scalar_in_a_solution_is_a_calibration_error(tmp_path, key, kind):
+    path, doc = _solution_doc(tmp_path)
+    expected = load_solution(path)
+    doc[key] = _WRONG_SCALARS[kind]
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    if (key, kind) in _ACCEPTED:
+        solution = load_solution(path)
+        assert np.array_equal(solution.rotation, expected.rotation)
+        assert np.array_equal(solution.translation, expected.translation)
+    else:
+        with pytest.raises(CalibrationError):
+            load_solution(path)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Every narrative script under demos/, and the README's library quick
-start, runs to completion; the demos import only public names."""
+start, runs to completion with every warning raised as an error; the
+demos import only public names."""
 
 import ast
 import os
@@ -17,7 +18,8 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 def _run(args):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     return subprocess.run(
-        [sys.executable, *args], cwd=ROOT, env=env, capture_output=True, text=True, timeout=600
+        [sys.executable, "-W", "error", *args],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=600,
     )
 
 
@@ -25,6 +27,7 @@ def _run(args):
 def test_demo_exits_cleanly(demo):
     result = _run([str(demo)])
     assert result.returncode == 0, result.stderr
+    assert result.stderr == ""
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
@@ -45,3 +48,4 @@ def test_readme_quick_start_runs():
     assert "[...]" not in code
     result = _run(["-c", code])
     assert result.returncode == 0, result.stderr
+    assert result.stderr == ""

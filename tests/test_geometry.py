@@ -4,24 +4,19 @@ import pytest
 import handeye.geometry as geo
 from handeye.errors import (
     DegenerateRotationError,
-    DegenerateViewError,
     NotARotationError,
-    PointAtInfinityError,
     SingularProjectionError,
     TooFewPosesError,
 )
 from handeye.geometry import (
     ConstraintSet,
     Intrinsics,
-    PerspectiveMatrix,
     RigidMotion,
     classical_constraints,
     compose,
     invert,
-    line_of_sight,
     orthonormalize,
     perspective_constraints,
-    project_point,
     rotation_angle,
     rotation_axis,
 )
@@ -205,7 +200,7 @@ def test_reduced_motion_from_pinhole_pair(rng):
         a1, a2 = random_motion(rng, 500.0), random_motion(rng, 500.0)
         m1, m2 = intr.matrices(_stack([a1, a2]))
         # the stacked pin-hole composition is the single one, entry by entry
-        assert np.array_equal(m1, PerspectiveMatrix.from_pinhole(intr, a1).matrix)
+        assert np.array_equal(m1, intr.matrices(a1.matrix))
         reduced = _reduced(m1, m2)
         expected = compose(invert(a1), a2)
         assert np.allclose(reduced.rotation, expected.rotation, atol=1e-9)
@@ -215,79 +210,10 @@ def test_reduced_motion_from_pinhole_pair(rng):
 def test_reduced_motion_errors():
     good = np.hstack([np.eye(3), np.zeros((3, 1))])
     with pytest.raises(SingularProjectionError):
-        PerspectiveMatrix(np.diag([1.0, 1.0, 0.0]), np.zeros(3))
-    with pytest.raises(SingularProjectionError):
         _reduced(np.diag([1.0, 1.0, 0.0, 0.0])[:3], good)
     skewed = np.hstack([np.eye(3) + np.array([[0, 0.5, 0], [0, 0, 0], [0, 0, 0]]), np.zeros((3, 1))])
     with pytest.raises(NotARotationError):
         _reduced(good, skewed)
-
-
-def test_project_point_simple():
-    m = PerspectiveMatrix(np.eye(3), np.zeros(3))
-    assert project_point(m, [1.0, 2.0, 2.0]) == pytest.approx((0.5, 1.0))
-    with pytest.raises(PointAtInfinityError):
-        project_point(m, [1.0, 2.0, 0.0])
-
-
-def test_project_point_principal_point():
-    intr = Intrinsics(1000.0, 1100.0, 320.0, 240.0)
-    m = PerspectiveMatrix.from_pinhole(intr, RigidMotion.identity())
-    u, v = project_point(m, [0.0, 0.0, 700.0])
-    assert (u, v) == pytest.approx((320.0, 240.0), abs=1e-12)
-
-
-def test_line_of_sight_identity_matrix():
-    m = PerspectiveMatrix(np.eye(3), np.zeros(3))
-    line = line_of_sight(m, 0.0, 0.0)
-    assert np.allclose(line.direction, [0.0, 0.0, 1.0], atol=1e-12)
-    assert np.allclose(line.point, np.zeros(3), atol=1e-12)
-    diag = line_of_sight(m, 1.0, 1.0)
-    assert np.allclose(np.abs(diag.direction), np.ones(3) / np.sqrt(3), atol=1e-12)
-    assert np.allclose(np.cross(diag.direction, [1.0, 1.0, 1.0]), np.zeros(3), atol=1e-12)
-
-
-def test_line_of_sight_reprojects(rng):
-    for _ in range(20):
-        intr = Intrinsics(
-            rng.uniform(800, 1500), rng.uniform(800, 1500), rng.uniform(200, 500), rng.uniform(200, 500)
-        )
-        pose = random_motion(rng, 400.0)
-        m = PerspectiveMatrix.from_pinhole(intr, pose)
-        u, v = rng.uniform(0, 640), rng.uniform(0, 480)
-        line = line_of_sight(m, u, v)
-        for s in np.linspace(-3000.0, 3000.0, 100):
-            point = line.at(s)
-            num = m.linear @ point + m.offset
-            if abs(num[2]) < 1e-6:
-                continue
-            assert num[0] / num[2] == pytest.approx(u, abs=1e-9)
-            assert num[1] / num[2] == pytest.approx(v, abs=1e-9)
-
-
-def test_line_of_sight_round_trip_contains_point(rng):
-    intr = Intrinsics(1200.0, 1150.0, 300.0, 260.0)
-    pose = random_motion(rng, 300.0)
-    m = PerspectiveMatrix.from_pinhole(intr, pose)
-    target = rng.normal(size=3) * 200 + np.array([0.0, 0.0, 600.0])
-    point_cam = pose.apply(target)
-    if point_cam[2] < 1e-6:
-        target = -target
-    u, v = project_point(m, target)
-    line = line_of_sight(m, u, v)
-    offset = target - line.point
-    distance = np.linalg.norm(offset - (offset @ line.direction) * line.direction)
-    assert distance < 1e-6
-
-
-def test_line_of_sight_degenerate_view():
-    m = PerspectiveMatrix(np.eye(3), np.zeros(3))
-    full = m.matrix.copy()
-    full[1] = full[0]  # two identical rows: the planes coincide
-    class _Fake:
-        matrix = full
-    with pytest.raises(DegenerateViewError):
-        line_of_sight(_Fake(), 0.0, 0.0)
 
 
 def _synthetic_poses(rng, truth, n_positions):

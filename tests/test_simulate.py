@@ -41,6 +41,11 @@ def _solution(rotation_matrix, translation):
     )
 
 
+def _stacked(solutions):
+    """The (J, 4) quaternions and (J, 3) translations of ``solutions``."""
+    return np.stack([s.rotation for s in solutions]), np.stack([s.translation for s in solutions])
+
+
 def _pose(matrix):
     return RigidMotion.from_matrix(matrix)
 
@@ -291,7 +296,7 @@ def test_translation_noise_scales_with_nominal(rng):
 def test_error_stats_exact_estimates(rng):
     truth = random_motion(rng, 100.0)
     sols = [_solution(truth.rotation, truth.translation) for _ in range(5)]
-    e_rot, e_tr = error_stats(sols, truth)
+    e_rot, e_tr = error_stats(*_stacked(sols), truth)
     # the quaternion round trip of the stored rotation costs a few ulp
     assert e_rot == pytest.approx(0.0, abs=1e-12)
     assert e_tr == 0.0
@@ -302,7 +307,7 @@ def test_error_stats_half_turn_offset(rng):
     truth = random_motion(rng, 100.0)
     flipped = np.diag([1.0, -1.0, -1.0]) @ truth.rotation
     sols = [_solution(flipped, truth.translation)]
-    e_rot, e_tr = error_stats(sols, truth)
+    e_rot, e_tr = error_stats(*_stacked(sols), truth)
     assert e_rot == pytest.approx(np.sqrt(8.0), rel=1e-12)
     assert e_tr == 0.0
 
@@ -312,15 +317,17 @@ def test_error_stats_translation_homogeneity(rng):
     offset = rng.normal(size=3)
     once = [_solution(truth.rotation, truth.translation + offset)]
     twice = [_solution(truth.rotation, truth.translation + 2 * offset)]
-    assert error_stats(twice, truth)[1] == pytest.approx(2 * error_stats(once, truth)[1], rel=1e-12)
+    assert error_stats(*_stacked(twice), truth)[1] == pytest.approx(
+        2 * error_stats(*_stacked(once), truth)[1], rel=1e-12
+    )
 
 
 def test_error_stats_rejects_zero_translation(rng):
     truth = RigidMotion(random_rotation(rng), np.zeros(3))
     with pytest.raises(ZeroTranslationError):
-        error_stats([_solution(truth.rotation, truth.translation)], truth)
+        error_stats(*_stacked([_solution(truth.rotation, truth.translation)]), truth)
     with pytest.raises(ValueError):
-        error_stats([], random_motion(rng))
+        error_stats(np.empty((0, 4)), np.empty((0, 3)), random_motion(rng))
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +395,7 @@ def _assert_rows_equal_single_solves(n, trials):
     for row in report.rows:
         solutions = [SOLVERS[row.method](constraints) for constraints in sets]
         assert row.failed_trials == 0
-        assert (row.e_rot, row.e_tr) == error_stats(solutions, scenario.ground_truth)
+        assert (row.e_rot, row.e_tr) == error_stats(*_stacked(solutions), scenario.ground_truth)
 
 
 def test_noise_sweep_solves_trial_constraints():
