@@ -44,7 +44,12 @@ A solution document records one estimate in every common parametrization
 one rejects a quaternion, translation or residual entry that is not a
 finite YAML number, a negative residual, an ``iterations`` that is not a
 YAML integer >= 0 (a boolean reads as 0 or 1), and a ``converged`` that is
-not a YAML boolean.
+not a YAML boolean.  The estimate is read from the quaternion, whose norm
+must be 1 within 1e-6.  ``rotation_matrix``, ``axis`` and ``angle_rad``
+restate it; each one present must be finite YAML numbers of its shape
+within 1e-6 of what the quaternion gives: the matrix entry by entry, the
+angle in [0, pi], and the axis as a unit vector (any one for the identity,
+either sign for a half turn).
 """
 
 from __future__ import annotations
@@ -68,10 +73,13 @@ from .geometry import (
     orthonormalize,
     perspective_constraints,
 )
-from .quaternion import axis_angle
+from .quaternion import axis_angle, canonicalize, to_rotation_matrix
 from .solvers import HandEyeSolution, Method
 
 _EXTRINSIC_ROTATION_TOL = 1e-6
+# Largest deviation of a solution's quaternion norm from 1, and of a field
+# restating its rotation from what the quaternion gives.
+_SOLUTION_TOL = 1e-6
 _EYE3 = np.eye(3)
 # YAML scalar types of a numeric entry; numpy would also read a bool or a
 # numeric string as a float.
@@ -286,6 +294,50 @@ def _numbers(entries, key: str, path) -> np.ndarray:
         raise SchemaError(f"{path}: {key}: {err}") from err
 
 
+def _entries(value, shape: tuple, key: str, path) -> list:
+    """The leaves of ``value``, a nested list of ``shape``, flat."""
+
+    def leaves(node, dims):
+        if not dims:
+            return [node]
+        if not isinstance(node, list) or len(node) != dims[0]:
+            raise SchemaError(f"{path}: {key}: expected {'x'.join(map(str, shape))} entries")
+        return [x for entry in node for x in leaves(entry, dims[1:])]
+
+    return leaves(value, shape)
+
+
+def _check_restated(doc: dict, q: np.ndarray, path) -> None:
+    """Each of ``rotation_matrix``, ``axis`` and ``angle_rad`` present in
+    ``doc`` must restate the unit quaternion ``q`` within ``_SOLUTION_TOL``."""
+    q = canonicalize(q)
+    angle = axis_angle(q)[1]
+
+    def axis_deviation(a):
+        # the quaternion turning by q's angle about a is +-q
+        turn = np.concatenate([q[:1], np.linalg.norm(q[1:]) * a])
+        return max(abs(np.linalg.norm(a) - 1.0), min(np.abs(turn - q).max(), np.abs(turn + q).max()))
+
+    restated = {
+        "rotation_matrix": ((3, 3), lambda m: np.abs(m - to_rotation_matrix(q)).max()),
+        "axis": ((3,), axis_deviation),
+        "angle_rad": ((), lambda a: abs(a - angle)),
+    }
+    for key, (shape, deviation) in restated.items():
+        if key not in doc:
+            continue
+        value = _numbers(_entries(doc[key], shape, key, path), key, path).reshape(shape)
+        if not np.isfinite(value).all():
+            raise SchemaError(f"{path}: {key}: non-finite entry")
+        with np.errstate(over="ignore"):  # a huge axis's norm is inf, not a match
+            off = deviation(value)
+        if off > _SOLUTION_TOL:
+            raise SchemaError(
+                f"{path}: {key}: differs from the quaternion's by {off:.3e} "
+                f"(tolerance {_SOLUTION_TOL:.0e})"
+            )
+
+
 def load_solution(path) -> HandEyeSolution:
     doc = _load_yaml(path)
     try:
@@ -305,8 +357,9 @@ def load_solution(path) -> HandEyeSolution:
         if doc[key] < 0:
             raise SchemaError(f"{path}: {key}: entry {doc[key]!r} is not a number >= 0")
     norm = np.linalg.norm(q)
-    if abs(norm - 1.0) > 1e-6:
+    if abs(norm - 1.0) > _SOLUTION_TOL:
         raise SchemaError(f"{path}: quaternion norm {norm:.6f} is not 1")
+    _check_restated(doc, q / norm, path)
     iterations, converged = doc.get("iterations", 0), doc.get("converged", True)
     # A boolean is a YAML integer too, so iterations may read as 0 or 1.
     if not isinstance(iterations, int) or iterations < 0:

@@ -27,12 +27,15 @@ spawn key (i, j); Gaussian samples are Box-Muller transforms of uniform
 pairs.  Reports are therefore bit-identical for identical seeds, and each
 trial's stream is independent of execution order.
 
-A sweep point's trials are solved in fixed-size blocks, each as arrays
-with a leading trial axis: the noise of a block is drawn and applied at
-once, its constraint sets are built as one (J, n, ...) ``ConstraintSet``,
-and ``solvers.solve_batch`` solves them.  Batching changes no arithmetic,
-so the rows do not depend on the block size and equal those built from
-``trial_constraints`` and the single-problem solvers, trial by trial.
+A sweep point's trials are solved in blocks, each as arrays with a
+leading trial axis: the noise of a block is drawn and applied at once, its
+constraint sets are built as one (J, n, ...) ``ConstraintSet``, and
+``solvers.solve_batch`` solves them.  A block holds at most
+``_BLOCK_MOTIONS`` (1024) trials x motions, so J = 1024 // n trials (512
+at n = 2, 113 at n = 9, and at least one).  Batching changes no
+arithmetic, so the rows do not depend on the block size and equal those
+built from ``trial_constraints`` and the single-problem solvers, trial by
+trial.
 """
 
 from __future__ import annotations
@@ -89,9 +92,10 @@ _PRINCIPAL_POINT = (240.0, 520.0)
 COUNT_ROTATION_LEVEL = 0.06
 COUNT_TRANSLATION_LEVEL = 0.02
 
-# Trials of a sweep point solved together.  Bounds the memory of a sweep;
-# the rows do not depend on it.
-_BLOCK = 128
+# Trials x motions solved together: a sweep point with n motions solves
+# its trials in blocks of max(1, _BLOCK_MOTIONS // n), so a block's arrays
+# stay about the same size for every n.  The rows do not depend on it.
+_BLOCK_MOTIONS = 1024
 
 
 class Distribution(str, Enum):
@@ -469,8 +473,9 @@ def _sweep(points, distribution: Distribution, trials: int, seed: int) -> list[R
     for index, (sweep_var, scenario, rot_level, trans_level) in enumerate(points):
         estimates: dict[Method, list] = {m: [] for m in Method}
         failed = dict.fromkeys(Method, 0)
-        for first in range(0, trials, _BLOCK):
-            rngs = [_generator(seed, index, j) for j in range(first, min(first + _BLOCK, trials))]
+        block = max(1, _BLOCK_MOTIONS // len(scenario.motion_arrays[0]))
+        for first in range(0, trials, block):
+            rngs = [_generator(seed, index, j) for j in range(first, min(first + block, trials))]
             constraints = _trial_constraints(scenario, distribution, rot_level, trans_level, rngs)
             for m, batch in solve_batch(constraints).items():
                 for err in batch.errors:

@@ -511,9 +511,11 @@ class _LMProblem:
     Translations are divided by the problem's scale; its translation
     parameter is then in units of that scale.  The Jacobian of the
     sandwich product q * v * conj(q) with respect to q is
-    w_matrix(q)' w_matrix(v) + q_matrix(q) q_matrix(v) conj, evaluated
-    batched over problems and motions; the operators of v and p are
-    stacked along the motion axis, (J, 2n, 4, 4), to share its calls.
+    w_matrix(q)' w_matrix(v) + q_matrix(q) q_matrix(v) conj.  The operators
+    of v and p are stacked along the motion axis, (J, 2n, 4, 4), and each
+    term is one broadcast matmul of the problem's (J, 1, 4, 4) operator of
+    q with that stack.  Each 4x4 product is computed on its own, so a row
+    of the batch equals the problem's Jacobian taken alone.
     """
 
     def __init__(self, arrays):
@@ -556,8 +558,8 @@ class _LMProblem:
         q = x[:, :4]
         wq_t = np.swapaxes(quat.w_matrix(q), -1, -2)
         qq = quat.q_matrix(q)
-        d = np.einsum("jab,jnbc->jnac", wq_t, self.w_vp)
-        d += np.einsum("jab,jnbc->jnac", qq, self.qc_vp)
+        d = wq_t[:, None] @ self.w_vp
+        d += qq[:, None] @ self.qc_vp
         jac = np.zeros((size, 6 * n + 1, 7))
         jac[:, : 3 * n, :4] = (-d[:, :n, 1:, :]).reshape(size, -1, 4)
         jac[:, 3 * n : 6 * n, :4] = d[:, n:, 1:, :].reshape(size, -1, 4)

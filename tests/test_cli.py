@@ -126,10 +126,13 @@ def test_residuals_malformed_solution(tmp_path):
         # a 400-digit YAML integer loads as a Python int no float can hold
         ("calibrate", "hand_poses", (1, 0, 3), 10**400),
         ("residuals", "quaternion_wxyz", (0,), 10**400),
+        ("residuals", "axis", (0,), float("nan")),
+        ("residuals", "rotation_matrix", (1, 2), 10**400),
     ],
     ids=[
         "hand-translation", "hand-rotation", "solution-quaternion",
         "hand-translation-oversized-integer", "solution-quaternion-oversized-integer",
+        "solution-axis", "solution-rotation-matrix-oversized-integer",
     ],
 )
 def test_non_finite_entry_is_schema_error(tmp_path, capsys, command, key, index, value):
@@ -149,6 +152,18 @@ def test_non_finite_entry_is_schema_error(tmp_path, capsys, command, key, index,
     assert main(args) == EXIT_SCHEMA
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_residuals_rejects_an_angle_that_contradicts_the_quaternion(tmp_path, capsys):
+    ds, sol = tmp_path / "ds.yaml", tmp_path / "sol.yaml"
+    assert main(["generate", str(ds)]) == EXIT_OK
+    assert main(["calibrate", str(ds), "--output", str(sol)]) == EXIT_OK
+    doc = yaml.safe_load(sol.read_text(encoding="utf-8"))
+    doc["angle_rad"] += 0.1
+    sol.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["residuals", str(ds), str(sol)]) == EXIT_SCHEMA
+    assert "angle_rad: differs from the quaternion's by 1.000e-01" in capsys.readouterr().err
 
 
 def test_calibrate_capped_optimizer_exits_4(tmp_path, capsys, monkeypatch):

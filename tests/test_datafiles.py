@@ -8,6 +8,7 @@ import yaml
 
 import handeye as he
 from handeye import datafiles
+from handeye import quaternion as quat
 from handeye.datafiles import (
     Dataset,
     load_dataset,
@@ -280,12 +281,9 @@ _WRONG_SCALARS = {
     "huge": 2**1050,
     "minus-huge": -(2**1050),
 }
-# What the schema accepts: a boolean is a YAML integer, any YAML integer
-# >= 0 counts iterations, and angle_rad, like axis and rotation_matrix,
-# restates the quaternion and is not read back.
-_ACCEPTED = {("iterations", "bool"), ("iterations", "huge"), ("converged", "bool")} | {
-    ("angle_rad", kind) for kind in _WRONG_SCALARS
-}
+# What the schema accepts: a boolean is a YAML integer, and any YAML
+# integer >= 0 counts iterations.
+_ACCEPTED = {("iterations", "bool"), ("iterations", "huge"), ("converged", "bool")}
 
 
 @pytest.mark.parametrize("kind", list(_WRONG_SCALARS))
@@ -305,6 +303,79 @@ def test_a_wrong_scalar_in_a_solution_is_a_calibration_error(tmp_path, key, kind
     else:
         with pytest.raises(CalibrationError):
             load_solution(path)
+
+
+def _with(doc, **fields):
+    return {**doc, **fields}
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda d: _with(d, angle_rad=d["angle_rad"] + 2e-6), "angle_rad: differs from the"),
+        (lambda d: _with(d, angle_rad=-d["angle_rad"]), "angle_rad: differs from the"),
+        (lambda d: _with(d, axis=[-a for a in d["axis"]]), "axis: differs from the"),
+        (lambda d: _with(d, axis=[2 * a for a in d["axis"]]), "axis: differs from the"),
+        (
+            lambda d: _with(d, rotation_matrix=np.transpose(d["rotation_matrix"]).tolist()),
+            "rotation_matrix: differs from the",
+        ),
+        (lambda d: _with(d, rotation_matrix=d["rotation_matrix"][:2]), "rotation_matrix: expected 3x3"),
+        (lambda d: _with(d, rotation_matrix=[1.0, 0.0, 0.0]), "rotation_matrix: expected 3x3"),
+        (lambda d: _with(d, axis=d["axis"] + [0.0]), "axis: expected 3 entries"),
+        (lambda d: _with(d, axis=[1e308] * 3), "axis: differs from the quaternion's by inf"),
+        (lambda d: _with(d, axis=[d["axis"][0], "0", 0.0]), "axis: entry '0' is not a number"),
+        (
+            lambda d: _with(d, rotation_matrix=[[float("inf")] * 3] * 3),
+            "rotation_matrix: non-finite entry",
+        ),
+    ],
+    ids=[
+        "angle-off", "angle-negated", "axis-negated", "axis-not-unit", "matrix-transposed",
+        "matrix-2x3", "matrix-flat", "axis-4", "axis-huge", "axis-text", "matrix-inf",
+    ],
+)
+def test_a_field_restating_the_quaternion_must_match_it(tmp_path, change, message):
+    path, doc = _solution_doc(tmp_path)
+    path.write_text(yaml.safe_dump(change(doc)), encoding="utf-8")
+    with pytest.raises(SchemaError, match=f"^{re.escape(f'{path}: {message}')}"):
+        load_solution(path)
+
+
+def test_restated_fields_within_tolerance_or_absent_load(tmp_path):
+    path, doc = _solution_doc(tmp_path)
+    expected = load_solution(path)
+    nudged = [_with(doc, angle_rad=doc["angle_rad"] + 5e-7)]
+    nudged.append({k: v for k, v in doc.items() if k not in ("rotation_matrix", "axis", "angle_rad")})
+    for changed in nudged:
+        path.write_text(yaml.safe_dump(changed), encoding="utf-8")
+        assert np.array_equal(load_solution(path).rotation, expected.rotation)
+
+
+@pytest.mark.parametrize(
+    "quaternion, axes",
+    [
+        # the identity has no axis: any unit vector restates it
+        ([1.0, 0.0, 0.0, 0.0], [[1.0, 0.0, 0.0], [0.0, 0.6, -0.8]]),
+        # a half turn about a is one about -a
+        ([0.0, 0.0, 1.0, 0.0], [[0.0, 1.0, 0.0], [0.0, -1.0, 0.0]]),
+    ],
+    ids=["identity", "half-turn"],
+)
+def test_axis_of_an_identity_or_half_turn_loads_with_either_choice(tmp_path, quaternion, axes):
+    path, doc = _solution_doc(tmp_path)
+    angle = 0.0 if quaternion[0] == 1.0 else float(np.pi)
+    doc.update(
+        quaternion_wxyz=quaternion,
+        rotation_matrix=quat.to_rotation_matrix(np.array(quaternion)).tolist(),
+        angle_rad=angle,
+    )
+    for axis in axes:
+        path.write_text(yaml.safe_dump(_with(doc, axis=axis)), encoding="utf-8")
+        assert np.array_equal(load_solution(path).rotation, quaternion)
+    path.write_text(yaml.safe_dump(_with(doc, axis=[0.0, 0.0, 0.5])), encoding="utf-8")
+    with pytest.raises(SchemaError, match="axis: differs from the"):
+        load_solution(path)
 
 
 # ---------------------------------------------------------------------------

@@ -381,12 +381,16 @@ def test_motion_count_sweep_row_layout():
     assert report.trials == 5
 
 
+def _noise_report(n, trials):
+    scenario = default_scenario(n, seed=3)
+    noise = NoiseModel(Distribution.GAUSSIAN, 0.04, NoiseTargets.ROTATION_AND_TRANSLATION, 5)
+    return scenario, noise_sweep(scenario, [0.04], noise, trials=trials)
+
+
 def _assert_rows_equal_single_solves(n, trials):
     # a sweep trial is exactly the constraint set trial_constraints builds,
     # solved alone
-    scenario = default_scenario(n, seed=3)
-    noise = NoiseModel(Distribution.GAUSSIAN, 0.04, NoiseTargets.ROTATION_AND_TRANSLATION, 5)
-    report = noise_sweep(scenario, [0.04], noise, trials=trials)
+    scenario, report = _noise_report(n, trials)
     sets = [
         sim.trial_constraints(scenario, Distribution.GAUSSIAN, 0.04, 0.04, sim._generator(5, 0, j))
         for j in range(trials)
@@ -396,12 +400,19 @@ def _assert_rows_equal_single_solves(n, trials):
         solutions = [SOLVERS[row.method](constraints) for constraints in sets]
         assert row.failed_trials == 0
         assert (row.e_rot, row.e_tr) == error_stats(*_stacked(solutions), scenario.ground_truth)
+    return report
 
 
 def test_noise_sweep_solves_trial_constraints():
     _assert_rows_equal_single_solves(2, 3)
 
 
-@pytest.mark.parametrize("n", [2, 5])
-def test_noise_sweep_across_block_boundary_solves_trial_constraints(n):
-    _assert_rows_equal_single_solves(n, sim._BLOCK + 3)
+@pytest.mark.parametrize("n", [2, 5, 9])
+def test_noise_sweep_across_block_boundary_solves_trial_constraints(n, monkeypatch):
+    # A budget of 16 trials x motions solves blocks of 8, 3 and 1 trials, so
+    # 20 trials cross 2, 6 and 19 block boundaries; the default budget
+    # solves them in one block, with the same rows.
+    monkeypatch.setattr(sim, "_BLOCK_MOTIONS", 16)
+    small = _assert_rows_equal_single_solves(n, 20)
+    monkeypatch.undo()
+    assert _noise_report(n, 20)[1] == small

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import handeye.simulate as sim
 import handeye.solvers as solvers
 from handeye import quaternion as quat
 from handeye.errors import (
@@ -597,3 +598,45 @@ def test_batch_records_non_finite_rows_and_solves_the_rest_exactly(rng):
             assert got.rotation_residual == expected.rotation_residual
             assert got.translation_residual == expected.translation_residual
             assert (got.iterations, got.converged) == (expected.iterations, expected.converged)
+
+
+# ---------------------------------------------------------------------------
+# Levenberg-Marquardt Jacobian
+
+def _lm_batch(n, trials=12):
+    """The LM problems of a noisy sweep batch, at points near their optima,
+    and each trial's constraint set alone."""
+    scenario = sim.default_scenario(n, seed=3)
+    args = (scenario, sim.Distribution.GAUSSIAN, 0.04, 0.04)
+    cs = sim._trial_constraints(*args, [sim._generator(5, 0, j) for j in range(trials)])
+    alone = [sim.trial_constraints(*args, sim._generator(5, 0, j)) for j in range(trials)]
+    scale = translation_span(cs)
+    start = solvers._closed_form(cs)
+    x = np.concatenate([start.rotation, start.translation / scale[:, None]], axis=1)
+    x += np.random.default_rng(n).normal(scale=0.01, size=x.shape)
+    return solvers._LMProblem.build(cs, scale), x, alone
+
+
+@pytest.mark.parametrize("n", [2, 9])
+def test_lm_jacobian_matches_central_differences(n):
+    # The residuals are quadratic in (q, t), so central differences carry no
+    # truncation error, only rounding: about 1e-16 * |r| / h = 1.4e-10, with
+    # |r| up to the penalty row's sqrt(2e6).
+    problem, x, _ = _lm_batch(n)
+    jac = problem.jacobian(x)
+    h = 1e-3
+    for k in range(7):
+        step = np.zeros(7)
+        step[k] = h
+        numeric = (problem.residuals(x + step) - problem.residuals(x - step)) / (2 * h)
+        assert np.max(np.abs(jac[:, :, k] - numeric)) <= 1e-8
+
+
+@pytest.mark.parametrize("n", [2, 9])
+def test_lm_jacobian_row_equals_the_problem_alone(n):
+    problem, x, alone = _lm_batch(n)
+    jac = problem.jacobian(x)
+    for j, cs in enumerate(alone):
+        one = solvers._one(cs)
+        single = solvers._LMProblem.build(one, translation_span(one))
+        assert np.array_equal(jac[j], single.jacobian(x[j : j + 1])[0])
