@@ -11,7 +11,7 @@ import numpy as np
 
 from handeye import quaternion as quat
 from handeye.simulate import Distribution, default_scenario, trial_constraints
-from handeye.solvers import solve_closed_form, solve_nonlinear, solve_tsai_lenz
+from handeye.solvers import Method, solve
 
 np.set_printoptions(precision=4, suppress=True)
 
@@ -27,8 +27,8 @@ for label, rot_noise, trans_noise in (("noise-free", 0.0, 0.0), ("2% noise", 0.0
     print(f"\n--- {label} ({len(constraints)} motions) ---")
     print(f"{'method':12s} {'rot err':>10s} {'tr err %':>10s} {'rot metric':>12s} "
           f"{'tr metric':>12s} {'iters':>6s}")
-    for solver in (solve_tsai_lenz, solve_closed_form, solve_nonlinear):
-        sol = solver(constraints)
+    for method in Method:
+        sol = solve(method, constraints)
         rot_err = np.linalg.norm(sol.rotation_matrix - truth.rotation)
         tr_err = 100 * np.linalg.norm(sol.translation - truth.translation) / np.linalg.norm(
             truth.translation

@@ -18,7 +18,7 @@ from handeye.geometry import (
     perspective_constraints,
 )
 from handeye.simulate import default_scenario, perspective_scenario
-from handeye.solvers import solve_nonlinear
+from handeye.solvers import Method, solve
 
 np.set_printoptions(precision=4, suppress=True)
 
@@ -30,10 +30,12 @@ persp = perspective_scenario(4, SEED)  # same poses times one intrinsic block, (
 # of camera entries and absolute hand poses (gauge: first hand pose =
 # identity).  Classical motions chain consecutive positions; perspective
 # ones all start at position 1.
-classical_sol = solve_nonlinear(
-    classical_constraints(*classical.positions(*classical.motion_arrays))
+classical_sol = solve(
+    Method.NONLINEAR, classical_constraints(*classical.positions(*classical.motion_arrays))
 )
-persp_sol = solve_nonlinear(perspective_constraints(*persp.positions(*persp.motion_arrays)))
+persp_sol = solve(
+    Method.NONLINEAR, perspective_constraints(*persp.positions(*persp.motion_arrays))
+)
 
 x_est = RigidMotion(classical_sol.rotation_matrix, classical_sol.translation)
 y_est = RigidMotion(persp_sol.rotation_matrix, persp_sol.translation)

@@ -12,7 +12,7 @@ else lives in the submodules (``geometry``, ``solvers``, ``simulate``,
 from .datafiles import load_dataset
 from .errors import CalibrationError, IllConditionedError, TooFewMotionsError
 from .geometry import ConstraintSet, classical_constraints, perspective_constraints
-from .solvers import Method, solve, solve_closed_form, solve_nonlinear, solve_tsai_lenz
+from .solvers import Method, solve
 
 __version__ = "0.1.0"
 
@@ -26,7 +26,4 @@ __all__ = [
     "load_dataset",
     "perspective_constraints",
     "solve",
-    "solve_closed_form",
-    "solve_nonlinear",
-    "solve_tsai_lenz",
 ]

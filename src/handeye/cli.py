@@ -71,13 +71,21 @@ class _Parser(argparse.ArgumentParser):
         raise FlagError(message)
 
 
+def seed(text: str) -> int:
+    """A ``--seed`` value: a non-negative integer."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"need a non-negative integer, got {value}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="handeye", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="write a synthetic dataset")
     gen.add_argument("--motions", type=int, default=4, help="number of motions (>= 2)")
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=seed, default=0)
     gen.add_argument(
         "--formulation",
         choices=[f.value for f in Formulation],
@@ -132,7 +140,7 @@ def _build_parser() -> _Parser:
         "--motions", default=None, help="motion-count sweep, e.g. 2:9 or 2,4,9"
     )
     sim.add_argument("--trials", type=int, default=1000)
-    sim.add_argument("--seed", type=int, default=0)
+    sim.add_argument("--seed", type=seed, default=0)
     sim.add_argument(
         "--formulation",
         choices=[f.value for f in Formulation],
@@ -152,16 +160,20 @@ def _parse_levels(text: str) -> list[float]:
     return levels
 
 
-def _parse_counts(text: str) -> list[int]:
+def _parse_counts(text: str) -> range | list[int]:
+    """The motion counts of ``lo:hi`` (a lazy range, checked from its
+    ends) or of a comma-separated list."""
     try:
         if ":" in text:
             lo, hi = text.split(":")
-            counts = list(range(int(lo), int(hi) + 1))
+            counts = range(int(lo), int(hi) + 1)
         else:
             counts = [int(x) for x in text.split(",") if x.strip() != ""]
     except ValueError as err:
         raise FlagError(f"--motions: {err}") from err
-    if not counts or any(n < 2 for n in counts):
+    if not counts:
+        raise FlagError(f"--motions: {text!r} is empty")
+    if (counts[0] if isinstance(counts, range) else min(counts)) < 2:
         raise FlagError("--motions: need counts >= 2")
     return counts
 

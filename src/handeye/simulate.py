@@ -22,10 +22,11 @@ motions from stream (seed, 2) and integrates them back into positions
 M0 [K | t], and no intrinsic or extrinsic parameter is made explicit.
 
 Reproducibility contract: all randomness comes from Philox (counter-based,
-64-bit) streams keyed by (seed, stream id); trial (i, j) of a sweep uses
-spawn key (i, j); Gaussian samples are Box-Muller transforms of uniform
-pairs.  Reports are therefore bit-identical for identical seeds, and each
-trial's stream is independent of execution order.
+64-bit) streams keyed by (seed, stream id), for any seed >= 0 (distinct
+seeds, distinct streams); trial (i, j) of a sweep uses spawn key (i, j);
+Gaussian samples are Box-Muller transforms of uniform pairs.  Reports are
+therefore bit-identical for identical seeds, and each trial's stream is
+independent of execution order.
 
 A sweep point's trials are solved in blocks, each as arrays with a
 leading trial axis: the noise of a block is drawn and applied at once, its
@@ -220,7 +221,7 @@ class StabilityReport:
 # random streams
 
 def _generator(seed: int, *stream: int) -> np.random.Generator:
-    root = np.random.SeedSequence(entropy=int(seed) & 0xFFFFFFFFFFFFFFFF, spawn_key=stream)
+    root = np.random.SeedSequence(entropy=int(seed), spawn_key=stream)
     return np.random.Generator(np.random.Philox(root))
 
 

@@ -35,12 +35,11 @@ operation over the leading problem axis.  The Levenberg-Marquardt loop is
 masked: each problem keeps its own damping, acceptance and termination,
 and leaves the active set when it terminates.  A problem that a check
 rejects is not raised but recorded in ``SolutionBatch.errors``, with the
-exception the single-problem solver raises for it.  ``solve_batch``
-always runs all three methods on one batch and shares the closed-form
-solution with the nonlinear start.  ``solve_tsai_lenz``,
-``solve_closed_form`` and ``solve_nonlinear`` run the same code on a
-batch of one and raise the recorded error.  Batching changes no
-arithmetic: every row passes through the same library kernels in the
+exception ``solve`` raises for it.  There are two entry points:
+``solve_batch`` runs all three methods on one batch and shares the
+closed-form solution with the nonlinear start, and ``solve`` runs one
+method on a batch of one and raises the recorded error.  Batching changes
+no arithmetic: every row passes through the same library kernels in the
 same memory layout, so a problem solved in a batch is bit-identical to
 the same problem solved alone.
 
@@ -129,12 +128,11 @@ class HandEyeSolution:
 class SolutionBatch(NamedTuple):
     """One method's solutions of a batch of J problems, one row each.
 
-    ``errors[j]`` is the exception the single-problem solver raises for
-    problem j (a ``CalibrationError``, among them the
-    ``ZeroTranslationError`` of a vanishing transfer norm and the plain
-    ``CalibrationError`` of a non-finite estimate or metric, or the
-    ``ValueError`` of a non-unit result), or None; the rows of a failed
-    problem hold no estimate.
+    ``errors[j]`` is the exception ``solve`` raises for problem j (a
+    ``CalibrationError``, among them the ``ZeroTranslationError`` of a
+    vanishing transfer norm and the plain ``CalibrationError`` of a
+    non-finite estimate or metric, or the ``ValueError`` of a non-unit
+    result), or None; the rows of a failed problem hold no estimate.
     """
 
     method: Method
@@ -189,28 +187,25 @@ class _Failures:
             if self.errors[j] is None:
                 self.errors[j] = make_error(j)
 
-    def raise_first(self):
-        """Raise the error of a batch of one, if it has one."""
-        if self.errors[0] is not None:
-            raise self.errors[0]
-
-    def finish(self, method, q, t, rot_res, tr_res, iterations=None, converged=None):
-        """The batch's solutions; a row still ok whose estimate or metric
-        is not finite (the input overflowed) fails with CalibrationError."""
-        size = len(q)
-        for what, values in (
-            ("quaternion", q),
-            ("translation", t),
-            ("rotation residual", rot_res),
-            ("translation residual", tr_res),
-        ):
-            finite = np.isfinite(values.reshape(size, -1)).all(axis=-1)
+    def record_non_finite(self, **named):
+        """Fail each row still ok whose named values are not all finite
+        (the input overflowed) with CalibrationError, in argument order."""
+        for what, values in named.items():
+            finite = np.isfinite(values.reshape(len(self.errors), -1)).all(axis=-1)
             self.record(
                 ~finite,
-                lambda j, what=what: CalibrationError(
+                lambda j, what=what.replace("_", " "): CalibrationError(
                     f"{what} is not finite: the input is out of numeric range"
                 ),
             )
+
+    def finish(self, method, q, t, rot_res, tr_res, iterations=None, converged=None):
+        """The batch's solutions; a row still ok whose estimate or metric
+        is not finite fails with CalibrationError."""
+        size = len(q)
+        self.record_non_finite(
+            quaternion=q, translation=t, rotation_residual=rot_res, translation_residual=tr_res
+        )
         return SolutionBatch(
             method, q, t, rot_res, tr_res,
             np.zeros(size, dtype=int) if iterations is None else iterations,
@@ -308,11 +303,14 @@ def report_residuals(
 
     Returns (summed squared rotation-equation error, relative summed
     squared translation-equation error).  Raises ZeroTranslationError when
-    the translation-transfer norm vanishes.
+    the translation-transfer norm vanishes, and CalibrationError when a
+    metric overflows.
     """
     fail = _Failures.none(1)
     rot, tr = _metrics(_one(constraints), solution.rotation[None], solution.translation[None], fail)
-    fail.raise_first()
+    fail.record_non_finite(rotation_residual=rot, translation_residual=tr)
+    if fail.errors[0] is not None:
+        raise fail.errors[0]
     return float(rot[0]), float(tr[0])
 
 
@@ -352,25 +350,17 @@ def _translation_ls(cs: ConstraintSet, q: np.ndarray, fail: _Failures) -> np.nda
     return _least_squares(a, rhs.reshape(len(q), -1), "translation system", fail)
 
 
-def solve_translation_ls(constraints: ConstraintSet, rotation) -> np.ndarray:
-    """Least-squares translation at a fixed rotation.
-
-    Stacks the translation equation of every constraint and solves the
-    3n x 3 system; raises IllConditionedError when the stack is closer to
-    rank-deficient than the shared condition limit (a single motion or
-    motions sharing a rotation axis leave one direction unobservable),
-    and TooFewMotionsError for an empty set.
-    """
-    cs = _one(constraints)
-    if len(cs) == 0:
-        raise TooFewMotionsError("need at least 2 motions, got 0")
-    fail = _Failures.none(1)
-    t = _translation_ls(cs, np.asarray(rotation, dtype=float)[None], fail)
-    fail.raise_first()
-    return t[0]
-
-
 def _tsai_lenz(cs: ConstraintSet) -> SolutionBatch:
+    """Linear two-step solver: scaled-axis vector first, translation second.
+
+    The axis equation camera_axis = R(hand_axis) linearizes over the
+    scaled-axis unknown g = tan(angle/2) * axis as
+
+        skew(camera_axis + hand_axis) @ g = hand_axis - camera_axis,
+
+    three rows per motion, rank 2 each, so at least two motions with
+    distinct axes are required.
+    """
     size, n = len(cs.camera_rotation), len(cs)
     if n < 2:
         return _rejected(Method.TSAI_LENZ, size, f"need at least 2 motions, got {n}")
@@ -390,21 +380,15 @@ def _tsai_lenz(cs: ConstraintSet) -> SolutionBatch:
     return fail.finish(Method.TSAI_LENZ, _as_unit(q, fail), t, rot_res, tr_res)
 
 
-def solve_tsai_lenz(constraints: ConstraintSet) -> HandEyeSolution:
-    """Linear two-step solver: scaled-axis vector first, translation second.
-
-    The axis equation camera_axis = R(hand_axis) linearizes over the
-    scaled-axis unknown g = tan(angle/2) * axis as
-
-        skew(camera_axis + hand_axis) @ g = hand_axis - camera_axis,
-
-    three rows per motion, rank 2 each, so at least two motions with
-    distinct axes are required.
-    """
-    return _tsai_lenz(_one(constraints)).solution()
-
-
 def _closed_form(cs: ConstraintSet) -> SolutionBatch:
+    """Optimal rotation over unit quaternions, then linear translation.
+
+    The summed squared axis-alignment error is a quadratic form q' A q;
+    its constrained minimizer is the eigenvector of A for the smallest
+    eigenvalue.  A gap below 1e-9 (``EIGENVALUE_GAP``) between the two
+    smallest eigenvalues means the minimizer is not unique (single motion,
+    or parallel axes) and the problem is rejected.
+    """
     size = len(cs.camera_rotation)
     if len(cs) == 0:
         return _rejected(Method.CLOSED_FORM, size, "need at least 2 motions, got 0")
@@ -413,18 +397,6 @@ def _closed_form(cs: ConstraintSet) -> SolutionBatch:
     t = _translation_ls(cs, q, fail)
     rot_res, tr_res = _metrics(cs, q, t, fail)
     return fail.finish(Method.CLOSED_FORM, _as_unit(q, fail), t, rot_res, tr_res)
-
-
-def solve_closed_form(constraints: ConstraintSet) -> HandEyeSolution:
-    """Optimal rotation over unit quaternions, then linear translation.
-
-    The summed squared axis-alignment error is a quadratic form q' A q;
-    its constrained minimizer is the eigenvector of A for the smallest
-    eigenvalue.  A gap below 1e-9 between the two smallest eigenvalues
-    means the minimizer is not unique (single motion, or parallel axes)
-    and the problem is rejected.
-    """
-    return _closed_form(_one(constraints)).solution()
 
 
 # ---------------------------------------------------------------------------
@@ -638,8 +610,33 @@ def translation_span(constraints: ConstraintSet) -> float:
 
 
 def _nonlinear(cs: ConstraintSet, start: SolutionBatch) -> SolutionBatch:
-    """LM from the rows of ``start``; problems it already rejects keep
-    their error and are not iterated."""
+    """Simultaneous rotation-translation estimate by Levenberg-Marquardt,
+    from the rows of ``start``.
+
+    Minimizes the coupled objective over 4 quaternion + 3 translation
+    parameters with an analytic Jacobian: the summed squared axis
+    alignment and translation transfer, both with unit weight, plus 2e6
+    (``UNIT_PENALTY``) times the squared unit-norm violation.  Damping
+    starts at 1e-3 times the largest diagonal of J'J and is multiplied by
+    10 on a rejected step, divided by 10 on an accepted one.  Converged
+    when the step norm drops below 1e-12 or the relative objective
+    decrease below 1e-14, capped at 200 iterations (``MAX_ITERATIONS``);
+    a capped row is still converged if its gradient norm is at most 1e-6,
+    and keeps its best iterate either way.
+
+    With unit weights, millimetre translations would make the translation
+    term drown out the axis term by several orders of magnitude and
+    actually degrade the rotation estimate.  The objective is therefore
+    evaluated with translations divided by the RMS motion-translation
+    magnitude of the constraint set (``translation_span``); the two terms
+    then carry comparable weight and the simultaneous estimate dominates
+    the decoupled ones.
+
+    Degenerate problems (non-unique rotation, or a translation stack
+    beyond the condition limit) are those the closed-form ``start``
+    rejects: they keep its error and are not iterated, since an optimum
+    along a flat direction would be an arbitrary answer, not an estimate.
+    """
     size, n = len(cs.camera_rotation), len(cs)
     if n < 2:
         return _rejected(Method.NONLINEAR, size, f"need at least 2 motions, got {n}")
@@ -668,59 +665,15 @@ def _nonlinear(cs: ConstraintSet, start: SolutionBatch) -> SolutionBatch:
     )
 
 
-def solve_nonlinear(
-    constraints: ConstraintSet, init: HandEyeSolution | None = None
-) -> HandEyeSolution:
-    """Simultaneous rotation-translation estimate by Levenberg-Marquardt.
-
-    Minimizes the coupled objective over 4 quaternion + 3 translation
-    parameters with an analytic Jacobian: the summed squared axis
-    alignment and translation transfer, both with unit weight, plus 2e6
-    (``UNIT_PENALTY``) times the squared unit-norm violation.  Damping
-    starts at 1e-3 times the largest diagonal of J'J and is multiplied by
-    10 on a rejected step, divided by 10 on an accepted one.  Converged
-    when the step norm drops below 1e-12 or the relative objective
-    decrease below 1e-14, capped at 200 iterations (``MAX_ITERATIONS``).
-
-    With unit weights, millimetre translations would make the translation
-    term drown out the axis term by several orders of magnitude and
-    actually degrade the rotation estimate.  The objective is therefore
-    evaluated with translations divided by the RMS motion-translation
-    magnitude of the constraint set (``translation_span``); the two terms
-    then carry comparable weight and the simultaneous estimate dominates
-    the decoupled ones.
-
-    Degenerate constraint sets (non-unique rotation, or a translation
-    stack beyond the condition limit) are rejected up front by the
-    closed-form solve, which runs whether or not ``init`` is given
-    (``init`` replaces only its start point): an optimum along a flat
-    direction would be an arbitrary answer, not an estimate.
-
-    Args:
-        constraints: at least two motions.
-        init: starting point; defaults to the closed-form solution.
-
-    Returns:
-        Solution with ``iterations`` set; ``converged`` is False when the
-        cap was reached with a gradient norm above 1e-6 (the best iterate
-        is still returned).
-    """
-    cs = _one(constraints)
-    start = _closed_form(cs)
-    if init is not None:
-        start = start._replace(rotation=init.rotation[None], translation=init.translation[None])
-    return _nonlinear(cs, start).solution()
-
-
-SOLVERS = {
-    Method.TSAI_LENZ: solve_tsai_lenz,
-    Method.CLOSED_FORM: solve_closed_form,
-    Method.NONLINEAR: solve_nonlinear,
-}
-
-
 def solve(method: Method, constraints: ConstraintSet) -> HandEyeSolution:
-    return SOLVERS[Method(method)](constraints)
+    """One problem (n, ...) solved by one method (a ``Method`` or its
+    name); raises the problem's error."""
+    cs = _one(constraints)
+    method = Method(method)
+    if method is Method.TSAI_LENZ:
+        return _tsai_lenz(cs).solution()
+    start = _closed_form(cs)
+    return (start if method is Method.CLOSED_FORM else _nonlinear(cs, start)).solution()
 
 
 def solve_batch(constraints: ConstraintSet) -> dict[Method, SolutionBatch]:
@@ -728,8 +681,8 @@ def solve_batch(constraints: ConstraintSet) -> dict[Method, SolutionBatch]:
     (J, n, ...).
 
     The nonlinear solver starts from the closed-form batch, computed once.
-    Problem j of each result is bit-identical to the single-problem solver
-    on problem j, and a problem it would reject is recorded, not raised.
+    Problem j of each result is bit-identical to ``solve`` on problem j,
+    and a problem it would reject is recorded, not raised.
     """
     cs = constraints
     start = _closed_form(cs)

@@ -31,9 +31,7 @@ from handeye.solvers import (
     axis_alignment_matrix,
     build_quadratic,
     objective_value,
-    solve_closed_form,
-    solve_nonlinear,
-    solve_tsai_lenz,
+    solve,
 )
 
 from conftest import (
@@ -43,8 +41,6 @@ from conftest import (
     random_motion,
     random_unit_quaternion,
 )
-
-SOLVERS = (solve_tsai_lenz, solve_closed_form, solve_nonlinear)
 
 GRID_SCENARIO_SEED = 0
 GRID_LEVELS = (0.01, 0.02, 0.03, 0.04, 0.05, 0.06)
@@ -147,8 +143,8 @@ def test_criterion_02_noise_free_exact_recovery():
             scenario = perspective_scenario(n, seed)
         constraints = _noise_free_constraints(scenario)
         truth = scenario.ground_truth
-        for solver in SOLVERS:
-            sol = solver(constraints)
+        for method in Method:
+            sol = solve(method, constraints)
             rot = float(np.linalg.norm(sol.rotation_matrix - truth.rotation))
             tr = float(
                 np.linalg.norm(sol.translation - truth.translation)
@@ -170,7 +166,7 @@ def test_criterion_03_formulation_equivalence():
         classical = default_scenario(3, seed)
         persp = perspective_scenario(3, seed)
         constraints = _noise_free_constraints(persp)
-        sol = solve_closed_form(constraints)
+        sol = solve(Method.CLOSED_FORM, constraints)
         estimated = RigidMotion(sol.rotation_matrix, sol.translation)
         recovered = compose(RigidMotion.from_matrix(classical.camera_poses[0]), estimated)
         worst = max(worst, float(np.linalg.norm(recovered.matrix - classical.ground_truth.matrix)))
@@ -215,7 +211,7 @@ def test_criterion_05_closed_form_optimality():
         stream = sim._generator(seed, 0, 0)
         constraints = sim.trial_constraints(scenario, Distribution.GAUSSIAN, 0.06, 0.02, stream)
         coeff = axis_alignment_matrix(constraints)
-        sol = solve_closed_form(constraints)
+        sol = solve(Method.CLOSED_FORM, constraints)
         achieved = float(sol.rotation @ coeff @ sol.rotation)
         samples = rng.normal(size=(10000, 4))
         samples /= np.linalg.norm(samples, axis=1, keepdims=True)
@@ -234,10 +230,10 @@ def test_criterion_06_degeneracy_never_silent():
             constraints = consistent_constraints(rng, truth, 1)
         else:
             constraints = parallel_axis_constraints(rng, truth, int(rng.integers(2, 5)))
-        for solver in SOLVERS:
+        for method in Method:
             cases += 1
             try:
-                solver(constraints)
+                solve(method, constraints)
                 silent += 1
             except (TooFewMotionsError, IllConditionedError):
                 pass
@@ -304,13 +300,13 @@ def test_criterion_11_single_solve_under_50ms():
     scenario = default_scenario(10, 3)
     constraints = _noise_free_constraints(scenario)
     timings = {}
-    for solver in SOLVERS:
+    for method in Method:
         best = np.inf
         for _ in range(3):
             start = time.perf_counter()
-            solver(constraints)
+            solve(method, constraints)
             best = min(best, time.perf_counter() - start)
-        timings[solver.__name__] = best
-        assert best < 0.050, (solver.__name__, best)
-    summary = ", ".join(f"{k.split('_', 1)[1]} {v * 1e3:.1f}ms" for k, v in timings.items())
+        timings[method.value] = best
+        assert best < 0.050, (method.value, best)
+    summary = ", ".join(f"{k} {v * 1e3:.1f}ms" for k, v in timings.items())
     _ok(11, f"n=10 solve times: {summary}")

@@ -1,4 +1,5 @@
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -20,7 +21,7 @@ from handeye.cli import (
     report_csv,
 )
 from handeye import solvers
-from handeye.datafiles import Dataset, load_solution, save_dataset
+from handeye.datafiles import Dataset, load_dataset, load_solution, save_dataset
 from handeye.simulate import Formulation, synthetic_dataset
 
 from conftest import random_motion
@@ -220,10 +221,9 @@ def test_non_utf8_file_is_parse_error(tmp_path, capsys, command):
     assert err.startswith(f"error: {target}: 'utf-8' codec can't decode byte 0xff")
 
 
-@pytest.mark.parametrize("method", ["tsai-lenz", "closed-form", "nonlinear"])
-def test_calibrate_overflowing_translations_are_degenerate(tmp_path, method):
-    # Finite entries whose squares overflow: the residual would print as nan.
-    # Run as a command, so numpy's warnings would reach stderr unfiltered.
+def _huge_classical(tmp_path):
+    """The classical sample with every translation times 1e160: finite
+    entries whose squares overflow."""
     doc = yaml.safe_load((SAMPLES / "classical.yaml").read_text(encoding="utf-8"))
     for key in ("hand_poses", "camera_extrinsics"):
         for matrix in doc[key]:
@@ -231,11 +231,39 @@ def test_calibrate_overflowing_translations_are_degenerate(tmp_path, method):
                 row[3] *= 1e160
     path = tmp_path / "huge.yaml"
     path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("method", ["tsai-lenz", "closed-form", "nonlinear"])
+def test_calibrate_overflowing_translations_are_degenerate(tmp_path, method):
+    # The residual would print as nan.  Run as a command, so numpy's
+    # warnings would reach stderr unfiltered.
+    path = _huge_classical(tmp_path)
     result = subprocess.run(
         [sys.executable, "-m", "handeye.cli", "calibrate", str(path), "--method", method],
         env=dict(os.environ, PYTHONPATH=str(SAMPLES.parent / "src")),
         capture_output=True, text=True, timeout=120,
     )
+    assert result.returncode == EXIT_DEGENERATE
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [
+        "error: translation residual is not finite: the input is out of numeric range"
+    ]
+
+
+@pytest.mark.parametrize("overflowing", ["solution", "dataset"])
+def test_residuals_overflow_is_degenerate(tmp_path, overflowing):
+    # A translation of 1e300 mm in the solution, or translations near 1e160
+    # in the dataset: the residual would print as inf or nan.
+    dataset, solution = SAMPLES / "classical.yaml", tmp_path / "solution.yaml"
+    assert main(["calibrate", str(dataset), "--output", str(solution)]) == EXIT_OK
+    if overflowing == "solution":
+        doc = yaml.safe_load(solution.read_text(encoding="utf-8"))
+        doc["translation_mm"] = [1e300, 0.0, 0.0]
+        solution.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    else:
+        dataset = _huge_classical(tmp_path)
+    result = _run_cli("residuals", str(dataset), str(solution), timeout=60)
     assert result.returncode == EXIT_DEGENERATE
     assert result.stdout == ""
     assert result.stderr.splitlines() == [
@@ -398,12 +426,12 @@ def test_non_finite_noise_level_is_flag_error(tmp_path, argv):
     assert list(tmp_path.iterdir()) == []
 
 
-def _run_cli(*argv, timeout):
+def _run_cli(*argv, timeout, **options):
     """``handeye argv`` as a child process, numpy warnings raised as errors."""
     return subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", "-m", "handeye.cli", *argv],
         env=dict(os.environ, PYTHONPATH=str(SAMPLES.parent / "src")),
-        capture_output=True, text=True, timeout=timeout,
+        capture_output=True, text=True, timeout=timeout, **options,
     )
 
 
@@ -431,6 +459,62 @@ def test_overflowing_noise_level_is_degenerate(tmp_path, argv):
     assert result.returncode == EXIT_DEGENERATE
     err = result.stderr.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and "1e+200" in err[0]
+    assert list(tmp_path.iterdir()) == []
+
+
+def _cap_address_space():
+    limit = 1536 << 20
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def test_simulate_huge_motion_range_stops_at_the_first_unplaceable_count(tmp_path):
+    # A list of 10^12 counts would not fit in 1.5 GB; the range stays lazy,
+    # and the sweep's scenarios fail at the 61st motion axis.
+    out = tmp_path / "out.csv"
+    result = _run_cli(
+        "simulate", "--motions", "2:1000000000000", "--trials", "1",
+        "--distribution", "gaussian", "--targets", "rotation", "--output", str(out),
+        timeout=120, preexec_fn=_cap_address_space,
+    )
+    assert result.returncode == EXIT_DEGENERATE
+    err = result.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot place 61 motion axes")
+    assert not out.exists()
+
+
+def test_simulate_empty_motion_range_is_flag_error(capsys):
+    assert main(["simulate", "--motions", "9:2"]) == EXIT_FLAGS
+    assert capsys.readouterr().err == "error: --motions: '9:2' is empty\n"
+
+
+def test_generate_seed_beyond_64_bits_has_its_own_poses(tmp_path):
+    datasets = []
+    for seed in (0, 2**64):
+        path = tmp_path / f"{seed}.yaml"
+        assert main(["generate", "--seed", str(seed), str(path)]) == EXIT_OK
+        datasets.append(load_dataset(path))
+    assert datasets[1].metadata["generator"]["seed"] == 2**64
+    for key in ("hand_poses", "camera_poses"):
+        assert not np.array_equal(getattr(datasets[0], key), getattr(datasets[1], key))
+
+
+def test_simulate_seed_beyond_64_bits_has_its_own_streams(tmp_path):
+    csvs = []
+    for seed in (5, 2**64 + 5):
+        out = tmp_path / f"{seed}.csv"
+        argv = ["simulate", "--distribution", "gaussian", "--targets", "rotation",
+                "--levels", "0.02", "--trials", "3", "--seed", str(seed), "--output", str(out)]
+        assert main(argv) == EXIT_OK
+        csvs.append(out.read_bytes())
+    assert csvs[0] != csvs[1]
+
+
+@pytest.mark.parametrize("argv", [["generate"], ["simulate", "--output"]], ids=lambda a: a[0])
+def test_negative_seed_is_flag_error(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main([argv[0], "--seed", "-1", *argv[1:], str(out)]) == EXIT_FLAGS
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: argument --seed: need a non-negative integer, got -1"]
     assert list(tmp_path.iterdir()) == []
 
 

@@ -52,7 +52,7 @@ def test_synthetic_dataset_solves_to_embedded_truth(formulation):
     for seed in range(5):
         dataset = synthetic_dataset(4, seed, formulation)
         truth_r, truth_t = _truth_of(dataset)
-        sol = he.solve_nonlinear(dataset.constraints())
+        sol = he.solve(he.Method.NONLINEAR, dataset.constraints())
         assert np.linalg.norm(sol.rotation_matrix - truth_r) < 1e-8
         assert np.linalg.norm(sol.translation - truth_t) / np.linalg.norm(truth_t) < 1e-7
 
@@ -63,7 +63,7 @@ def test_synthetic_dataset_with_noise_still_loads(tmp_path):
     path = tmp_path / "noisy.yaml"
     save_dataset(dataset, path)
     loaded = load_dataset(path)
-    sol = he.solve_nonlinear(loaded.constraints())
+    sol = he.solve(he.Method.NONLINEAR, loaded.constraints())
     truth_r, _ = _truth_of(loaded)
     # noisy, so recovery is approximate but sane
     assert np.linalg.norm(sol.rotation_matrix - truth_r) < 0.5
@@ -181,7 +181,7 @@ def test_loader_orthonormalizes_printed_rotations(tmp_path, rng):
 
 def test_solution_document_round_trip(tmp_path):
     dataset = synthetic_dataset(3, 2, Formulation.CLASSICAL)
-    sol = he.solve_closed_form(dataset.constraints())
+    sol = he.solve(he.Method.CLOSED_FORM, dataset.constraints())
     path = tmp_path / "sol.yaml"
     save_solution(sol, path)
     loaded = load_solution(path)
@@ -219,7 +219,7 @@ def test_solution_document_schema_errors(tmp_path):
 def _solution_doc(tmp_path):
     path = tmp_path / "sol.yaml"
     dataset = synthetic_dataset(3, 0, Formulation.CLASSICAL)
-    save_solution(he.solve_closed_form(dataset.constraints()), path)
+    save_solution(he.solve(he.Method.CLOSED_FORM, dataset.constraints()), path)
     return path, yaml.safe_load(path.read_text(encoding="utf-8"))
 
 

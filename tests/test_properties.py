@@ -7,11 +7,12 @@ run, and there is no example database.
 import dataclasses
 import tempfile
 import warnings
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from handeye import quaternion as quat
@@ -32,7 +33,12 @@ from handeye.simulate import (
     NoiseTargets,
     synthetic_dataset,
 )
-from handeye.solvers import SOLVERS, HandEyeSolution, Method, report_residuals, solve_batch
+from handeye.solvers import HandEyeSolution, Method, report_residuals, solve, solve_batch
+
+# One solver per method.  Each property's body calls the methods through
+# this table, and stays textually unchanged: with ``derandomize=True`` a
+# test's examples are seeded from a digest of its body.
+SOLVERS = {method: partial(solve, method) for method in Method}
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -49,6 +55,12 @@ def _relative(a, b):
 
 @PROPERTY
 @given(formulations, st.integers(2, 8), seeds, scales)
+@example(Formulation.PERSPECTIVE, 2, 17718, 10.0**0.125).xfail(
+    raises=AssertionError,
+    reason="the nonlinear stopping point moves by 4.6e-10 in q, above the 2e-10 "
+    "bound: the LM stops on a relative cost decrease of 1e-14, which is rounding "
+    "noise in the flat valley",
+)
 def test_scaling_translations_scales_t_and_keeps_q(formulation, n, seed, scale):
     noise = NoiseModel(Distribution.GAUSSIAN, 0.02, NoiseTargets.ROTATION_AND_TRANSLATION, seed)
     cs = synthetic_dataset(n, seed, formulation, noise).constraints()

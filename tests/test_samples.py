@@ -23,7 +23,7 @@ SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 def test_sample_loads_and_solves(name, formulation):
     dataset = load_dataset(SAMPLES / name)
     assert dataset.formulation == formulation
-    solution = he.solve_nonlinear(dataset.constraints())
+    solution = he.solve(he.Method.NONLINEAR, dataset.constraints())
     assert solution.converged
     assert solution.translation_residual < 0.1
 
@@ -31,7 +31,7 @@ def test_sample_loads_and_solves(name, formulation):
 def test_synthetic_sample_recovers_embedded_truth():
     dataset = load_dataset(SAMPLES / "synthetic_with_truth.yaml")
     truth = dataset.metadata["ground_truth"]
-    solution = he.solve_nonlinear(dataset.constraints())
+    solution = he.solve(he.Method.NONLINEAR, dataset.constraints())
     assert np.linalg.norm(
         solution.rotation_matrix - np.array(truth["rotation_matrix"])
     ) < 1e-8

@@ -30,7 +30,7 @@ from handeye.simulate import (
     perspective_scenario,
     synthetic_dataset,
 )
-from handeye.solvers import SOLVERS, HandEyeSolution, Method, solve_closed_form
+from handeye.solvers import HandEyeSolution, Method, solve
 
 from conftest import random_motion, random_rotation
 
@@ -98,7 +98,7 @@ def test_scenario_constraints_solve_back_to_truth():
         scenario = default_scenario(3, seed)
         rng = sim._generator(seed, 0, 0)
         cons = sim.trial_constraints(scenario, Distribution.GAUSSIAN, 0.0, 0.0, rng)
-        sol = solve_closed_form(cons)
+        sol = solve(Method.CLOSED_FORM, cons)
         assert np.linalg.norm(sol.rotation_matrix - scenario.ground_truth.rotation) < 1e-8
         rel = np.linalg.norm(sol.translation - scenario.ground_truth.translation)
         assert rel / np.linalg.norm(scenario.ground_truth.translation) < 1e-8
@@ -397,7 +397,7 @@ def _assert_rows_equal_single_solves(n, trials):
     ]
     assert len(report.rows) == 3
     for row in report.rows:
-        solutions = [SOLVERS[row.method](constraints) for constraints in sets]
+        solutions = [solve(row.method, constraints) for constraints in sets]
         assert row.failed_trials == 0
         assert (row.e_rot, row.e_tr) == error_stats(*_stacked(solutions), scenario.ground_truth)
     return report

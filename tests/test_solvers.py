@@ -19,10 +19,7 @@ from handeye.solvers import (
     build_quadratic,
     objective_value,
     report_residuals,
-    solve_closed_form,
-    solve_nonlinear,
-    solve_translation_ls,
-    solve_tsai_lenz,
+    solve,
     translation_span,
 )
 
@@ -127,11 +124,21 @@ def test_least_squares_matches_lstsq_and_gates_the_condition_number(rng):
 # ---------------------------------------------------------------------------
 # translation step
 
+def _translation_ls(cs, rotation):
+    """Least-squares translation of one problem at a fixed rotation; raises
+    the problem's error."""
+    fail = solvers._Failures.none(1)
+    t = solvers._translation_ls(solvers._one(cs), np.asarray(rotation, dtype=float)[None], fail)
+    if fail.errors[0] is not None:
+        raise fail.errors[0]
+    return t[0]
+
+
 def test_translation_ls_recovers_truth(rng):
     truth = random_motion(rng, 150.0)
     cons = consistent_constraints(rng, truth, 3)
     q = quat.from_rotation_matrix(truth.rotation)
-    t = solve_translation_ls(cons, q)
+    t = _translation_ls(cons, q)
     assert np.linalg.norm(t - truth.translation) / np.linalg.norm(truth.translation) < 1e-9
 
 
@@ -148,19 +155,14 @@ def test_translation_ls_identity_camera_rotations_rejected(rng):
         for _ in range(3)
     ])
     with pytest.raises(IllConditionedError):
-        solve_translation_ls(cons, quat.IDENTITY)
+        _translation_ls(cons, quat.IDENTITY)
 
 
 def test_translation_ls_single_constraint_rejected(rng):
     truth = random_motion(rng, 150.0)
     cons = consistent_constraints(rng, truth, 1)
     with pytest.raises(IllConditionedError):
-        solve_translation_ls(cons, quat.from_rotation_matrix(truth.rotation))
-
-
-def test_translation_ls_empty_set_rejected():
-    with pytest.raises(TooFewMotionsError):
-        solve_translation_ls(constraint_set([]), quat.IDENTITY)
+        _translation_ls(cons, quat.from_rotation_matrix(truth.rotation))
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +173,7 @@ def test_tsai_lenz_pure_translation_gives_identity_rotation(rng):
     truth = RigidMotion(np.eye(3), rng.normal(size=3) * 120)
     cons = consistent_constraints(rng, truth, 3)
     assert np.allclose(cons.camera_axis, cons.hand_axis, atol=1e-12)
-    sol = solve_tsai_lenz(cons)
+    sol = solve(Method.TSAI_LENZ, cons)
     assert np.allclose(sol.rotation, quat.IDENTITY, atol=1e-9)
 
 
@@ -179,7 +181,7 @@ def test_tsai_lenz_exact_recovery(rng):
     for _ in range(20):
         truth = random_motion(rng, 150.0)
         cons = consistent_constraints(rng, truth, 2)
-        sol = solve_tsai_lenz(cons)
+        sol = solve(Method.TSAI_LENZ, cons)
         rot, tr = _recovery_errors(sol, truth)
         assert rot < 1e-9
         assert tr < 1e-9
@@ -191,7 +193,7 @@ def test_tsai_lenz_large_angle(rng):
     axis = np.array([0.0, 0.0, 1.0])
     truth = RigidMotion(rodrigues(axis, np.radians(170.0)), rng.normal(size=3) * 100)
     cons = consistent_constraints(rng, truth, 3)
-    rot, tr = _recovery_errors(solve_tsai_lenz(cons), truth)
+    rot, tr = _recovery_errors(solve(Method.TSAI_LENZ, cons), truth)
     assert rot < 1e-8
     assert tr < 1e-7
 
@@ -199,9 +201,9 @@ def test_tsai_lenz_large_angle(rng):
 def test_tsai_lenz_too_few_and_parallel(rng):
     truth = random_motion(rng, 150.0)
     with pytest.raises(TooFewMotionsError):
-        solve_tsai_lenz(consistent_constraints(rng, truth, 1))
+        solve(Method.TSAI_LENZ, consistent_constraints(rng, truth, 1))
     with pytest.raises(IllConditionedError):
-        solve_tsai_lenz(parallel_axis_constraints(rng, truth, 2))
+        solve(Method.TSAI_LENZ, parallel_axis_constraints(rng, truth, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +224,7 @@ def test_closed_form_aligned_axes_identity():
             )
         )
     cons = constraint_set(cons)
-    sol = solve_closed_form(cons)
+    sol = solve(Method.CLOSED_FORM, cons)
     assert np.allclose(sol.rotation, quat.IDENTITY, atol=1e-10)
     vals, _ = solvers._eigen_sym4(axis_alignment_matrix(cons))
     assert vals[0] == pytest.approx(0.0, abs=1e-12)
@@ -231,7 +233,7 @@ def test_closed_form_aligned_axes_identity():
 def test_closed_form_exact_recovery(rng):
     for _ in range(20):
         truth = random_motion(rng, 150.0)
-        sol = solve_closed_form(consistent_constraints(rng, truth, 2))
+        sol = solve(Method.CLOSED_FORM, consistent_constraints(rng, truth, 2))
         rot, tr = _recovery_errors(sol, truth)
         assert rot < 1e-9
         assert tr < 1e-9
@@ -244,13 +246,13 @@ def test_closed_form_single_constraint_rejected(rng):
     vals, _ = solvers._eigen_sym4(axis_alignment_matrix(cons))
     assert vals[1] - vals[0] < 1e-9
     with pytest.raises(IllConditionedError):
-        solve_closed_form(cons)
+        solve(Method.CLOSED_FORM, cons)
 
 
 def test_closed_form_parallel_axes_rejected(rng):
     truth = random_motion(rng, 150.0)
     with pytest.raises(IllConditionedError):
-        solve_closed_form(parallel_axis_constraints(rng, truth, 3))
+        solve(Method.CLOSED_FORM, parallel_axis_constraints(rng, truth, 3))
 
 
 def test_axis_alignment_quadratic_matches_direct_sum(rng):
@@ -266,7 +268,7 @@ def test_axis_alignment_quadratic_matches_direct_sum(rng):
 def test_closed_form_rotation_residual_consistency(rng):
     truth = random_motion(rng, 150.0)
     cons = _noisy(consistent_constraints(rng, truth, 4), rng)
-    sol = solve_closed_form(cons)
+    sol = solve(Method.CLOSED_FORM, cons)
     coeff = axis_alignment_matrix(cons)
     rotated = quat.rotate_vector(sol.rotation, cons.hand_axis)
     direct = float(np.sum((cons.camera_axis - rotated) ** 2))
@@ -277,7 +279,7 @@ def test_closed_form_beats_random_quaternions(rng):
     truth = random_motion(rng, 150.0)
     cons = _noisy(consistent_constraints(rng, truth, 3), rng)
     coeff = axis_alignment_matrix(cons)
-    sol = solve_closed_form(cons)
+    sol = solve(Method.CLOSED_FORM, cons)
     best = float(sol.rotation @ coeff @ sol.rotation)
     qs = rng.normal(size=(10000, 4))
     qs /= np.linalg.norm(qs, axis=1, keepdims=True)
@@ -379,12 +381,20 @@ def test_quadratic_rotation_block_symmetry(rng):
 # ---------------------------------------------------------------------------
 # nonlinear solver
 
+def _nonlinear_from(cs, q, t):
+    """The nonlinear solve of one problem started at (q, t): the
+    closed-form batch with its estimate replaced, so its checks still
+    apply."""
+    one = solvers._one(cs)
+    start = solvers._closed_form(one)._replace(rotation=q[None], translation=t[None])
+    return solvers._nonlinear(one, start).solution()
+
+
 def test_nonlinear_stationary_at_ground_truth(rng):
     truth = random_motion(rng, 150.0)
     cons = consistent_constraints(rng, truth, 3)
     q = quat.from_rotation_matrix(truth.rotation)
-    init = solvers.HandEyeSolution(q, truth.translation, 0.0, 0.0, Method.NONLINEAR)
-    sol = solve_nonlinear(cons, init=init)
+    sol = _nonlinear_from(cons, q, truth.translation)
     assert sol.iterations <= 3
     assert np.allclose(sol.rotation, q, atol=1e-10)
     assert np.allclose(sol.translation, truth.translation, atol=1e-10 * 150.0)
@@ -393,7 +403,7 @@ def test_nonlinear_stationary_at_ground_truth(rng):
 def test_nonlinear_exact_recovery(rng):
     for _ in range(10):
         truth = random_motion(rng, 150.0)
-        sol = solve_nonlinear(consistent_constraints(rng, truth, 2))
+        sol = solve(Method.NONLINEAR, consistent_constraints(rng, truth, 2))
         rot, tr = _recovery_errors(sol, truth)
         assert rot < 1e-8
         assert tr < 1e-8
@@ -414,8 +424,8 @@ def test_nonlinear_scaled_objective_never_above_initializer(rng):
         truth = random_motion(local, 150.0)
         cons = _noisy(consistent_constraints(local, truth, 3), local, level=0.04)
         span = translation_span(cons)
-        start = solve_closed_form(cons)
-        sol = solve_nonlinear(cons, init=start)
+        start = solve(Method.CLOSED_FORM, cons)
+        sol = _nonlinear_from(cons, start.rotation, start.translation)
         before = scaled_objective(cons, start.rotation, start.translation, span)
         after = scaled_objective(cons, sol.rotation, sol.translation, span)
         assert after <= before * (1 + 1e-12)
@@ -424,24 +434,24 @@ def test_nonlinear_scaled_objective_never_above_initializer(rng):
 def test_nonlinear_degenerate_inputs_rejected(rng):
     truth = random_motion(rng, 150.0)
     with pytest.raises(TooFewMotionsError):
-        solve_nonlinear(consistent_constraints(rng, truth, 1))
+        solve(Method.NONLINEAR, consistent_constraints(rng, truth, 1))
     with pytest.raises(IllConditionedError):
-        solve_nonlinear(parallel_axis_constraints(rng, truth, 3))
-    # a given start point replaces only the closed-form start, not its checks
-    init = solvers.HandEyeSolution(
-        quat.from_rotation_matrix(truth.rotation), truth.translation, 0.0, 0.0, Method.NONLINEAR
-    )
+        solve(Method.NONLINEAR, parallel_axis_constraints(rng, truth, 3))
+    # a given start point replaces only the closed-form estimate, not its checks
     with pytest.raises(IllConditionedError):
-        solve_nonlinear(parallel_axis_constraints(rng, truth, 3), init=init)
+        _nonlinear_from(
+            parallel_axis_constraints(rng, truth, 3),
+            quat.from_rotation_matrix(truth.rotation),
+            truth.translation,
+        )
 
 
 def test_nonlinear_tagged_when_capped(rng, monkeypatch):
     truth = random_motion(rng, 150.0)
     cons = _noisy(consistent_constraints(rng, truth, 3), rng, level=0.05)
     q0 = random_unit_quaternion(rng)
-    init = solvers.HandEyeSolution(q0, np.zeros(3), 0.0, 0.0, Method.NONLINEAR)
     monkeypatch.setattr(solvers, "MAX_ITERATIONS", 1)
-    sol = solve_nonlinear(cons, init=init)
+    sol = _nonlinear_from(cons, q0, np.zeros(3))
     assert not sol.converged
     assert sol.iterations == 1
     # still a usable iterate
@@ -451,7 +461,7 @@ def test_nonlinear_tagged_when_capped(rng, monkeypatch):
 def test_nonlinear_converges_on_noisy_data(rng):
     truth = random_motion(rng, 150.0)
     cons = _noisy(consistent_constraints(rng, truth, 4), rng, level=0.03)
-    sol = solve_nonlinear(cons)
+    sol = solve(Method.NONLINEAR, cons)
     assert sol.converged
     assert 0 < sol.iterations < 200
 
@@ -463,10 +473,16 @@ def test_every_solver_exact_across_sizes_and_scales(rng):
         direction /= np.linalg.norm(direction)
         truth = RigidMotion(random_rotation(rng), rng.uniform(50.0, 500.0) * direction)
         cons = consistent_constraints(rng, truth, n)
-        for solver in (solve_tsai_lenz, solve_closed_form, solve_nonlinear):
-            rot, tr = _recovery_errors(solver(cons), truth)
-            assert rot <= 1e-8, (solver.__name__, n, rot)
-            assert tr <= 1e-7, (solver.__name__, n, tr)
+        for method in Method:
+            rot, tr = _recovery_errors(solve(method, cons), truth)
+            assert rot <= 1e-8, (method, n, rot)
+            assert tr <= 1e-7, (method, n, tr)
+
+
+@pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
+def test_solve_empty_set_rejected(method):
+    with pytest.raises(TooFewMotionsError, match="need at least 2 motions, got 0"):
+        solve(method, constraint_set([]))
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +491,7 @@ def test_every_solver_exact_across_sizes_and_scales(rng):
 def test_report_residuals_zero_at_truth(rng):
     truth = random_motion(rng, 150.0)
     cons = consistent_constraints(rng, truth, 3)
-    sol = solve_closed_form(cons)
+    sol = solve(Method.CLOSED_FORM, cons)
     rot, tr = report_residuals(cons, sol)
     assert rot == pytest.approx(0.0, abs=1e-12)
     assert tr == pytest.approx(0.0, abs=1e-12)
@@ -513,8 +529,8 @@ def test_solution_residual_magnitudes_on_noisy_data(rng):
     # realistic noisy problems land between 1e-4 and 1e-1 on both metrics
     truth = random_motion(rng, 150.0)
     cons = _noisy(consistent_constraints(rng, truth, 6), rng, level=0.02)
-    for solver in (solve_tsai_lenz, solve_closed_form, solve_nonlinear):
-        sol = solver(cons)
+    for method in Method:
+        sol = solve(method, cons)
         assert 1e-6 < sol.rotation_residual < 1.0
         assert 1e-6 < sol.translation_residual < 1.0
 
@@ -534,16 +550,15 @@ def test_batch_records_degenerate_problems_and_solves_the_rest_exactly(rng):
     results = solvers.solve_batch(_batch(bad[0], good, bad[1]))
     assert list(results) == list(Method)
     for method, batch in results.items():
-        solver = solvers.SOLVERS[method]
         assert list(batch.ok) == [False, True, False]
         for j, problem in ((0, bad[0]), (2, bad[1])):
             with pytest.raises(CalibrationError) as alone:
-                solver(problem)
+                solve(method, problem)
             assert type(batch.errors[j]) is type(alone.value)
             assert str(batch.errors[j]) == str(alone.value)
             with pytest.raises(type(alone.value)):
                 batch.solution(j)
-        expected = solver(good)
+        expected = solve(method, good)
         got = batch.solution(1)
         assert np.array_equal(got.rotation, expected.rotation)
         assert np.array_equal(got.translation, expected.translation)
@@ -559,14 +574,13 @@ def test_batch_records_zero_transfer_and_solves_the_rest_exactly(rng):
     good = _noisy(consistent_constraints(rng, truth, 3), rng)
     results = solvers.solve_batch(_batch(good, zero))
     for method, batch in results.items():
-        solver = solvers.SOLVERS[method]
         assert list(batch.ok) == [True, False]
         assert isinstance(batch.errors[1], ZeroTranslationError)
         with pytest.raises(ZeroTranslationError) as alone:
-            solver(zero)
+            solve(method, zero)
         assert str(batch.errors[1]) == str(alone.value)
         assert "translation-transfer norm is zero" in str(alone.value)
-        expected = solver(good)
+        expected = solve(method, good)
         got = batch.solution(0)
         assert np.array_equal(got.rotation, expected.rotation)
         assert np.array_equal(got.translation, expected.translation)
@@ -586,12 +600,11 @@ def test_batch_records_non_finite_rows_and_solves_the_rest_exactly(rng):
     )
     results = solvers.solve_batch(_batch(good[0], huge, good[1]))
     for method, batch in results.items():
-        solver = solvers.SOLVERS[method]
         assert list(batch.ok) == [True, False, True]
         assert type(batch.errors[1]) is CalibrationError
         assert str(batch.errors[1]).endswith("is not finite: the input is out of numeric range")
         for j, problem in ((0, good[0]), (2, good[1])):
-            expected = solver(problem)
+            expected = solve(method, problem)
             got = batch.solution(j)
             assert np.array_equal(got.rotation, expected.rotation)
             assert np.array_equal(got.translation, expected.translation)
