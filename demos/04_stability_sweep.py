@@ -2,18 +2,22 @@
 
 Sweeps Gaussian noise levels at a reduced trial count, prints the RMS
 rotation and relative translation errors per method, and writes the same
-data as CSV.  The full-size sweeps (1000 trials, every grid combination)
-run through the command line, e.g.
+rows as CSV; then sweeps the number of motions at the count study's
+fixed noise, one scenario per count.  Both sweeps take the distribution,
+the targets, the trial count and the seed, and return their rows.  The
+full-size sweeps (1000 trials, every grid combination) run through the
+command line, e.g.
 
     handeye simulate --trials 1000 --output sweeps/report.csv
 
 Run:  python demos/04_stability_sweep.py
 """
 
+import numpy as np
+
 from handeye.cli import report_csv
 from handeye.simulate import (
     Distribution,
-    NoiseModel,
     NoiseTargets,
     default_scenario,
     motion_count_sweep,
@@ -21,28 +25,25 @@ from handeye.simulate import (
 )
 
 TRIALS = 150  # enough for stable ordering; the real study uses 1000
+BOTH = NoiseTargets.ROTATION_AND_TRANSLATION
 
 scenario = default_scenario(n=2, seed=0)
-noise = NoiseModel(
-    Distribution.GAUSSIAN, targets=NoiseTargets.ROTATION_AND_TRANSLATION, seed=0
-)
-report = noise_sweep(scenario, [0.01, 0.02, 0.04, 0.06], noise, trials=TRIALS)
+rows = noise_sweep(scenario, [0.01, 0.02, 0.04, 0.06], Distribution.GAUSSIAN, BOTH, TRIALS, 0)
 
-print(f"noise sweep, n=2 motions, {TRIALS} trials, "
-      f"|t| = {report.t_norm:.0f} mm\n")
+t_norm = np.linalg.norm(scenario.ground_truth.translation)
+print(f"noise sweep, n=2 motions, {TRIALS} trials, |t| = {t_norm:.0f} mm\n")
 print(f"{'level':>6s} {'method':14s} {'e_rot':>8s} {'e_tr':>8s}")
-for row in report.rows:
+for row in rows:
     print(f"{row.sweep_var:6.2f} {row.method.value:14s} {row.e_rot:8.4f} {row.e_tr:8.4f}")
 
 print("\nsame data as CSV:\n")
-print(report_csv(report), end="")
+print(report_csv(rows), end="")
 
-counts = motion_count_sweep(
-    lambda n: default_scenario(n, 6), [2, 4, 6, 9], trials=TRIALS, seed=6
-)
+scenarios = [default_scenario(n, 6) for n in (2, 4, 6, 9)]
+counts = motion_count_sweep(scenarios, Distribution.GAUSSIAN, BOTH, TRIALS, 6)
 print("\nmotion-count sweep at 6% rotation / 2% translation Gaussian noise\n")
 print(f"{'n':>3s} {'method':14s} {'e_rot':>8s} {'e_tr':>8s}")
-for row in counts.rows:
+for row in counts:
     print(f"{row.sweep_var:3.0f} {row.method.value:14s} {row.e_rot:8.4f} {row.e_tr:8.4f}")
 
 print("\nThe simultaneous estimate stays at or below the decoupled methods,")

@@ -17,6 +17,8 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import warnings
+from functools import partial
 from pathlib import Path
 
 from .datafiles import load_dataset, load_solution, save_dataset, save_solution
@@ -28,14 +30,12 @@ from .errors import (
 )
 from .quaternion import axis_angle
 from .simulate import (
-    COUNT_ROTATION_LEVEL,
-    COUNT_TRANSLATION_LEVEL,
     SCENARIOS,
     Distribution,
     Formulation,
     NoiseModel,
     NoiseTargets,
-    StabilityReport,
+    ReportRow,
     motion_count_sweep,
     noise_sweep,
     synthetic_dataset,
@@ -55,10 +55,10 @@ CSV_HEADER = "sweep_var,method,e_rot,e_tr,failed_trials"
 DEFAULT_LEVELS = (0.01, 0.02, 0.03, 0.04, 0.05, 0.06)
 
 
-def report_csv(report: StabilityReport) -> str:
-    """Fixed-header CSV of a stability report; bytes depend only on the data."""
+def report_csv(rows: tuple[ReportRow, ...]) -> str:
+    """Fixed-header CSV of a sweep's rows; bytes depend only on the data."""
     lines = [CSV_HEADER]
-    for row in report.rows:
+    for row in rows:
         lines.append(
             f"{row.sweep_var:.12g},{row.method.value},"
             f"{row.e_rot:.12g},{row.e_tr:.12g},{row.failed_trials}"
@@ -245,25 +245,6 @@ def _cmd_residuals(args) -> int:
     return EXIT_OK
 
 
-def _simulate_one(args, distribution: Distribution, targets: NoiseTargets) -> str:
-    build = SCENARIOS[Formulation(args.formulation)]
-    if args.motions is not None:
-        report = motion_count_sweep(
-            lambda n: build(n, args.seed),
-            _parse_counts(args.motions),
-            rot_level=COUNT_ROTATION_LEVEL,
-            trans_level=targets.translation_level(COUNT_TRANSLATION_LEVEL),
-            trials=args.trials,
-            distribution=distribution,
-            seed=args.seed,
-        )
-    else:
-        levels = _parse_levels(args.levels) if args.levels is not None else list(DEFAULT_LEVELS)
-        noise = NoiseModel(distribution=distribution, targets=targets, seed=args.seed)
-        report = noise_sweep(build(2, args.seed), levels, noise, args.trials)
-    return report_csv(report)
-
-
 def _cmd_simulate(args) -> int:
     if args.levels is not None and args.motions is not None:
         raise FlagError("--levels and --motions are mutually exclusive")
@@ -279,9 +260,16 @@ def _cmd_simulate(args) -> int:
         if args.targets != "both"
         else [NoiseTargets.ROTATION, NoiseTargets.ROTATION_AND_TRANSLATION]
     )
+    build = SCENARIOS[Formulation(args.formulation)]
+    if args.motions is not None:
+        scenarios = [build(n, args.seed) for n in _parse_counts(args.motions)]
+        sweep = partial(motion_count_sweep, scenarios)
+    else:
+        levels = _parse_levels(args.levels) if args.levels is not None else list(DEFAULT_LEVELS)
+        sweep = partial(noise_sweep, build(2, args.seed), levels)
     combos = [(d, t) for d in distributions for t in targets]
     for dist, targ in combos:
-        csv_text = _simulate_one(args, dist, targ)
+        csv_text = report_csv(sweep(dist, targ, args.trials, args.seed))
         if args.output is None:
             print(f"# distribution={dist.value} targets={targ.value}")
             print(csv_text, end="")
@@ -313,14 +301,20 @@ _EXIT_CODES = (
 )
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
-    except (CalibrationError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return next(code for kind, code in _EXIT_CODES if isinstance(err, kind))
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            args = parser.parse_args(argv)
+            return _COMMANDS[args.command](args)
+        except (CalibrationError, OSError) as err:
+            print(f"error: {err}", file=sys.stderr)
+            return next(code for kind, code in _EXIT_CODES if isinstance(err, kind))
 
 
 if __name__ == "__main__":

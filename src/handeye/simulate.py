@@ -16,8 +16,13 @@ scenario (mean motion translation norm over both sides).  ``level`` is
 the full width of the uniform window and twice the standard deviation of
 the Gaussian.
 
-``synthetic_dataset`` builds one scenario (``SCENARIOS``), perturbs its
-motions from stream (seed, 2) and integrates them back into positions
+Both studies read (distribution, targets, trials, seed) and return their
+report rows: ``noise_sweep`` over the levels of one scenario,
+``motion_count_sweep`` over scenarios at the ``COUNT_*_LEVEL`` noise.
+Every trial is built on one path, which rejects a NaN, infinite or
+negative level.  ``synthetic_dataset`` takes a :class:`NoiseModel`, builds
+one scenario (``SCENARIOS``), perturbs its motions from stream
+(noise.seed, 2) and integrates them back into positions
 (:meth:`Scenario.positions`); a perspective dataset's matrices are then
 M0 [K | t], and no intrinsic or extrinsic parameter is made explicit.
 
@@ -113,18 +118,22 @@ class NoiseTargets(str, Enum):
         return level if self is NoiseTargets.ROTATION_AND_TRANSLATION else 0.0
 
 
+def _check_level(*levels: float) -> None:
+    if not all(np.isfinite(level) and level >= 0 for level in levels):
+        raise ValueError("noise level must be finite and non-negative")
+
+
 @dataclass(frozen=True)
 class NoiseModel:
-    """Noise configuration: distribution, ratio level, what it perturbs."""
+    """Noise of ``synthetic_dataset``: distribution, ratio level, targets, seed."""
 
-    distribution: Distribution = Distribution.GAUSSIAN
-    level: float = 0.0
-    targets: NoiseTargets = NoiseTargets.ROTATION_AND_TRANSLATION
-    seed: int = 0
+    distribution: Distribution
+    level: float
+    targets: NoiseTargets
+    seed: int
 
     def __post_init__(self):
-        if not np.isfinite(self.level) or self.level < 0:
-            raise ValueError("noise level must be finite and non-negative")
+        _check_level(self.level)
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,15 +215,6 @@ class ReportRow:
     e_rot: float
     e_tr: float
     failed_trials: int
-
-
-@dataclass(frozen=True)
-class StabilityReport:
-    """Per-sweep-point, per-method error statistics."""
-
-    rows: tuple[ReportRow, ...]
-    trials: int
-    t_norm: float  # ground-truth translation magnitude, mm
 
 
 # ---------------------------------------------------------------------------
@@ -436,8 +436,9 @@ def _trial_constraints(
 
     Trial j perturbs every motion pair, camera motion first, with draws
     from ``rngs[j]`` in a fixed order, so its set is a pure function of
-    that stream.
+    that stream.  A NaN, infinite or negative level raises ValueError.
     """
+    _check_level(rot_level, trans_level)
     rotation, translation = scenario.motion_arrays
     scale = scenario.nominal_translation
     k = sum(_draw_counts(distribution, rot_level, trans_level, scale))
@@ -469,7 +470,11 @@ def trial_constraints(
     return ConstraintSet(*(a[0] for a in cs.arrays))
 
 
-def _sweep(points, distribution: Distribution, trials: int, seed: int) -> list[ReportRow]:
+def _sweep(points, distribution: Distribution, trials: int, seed: int) -> tuple[ReportRow, ...]:
+    """One row per method for each (sweep_var, scenario, rot_level, trans_level)
+    point.  Trials a solver rejects are left out of the RMS and counted."""
+    if not isinstance(trials, (int, np.integer)) or trials < 1:
+        raise ValueError(f"need an integer number of trials >= 1, got {trials!r}")
     rows = []
     for index, (sweep_var, scenario, rot_level, trans_level) in enumerate(points):
         estimates: dict[Method, list] = {m: [] for m in Method}
@@ -492,51 +497,42 @@ def _sweep(points, distribution: Distribution, trials: int, seed: int) -> list[R
             else:
                 e_rot = e_tr = float("nan")
             rows.append(ReportRow(float(sweep_var), m, e_rot, e_tr, failed[m]))
-    return rows
+    return tuple(rows)
 
 
 def noise_sweep(
     scenario: Scenario,
     levels: Sequence[float],
-    noise: NoiseModel,
+    distribution: Distribution,
+    targets: NoiseTargets,
     trials: int,
-) -> StabilityReport:
-    """Error statistics versus noise level.
+    seed: int,
+) -> tuple[ReportRow, ...]:
+    """Error statistics versus noise level, one row per level and method.
 
     For each level, ``trials`` independent trials perturb every camera and
     hand motion, rebuild the constraints once, and hand the same noisy
-    data to all three methods.  Trials a solver rejects are excluded from
-    the RMS and counted in ``failed_trials``.
+    data to all three methods.
     """
-    if trials < 1:
-        raise ValueError("at least one trial is required")
-    points = [(level, scenario, level, noise.targets.translation_level(level)) for level in levels]
-    rows = _sweep(points, noise.distribution, trials, noise.seed)
-    t_norm = float(np.linalg.norm(scenario.ground_truth.translation))
-    return StabilityReport(tuple(rows), trials, t_norm)
+    points = [(level, scenario, level, targets.translation_level(level)) for level in levels]
+    return _sweep(points, distribution, trials, seed)
 
 
 def motion_count_sweep(
-    scenario_family: Callable[[int], Scenario],
-    counts: Sequence[int],
-    rot_level: float = COUNT_ROTATION_LEVEL,
-    trans_level: float = COUNT_TRANSLATION_LEVEL,
-    trials: int = 1000,
-    distribution: Distribution = Distribution.GAUSSIAN,
-    seed: int = 0,
-) -> StabilityReport:
-    """Error statistics versus the number of motions, at fixed noise.
-
-    Defaults follow the worst-case study design: Gaussian noise, with
-    ``COUNT_ROTATION_LEVEL`` on rotation axes and ``COUNT_TRANSLATION_LEVEL``
-    on translations.
+    scenarios: Sequence[Scenario],
+    distribution: Distribution,
+    targets: NoiseTargets,
+    trials: int,
+    seed: int,
+) -> tuple[ReportRow, ...]:
+    """Error statistics versus the number of motions, one row per scenario
+    and method, at the worst-case noise of the noise study:
+    ``COUNT_ROTATION_LEVEL`` on rotation axes and, if the targets include
+    them, ``COUNT_TRANSLATION_LEVEL`` on translations.
     """
-    if trials < 1:
-        raise ValueError("at least one trial is required")
-    points = [(n, scenario_family(n), rot_level, trans_level) for n in counts]
-    rows = _sweep(points, distribution, trials, seed)
-    t_norm = float(np.linalg.norm(points[0][1].ground_truth.translation)) if points else 0.0
-    return StabilityReport(tuple(rows), trials, t_norm)
+    trans_level = targets.translation_level(COUNT_TRANSLATION_LEVEL)
+    points = [(len(s.camera_poses) - 1, s, COUNT_ROTATION_LEVEL, trans_level) for s in scenarios]
+    return _sweep(points, distribution, trials, seed)
 
 
 # ---------------------------------------------------------------------------

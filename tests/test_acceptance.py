@@ -19,7 +19,6 @@ from handeye.geometry import RigidMotion, compose
 from handeye.simulate import (
     Distribution,
     Formulation,
-    NoiseModel,
     NoiseTargets,
     default_scenario,
     motion_count_sweep,
@@ -63,22 +62,21 @@ def _run_level_grid():
     reports = {}
     for distribution in (Distribution.UNIFORM, Distribution.GAUSSIAN):
         for targets in (NoiseTargets.ROTATION, NoiseTargets.ROTATION_AND_TRANSLATION):
-            noise = NoiseModel(distribution, targets=targets, seed=0)
             reports[(distribution, targets)] = noise_sweep(
-                scenario, GRID_LEVELS, noise, GRID_TRIALS
+                scenario, GRID_LEVELS, distribution, targets, GRID_TRIALS, 0
             )
     return reports
 
 
 def _run_count_sweep():
+    # the study's noise: 6 % on rotation axes, 2 % on translations
+    assert (sim.COUNT_ROTATION_LEVEL, sim.COUNT_TRANSLATION_LEVEL) == (0.06, 0.02)
     return motion_count_sweep(
-        lambda n: default_scenario(n, COUNT_SCENARIO_SEED),
-        range(2, 10),
-        rot_level=0.06,
-        trans_level=0.02,
-        trials=COUNT_TRIALS,
-        distribution=Distribution.GAUSSIAN,
-        seed=COUNT_SCENARIO_SEED,
+        [default_scenario(n, COUNT_SCENARIO_SEED) for n in range(2, 10)],
+        Distribution.GAUSSIAN,
+        NoiseTargets.ROTATION_AND_TRANSLATION,
+        COUNT_TRIALS,
+        COUNT_SCENARIO_SEED,
     )
 
 
@@ -245,7 +243,7 @@ def test_criterion_07_nonlinear_leads_everywhere(level_grid):
     reports, elapsed = level_grid
     worst_ratio = 0.0
     for (distribution, targets), report in reports.items():
-        rows = {(row.sweep_var, row.method): row for row in report.rows}
+        rows = {(row.sweep_var, row.method): row for row in report}
         for level in GRID_LEVELS:
             nl = rows[(level, Method.NONLINEAR)]
             best_rot = min(
@@ -263,7 +261,7 @@ def test_criterion_07_nonlinear_leads_everywhere(level_grid):
 
 
 def test_criterion_08_motion_count_point_values(count_sweep):
-    rows = {(int(r.sweep_var), r.method): r for r in count_sweep.rows}
+    rows = {(int(r.sweep_var), r.method): r for r in count_sweep}
     nl4 = rows[(4, Method.NONLINEAR)].e_tr
     tl4 = rows[(4, Method.TSAI_LENZ)].e_tr
     cf4 = rows[(4, Method.CLOSED_FORM)].e_tr
@@ -281,7 +279,7 @@ def test_criterion_08_motion_count_point_values(count_sweep):
 
 
 def test_criterion_09_errors_shrink_with_motions(count_sweep):
-    rows = {(int(r.sweep_var), r.method): r for r in count_sweep.rows}
+    rows = {(int(r.sweep_var), r.method): r for r in count_sweep}
     for method in (Method.TSAI_LENZ, Method.CLOSED_FORM, Method.NONLINEAR):
         assert rows[(9, method)].e_tr < rows[(2, method)].e_tr
     _ok(9, "translation error at n=9 below n=2 for every method")

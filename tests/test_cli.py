@@ -179,6 +179,40 @@ def test_calibrate_capped_optimizer_exits_4(tmp_path, capsys, monkeypatch):
     assert captured.err == "warning: optimizer hit its iteration cap before converging\n"
 
 
+TWO_POSITIONS_WARNING = (
+    "warning: dataset has exactly 2 positions (one motion); "
+    "the hand-eye transform is not uniquely determined"
+)
+
+
+def _two_positions(tmp_path):
+    ds = synthetic_dataset(2, 0, Formulation.CLASSICAL)
+    path = tmp_path / "two.yaml"
+    save_dataset(Dataset(Formulation.CLASSICAL, ds.hand_poses[:2], ds.camera_poses[:2]), path)
+    return path
+
+
+def test_library_warning_is_one_line(tmp_path):
+    # Run as a command, so Python's own warning display would reach stderr.
+    result = _run_cli("calibrate", str(_two_positions(tmp_path)), "--method", "closed-form",
+                      timeout=60)
+    assert result.returncode == EXIT_DEGENERATE
+    err = result.stderr.splitlines()
+    assert len(err) == 2 and err[0] == TWO_POSITIONS_WARNING
+    assert err[1].startswith("error: ") and "rotation is not unique" in err[1]
+
+
+@pytest.mark.parametrize("command", ["calibrate", "residuals"])
+def test_each_call_prints_its_own_warning(tmp_path, capsys, command):
+    path, sol = _two_positions(tmp_path), tmp_path / "sol.yaml"
+    assert main(["calibrate", str(SAMPLES / "classical.yaml"), "--output", str(sol)]) == EXIT_OK
+    argv = [command, str(path)] + ([str(sol)] if command == "residuals" else [])
+    for _ in range(2):
+        capsys.readouterr()
+        main(argv)
+        assert capsys.readouterr().err.splitlines()[0] == TWO_POSITIONS_WARNING
+
+
 def test_calibrate_output_into_missing_directory_exits_5(tmp_path, capsys):
     ds = tmp_path / "ds.yaml"
     assert main(["generate", str(ds)]) == EXIT_OK
@@ -519,13 +553,8 @@ def test_negative_seed_is_flag_error(tmp_path, capsys, argv):
 
 
 def test_report_csv_shape():
-    from handeye.simulate import ReportRow, StabilityReport
+    from handeye.simulate import ReportRow
     from handeye.solvers import Method
 
-    report = StabilityReport(
-        rows=(ReportRow(0.01, Method.TSAI_LENZ, 0.5, 0.25, 2),),
-        trials=10,
-        t_norm=157.0,
-    )
-    text = report_csv(report)
+    text = report_csv((ReportRow(0.01, Method.TSAI_LENZ, 0.5, 0.25, 2),))
     assert text == f"{CSV_HEADER}\n0.01,tsai-lenz,0.5,0.25,2\n"

@@ -164,7 +164,9 @@ def test_no_module_imports_private_names_from_simulate():
 
 
 @pytest.mark.parametrize(
-    "noise", [None, NoiseModel(Distribution.GAUSSIAN, 0.01, seed=3)], ids=["noise-free", "noisy"]
+    "noise",
+    [None, NoiseModel(Distribution.GAUSSIAN, 0.01, NoiseTargets.ROTATION_AND_TRANSLATION, 3)],
+    ids=["noise-free", "noisy"],
 )
 def test_perspective_dataset_builds_one_scenario(monkeypatch, noise):
     calls = []
@@ -204,10 +206,13 @@ def test_positions_inverts_motion_arrays(formulation):
 # ---------------------------------------------------------------------------
 # perturbation
 
-def test_noise_model_rejects_non_finite_level():
-    for level in (float("nan"), float("inf"), -0.01):
-        with pytest.raises(ValueError):
-            NoiseModel(Distribution.GAUSSIAN, level)
+BAD_LEVELS = [float("nan"), float("inf"), -0.01]
+
+
+@pytest.mark.parametrize("level", BAD_LEVELS)
+def test_noise_model_rejects_non_finite_level(level):
+    with pytest.raises(ValueError, match="noise level must be finite and non-negative"):
+        NoiseModel(Distribution.GAUSSIAN, level, NoiseTargets.ROTATION_AND_TRANSLATION, 0)
 
 
 def _perturb(motions, noise, rng, translation_scale):
@@ -333,74 +338,106 @@ def test_error_stats_rejects_zero_translation(rng):
 # ---------------------------------------------------------------------------
 # sweeps
 
+BOTH = NoiseTargets.ROTATION_AND_TRANSLATION
+
+
 def test_noise_sweep_zero_level_recovers_exactly():
     scenario = default_scenario(2, seed=0)
-    noise = NoiseModel(Distribution.GAUSSIAN, 0.0, NoiseTargets.ROTATION_AND_TRANSLATION, 0)
-    report = noise_sweep(scenario, [0.0], noise, trials=2)
-    assert len(report.rows) == 3
-    for row in report.rows:
+    rows = noise_sweep(scenario, [0.0], Distribution.GAUSSIAN, BOTH, 2, 0)
+    assert len(rows) == 3
+    for row in rows:
         assert row.e_rot <= 1e-8
         assert row.e_tr <= 1e-8
         assert row.failed_trials == 0
-    assert report.t_norm == pytest.approx(157.0, abs=1e-9)
 
 
 def test_noise_sweep_deterministic():
     scenario = default_scenario(2, seed=1)
-    noise = NoiseModel(Distribution.UNIFORM, 0.04, NoiseTargets.ROTATION_AND_TRANSLATION, 9)
-    first = noise_sweep(scenario, [0.02, 0.04], noise, trials=20)
-    second = noise_sweep(scenario, [0.02, 0.04], noise, trials=20)
+    first = noise_sweep(scenario, [0.02, 0.04], Distribution.UNIFORM, BOTH, 20, 9)
+    second = noise_sweep(scenario, [0.02, 0.04], Distribution.UNIFORM, BOTH, 20, 9)
     assert first == second
 
 
 def test_noise_sweep_nonlinear_leads_at_high_noise():
     scenario = default_scenario(2, seed=0)
-    noise = NoiseModel(Distribution.GAUSSIAN, 0.0, NoiseTargets.ROTATION_AND_TRANSLATION, 0)
-    report = noise_sweep(scenario, [0.06], noise, trials=150)
-    by_method = {row.method: row for row in report.rows}
+    rows = noise_sweep(scenario, [0.06], Distribution.GAUSSIAN, BOTH, 150, 0)
+    by_method = {row.method: row for row in rows}
     nl = by_method[Method.NONLINEAR]
     for other in (Method.TSAI_LENZ, Method.CLOSED_FORM):
         assert nl.e_rot <= by_method[other].e_rot
         assert nl.e_tr <= by_method[other].e_tr
 
 
-def test_motion_count_sweep_zero_noise_single_trial():
-    report = motion_count_sweep(
-        lambda n: default_scenario(n, 4), [2, 3], rot_level=0.0, trans_level=0.0, trials=1
-    )
-    for row in report.rows:
-        assert row.e_rot <= 1e-8
-        assert row.e_tr <= 1e-8
+@pytest.mark.parametrize("formulation", list(Formulation))
+def test_motion_count_sweep_row_layout(formulation):
+    scenarios = [sim.SCENARIOS[formulation](n, 4) for n in (2, 4)]
+    rows = motion_count_sweep(scenarios, Distribution.GAUSSIAN, BOTH, 5, 1)
+    assert [r.sweep_var for r in rows] == [2.0, 2.0, 2.0, 4.0, 4.0, 4.0]
+    assert [r.method for r in rows] == list(Method) * 2
 
 
-def test_motion_count_sweep_row_layout():
-    report = motion_count_sweep(
-        lambda n: default_scenario(n, 4), [2, 4], trials=5, seed=1
-    )
-    assert [int(r.sweep_var) for r in report.rows] == [2, 2, 2, 4, 4, 4]
-    assert report.trials == 5
+@pytest.mark.parametrize("targets", list(NoiseTargets))
+def test_motion_count_sweep_solves_trial_constraints_at_the_count_levels(targets):
+    scenario = default_scenario(3, 4)
+    rows = motion_count_sweep([scenario], Distribution.GAUSSIAN, targets, 3, 2)
+    levels = (sim.COUNT_ROTATION_LEVEL, targets.translation_level(sim.COUNT_TRANSLATION_LEVEL))
+    sets = [
+        sim.trial_constraints(scenario, Distribution.GAUSSIAN, *levels, sim._generator(2, 0, j))
+        for j in range(3)
+    ]
+    assert [row.sweep_var for row in rows] == [3.0] * 3
+    for row in rows:
+        solutions = [solve(row.method, constraints) for constraints in sets]
+        assert row.failed_trials == 0
+        assert (row.e_rot, row.e_tr) == error_stats(*_stacked(solutions), scenario.ground_truth)
+
+
+@pytest.mark.parametrize("level", BAD_LEVELS)
+def test_noise_sweep_rejects_bad_level(level):
+    with pytest.raises(ValueError, match="noise level must be finite and non-negative"):
+        noise_sweep(default_scenario(2, 0), [level], Distribution.GAUSSIAN, BOTH, 2, 0)
+
+
+@pytest.mark.parametrize("side", ["rotation", "translation"])
+@pytest.mark.parametrize("level", BAD_LEVELS)
+def test_trial_constraints_rejects_bad_level(level, side):
+    levels = (level, 0.02) if side == "rotation" else (0.02, level)
+    with pytest.raises(ValueError, match="noise level must be finite and non-negative"):
+        sim.trial_constraints(
+            default_scenario(2, 0), Distribution.GAUSSIAN, *levels, sim._generator(0, 0, 0)
+        )
+
+
+@pytest.mark.parametrize("trials", [0, 2.5])
+@pytest.mark.parametrize("study", ["noise", "count"])
+def test_sweeps_reject_bad_trial_count(study, trials):
+    scenario = default_scenario(2, 0)
+    with pytest.raises(ValueError, match="integer number of trials"):
+        if study == "noise":
+            noise_sweep(scenario, [0.01], Distribution.GAUSSIAN, BOTH, trials, 0)
+        else:
+            motion_count_sweep([scenario], Distribution.GAUSSIAN, BOTH, trials, 0)
 
 
 def _noise_report(n, trials):
     scenario = default_scenario(n, seed=3)
-    noise = NoiseModel(Distribution.GAUSSIAN, 0.04, NoiseTargets.ROTATION_AND_TRANSLATION, 5)
-    return scenario, noise_sweep(scenario, [0.04], noise, trials=trials)
+    return scenario, noise_sweep(scenario, [0.04], Distribution.GAUSSIAN, BOTH, trials, 5)
 
 
 def _assert_rows_equal_single_solves(n, trials):
     # a sweep trial is exactly the constraint set trial_constraints builds,
     # solved alone
-    scenario, report = _noise_report(n, trials)
+    scenario, rows = _noise_report(n, trials)
     sets = [
         sim.trial_constraints(scenario, Distribution.GAUSSIAN, 0.04, 0.04, sim._generator(5, 0, j))
         for j in range(trials)
     ]
-    assert len(report.rows) == 3
-    for row in report.rows:
+    assert len(rows) == 3
+    for row in rows:
         solutions = [solve(row.method, constraints) for constraints in sets]
         assert row.failed_trials == 0
         assert (row.e_rot, row.e_tr) == error_stats(*_stacked(solutions), scenario.ground_truth)
-    return report
+    return rows
 
 
 def test_noise_sweep_solves_trial_constraints():
