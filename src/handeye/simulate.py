@@ -34,7 +34,11 @@ therefore bit-identical for identical seeds, and each trial's stream is
 independent of execution order.
 
 A sweep point's trials are solved in blocks, each as arrays with a
-leading trial axis: the noise of a block is drawn and applied at once, its
+leading trial axis: the uniforms of a block's streams are computed at once
+as integer array arithmetic (``_stream_keys`` hashes every trial's spawn
+key into its Philox key, ``_philox_random`` runs Philox4x64-10 on all the
+keys), bit-identical to one numpy ``Philox`` generator per trial, so the
+contract above is unchanged.  The noise is applied at once, the block's
 constraint sets are built as one (J, n, ...) ``ConstraintSet``, and
 ``solvers.solve_batch`` solves them.  A block holds at most
 ``_BLOCK_MOTIONS`` (1024) trials x motions, so J = 1024 // n trials (512
@@ -225,6 +229,100 @@ def _generator(seed: int, *stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(root))
 
 
+# numpy's SeedSequence hash constants, and the Philox4x64-10 multipliers and
+# key increments (Salmon et al., "Parallel random numbers: as easy as 1, 2,
+# 3", SC 2011).  Every wrapping product below is an array op: numpy warns on
+# a wrapping scalar one.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+
+
+def _entropy_words(value: int) -> int:
+    """32-bit words SeedSequence splits a non-negative integer into."""
+    return max(1, -(-int(value).bit_length() // 32))
+
+
+def _mix_word(pool: np.ndarray, word: np.ndarray, hash_const: int) -> int:
+    """Mix one entropy word per row into a (J, 4) uint32 pool in place, as
+    SeedSequence mixes an entropy word beyond its pool; returns the next
+    hash constant."""
+    for dst in range(4):
+        value = word ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const
+        value ^= value >> 16
+        mixed = _MIX_MULT_L * pool[:, dst] - _MIX_MULT_R * value
+        pool[:, dst] = mixed ^ mixed >> 16
+    return hash_const
+
+
+def _stream_keys(seed: int, index: int, trial_ids: np.ndarray) -> np.ndarray:
+    """Philox keys of the streams (seed, index, j) for the trial ids j in
+    ``trial_ids``, (J, 2) uint64: row j is
+    ``SeedSequence(seed, spawn_key=(index, j)).generate_state(2, np.uint64)``.
+
+    Every trial shares the pool of (seed, index); its own spawn-key words
+    (one below 2**32, else two) are mixed into a copy of it per row.
+    """
+    prefix = np.random.SeedSequence(int(seed), spawn_key=(int(index),))
+    # The pool is filled by 4 hash steps and mixed by 12; each entropy word
+    # beyond it takes 4 more.  The run words are padded to 4 when a spawn
+    # key follows them.
+    words = max(4, _entropy_words(seed)) + _entropy_words(index)
+    hash_const = _INIT_A * pow(_MULT_A, 16 + 4 * (words - 4), 1 << 32) & _MASK32
+    ids = np.asarray(trial_ids, dtype=np.uint64)
+    pool = np.tile(prefix.pool, (len(ids), 1))
+    hash_const = _mix_word(pool, (ids & _MASK32).astype(np.uint32), hash_const)
+    wide = np.flatnonzero(ids >> 32)
+    high = pool[wide]
+    _mix_word(high, (ids[wide] >> 32).astype(np.uint32), hash_const)
+    pool[wide] = high
+    # generate_state: four hashed pool words, paired low word first
+    state, hash_const = [], _INIT_B
+    for word in pool.T:
+        value = word ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const
+        state.append((value ^ value >> 16).astype(np.uint64))
+    return np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32], axis=-1)
+
+
+def _mulhilo(a: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of the 128-bit products a * b, the high one
+    built from 32-bit halves."""
+    a_lo, a_hi = a & _MASK32, a >> 32
+    b_lo, b_hi = b & _MASK32, b >> 32
+    cross = b_hi * a_lo
+    middle = (b_lo * a_lo >> 32) + (cross & _MASK32) + b_lo * a_hi
+    return b_hi * a_hi + (cross >> 32) + (middle >> 32), b * a
+
+
+def _philox_random(keys: np.ndarray, m: int) -> np.ndarray:
+    """The first ``m`` doubles of the Philox4x64-10 streams keyed by the rows
+    of ``keys``, (J, m): row by row ``Generator(Philox(key=key)).random(m)``.
+
+    A fresh Philox stream encrypts the counters 1, 2, ... and hands out each
+    block's four words in order; a double is ``(word >> 11) * 2**-53``.
+    """
+    k0, k1 = keys[:, :1], keys[:, 1:]
+    # The counter words broadcast: the first two rounds are cheaper while a
+    # word does not yet depend on both the key and the counter.
+    c0 = np.arange(1, -(-m // 4) + 1, dtype=np.uint64)
+    c1 = c2 = c3 = np.zeros(1, dtype=np.uint64)
+    for round_ in range(10):
+        if round_:
+            k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    words = np.stack([c0, c1, c2, c3], axis=-1).reshape(len(keys), -1)[:, :m]
+    return (words >> 11) * (1.0 / 9007199254740992.0)
+
+
 # Uniform draws per noise sample.
 _DRAWS = {Distribution.UNIFORM: 1, Distribution.GAUSSIAN: 2}
 
@@ -327,22 +425,33 @@ def _perturbed(
     return rotation, translation
 
 
+def _squared_errors(
+    rotation: np.ndarray, translation: np.ndarray, truth: RigidMotion
+) -> tuple[np.ndarray, np.ndarray]:
+    """Squared Frobenius rotation errors and squared translation errors, (J,)
+    each, of estimates stacked as (J, 4) unit quaternions and (J, 3)
+    translations."""
+    rot_sq = ((quat.to_rotation_matrix(rotation) - truth.rotation) ** 2).reshape(-1, 9)
+    return np.sum(rot_sq, axis=-1), np.sum((translation - truth.translation) ** 2, axis=-1)
+
+
+def _rms_errors(rot_sq: np.ndarray, tr_sq: np.ndarray, truth: RigidMotion) -> tuple[float, float]:
+    """RMS rotation error and RMS relative translation error from the
+    per-estimate squared errors of :func:`_squared_errors`."""
+    if len(rot_sq) == 0:
+        raise ValueError("at least one estimate is required")
+    t_norm = float(np.linalg.norm(truth.translation))
+    if t_norm == 0.0:
+        raise ZeroTranslationError("relative translation error undefined for zero translation")
+    return float(np.sqrt(np.mean(rot_sq))), float(np.sqrt(np.mean(tr_sq))) / t_norm
+
+
 def error_stats(
     rotation: np.ndarray, translation: np.ndarray, truth: RigidMotion
 ) -> tuple[float, float]:
     """RMS Frobenius rotation error and RMS relative translation error of
     estimates stacked as (J, 4) unit quaternions and (J, 3) translations."""
-    if len(rotation) == 0:
-        raise ValueError("at least one estimate is required")
-    t_norm = float(np.linalg.norm(truth.translation))
-    if t_norm == 0.0:
-        raise ZeroTranslationError("relative translation error undefined for zero translation")
-    rot_sq = ((quat.to_rotation_matrix(rotation) - truth.rotation) ** 2).reshape(len(rotation), -1)
-    tr_sq = (translation - truth.translation) ** 2
-    return (
-        float(np.sqrt(np.mean(np.sum(rot_sq, axis=-1)))),
-        float(np.sqrt(np.mean(np.sum(tr_sq, axis=-1)))) / t_norm,
-    )
+    return _rms_errors(*_squared_errors(rotation, translation, truth), truth)
 
 
 # ---------------------------------------------------------------------------
@@ -425,25 +534,34 @@ SCENARIOS: dict[Formulation, Callable[[int, int], Scenario]] = {
 # ---------------------------------------------------------------------------
 # sweeps
 
-def _trial_constraints(
+def _trial_draw_count(
+    scenario: Scenario, distribution: Distribution, rot_level: float, trans_level: float
+) -> int:
+    """Uniform draws one trial takes: k per motion of each pair, as counted
+    by :func:`_draw_counts`."""
+    k = sum(_draw_counts(distribution, rot_level, trans_level, scenario.nominal_translation))
+    return k * len(scenario.motion_arrays[0]) * 2
+
+
+def _perturbed_constraints(
     scenario: Scenario,
     distribution: Distribution,
     rot_level: float,
     trans_level: float,
-    rngs: Sequence[np.random.Generator],
+    draws: np.ndarray,
 ) -> ConstraintSet:
-    """The constraint sets of ``len(rngs)`` trials, stacked (J, n, ...).
+    """The constraint sets of the trials whose uniform draws are the rows of
+    ``draws``, (J, :func:`_trial_draw_count`), stacked (J, n, ...).
 
-    Trial j perturbs every motion pair, camera motion first, with draws
-    from ``rngs[j]`` in a fixed order, so its set is a pure function of
-    that stream.  A NaN, infinite or negative level raises ValueError.
+    Trial j perturbs every motion pair, camera motion first, with the draws
+    of its row in a fixed order, so its set is a pure function of that row.
+    A NaN, infinite or negative level raises ValueError.
     """
     _check_level(rot_level, trans_level)
     rotation, translation = scenario.motion_arrays
     scale = scenario.nominal_translation
-    k = sum(_draw_counts(distribution, rot_level, trans_level, scale))
-    draws = np.stack([rng.random(k * rotation.shape[0] * 2) for rng in rngs])
-    draws = draws.reshape((len(rngs),) + rotation.shape[:2] + (k,))
+    n = len(rotation)
+    draws = draws.reshape(len(draws), n, 2, draws.shape[1] // (2 * n))
     rotation, translation = _perturbed(
         rotation, translation, distribution, rot_level, trans_level, scale, draws
     )
@@ -452,6 +570,24 @@ def _trial_constraints(
     return ConstraintSet.from_motions(
         rotation[:, :, 0], translation[:, :, 0], rotation[:, :, 1], translation[:, :, 1]
     )
+
+
+def _trial_constraints(
+    scenario: Scenario,
+    distribution: Distribution,
+    rot_level: float,
+    trans_level: float,
+    rngs: Sequence[np.random.Generator],
+) -> ConstraintSet:
+    """The constraint sets of ``len(rngs)`` trials, stacked (J, n, ...),
+    trial j perturbed by the first draws of ``rngs[j]``.
+
+    The reference for the sweep, whose blocks compute the same draws with
+    :func:`_stream_keys` and :func:`_philox_random`.
+    """
+    m = _trial_draw_count(scenario, distribution, rot_level, trans_level)
+    draws = np.stack([rng.random(m) for rng in rngs])
+    return _perturbed_constraints(scenario, distribution, rot_level, trans_level, draws)
 
 
 def trial_constraints(
@@ -472,28 +608,39 @@ def trial_constraints(
 
 def _sweep(points, distribution: Distribution, trials: int, seed: int) -> tuple[ReportRow, ...]:
     """One row per method for each (sweep_var, scenario, rot_level, trans_level)
-    point.  Trials a solver rejects are left out of the RMS and counted."""
+    point.  Trials a solver rejects are left out of the RMS and counted.
+
+    Trial j of point i draws the first uniforms of stream (seed, i, j), as
+    ``_generator(seed, i, j).random`` would; each block computes its
+    trials' draws at once with :func:`_stream_keys` and
+    :func:`_philox_random`.  A point keeps each estimate's squared errors,
+    not the estimate.
+    """
     if not isinstance(trials, (int, np.integer)) or trials < 1:
         raise ValueError(f"need an integer number of trials >= 1, got {trials!r}")
     rows = []
     for index, (sweep_var, scenario, rot_level, trans_level) in enumerate(points):
-        estimates: dict[Method, list] = {m: [] for m in Method}
+        truth = scenario.ground_truth
+        squared: dict[Method, list] = {m: [] for m in Method}
         failed = dict.fromkeys(Method, 0)
         block = max(1, _BLOCK_MOTIONS // len(scenario.motion_arrays[0]))
+        m_draws = _trial_draw_count(scenario, distribution, rot_level, trans_level)
         for first in range(0, trials, block):
-            rngs = [_generator(seed, index, j) for j in range(first, min(first + block, trials))]
-            constraints = _trial_constraints(scenario, distribution, rot_level, trans_level, rngs)
+            ids = np.arange(first, min(first + block, trials), dtype=np.uint64)
+            draws = _philox_random(_stream_keys(seed, index, ids), m_draws)
+            constraints = _perturbed_constraints(
+                scenario, distribution, rot_level, trans_level, draws
+            )
             for m, batch in solve_batch(constraints).items():
                 for err in batch.errors:
                     if err is not None and not isinstance(err, CalibrationError):
                         raise err
                 ok = batch.ok
                 failed[m] += int(np.count_nonzero(~ok))
-                estimates[m].append((batch.rotation[ok], batch.translation[ok]))
+                squared[m].append(_squared_errors(batch.rotation[ok], batch.translation[ok], truth))
         for m in Method:
             if failed[m] < trials:
-                rotation, translation = (np.concatenate(a) for a in zip(*estimates[m]))
-                e_rot, e_tr = error_stats(rotation, translation, scenario.ground_truth)
+                e_rot, e_tr = _rms_errors(*(np.concatenate(a) for a in zip(*squared[m])), truth)
             else:
                 e_rot = e_tr = float("nan")
             rows.append(ReportRow(float(sweep_var), m, e_rot, e_tr, failed[m]))

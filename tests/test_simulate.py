@@ -272,6 +272,33 @@ def test_perturbed_draws_each_motion_from_its_own_slice(rng):
         assert np.array_equal(alone[1][0], together[1][i])
 
 
+# Seeds of one to five 32-bit words, around the 64-bit boundary; trial ids
+# of one and two words; draw counts that end inside a Philox block of four.
+STREAM_SEEDS = [0, 6, 2**32, 2**64 - 1, 2**64 + 5, 2**130]
+TRIAL_IDS = [*range(601), 2**32 - 1, 2**32, 2**40]
+DRAW_COUNTS = [1, 3, 4, 5, 48, 216, 217]
+
+
+@pytest.mark.parametrize("index", [0, 3])
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_block_streams_match_numpy_philox(seed, index):
+    # the sweep's block draws are numpy's per-trial streams (seed, index, j), bit for bit
+    ids = np.array(TRIAL_IDS, dtype=np.uint64)
+    keys = sim._stream_keys(seed, index, ids)
+    assert keys.shape == (len(ids), 2) and keys.dtype == np.uint64
+    draws = {m: sim._philox_random(keys, m) for m in DRAW_COUNTS}
+    for row, j in enumerate(TRIAL_IDS):
+        stream = np.random.SeedSequence(seed, spawn_key=(index, j))
+        assert np.array_equal(keys[row], stream.generate_state(2, np.uint64))
+        for m in DRAW_COUNTS:
+            expected = np.random.Generator(np.random.Philox(stream)).random(m)
+            assert np.array_equal(draws[m][row], expected)
+    # a block of one trial
+    for j in (0, 2**32, 2**40):
+        alone = sim._philox_random(sim._stream_keys(seed, index, np.array([j], np.uint64)), 217)
+        assert np.array_equal(alone[0], sim._generator(seed, index, j).random(217))
+
+
 def test_noise_calibration_gaussian():
     # level 0.06 means standard deviation 0.03
     samples = sim._noise_samples(sim._generator(7), Distribution.GAUSSIAN, 0.06, 100000)
@@ -419,17 +446,19 @@ def test_sweeps_reject_bad_trial_count(study, trials):
             motion_count_sweep([scenario], Distribution.GAUSSIAN, BOTH, trials, 0)
 
 
-def _noise_report(n, trials):
+def _noise_report(n, trials, seed=5):
     scenario = default_scenario(n, seed=3)
-    return scenario, noise_sweep(scenario, [0.04], Distribution.GAUSSIAN, BOTH, trials, 5)
+    return scenario, noise_sweep(scenario, [0.04], Distribution.GAUSSIAN, BOTH, trials, seed)
 
 
-def _assert_rows_equal_single_solves(n, trials):
-    # a sweep trial is exactly the constraint set trial_constraints builds,
-    # solved alone
-    scenario, rows = _noise_report(n, trials)
+def _assert_rows_equal_single_solves(n, trials, seed=5):
+    # a sweep trial is exactly the constraint set trial_constraints builds
+    # from its own generator, solved alone
+    scenario, rows = _noise_report(n, trials, seed)
     sets = [
-        sim.trial_constraints(scenario, Distribution.GAUSSIAN, 0.04, 0.04, sim._generator(5, 0, j))
+        sim.trial_constraints(
+            scenario, Distribution.GAUSSIAN, 0.04, 0.04, sim._generator(seed, 0, j)
+        )
         for j in range(trials)
     ]
     assert len(rows) == 3
@@ -442,6 +471,10 @@ def _assert_rows_equal_single_solves(n, trials):
 
 def test_noise_sweep_solves_trial_constraints():
     _assert_rows_equal_single_solves(2, 3)
+
+
+def test_noise_sweep_with_a_seed_beyond_64_bits_solves_trial_constraints():
+    _assert_rows_equal_single_solves(2, 3, seed=2**64 + 5)
 
 
 @pytest.mark.parametrize("n", [2, 5, 9])
