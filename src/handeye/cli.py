@@ -56,11 +56,12 @@ DEFAULT_LEVELS = (0.01, 0.02, 0.03, 0.04, 0.05, 0.06)
 
 
 def report_csv(rows: tuple[ReportRow, ...]) -> str:
-    """Fixed-header CSV of a sweep's rows; bytes depend only on the data."""
+    """Fixed-header CSV of a sweep's rows; bytes depend only on the data
+    (adding 0.0 prints a -0.0 ``sweep_var`` as 0)."""
     lines = [CSV_HEADER]
     for row in rows:
         lines.append(
-            f"{row.sweep_var:.12g},{row.method.value},"
+            f"{row.sweep_var + 0.0:.12g},{row.method.value},"
             f"{row.e_rot:.12g},{row.e_tr:.12g},{row.failed_trials}"
         )
     return "\n".join(lines) + "\n"

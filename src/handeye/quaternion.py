@@ -142,12 +142,12 @@ def off_unity(err: float) -> ValueError:
 def as_unit(q) -> np.ndarray:
     """Validate unit norm and return the canonical-sign representative.
 
-    Raises ValueError when |q.q - 1| > ``UNIT_TOL`` for any quaternion;
-    does not renormalize.
+    Raises ValueError unless |q.q - 1| <= ``UNIT_TOL`` for every
+    quaternion, so a NaN fails; does not renormalize.
     """
     q = np.asarray(q, dtype=float)
     err = unit_error(q)
-    if np.any(err > UNIT_TOL):
+    if not np.all(err <= UNIT_TOL):
         raise off_unity(np.max(err))
     return canonicalize(q)
 

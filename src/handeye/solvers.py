@@ -13,7 +13,9 @@ how much it decouples:
   the same way.
 * The nonlinear solver minimizes the full coupled objective over all
   seven parameters simultaneously with Levenberg-Marquardt, starting from
-  the closed-form solution.
+  the closed-form solution.  Its residuals are linear in the rotation
+  matrix R(q), whose entries are fixed quadratic forms in q
+  (``_ROTATION_FORMS``), so their Jacobian is one matmul per problem.
 
 The coupled objective is fixed: the axis-alignment and translation-transfer
 terms have unit weight, the unit-norm penalty weighs ``UNIT_PENALTY``
@@ -81,8 +83,13 @@ MAX_ITERATIONS = 200
 # Row weight of the unit-norm residual, whose square is UNIT_PENALTY.
 _PENALTY_ROW = np.sqrt(UNIT_PENALTY)
 
-# Flips the sign of the imaginary parts; conjugation as a matrix.
-_CONJ = np.diag([1.0, -1.0, -1.0, -1.0])
+# Entry (a, b) of ``quat.to_rotation_matrix(q)`` is q' _ROTATION_FORMS[a, b] q;
+# each symmetric 4x4 form is read off R by polarization.
+_ROTATION_FORMS = np.moveaxis(
+    quat.to_rotation_matrix(np.eye(4)[:, None] + np.eye(4))
+    - quat.to_rotation_matrix(np.eye(4)[:, None] - np.eye(4)),
+    (0, 1), (2, 3),
+) / 4.0
 
 
 class Method(str, Enum):
@@ -114,11 +121,12 @@ class HandEyeSolution:
     def __post_init__(self):
         object.__setattr__(self, "rotation", quat.as_unit(self.rotation))
         t = np.asarray(self.translation, dtype=float)
-        if t.shape != (3,):
-            raise ValueError("translation must be a 3-vector")
+        if t.shape != (3,) or not np.isfinite(t).all():
+            raise ValueError("translation must be a finite 3-vector")
         object.__setattr__(self, "translation", t)
-        if self.rotation_residual < 0 or self.translation_residual < 0:
-            raise ValueError("residuals must be non-negative")
+        residuals = np.array([self.rotation_residual, self.translation_residual])
+        if not (np.isfinite(residuals) & (residuals >= 0)).all():
+            raise ValueError("residuals must be finite and non-negative")
 
     @property
     def rotation_matrix(self) -> np.ndarray:
@@ -475,67 +483,56 @@ def objective_value(constraints: ConstraintSet, q, t) -> float:
 
 
 
-class _LMProblem:
+class _LMProblem(NamedTuple):
     """Residuals and Jacobian of the 7-parameter problem, for a batch.
 
     Residual layout per problem: 3 axis-alignment rows per motion, then 3
-    translation rows per motion, then the scalar norm penalty.
-    Translations are divided by the problem's scale; its translation
-    parameter is then in units of that scale.  The Jacobian of the
-    sandwich product q * v * conj(q) with respect to q is
-    w_matrix(q)' w_matrix(v) + q_matrix(q) q_matrix(v) conj.  The operators
-    of v and p are stacked along the motion axis, (J, 2n, 4, 4), and each
-    term is one broadcast matmul of the problem's (J, 1, 4, 4) operator of
-    q with that stack.  Each 4x4 product is computed on its own, so a row
-    of the batch equals the problem's Jacobian taken alone.
+    translation rows per motion, then the scalar norm penalty.  The data
+    rows are ``hand @ R(q)' - camera``, minus (K - I) t on the translation
+    rows, with R(q) = ``quat.to_rotation_matrix(q)``; translations are
+    divided by the problem's scale, and its translation parameter is in
+    units of that scale.  Entry (a, b) of R(q) is the quadratic form
+    q' F_ab q of ``_ROTATION_FORMS``, so the q-columns of every data row
+    are one matmul of ``hand`` with the (3, 12) layout of 2 F q.  Each
+    problem's product is computed on its own, so a row of the batch equals
+    the problem's Jacobian taken alone.
     """
 
-    def __init__(self, arrays):
-        self.arrays = arrays
-        self.vp, self.v, self.kmi, self.pp, self.p, self.w_vp, self.qc_vp = arrays
+    hand: np.ndarray    # (J, 2n, 3): hand axes, then hand translations / scale
+    camera: np.ndarray  # (J, 2n, 3): the same for the camera
+    kmi: np.ndarray     # (J, n, 3, 3): camera rotation - I
 
     @classmethod
     def build(cls, cs: ConstraintSet, scale):
-        v = cs.hand_axis
-        p = cs.hand_translation / scale[:, None, None]
-        vp_embedded = quat.embed(np.concatenate([v, p], axis=1))
-        arrays = (
-            cs.camera_axis,
-            v,
+        s = scale[:, None, None]
+        return cls(
+            np.concatenate([cs.hand_axis, cs.hand_translation / s], axis=1),
+            np.concatenate([cs.camera_axis, cs.camera_translation / s], axis=1),
             cs.camera_rotation - np.eye(3),
-            cs.camera_translation / scale[:, None, None],
-            p,
-            quat.w_matrix(vp_embedded),
-            quat.q_matrix(vp_embedded) @ _CONJ,
         )
-        return cls(arrays)
 
     def take(self, rows) -> "_LMProblem":
-        return _LMProblem(tuple(a[rows] for a in self.arrays))
+        return _LMProblem(*(a[rows] for a in self))
 
     def residuals(self, x: np.ndarray) -> np.ndarray:
-        size, n = x.shape[0], self.v.shape[1]
+        size, n = x.shape[0], self.kmi.shape[1]
         q, t = x[:, :4], x[:, 4:]
-        sandwich = np.swapaxes(quat.w_matrix(q), -1, -2) @ quat.q_matrix(q)
-        rot_t = np.swapaxes(sandwich[:, 1:, 1:], -1, -2)
+        moved = self.hand @ np.swapaxes(quat.to_rotation_matrix(q), -1, -2) - self.camera
+        moved[:, n:] -= (self.kmi @ t[:, None, :, None])[..., 0]
         r = np.empty((size, 6 * n + 1))
-        r[:, : 3 * n] = (self.vp - self.v @ rot_t).reshape(size, -1)
-        moved = self.p @ rot_t - (self.kmi @ t[:, None, :, None])[..., 0] - self.pp
-        r[:, 3 * n : 6 * n] = moved.reshape(size, -1)
+        r[:, :-1] = moved.reshape(size, -1)
         r[:, -1] = _PENALTY_ROW * (1.0 - quat.vdot(q, q))
         return r
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
-        size, n = x.shape[0], self.v.shape[1]
+        size, n = x.shape[0], self.kmi.shape[1]
         q = x[:, :4]
-        wq_t = np.swapaxes(quat.w_matrix(q), -1, -2)
-        qq = quat.q_matrix(q)
-        d = wq_t[:, None] @ self.w_vp
-        d += qq[:, None] @ self.qc_vp
+        # Row b, column 4a + k: d R[a, b] / d q_k.  Exact: each row of a form
+        # holds one nonzero, +-1, so each entry is one product +-2 q_l.
+        d_rot = (2.0 * q) @ _ROTATION_FORMS.transpose(3, 1, 0, 2).reshape(4, 36)
         jac = np.zeros((size, 6 * n + 1, 7))
-        jac[:, : 3 * n, :4] = (-d[:, :n, 1:, :]).reshape(size, -1, 4)
-        jac[:, 3 * n : 6 * n, :4] = d[:, n:, 1:, :].reshape(size, -1, 4)
-        jac[:, 3 * n : 6 * n, 4:] = (-self.kmi).reshape(size, -1, 3)
+        jac[:, :-1, :4] = (self.hand @ d_rot.reshape(size, 3, 12)).reshape(size, -1, 4)
+        jac[:, 3 * n : -1, 4:] = (-self.kmi).reshape(size, -1, 3)
         jac[:, -1, :4] = -2.0 * _PENALTY_ROW * q
         return jac
 

@@ -420,6 +420,17 @@ def test_simulate_default_levels(tmp_path):
     assert swept == [0.01, 0.02, 0.03, 0.04, 0.05, 0.06]
 
 
+def test_simulate_negative_zero_level_prints_as_zero(tmp_path):
+    out = tmp_path / "zero.csv"
+    code = main(
+        ["simulate", "--levels=-0.0,0.01", "--distribution", "gaussian", "--targets",
+         "rotation", "--trials", "1", "--output", str(out)]
+    )
+    assert code == EXIT_OK
+    lines = out.read_text(encoding="utf-8").strip().splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == ["0"] * 3 + ["0.01"] * 3
+
+
 def test_simulate_motion_count_mode(tmp_path):
     out = tmp_path / "counts.csv"
     code = main(

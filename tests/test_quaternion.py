@@ -195,6 +195,15 @@ def test_as_unit_rejects_off_norm():
     assert np.array_equal(q, quat.IDENTITY)
 
 
+@pytest.mark.parametrize(
+    "q", [[np.nan, 0.0, 0.0, 0.0], [[1.0, 0.0, 0.0, 0.0], [0.0, np.nan, 0.0, 1.0]]]
+)
+def test_as_unit_rejects_nan(q):
+    # NaN compares false with the tolerance, so it must fail the check, not pass it
+    with pytest.raises(ValueError, match="norm off unity by nan"):
+        quat.as_unit(np.array(q))
+
+
 def test_axis_angle_round_trip(rng):
     for _ in range(100):
         axis = rng.normal(size=3)

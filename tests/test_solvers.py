@@ -525,6 +525,30 @@ def test_report_residuals_zero_denominator(rng):
         report_residuals(cons, guess)
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("rotation", [np.nan, 0.0, 0.0, 0.0], "quaternion norm off unity by nan"),
+        ("translation", [np.nan, 0.0, 0.0], "translation must be a finite 3-vector"),
+        ("translation", [0.0, -np.inf, 0.0], "translation must be a finite 3-vector"),
+        ("rotation_residual", np.nan, "residuals must be finite and non-negative"),
+        ("translation_residual", np.inf, "residuals must be finite and non-negative"),
+        ("translation_residual", -1e-3, "residuals must be finite and non-negative"),
+    ],
+)
+def test_solution_rejects_non_finite_fields(field, value, message):
+    fields = dict(
+        rotation=quat.IDENTITY,
+        translation=np.zeros(3),
+        rotation_residual=0.0,
+        translation_residual=0.0,
+        method=Method.NONLINEAR,
+    )
+    fields[field] = value
+    with pytest.raises(ValueError, match=message):
+        solvers.HandEyeSolution(**fields)
+
+
 def test_solution_residual_magnitudes_on_noisy_data(rng):
     # realistic noisy problems land between 1e-4 and 1e-1 on both metrics
     truth = random_motion(rng, 150.0)
@@ -616,10 +640,18 @@ def test_batch_records_non_finite_rows_and_solves_the_rest_exactly(rng):
 # ---------------------------------------------------------------------------
 # Levenberg-Marquardt Jacobian
 
-def _lm_batch(n, trials=12):
+# (scenario builder, n) of the LM Jacobian tests, ids kept from n alone.
+LM_CASES = [
+    pytest.param(sim.default_scenario, 2, id="2"),
+    pytest.param(sim.default_scenario, 9, id="9"),
+    pytest.param(sim.perspective_scenario, 5, id="perspective-5"),
+]
+
+
+def _lm_batch(builder, n, trials=12):
     """The LM problems of a noisy sweep batch, at points near their optima,
     and each trial's constraint set alone."""
-    scenario = sim.default_scenario(n, seed=3)
+    scenario = builder(n, seed=3)
     args = (scenario, sim.Distribution.GAUSSIAN, 0.04, 0.04)
     cs = sim._trial_constraints(*args, [sim._generator(5, 0, j) for j in range(trials)])
     alone = [sim.trial_constraints(*args, sim._generator(5, 0, j)) for j in range(trials)]
@@ -630,12 +662,12 @@ def _lm_batch(n, trials=12):
     return solvers._LMProblem.build(cs, scale), x, alone
 
 
-@pytest.mark.parametrize("n", [2, 9])
-def test_lm_jacobian_matches_central_differences(n):
+@pytest.mark.parametrize("builder, n", LM_CASES)
+def test_lm_jacobian_matches_central_differences(builder, n):
     # The residuals are quadratic in (q, t), so central differences carry no
     # truncation error, only rounding: about 1e-16 * |r| / h = 1.4e-10, with
     # |r| up to the penalty row's sqrt(2e6).
-    problem, x, _ = _lm_batch(n)
+    problem, x, _ = _lm_batch(builder, n)
     jac = problem.jacobian(x)
     h = 1e-3
     for k in range(7):
@@ -645,9 +677,9 @@ def test_lm_jacobian_matches_central_differences(n):
         assert np.max(np.abs(jac[:, :, k] - numeric)) <= 1e-8
 
 
-@pytest.mark.parametrize("n", [2, 9])
-def test_lm_jacobian_row_equals_the_problem_alone(n):
-    problem, x, alone = _lm_batch(n)
+@pytest.mark.parametrize("builder, n", LM_CASES)
+def test_lm_jacobian_row_equals_the_problem_alone(builder, n):
+    problem, x, alone = _lm_batch(builder, n)
     jac = problem.jacobian(x)
     for j, cs in enumerate(alone):
         one = solvers._one(cs)
