@@ -15,7 +15,9 @@ ill-conditioned input, 4 optimizer did not converge, 5 I/O error,
 from __future__ import annotations
 
 import argparse
+import errno
 import math
+import os
 import sys
 import warnings
 from functools import partial
@@ -269,6 +271,9 @@ def _cmd_simulate(args) -> int:
         levels = _parse_levels(args.levels) if args.levels is not None else list(DEFAULT_LEVELS)
         sweep = partial(noise_sweep, build(2, args.seed), levels)
     combos = [(d, t) for d in distributions for t in targets]
+    if args.output is not None and not Path(args.output).name:
+        # ".", "/" or "": no file to write or to name the files after
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.output)
     for dist, targ in combos:
         csv_text = report_csv(sweep(dist, targ, args.trials, args.seed))
         if args.output is None:

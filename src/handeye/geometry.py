@@ -287,12 +287,10 @@ def orthonormalize(m) -> np.ndarray:
         )
     if (np.linalg.det(m) <= 0.0).any():
         raise NotARotationError("determinant is not positive")
+    # Every singular value is at least sqrt(0.5) and det m > 0, so
+    # det(U V') = sign(det m) = +1: the projection is never a reflection.
     u, _, vt = np.linalg.svd(m)
-    r = u @ vt
-    reflected = np.linalg.det(r) < 0.0
-    if reflected.any():
-        r = np.where(reflected[..., None, None], u @ np.diag([1.0, 1.0, -1.0]) @ vt, r)
-    return r
+    return u @ vt
 
 
 def rotation_axis(m) -> np.ndarray:

@@ -172,7 +172,10 @@ def to_rotation_matrix(q) -> np.ndarray:
         2 * (x * y + w * z), ww - xx + yy - zz, 2 * (y * z - w * x),
         2 * (x * z - w * y), 2 * (y * z + w * x), ww - xx - yy + zz,
     )
-    return np.stack(entries, axis=-1).reshape(q.shape[:-1] + (3, 3))
+    r = np.empty(q.shape[:-1] + (9,))
+    for k, entry in enumerate(entries):
+        r[..., k] = entry
+    return r.reshape(q.shape[:-1] + (3, 3))
 
 
 def from_rotation_matrix(m) -> np.ndarray:

@@ -10,12 +10,14 @@ how much it decouples:
 * The closed form minimizes the axis-alignment error over unit
   quaternions exactly, as the eigenvector of a 4x4 symmetric matrix for
   its smallest eigenvalue (``np.linalg.eigh``), then solves translation
-  the same way.
+  the same way.  The matrix is linear in the axes' cross-covariance: each
+  entry of the rotation matrix R(q) is a fixed quadratic form in q
+  (``_ROTATION_FORMS``), and the matrix sums those forms weighted by the
+  covariance's entries.
 * The nonlinear solver minimizes the full coupled objective over all
   seven parameters simultaneously with Levenberg-Marquardt, starting from
-  the closed-form solution.  Its residuals are linear in the rotation
-  matrix R(q), whose entries are fixed quadratic forms in q
-  (``_ROTATION_FORMS``), so their Jacobian is one matmul per problem.
+  the closed-form solution.  Its residuals are linear in R(q), so their
+  Jacobian is one matmul per problem with the same forms.
 
 The coupled objective is fixed: the axis-alignment and translation-transfer
 terms have unit weight, the unit-norm penalty weighs ``UNIT_PENALTY``
@@ -46,8 +48,9 @@ same memory layout, so a problem solved in a batch is bit-identical to
 the same problem solved alone.
 
 ``build_quadratic`` assembles the closed quadratic form of the coupled
-objective whose term count does not grow with the number of motions; it is
-kept as an independent cross-check of the objective the optimizer descends.
+objective whose term count does not grow with the number of motions, from
+the same forms; it is kept as a cross-check of the objective the optimizer
+descends against ``objective_value``, its direct sum.
 """
 
 from __future__ import annotations
@@ -275,12 +278,26 @@ def _as_unit(q: np.ndarray, fail: _Failures) -> np.ndarray:
     return quat.canonicalize(q)
 
 
+def _alignment(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """4x4 symmetric matrix whose quadratic form at a unit q is
+    sum_n |a_n - R(q) b_n|^2, of (..., n, 3) vector pairs.
+
+    Since a_n' R(q) b_n = sum_ab (a_n b_n')_ab q' F_ab q, the matrix is
+    (sum_n |a_n|^2 + |b_n|^2) I - 2 sum_ab C_ab F_ab, with C = sum_n a_n b_n'
+    and F = ``_ROTATION_FORMS``: one matmul per problem.
+    """
+    lead = a.shape[:-2]
+    flat_a, flat_b = a.reshape(lead + (-1,)), b.reshape(lead + (-1,))
+    squares = quat.vdot(flat_a, flat_a) + quat.vdot(flat_b, flat_b)
+    cov = (np.swapaxes(a, -1, -2) @ b).reshape(lead + (1, 9))
+    forms = (cov @ _ROTATION_FORMS.reshape(9, 16)).reshape(lead + (4, 4))
+    return squares[..., None, None] * np.eye(4) - 2.0 * forms
+
+
 def axis_alignment_matrix(constraints: ConstraintSet) -> np.ndarray:
     """4x4 symmetric matrix whose quadratic form over unit quaternions is
     the summed squared axis-alignment error (one per problem of a batch)."""
-    vp, v = constraints.camera_axis, constraints.hand_axis
-    d = quat.q_matrix(quat.embed(vp)) - quat.w_matrix(quat.embed(v))
-    return np.einsum("...nji,...njk->...ik", d, d)
+    return _alignment(constraints.camera_axis, constraints.hand_axis)
 
 
 def _metrics(cs: ConstraintSet, q: np.ndarray, t: np.ndarray, fail: _Failures):
@@ -417,12 +434,12 @@ class QuadraticObjective:
     ``evaluate`` returns
 
         q' rotation_quad q + t' translation_quad t + translation_linear . t
-        + coupling (q_matrix(q)' w_matrix(q)) embed(t)
+        + coupling[1:] . R(q)' t
         + UNIT_PENALTY (1 - q.q)^2
 
-    which matches the directly summed objective at any unit quaternion
-    whenever each constraint's camera rotation is the similarity image of
-    its hand rotation under q.
+    with R(q) = ``quat.to_rotation_matrix(q)``.  It matches the directly
+    summed objective at any unit quaternion whenever each constraint's
+    camera rotation is the similarity image of its hand rotation under q.
     """
 
     rotation_quad: np.ndarray      # 4x4 symmetric
@@ -437,12 +454,11 @@ class QuadraticObjective:
     def evaluate(self, q, t) -> float:
         q = np.asarray(q, dtype=float)
         t = np.asarray(t, dtype=float)
-        sandwich = quat.q_matrix(q).T @ quat.w_matrix(q)
         value = (
             q @ self.rotation_quad @ q
             + t @ self.translation_quad @ t
             + self.translation_linear @ t
-            + self.coupling @ sandwich @ quat.embed(t)
+            + self.coupling[1:] @ quat.to_rotation_matrix(q).T @ t
             + UNIT_PENALTY * (1.0 - q @ q) ** 2
         )
         return float(value)
@@ -453,15 +469,8 @@ def build_quadratic(constraints: ConstraintSet) -> QuadraticObjective:
     cs = constraints
     rb, pp, p = cs.hand_rotation, cs.camera_translation, cs.hand_translation
     kmi = cs.camera_rotation - np.eye(3)
-
-    w_p = quat.w_matrix(quat.embed(p))
-    q_pp = quat.q_matrix(quat.embed(pp))
-    cross = np.einsum("nji,njk->ik", w_p, q_pp)
-    rot_quad = axis_alignment_matrix(cs) + (
-        float(np.sum(p * p) + np.sum(pp * pp)) * np.eye(4) - cross - cross.T
-    )
     return QuadraticObjective(
-        rotation_quad=rot_quad,
+        rotation_quad=axis_alignment_matrix(cs) + _alignment(pp, p),
         translation_quad=np.einsum("nji,njk->ik", kmi, kmi),
         translation_linear=2.0 * np.einsum("ni,nij->j", pp, kmi),
         coupling=quat.embed(-2.0 * np.einsum("ni,nij->j", p, rb - np.eye(3))),

@@ -403,6 +403,28 @@ def test_simulate_grid_mode_writes_one_file_per_combination(tmp_path):
     ]
 
 
+@pytest.mark.parametrize(
+    "output, mode",
+    [
+        (".", ["--levels", "0.01"]),
+        ("", ["--levels", "0.01"]),
+        ("/", ["--levels", "0.01"]),
+        (".", ["--motions", "2"]),
+        (".", ["--levels", "0.01", "--distribution", "gaussian", "--targets", "rotation"]),
+    ],
+    ids=["dot", "empty", "root", "motions-dot", "one-combination-dot"],
+)
+def test_simulate_output_without_a_file_name_exits_5(
+    tmp_path, capsys, monkeypatch, output, mode
+):
+    monkeypatch.chdir(tmp_path)
+    code = main(["simulate", *mode, "--trials", "1", "--output", output])
+    assert code == EXIT_IO
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_simulate_default_levels(tmp_path):
     out = tmp_path / "default.csv"
     code = main(

@@ -130,6 +130,7 @@ def test_orthonormalize_basics(rng):
         projected = orthonormalize(r + 0.01 * e)
         assert np.linalg.norm(projected - r) < 0.03
         assert np.allclose(projected.T @ projected, np.eye(3), atol=1e-12)
+        assert np.linalg.det(projected) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(NotARotationError):
         orthonormalize(np.eye(3) + 0.8 * np.ones((3, 3)))
 

@@ -55,9 +55,9 @@ def _relative(a, b):
 
 @PROPERTY
 @given(formulations, st.integers(2, 8), seeds, scales)
-@example(Formulation.PERSPECTIVE, 2, 7, 10.0**0.125).xfail(
+@example(Formulation.PERSPECTIVE, 3, 104, 10.0**0.125).xfail(
     raises=AssertionError,
-    reason="the nonlinear stopping point moves by 9.5e-10 in q, above the 2e-10 "
+    reason="the nonlinear stopping point moves by 2.5e-9 in q, above the 2e-10 "
     "bound: the LM stops on a relative cost decrease of 1e-14, which is rounding "
     "noise in the flat valley",
 )

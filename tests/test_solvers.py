@@ -290,8 +290,8 @@ def test_closed_form_beats_random_quaternions(rng):
 # ---------------------------------------------------------------------------
 # quadratic form of the coupled objective
 
-def test_build_quadratic_zero_data_gives_zero_blocks():
-    cons = constraint_set([
+def _zero_translation_set():
+    return constraint_set([
         dict(
             camera_rotation=np.eye(3),
             hand_rotation=np.eye(3),
@@ -302,12 +302,56 @@ def test_build_quadratic_zero_data_gives_zero_blocks():
         )
         for _ in range(2)
     ])
+
+
+def test_build_quadratic_zero_data_gives_zero_blocks():
+    cons = _zero_translation_set()
     quad = build_quadratic(cons)
     # only the axis term is left
     assert np.array_equal(quad.rotation_quad, axis_alignment_matrix(cons))
     assert np.allclose(quad.translation_quad, np.zeros((3, 3)), atol=1e-15)
     assert np.allclose(quad.translation_linear, np.zeros(3), atol=1e-15)
     assert np.allclose(quad.coupling, np.zeros(4), atol=1e-15)
+
+
+def _paper_alignment(camera, hand):
+    """The paper's form sum_n (Q(v'_n) - W(v_n))' (Q(v'_n) - W(v_n)), whose
+    quadratic form at a unit q is sum_n |v'_n - q v_n q*|^2."""
+    d = quat.q_matrix(quat.embed(camera)) - quat.w_matrix(quat.embed(hand))
+    return np.einsum("...nji,...njk->...ik", d, d)
+
+
+def _paper_rotation_quad(cs):
+    """The rotation block of the closed quadratic form, from the sandwich
+    operators: the axis form plus (|p|^2 + |p'|^2) I - cross - cross'."""
+    p, pp = cs.hand_translation, cs.camera_translation
+    cross = np.einsum(
+        "nji,njk->ik", quat.w_matrix(quat.embed(p)), quat.q_matrix(quat.embed(pp))
+    )
+    squares = float(np.sum(p * p) + np.sum(pp * pp))
+    return _paper_alignment(cs.camera_axis, cs.hand_axis) + (
+        squares * np.eye(4) - cross - cross.T
+    )
+
+
+@pytest.mark.parametrize(
+    "batch",
+    [
+        pytest.param(lambda: solvers._one(_zero_translation_set()), id="zero-translation"),
+        pytest.param(lambda: _sweep_batch(sim.default_scenario, 2, 1), id="classical-2-J1"),
+        pytest.param(lambda: _sweep_batch(sim.default_scenario, 9, 12), id="classical-9"),
+        pytest.param(lambda: _sweep_batch(sim.perspective_scenario, 5, 12), id="perspective-5"),
+    ],
+)
+def test_forms_table_matrices_equal_the_papers_operator_forms(batch):
+    cs = batch()
+    coeff = axis_alignment_matrix(cs)
+    paper = _paper_alignment(cs.camera_axis, cs.hand_axis)
+    for j in range(len(coeff)):
+        assert np.max(np.abs(coeff[j] - paper[j])) <= 1e-12 * np.max(np.abs(paper[j]))
+        one = ConstraintSet(*(a[j] for a in cs.arrays))
+        quad, reference = build_quadratic(one).rotation_quad, _paper_rotation_quad(one)
+        assert np.max(np.abs(quad - reference)) <= 1e-12 * np.max(np.abs(reference))
 
 
 def test_quadratic_vanishes_at_ground_truth(rng):
@@ -648,12 +692,21 @@ LM_CASES = [
 ]
 
 
+def _sweep_args(builder, n):
+    return builder(n, seed=3), sim.Distribution.GAUSSIAN, 0.04, 0.04
+
+
+def _sweep_batch(builder, n, trials):
+    """A noisy sweep batch of ``trials`` problems with n motions each."""
+    streams = [sim._generator(5, 0, j) for j in range(trials)]
+    return sim._trial_constraints(*_sweep_args(builder, n), streams)
+
+
 def _lm_batch(builder, n, trials=12):
     """The LM problems of a noisy sweep batch, at points near their optima,
     and each trial's constraint set alone."""
-    scenario = builder(n, seed=3)
-    args = (scenario, sim.Distribution.GAUSSIAN, 0.04, 0.04)
-    cs = sim._trial_constraints(*args, [sim._generator(5, 0, j) for j in range(trials)])
+    args = _sweep_args(builder, n)
+    cs = _sweep_batch(builder, n, trials)
     alone = [sim.trial_constraints(*args, sim._generator(5, 0, j)) for j in range(trials)]
     scale = translation_span(cs)
     start = solvers._closed_form(cs)

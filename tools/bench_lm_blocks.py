@@ -1,12 +1,13 @@
-"""Time the nonlinear solve of one motion-count sweep block per motion count.
+"""Time the solvers on one motion-count sweep block per motion count.
 
 For n = 2, 5, 9 and 30, builds one block of motion-count-study trials: J = 1024 // n
 trials of ``default_scenario(n, 0)`` at the count-study noise (Gaussian,
 on rotation and translation), drawn as a sweep with seed 0 draws its first
-point.  It solves the block's closed-form start once, then times
-``solvers._nonlinear`` on the block, best of 15 runs.  The JSON file
-records, per n, J, that time in ms, and the mean and max LM iterations
-over the block's solved rows, plus the machine.
+point.  On the block it times ``solvers.axis_alignment_matrix``,
+``solvers._closed_form`` and, from the closed-form start, ``solvers._nonlinear``,
+each best of 15 runs.  The JSON file records, per n, J, those times in ms,
+and the mean and max LM iterations over the block's solved rows, plus the
+machine.
 
     python3 tools/bench_lm_blocks.py --out BENCH_lm_blocks.json
 
@@ -54,19 +55,28 @@ def count_block(n: int):
     return sim._perturbed_constraints(*args, draws)
 
 
-def measure(n: int) -> dict:
-    cs = count_block(n)
-    start = solvers._closed_form(cs)
+def best_ms(run) -> tuple[float, object]:
+    """The best of ``REPEATS`` timed calls of ``run``, in ms, and its result."""
     times = []
     for _ in range(REPEATS):
         begin = time.perf_counter()
-        batch = solvers._nonlinear(cs, start)
+        result = run()
         times.append(time.perf_counter() - begin)
+    return round(1e3 * min(times), 3), result
+
+
+def measure(n: int) -> dict:
+    cs = count_block(n)
+    alignment_ms, _ = best_ms(lambda: solvers.axis_alignment_matrix(cs))
+    closed_form_ms, start = best_ms(lambda: solvers._closed_form(cs))
+    nonlinear_ms, batch = best_ms(lambda: solvers._nonlinear(cs, start))
     iterations = batch.iterations[batch.ok]
     return {
         "n": n,
         "J": len(cs.camera_rotation),
-        "nonlinear_ms_best": round(1e3 * min(times), 3),
+        "nonlinear_ms_best": nonlinear_ms,
+        "closed_form_ms_best": closed_form_ms,
+        "axis_alignment_matrix_ms_best": alignment_ms,
         "lm_iterations_mean": round(float(np.mean(iterations)), 2),
         "lm_iterations_max": int(np.max(iterations)),
     }
@@ -95,7 +105,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     blocks = [measure(n) for n in MOTIONS]
     result = {
-        "what": f"solvers._nonlinear on one count-study block per n, best of {REPEATS}",
+        "what": (
+            "solvers.axis_alignment_matrix, _closed_form and _nonlinear on one "
+            f"count-study block per n, best of {REPEATS}"
+        ),
         "machine": machine(),
         "blocks": blocks,
     }
