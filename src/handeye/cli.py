@@ -20,6 +20,7 @@ import math
 import os
 import sys
 import warnings
+from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
 
@@ -271,22 +272,46 @@ def _cmd_simulate(args) -> int:
         levels = _parse_levels(args.levels) if args.levels is not None else list(DEFAULT_LEVELS)
         sweep = partial(noise_sweep, build(2, args.seed), levels)
     combos = [(d, t) for d in distributions for t in targets]
-    if args.output is not None and not Path(args.output).name:
-        # ".", "/" or "": no file to write or to name the files after
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.output)
-    for dist, targ in combos:
-        csv_text = report_csv(sweep(dist, targ, args.trials, args.seed))
-        if args.output is None:
-            print(f"# distribution={dist.value} targets={targ.value}")
-            print(csv_text, end="")
-        elif len(combos) == 1:
-            Path(args.output).write_text(csv_text, encoding="utf-8")
-        else:
-            base = Path(args.output)
-            path = base.with_name(f"{base.stem}_{dist.value}_{targ.value}{base.suffix}")
-            path.write_text(csv_text, encoding="utf-8")
-            print(f"wrote {path}")
+    paths = []
+    if args.output is not None:
+        base = Path(args.output)
+        if not base.name:
+            # ".", "/" or "": no file to write or to name the files after
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.output)
+        paths = [base] if len(combos) == 1 else [
+            base.with_name(f"{base.stem}_{d.value}_{t.value}{base.suffix}") for d, t in combos
+        ]
+    with _writable(paths):
+        for k, (dist, targ) in enumerate(combos):
+            csv_text = report_csv(sweep(dist, targ, args.trials, args.seed))
+            if args.output is None:
+                print(f"# distribution={dist.value} targets={targ.value}")
+                print(csv_text, end="")
+                continue
+            paths[k].write_text(csv_text, encoding="utf-8")
+            if len(paths) > 1:
+                print(f"wrote {paths[k]}")
     return EXIT_OK
+
+
+@contextmanager
+def _writable(paths: list[Path]):
+    """Open each of ``paths`` for appending before any work is done, so an
+    unwritable one fails at once; an existing file keeps its content.  On
+    the way out, each file created here that is still empty is removed, so
+    a run that fails leaves none behind."""
+    created = []
+    try:
+        for path in paths:
+            existed = path.exists()
+            open(path, "a", encoding="utf-8").close()
+            if not existed:
+                created.append(path)
+        yield
+    finally:
+        for path in created:
+            if path.stat().st_size == 0:
+                path.unlink()
 
 
 _COMMANDS = {

@@ -73,14 +73,13 @@ from .geometry import (
     orthonormalize,
     perspective_constraints,
 )
+from .quaternion import _ORTHONORMALITY_TOL, _rotation_check
 from .quaternion import axis_angle, canonicalize, to_rotation_matrix
 from .solvers import HandEyeSolution, Method
 
-_EXTRINSIC_ROTATION_TOL = 1e-6
 # Largest deviation of a solution's quaternion norm from 1, and of a field
 # restating its rotation from what the quaternion gives.
 _SOLUTION_TOL = 1e-6
-_EYE3 = np.eye(3)
 # YAML scalar types of a numeric entry; numpy would also read a bool or a
 # numeric string as a float.
 _NUMBERS = frozenset((int, float))
@@ -155,9 +154,9 @@ def _rigid_motions(raw: list, what: str) -> np.ndarray:
     orthonormalized as one stack."""
     m, error = _stack(raw, 4, what)
     r = m[:, :3, :3]
-    residual = np.linalg.norm(np.swapaxes(r, -1, -2) @ r - _EYE3, axis=(-2, -1))
+    residual, bad_rotation = _rotation_check(r, _ORTHONORMALITY_TOL)
     bad_row = _bottom_row_deviation(m) > MAX_BOTTOM_ROW_DEVIATION
-    bad = bad_row | (residual > _EXTRINSIC_ROTATION_TOL) | (np.linalg.det(r) <= 0)
+    bad = bad_row | bad_rotation
     if bad.any():
         i = int(np.argmax(bad))
         if bad_row[i]:

@@ -19,7 +19,10 @@ route): a :class:`ConstraintSet`, one (n, ...) array per field.
 per dataset in array operations over all motions, and
 ``ConstraintSet.from_motions`` builds a batch of sets, (J, n, ...), for
 the Monte-Carlo harness.  It and the single-transform constructors reject
-non-finite entries.
+non-finite entries, and both builders check their input stacks where they
+enter: finite entries, and each pose's bottom row (0, 0, 0, 1).  Rotations
+are checked by ``quaternion._rotation_check``, within 1e-9 for a motion,
+0.1 for a reduced perspective block and 0.5 for ``orthonormalize``.
 """
 
 from __future__ import annotations
@@ -38,7 +41,8 @@ from .errors import (
 )
 
 # Construction-time tolerance for rotation blocks; noisy external input is
-# orthonormalized before it gets here.
+# orthonormalized before it gets here.  A residual within it bounds
+# |det - 1| by 0.87 of it, so a positive determinant is all that is left.
 _ROTATION_TOL = 1e-9
 
 # Rotations with a smaller angle have no usable axis.
@@ -55,42 +59,16 @@ _BOTTOM_ROW = np.array([0.0, 0.0, 0.0, 1.0])
 # is wrong data, not noise.
 _MAX_PROJECTION_RESIDUAL = 0.5
 
-_EYE3 = np.eye(3)
-
 
 class Formulation(str, Enum):
     CLASSICAL = "classical"
     PERSPECTIVE = "perspective"
 
 
-def _first(values, bad):
-    """The value of the first flagged entry, in C order."""
-    return np.asarray(values)[np.asarray(bad)].flat[0]
-
-
 def _bottom_row_deviation(m: np.ndarray) -> np.ndarray:
     """Largest deviation of the bottom row of each 4x4 matrix in ``m``
     from (0, 0, 0, 1)."""
     return np.max(np.abs(m[..., 3, :] - _BOTTOM_ROW), axis=-1)
-
-
-def _check_rotation(m: np.ndarray, what: str, batched: bool = False) -> np.ndarray:
-    """A 3x3 rotation, or with ``batched`` a (..., 3, 3) stack of them."""
-    m = np.asarray(m, dtype=float)
-    if (m.shape[-2:] if batched else m.shape) != (3, 3):
-        raise NotARotationError(f"{what}: expected 3x3, got {m.shape}")
-    gram = np.swapaxes(m, -1, -2) @ m - _EYE3
-    residual = np.sqrt(np.add.reduce(gram * gram, axis=(-2, -1)))
-    if not (residual <= _ROTATION_TOL).all():  # NaN fails this too
-        if not np.isfinite(m).all():
-            raise NotARotationError(f"{what}: non-finite entry")
-        bad = residual > _ROTATION_TOL
-        raise NotARotationError(f"{what}: orthonormality residual {_first(residual, bad):.3e}")
-    det = np.linalg.det(m)
-    bad = abs(det - 1.0) > _ROTATION_TOL
-    if bad.any():
-        raise NotARotationError(f"{what}: determinant {_first(det, bad):.12f}")
-    return m
 
 
 def _check_vector(v, what: str, batched: bool = False) -> np.ndarray:
@@ -111,9 +89,11 @@ class RigidMotion:
     translation: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "rotation", _check_rotation(self.rotation, "RigidMotion.rotation")
-        )
+        rotation = np.asarray(self.rotation, dtype=float)
+        if rotation.shape != (3, 3):
+            raise NotARotationError(f"RigidMotion.rotation: expected 3x3, got {rotation.shape}")
+        quat._require_rotations(rotation, _ROTATION_TOL, ("RigidMotion.rotation",))
+        object.__setattr__(self, "rotation", rotation)
         object.__setattr__(self, "translation", _check_vector(self.translation, "translation"))
 
     @classmethod
@@ -207,13 +187,15 @@ class ConstraintSet:
         hand motion) pair.  Checks every entry and raises the first
         failure; a DegenerateRotationError carries the flat index of its
         pair."""
+        pair = np.stack([camera_rotation, hand_rotation], axis=-3)
         try:
-            axes = rotation_axis(np.stack([camera_rotation, hand_rotation], axis=-3))
+            axes = rotation_axis(pair)
         except DegenerateRotationError as err:
             raise DegenerateRotationError(str(err), index=err.index // 2) from None
+        quat._require_rotations(pair, _ROTATION_TOL, ("camera_rotation", "hand_rotation"))
         return cls(
-            _check_rotation(camera_rotation, "camera_rotation", batched=True),
-            _check_rotation(hand_rotation, "hand_rotation", batched=True),
+            np.asarray(camera_rotation, dtype=float),
+            np.asarray(hand_rotation, dtype=float),
             axes[..., 0, :],
             axes[..., 1, :],
             _check_vector(camera_translation, "camera_translation", batched=True),
@@ -252,10 +234,18 @@ def _consecutive_motions(poses) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _stack_of(poses, rows: int, what: str) -> np.ndarray:
-    """``poses`` as an (n, rows, 4) float array; ValueError otherwise."""
+    """``poses`` as an (n, rows, 4) float array of finite entries whose
+    4x4 poses have the bottom row (0, 0, 0, 1); ValueError otherwise."""
     m = np.asarray(poses, dtype=float)
     if m.ndim != 3 or m.shape[1:] != (rows, 4):
         raise ValueError(f"{what} must be an (n, {rows}, 4) stack, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError(f"{what} must be finite")
+    if rows == 4:
+        bad = _bottom_row_deviation(m) > MAX_BOTTOM_ROW_DEVIATION
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"{what}[{i}]: bottom row {m[i, 3].tolist()} is not (0, 0, 0, 1)")
     return m
 
 
@@ -273,20 +263,10 @@ def orthonormalize(m) -> np.ndarray:
     matrix or of each in a (..., 3, 3) stack.
 
     Rejects input farther than 0.5 from orthonormal (Frobenius residual of
-    m'm - I) or with non-positive determinant; those are wrong data, not
-    noise.
+    m'm - I), with non-positive determinant or with non-finite entries;
+    those are wrong data, not noise.
     """
-    m = np.asarray(m, dtype=float)
-    if m.shape[-2:] != (3, 3):
-        raise NotARotationError(f"expected 3x3 matrix, got {m.shape}")
-    residual = np.linalg.norm(np.swapaxes(m, -1, -2) @ m - np.eye(3), axis=(-2, -1))
-    bad = residual > _MAX_PROJECTION_RESIDUAL
-    if bad.any():
-        raise NotARotationError(
-            f"orthonormality residual {_first(residual, bad):.3e} > {_MAX_PROJECTION_RESIDUAL}"
-        )
-    if (np.linalg.det(m) <= 0.0).any():
-        raise NotARotationError("determinant is not positive")
+    m = quat._require_rotations(m, _MAX_PROJECTION_RESIDUAL)
     # Every singular value is at least sqrt(0.5) and det m > 0, so
     # det(U V') = sign(det m) = +1: the projection is never a reflection.
     u, _, vt = np.linalg.svd(m)
@@ -329,16 +309,18 @@ def _reduced(m1, m2) -> tuple[np.ndarray, np.ndarray]:
 
     Returns the rigid motion (N1^-1 N2, N1^-1 (n2 - n1)).  For matrices that
     share the intrinsic block the rotation part is exact; otherwise it is
-    polar-projected onto the rotation group, and rejected if its
-    orthonormality residual exceeds 0.1 before projection.
+    polar-projected onto the rotation group, and rejected if it is not a
+    rotation within an orthonormality residual of 0.1 before projection.
+    A non-finite first block counts as singular.
     """
     n1, v1, n2, v2 = m1[:, :3], m1[:, 3], m2[..., :3], m2[..., 3]
-    if abs(np.linalg.det(n1)) <= MIN_BLOCK_DETERMINANT:
-        raise SingularProjectionError("first perspective matrix has a singular 3x3 block")
-    k = np.linalg.solve(n1, n2)
-    if (np.linalg.norm(np.swapaxes(k, -1, -2) @ k - np.eye(3), axis=(-2, -1)) > 0.1).any():
+    with np.errstate(all="ignore"):
+        if not abs(np.linalg.det(n1)) > MIN_BLOCK_DETERMINANT:
+            raise SingularProjectionError("first perspective matrix has a singular 3x3 block")
+        k = np.linalg.solve(n1, n2)
+        t = np.linalg.solve(n1, (v2 - v1)[..., None])[..., 0]
+    if quat._rotation_check(k, 0.1)[1].any():
         raise NotARotationError("reduced rotation block is too far from orthonormal")
-    t = np.linalg.solve(n1, (v2 - v1)[..., None])[..., 0]
     return orthonormalize(k), t
 
 
@@ -364,10 +346,12 @@ def classical_constraints(camera_poses, hand_poses) -> ConstraintSet:
         )
     if len(camera_poses) < 2:
         raise TooFewPosesError(f"need at least 2 positions, got {len(camera_poses)}")
-    camera = _consecutive_motions(camera_poses)
-    # hand motion pose2^-1 o pose1
-    rh, th = hand_poses[:, :3, :3], hand_poses[:, :3, 3]
-    hand = _compose(*_invert(rh[1:], th[1:]), rh[:-1], th[:-1])
+    # a motion that overflows is not finite, and from_motions rejects it
+    with np.errstate(all="ignore"):
+        camera = _consecutive_motions(camera_poses)
+        # hand motion pose2^-1 o pose1
+        rh, th = hand_poses[:, :3, :3], hand_poses[:, :3, 3]
+        hand = _compose(*_invert(rh[1:], th[1:]), rh[:-1], th[:-1])
     try:
         return ConstraintSet.from_motions(*camera, *hand)
     except DegenerateRotationError as err:
@@ -399,12 +383,15 @@ def perspective_constraints(matrices, hand_poses) -> ConstraintSet:
     if len(matrices) < 2:
         raise TooFewPosesError(f"need at least 2 positions, got {len(matrices)}")
     block = matrices[:, :, :3]
-    scale = np.linalg.norm(block[:, 2], axis=-1) * np.sign(np.linalg.det(block))
-    # A singular block keeps its scale, so _reduced still rejects it.
-    matrices = matrices / np.where(scale == 0.0, 1.0, scale)[:, None, None]
+    # A scale, matrix or motion that overflows is not finite, and _reduced
+    # or from_motions rejects it.
+    with np.errstate(all="ignore"):
+        scale = np.linalg.norm(block[:, 2], axis=-1) * np.sign(np.linalg.det(block))
+        # A singular block keeps its scale, so _reduced still rejects it.
+        matrices = matrices / np.where(scale == 0.0, 1.0, scale)[:, None, None]
+        rh, th = hand_poses[:, :3, :3], hand_poses[:, :3, 3]
+        hand = _compose(*_invert(rh[1:], th[1:]), rh[0], th[0])
     camera = _reduced(matrices[0], matrices[1:])
-    rh, th = hand_poses[:, :3, :3], hand_poses[:, :3, 3]
-    hand = _compose(*_invert(rh[1:], th[1:]), rh[0], th[0])
     try:
         return ConstraintSet.from_motions(*camera, *hand)
     except DegenerateRotationError as err:

@@ -16,6 +16,9 @@ into matrix products::
 and satisfy ``q_matrix(r).T @ q_matrix(r) == (r . r) * I`` (same for
 ``w_matrix``).  Rotation of a vector v by a unit quaternion is the
 sandwich product q * v * conj(q).
+
+``_rotation_check`` is the package's one test of whether a 3x3 matrix is a
+rotation; each caller passes its own tolerance.
 """
 
 from __future__ import annotations
@@ -124,9 +127,41 @@ def canonicalize(q) -> np.ndarray:
 # Largest |q.q - 1| that ``as_unit`` accepts.
 UNIT_TOL = 1e-12
 
-# Largest orthonormality residual (Frobenius) ``from_rotation_matrix``
-# accepts.
+# Largest orthonormality residual (Frobenius) of a rotation matrix that is
+# converted (``from_rotation_matrix``) or loaded from a dataset.
 _ORTHONORMALITY_TOL = 1e-6
+
+_EYE3 = np.eye(3)
+
+
+def _rotation_check(m: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The residual |m'm - I| (Frobenius) of each matrix of a (..., 3, 3)
+    float stack, and a flag on each that is not a rotation within ``tol``:
+    residual above ``tol`` or NaN, or determinant not positive.  Non-finite
+    and overflowing entries fail without a warning."""
+    with np.errstate(all="ignore"):
+        gram = np.swapaxes(m, -1, -2) @ m - _EYE3
+        residual = np.sqrt(np.add.reduce(gram * gram, axis=(-2, -1)))
+        return residual, ~((residual <= tol) & (np.linalg.det(m) > 0.0))
+
+
+def _require_rotations(m, tol: float, names: tuple[str, ...] = ()) -> np.ndarray:
+    """``m`` as a float array, or NotARotationError unless it is a (..., 3, 3)
+    stack that ``_rotation_check`` passes.  With ``names``, axis -3 holds one
+    matrix per name, and the message starts with the first failing one's."""
+    m = np.asarray(m, dtype=float)
+    if m.shape[-2:] != (3, 3):
+        raise NotARotationError(f"expected 3x3 matrix, got {m.shape}")
+    residual, bad = _rotation_check(m, tol)
+    if bad.any():
+        first = residual[bad].flat[0]
+        why = f"orthonormality residual {first:.3e} > {tol:g}"
+        if first <= tol:
+            why = "determinant is not positive"
+        if names:
+            why = f"{names[int(np.argmax(bad)) % len(names)]}: {why}"
+        raise NotARotationError(why)
+    return m
 
 
 def unit_error(q) -> np.ndarray:
@@ -186,19 +221,10 @@ def from_rotation_matrix(m) -> np.ndarray:
     all four branches and selects one per matrix.
 
     Raises NotARotationError when a matrix is farther than 1e-6 from
-    orthonormal (Frobenius), or not finite, or has non-positive
+    orthonormal (Frobenius), or has a non-finite entry or a non-positive
     determinant.
     """
-    m = np.asarray(m, dtype=float)
-    if m.shape[-2:] != (3, 3):
-        raise NotARotationError(f"expected 3x3 matrix, got {m.shape}")
-    residual = np.linalg.norm(np.swapaxes(m, -1, -2) @ m - np.eye(3), axis=(-2, -1))
-    if not (residual <= _ORTHONORMALITY_TOL).all():
-        raise NotARotationError(
-            f"orthonormality residual {np.max(residual):.3e} > {_ORTHONORMALITY_TOL:.1e}"
-        )
-    if not (np.linalg.det(m) > 0.0).all():
-        raise NotARotationError("determinant is not positive")
+    m = _require_rotations(m, _ORTHONORMALITY_TOL)
 
     (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = (
         (m[..., i, 0], m[..., i, 1], m[..., i, 2]) for i in range(3)

@@ -2,6 +2,7 @@ import os
 import resource
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -20,9 +21,10 @@ from handeye.cli import (
     main,
     report_csv,
 )
-from handeye import solvers
+from handeye import cli, solvers
 from handeye.datafiles import Dataset, load_dataset, load_solution, save_dataset
-from handeye.simulate import Formulation, synthetic_dataset
+from handeye.errors import CalibrationError
+from handeye.simulate import Formulation, noise_sweep, synthetic_dataset
 
 from conftest import random_motion
 
@@ -337,6 +339,42 @@ def test_calibrate_accepts_perspective_matrices_at_any_scale(tmp_path, rescale):
     )
 
 
+def _huge_entry_cases():
+    """Every entry of the second pose or matrix of each list of the two
+    samples, and the exit code ``calibrate`` gives it at +-1e300: a pose's
+    rotation block or bottom row is a schema error; a translation, or any
+    entry of a perspective matrix, leaves no usable motion."""
+    for sample, keys in (
+        ("classical", ("hand_poses", "camera_extrinsics")),
+        ("perspective", ("hand_poses", "perspective_matrices")),
+    ):
+        for key in keys:
+            rigid = key != "perspective_matrices"
+            for r in range(4 if rigid else 3):
+                for c in range(4):
+                    code = EXIT_SCHEMA if rigid and (r == 3 or c < 3) else EXIT_DEGENERATE
+                    for value in (1e300, -1e300):
+                        name = f"{sample}-{key}-{r}{c}-{'+' if value > 0 else '-'}"
+                        yield pytest.param(sample, key, (r, c), value, code, id=name)
+
+
+@pytest.mark.parametrize("sample, key, entry, value, code", list(_huge_entry_cases()))
+def test_calibrate_huge_entry_prints_one_error_line(
+    tmp_path, capsys, sample, key, entry, value, code
+):
+    doc = yaml.safe_load((SAMPLES / f"{sample}.yaml").read_text(encoding="utf-8"))
+    r, c = entry
+    doc[key][1][r][c] = value
+    path = tmp_path / "huge.yaml"
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    with warnings.catch_warnings():
+        # shown, so a numpy warning would print as one more stderr line
+        warnings.simplefilter("always")
+        assert main(["calibrate", str(path)]) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
 def test_residuals_multiple_solutions(tmp_path, capsys):
     ds = tmp_path / "ds.yaml"
     main(["generate", "--seed", "5", str(ds)])
@@ -423,6 +461,63 @@ def test_simulate_output_without_a_file_name_exits_5(
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert list(tmp_path.iterdir()) == []
+
+
+_SIMULATE_MODES = {
+    "one-combination": ["--levels", "0.01", "--distribution", "gaussian", "--targets", "rotation"],
+    "grid": ["--levels", "0.01"],
+    "motions-grid": ["--motions", "2,3"],
+}
+
+
+@pytest.mark.parametrize("mode", _SIMULATE_MODES)
+def test_simulate_unwritable_output_fails_before_any_sweep(tmp_path, capsys, monkeypatch, mode):
+    def no_sweep(*args):
+        raise AssertionError("a sweep ran before the output was opened")
+
+    monkeypatch.setattr(cli, "noise_sweep", no_sweep)
+    monkeypatch.setattr(cli, "motion_count_sweep", no_sweep)
+    out = tmp_path / "missing" / "x.csv"
+    argv = ["simulate", *_SIMULATE_MODES[mode], "--trials", "1", "--output", str(out)]
+    assert main(argv) == EXIT_IO
+    err = capsys.readouterr().err.splitlines()
+    # one combination writes x.csv itself, more write x_<distribution>_<targets>.csv
+    assert len(err) == 1 and err[0].startswith("error: ") and str(out.with_suffix("")) in err[0]
+
+
+@pytest.mark.parametrize("mode", ["one-combination", "grid"])
+def test_simulate_failing_later_leaves_no_empty_file(tmp_path, capsys, monkeypatch, mode):
+    sweeps = []
+
+    def second_fails(*args):
+        sweeps.append(args)
+        if len(sweeps) == 2 or mode == "one-combination":
+            raise CalibrationError("no sweep")
+        return noise_sweep(*args)
+
+    monkeypatch.setattr(cli, "noise_sweep", second_fails)
+    # an existing file keeps its content until its sweep is written
+    kept = tmp_path / ("grid.csv" if mode == "one-combination" else "grid_gaussian_rotation.csv")
+    kept.write_text("old\n", encoding="utf-8")
+    out = tmp_path / "grid.csv"
+    argv = ["simulate", *_SIMULATE_MODES[mode], "--trials", "1", "--output", str(out)]
+    assert main(argv) == EXIT_DEGENERATE
+    assert capsys.readouterr().err == "error: no sweep\n"
+    assert kept.read_text(encoding="utf-8") == "old\n"
+    written = sorted(p.name for p in tmp_path.iterdir() if p != kept)
+    if mode == "grid":
+        # the first combination's sweep was written before the second failed
+        assert written == ["grid_uniform_rotation.csv"]
+        text = (tmp_path / written[0]).read_text(encoding="utf-8")
+        assert text.startswith(CSV_HEADER + "\n")
+    else:
+        assert written == []
+
+
+def test_simulate_output_to_the_null_device(capsys):
+    mode = _SIMULATE_MODES["one-combination"]
+    assert main(["simulate", *mode, "--trials", "1", "--output", os.devnull]) == EXIT_OK
+    assert capsys.readouterr().err == ""
 
 
 def test_simulate_default_levels(tmp_path):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -272,6 +274,19 @@ def test_classical_constraints_errors(rng):
     with pytest.raises(DegenerateRotationError) as err:
         classical_constraints([pose, pose], [pose, pose])
     assert err.value.index == 0
+    # the entries are checked where they enter, before any motion is formed
+    other = random_motion(rng).matrix
+    for bottom in ([1.0, 1.0, 1.0, 0.0], [0.3, -2.0, 5.0, 7.0]):
+        bad = other.copy()
+        bad[3] = bottom
+        message = f"camera_poses[1]: bottom row {bottom} is not"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            classical_constraints([pose, bad], [pose, other])
+    for value in (np.nan, np.inf):
+        bad = other.copy()
+        bad[0, 3] = value
+        with pytest.raises(ValueError, match="hand_poses must be finite"):
+            classical_constraints([pose, other], [pose, bad])
 
 
 def test_perspective_constraints_equivalent_to_classical(rng):
@@ -299,6 +314,16 @@ def test_perspective_constraints_errors(rng):
         perspective_constraints([pose, pose], [pose, pose])
     with pytest.raises(DegenerateRotationError):
         perspective_constraints([m, m], [pose, pose])
+    other = random_motion(rng, 400.0).matrix
+    bad = other.copy()
+    bad[3, 3] = 9.0
+    message = "hand_poses[1]: bottom row [0.0, 0.0, 0.0, 9.0] is not"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        perspective_constraints([m, intr.matrices(other)], [pose, bad])
+    bad = intr.matrices(other)
+    bad[2, 1] = -np.inf
+    with pytest.raises(ValueError, match="matrices must be finite"):
+        perspective_constraints([m, bad], [pose, other])
 
 
 def test_constraint_count_matches_positions(rng):

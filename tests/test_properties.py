@@ -25,7 +25,12 @@ from handeye.datafiles import (
     save_solution,
 )
 from handeye.errors import CalibrationError
-from handeye.geometry import ConstraintSet, orthonormalize, perspective_constraints
+from handeye.geometry import (
+    ConstraintSet,
+    classical_constraints,
+    orthonormalize,
+    perspective_constraints,
+)
 from handeye.simulate import (
     Distribution,
     Formulation,
@@ -170,6 +175,38 @@ def test_scaling_perspective_matrices_keeps_the_solution(n, seed, factors):
         tol = 1e-8 if method is Method.NONLINEAR else 1e-12
         assert np.max(np.abs(after.rotation - before.rotation)) <= tol
         assert _relative(after.translation, before.translation) <= max(tol, 1e-9)
+
+
+# What goes into one entry of a constraint builder's input: a non-finite or
+# huge value anywhere, or a pose's bottom row moved off (0, 0, 0, 1).
+bad_entries = st.sampled_from(["nan", "inf", "-inf", "1e300", "-1e300", "bottom-row"])
+
+
+@PROPERTY
+@given(formulations, st.integers(2, 4), seeds, bad_entries, st.data())
+def test_a_bad_entry_given_to_a_constraint_builder_fails_cleanly(formulation, n, seed, kind, data):
+    dataset = synthetic_dataset(n, seed, formulation)
+    camera, hand = dataset.camera_poses.copy(), dataset.hand_poses.copy()
+    classical = formulation is Formulation.CLASSICAL
+    # perspective matrices have no bottom row
+    stacks = [camera, hand] if classical or kind != "bottom-row" else [hand]
+    stack = data.draw(st.sampled_from(stacks))
+    i, c = data.draw(st.integers(0, n)), data.draw(st.integers(0, 3))
+    if kind == "bottom-row":
+        sign = data.draw(st.sampled_from([-1.0, 1.0]))
+        stack[i, 3, c] += sign * 10.0 ** data.draw(st.floats(-8.0, 1.0))
+    else:
+        stack[i, data.draw(st.integers(0, len(stack[i]) - 1)), c] = float(kind)
+    build = classical_constraints if classical else perspective_constraints
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            build(camera, hand)
+        except (ValueError, CalibrationError) as err:
+            assert not isinstance(err, np.linalg.LinAlgError)
+        else:
+            # only a huge finite entry may still give constraints
+            assert kind in ("1e300", "-1e300")
 
 
 def _same_bits(a, b):

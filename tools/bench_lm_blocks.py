@@ -3,7 +3,9 @@
 For n = 2, 5, 9 and 30, builds one block of motion-count-study trials: J = 1024 // n
 trials of ``default_scenario(n, 0)`` at the count-study noise (Gaussian,
 on rotation and translation), drawn as a sweep with seed 0 draws its first
-point.  On the block it times ``solvers.axis_alignment_matrix``,
+point.  It times the block's construction from its draws,
+``simulate._perturbed_constraints`` (which checks every rotation through
+``ConstraintSet.from_motions``), and on the block ``solvers.axis_alignment_matrix``,
 ``solvers._closed_form`` and, from the closed-form start, ``solvers._nonlinear``,
 each best of 15 runs.  The JSON file records, per n, J, those times in ms,
 and the mean and max LM iterations over the block's solved rows, plus the
@@ -41,8 +43,9 @@ MOTIONS = (2, 5, 9, 30)
 REPEATS = 15
 
 
-def count_block(n: int):
-    """The first block of count-study trials at n motions, drawn from the
+def count_block(n: int) -> tuple[tuple, np.ndarray]:
+    """The arguments and the draws of ``simulate._perturbed_constraints`` for
+    the first block of count-study trials at n motions, drawn from the
     streams of point 0 at seed 0."""
     args = (
         sim.default_scenario(n, 0),
@@ -51,8 +54,7 @@ def count_block(n: int):
         sim.COUNT_TRANSLATION_LEVEL,
     )
     ids = np.arange(max(1, sim._BLOCK_MOTIONS // n), dtype=np.uint64)
-    draws = sim._philox_random(sim._stream_keys(0, 0, ids), sim._trial_draw_count(*args))
-    return sim._perturbed_constraints(*args, draws)
+    return args, sim._philox_random(sim._stream_keys(0, 0, ids), sim._trial_draw_count(*args))
 
 
 def best_ms(run) -> tuple[float, object]:
@@ -66,7 +68,8 @@ def best_ms(run) -> tuple[float, object]:
 
 
 def measure(n: int) -> dict:
-    cs = count_block(n)
+    args, draws = count_block(n)
+    constraints_ms, cs = best_ms(lambda: sim._perturbed_constraints(*args, draws))
     alignment_ms, _ = best_ms(lambda: solvers.axis_alignment_matrix(cs))
     closed_form_ms, start = best_ms(lambda: solvers._closed_form(cs))
     nonlinear_ms, batch = best_ms(lambda: solvers._nonlinear(cs, start))
@@ -76,6 +79,7 @@ def measure(n: int) -> dict:
         "J": len(cs.camera_rotation),
         "nonlinear_ms_best": nonlinear_ms,
         "closed_form_ms_best": closed_form_ms,
+        "perturbed_constraints_ms_best": constraints_ms,
         "axis_alignment_matrix_ms_best": alignment_ms,
         "lm_iterations_mean": round(float(np.mean(iterations)), 2),
         "lm_iterations_max": int(np.max(iterations)),
@@ -106,8 +110,8 @@ def main(argv=None) -> int:
     blocks = [measure(n) for n in MOTIONS]
     result = {
         "what": (
-            "solvers.axis_alignment_matrix, _closed_form and _nonlinear on one "
-            f"count-study block per n, best of {REPEATS}"
+            "simulate._perturbed_constraints, and solvers.axis_alignment_matrix, "
+            f"_closed_form and _nonlinear, on one count-study block per n, best of {REPEATS}"
         ),
         "machine": machine(),
         "blocks": blocks,
