@@ -187,12 +187,15 @@ class ConstraintSet:
         hand motion) pair.  Checks every entry and raises the first
         failure; a DegenerateRotationError carries the flat index of its
         pair."""
-        pair = np.stack([camera_rotation, hand_rotation], axis=-3)
+        pair = quat._require_rotations(
+            np.stack([camera_rotation, hand_rotation], axis=-3),
+            _ROTATION_TOL,
+            ("camera_rotation", "hand_rotation"),
+        )
         try:
-            axes = rotation_axis(pair)
+            axes = _axes_of(quat._quaternion_of(pair))
         except DegenerateRotationError as err:
             raise DegenerateRotationError(str(err), index=err.index // 2) from None
-        quat._require_rotations(pair, _ROTATION_TOL, ("camera_rotation", "hand_rotation"))
         return cls(
             np.asarray(camera_rotation, dtype=float),
             np.asarray(hand_rotation, dtype=float),
@@ -283,7 +286,12 @@ def rotation_axis(m) -> np.ndarray:
     guessed.  For a stack the error carries the flat index of the first
     such matrix.
     """
-    axis, angle = quat.axis_angle(quat.from_rotation_matrix(m))
+    return _axes_of(quat.from_rotation_matrix(m))
+
+
+def _axes_of(q: np.ndarray) -> np.ndarray:
+    """``rotation_axis`` of the rotations of canonical unit quaternions."""
+    axis, angle = quat.axis_angle(q)
     bad = np.reshape(angle < MIN_ROTATION_ANGLE, -1)
     if bad.any():
         first = int(np.argmax(bad))

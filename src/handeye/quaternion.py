@@ -224,8 +224,12 @@ def from_rotation_matrix(m) -> np.ndarray:
     orthonormal (Frobenius), or has a non-finite entry or a non-positive
     determinant.
     """
-    m = _require_rotations(m, _ORTHONORMALITY_TOL)
+    return _quaternion_of(_require_rotations(m, _ORTHONORMALITY_TOL))
 
+
+def _quaternion_of(m: np.ndarray) -> np.ndarray:
+    """``from_rotation_matrix`` of a float stack already checked to be
+    rotations."""
     (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = (
         (m[..., i, 0], m[..., i, 1], m[..., i, 2]) for i in range(3)
     )

@@ -38,18 +38,34 @@ leading trial axis: the uniforms of a block's streams are computed at once
 as integer array arithmetic (``_stream_keys`` hashes every trial's spawn
 key into its Philox key, ``_philox_random`` runs Philox4x64-10 on all the
 keys), bit-identical to one numpy ``Philox`` generator per trial, so the
-contract above is unchanged.  The noise is applied at once, the block's
-constraint sets are built as one (J, n, ...) ``ConstraintSet``, and
-``solvers.solve_batch`` solves them.  A block holds at most
-``_BLOCK_MOTIONS`` (1024) trials x motions, so J = 1024 // n trials (512
-at n = 2, 113 at n = 9, and at least one).  Batching changes no
-arithmetic, so the rows do not depend on the block size and equal those
-built from ``trial_constraints`` and the single-problem solvers, trial by
-trial.
+contract above is unchanged; a block of fewer than
+``_PHILOX_MIN_TRIALS`` (24) trials uses the generators, which cost less
+there.  The noise is applied at once, the block's constraint sets are
+built as one (J, n, ...) ``ConstraintSet``, and ``solvers.solve_batch``
+solves them.  A block holds at most ``_BLOCK_MOTIONS`` (1024) trials x
+motions, so J = 1024 // n trials (512 at n = 2, 113 at n = 9, and at
+least one).  Batching changes no arithmetic, so the rows do not depend on
+the block size and equal those built from ``trial_constraints`` and the
+single-problem solvers, trial by trial.
+
+Each block is a pure function of (seed, point, trial ids), so on Linux
+the blocks of a sweep run in worker processes forked for that sweep, one
+per usable CPU (``os.sched_getaffinity``), and the rows are gathered in
+block order: reports are byte-identical for any worker count.  A sweep
+with one block or less than one full block of work, one on a single CPU,
+one in a process with other threads alive or in a daemonic process runs
+in the calling process; so does every sweep where
+``os.sched_getaffinity`` does not exist.  With no more blocks than
+workers, the calling process solves the last block itself.  The workers
+ignore Ctrl-C; the caller cancels the queued blocks, and the error of the
+earliest failing block is raised, as in one process.
 """
 
 from __future__ import annotations
 
+import os
+import signal
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -106,6 +122,11 @@ COUNT_TRANSLATION_LEVEL = 0.02
 # its trials in blocks of max(1, _BLOCK_MOTIONS // n), so a block's arrays
 # stay about the same size for every n.  The rows do not depend on it.
 _BLOCK_MOTIONS = 1024
+
+# A block of fewer trials draws its uniforms from one numpy generator per
+# trial: the vectorized Philox pass costs about 0.5 ms whatever its size,
+# a generator about 0.02 ms per trial.
+_PHILOX_MIN_TRIALS = 24
 
 
 class Distribution(str, Enum):
@@ -606,44 +627,133 @@ def trial_constraints(
     return ConstraintSet(*(a[0] for a in cs.arrays))
 
 
+def _block_draws(seed: int, index: int, first: int, last: int, m: int) -> np.ndarray:
+    """The first ``m`` uniforms of streams (seed, index, j) for the trials j
+    in [first, last), (last - first, m): one vectorized Philox pass, or
+    below ``_PHILOX_MIN_TRIALS`` trials one numpy generator per trial, which
+    costs less there and draws the same numbers."""
+    if last - first < _PHILOX_MIN_TRIALS:
+        return np.stack([_generator(seed, index, j).random(m) for j in range(first, last)])
+    ids = np.arange(first, last, dtype=np.uint64)
+    return _philox_random(_stream_keys(seed, index, ids), m)
+
+
+def _solve_block(task: tuple) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """Trials [first, last) of sweep point ``index``, for ``task`` =
+    (seed, index, scenario, distribution, (rot_level, trans_level), first,
+    last): per method in ``Method`` order, the count of trials it rejected
+    with a CalibrationError and the squared errors of the others.  Any other
+    error a solve records is raised."""
+    seed, index, scenario, distribution, levels, first, last = task
+    m = _trial_draw_count(scenario, distribution, *levels)
+    constraints = _perturbed_constraints(
+        scenario, distribution, *levels, _block_draws(seed, index, first, last, m)
+    )
+    results = []
+    for batch in solve_batch(constraints).values():
+        for err in batch.errors:
+            if err is not None and not isinstance(err, CalibrationError):
+                raise err
+        ok = batch.ok
+        squared = _squared_errors(batch.rotation[ok], batch.translation[ok], scenario.ground_truth)
+        results.append((int(np.count_nonzero(~ok)), *squared))
+    return results
+
+
+def _ignore_interrupts() -> None:
+    """Leave Ctrl-C to the parent process: a worker keeps solving until the
+    parent cancels or collects its block."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
+def _pool_size(blocks: int, work: int) -> int:
+    """Worker processes for a sweep of ``blocks`` blocks and ``work`` trials
+    x motions; 1 means the calling process solves them itself.
+
+    One per usable CPU, never more than the blocks.  The sweep stays in
+    this process where forking is unsafe or cannot pay for itself: without
+    ``os.sched_getaffinity`` (not Linux), on one CPU, with other threads
+    alive, in a daemonic process (which may not have children), with one
+    block, or with less work than one full block.
+    """
+    if blocks < 2 or work < _BLOCK_MOTIONS or not hasattr(os, "sched_getaffinity"):
+        return 1
+    cpus = len(os.sched_getaffinity(0))
+    if cpus < 2 or threading.active_count() > 1:
+        return 1
+    import multiprocessing
+
+    if multiprocessing.current_process().daemon:
+        return 1
+    return min(cpus, blocks)
+
+
+def _solve_blocks(tasks: list[tuple], workers: int) -> list:
+    """``_solve_block`` of every task, in task order, on ``workers``
+    processes: this one alone, or forked workers that end before this
+    returns.  With no more tasks than workers, this process solves the last
+    task itself and forks one worker fewer.  The error of the earliest
+    failing task is raised, and no task still queued starts after it."""
+    if workers < 2 or len(tasks) < 2:
+        return list(map(_solve_block, tasks))
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    forked = tasks[:-1] if len(tasks) <= workers else tasks
+    context = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(
+        min(workers, len(forked)), mp_context=context, initializer=_ignore_interrupts
+    ) as pool:
+        try:
+            results = pool.map(_solve_block, forked)
+            try:
+                own = list(map(_solve_block, tasks[len(forked):]))
+            except Exception:
+                list(results)  # an earlier task's error comes first
+                raise
+            return list(results) + own
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+
+
 def _sweep(points, distribution: Distribution, trials: int, seed: int) -> tuple[ReportRow, ...]:
     """One row per method for each (sweep_var, scenario, rot_level, trans_level)
     point.  Trials a solver rejects are left out of the RMS and counted.
 
     Trial j of point i draws the first uniforms of stream (seed, i, j), as
-    ``_generator(seed, i, j).random`` would; each block computes its
-    trials' draws at once with :func:`_stream_keys` and
-    :func:`_philox_random`.  A point keeps each estimate's squared errors,
-    not the estimate.
+    ``_generator(seed, i, j).random`` would.  Each point's trials are split
+    into blocks of ``_BLOCK_MOTIONS`` trials x motions, every block is
+    solved by :func:`_solve_block`, a pure function of its task, and a
+    point's squared errors are concatenated in block order, so the rows do
+    not depend on where or in which order the blocks ran.
     """
     if not isinstance(trials, (int, np.integer)) or trials < 1:
         raise ValueError(f"need an integer number of trials >= 1, got {trials!r}")
+    points = list(points)
+    tasks, work = [], 0
+    for index, (_, scenario, rot_level, trans_level) in enumerate(points):
+        n = len(scenario.camera_poses) - 1
+        block = max(1, _BLOCK_MOTIONS // n)
+        work += trials * n
+        tasks += [
+            (seed, index, scenario, distribution, (rot_level, trans_level), first,
+             min(first + block, trials))
+            for first in range(0, trials, block)
+        ]
+    results = _solve_blocks(tasks, _pool_size(len(tasks), work))
     rows = []
-    for index, (sweep_var, scenario, rot_level, trans_level) in enumerate(points):
+    for index, (sweep_var, scenario, _, _) in enumerate(points):
+        mine = [result for task, result in zip(tasks, results) if task[1] == index]
         truth = scenario.ground_truth
-        squared: dict[Method, list] = {m: [] for m in Method}
-        failed = dict.fromkeys(Method, 0)
-        block = max(1, _BLOCK_MOTIONS // len(scenario.motion_arrays[0]))
-        m_draws = _trial_draw_count(scenario, distribution, rot_level, trans_level)
-        for first in range(0, trials, block):
-            ids = np.arange(first, min(first + block, trials), dtype=np.uint64)
-            draws = _philox_random(_stream_keys(seed, index, ids), m_draws)
-            constraints = _perturbed_constraints(
-                scenario, distribution, rot_level, trans_level, draws
-            )
-            for m, batch in solve_batch(constraints).items():
-                for err in batch.errors:
-                    if err is not None and not isinstance(err, CalibrationError):
-                        raise err
-                ok = batch.ok
-                failed[m] += int(np.count_nonzero(~ok))
-                squared[m].append(_squared_errors(batch.rotation[ok], batch.translation[ok], truth))
-        for m in Method:
-            if failed[m] < trials:
-                e_rot, e_tr = _rms_errors(*(np.concatenate(a) for a in zip(*squared[m])), truth)
+        for m, per_block in zip(Method, zip(*mine)):
+            counts, rot_sq, tr_sq = zip(*per_block)
+            failed = sum(counts)
+            if failed < trials:
+                e_rot, e_tr = _rms_errors(np.concatenate(rot_sq), np.concatenate(tr_sq), truth)
             else:
                 e_rot = e_tr = float("nan")
-            rows.append(ReportRow(float(sweep_var), m, e_rot, e_tr, failed[m]))
+            rows.append(ReportRow(float(sweep_var), m, e_rot, e_tr, failed))
     return tuple(rows)
 
 

@@ -27,11 +27,11 @@ iterations; a solution that stops there with a gradient norm above 1e-6
 is not converged.
 
 Each stacked linear least-squares system (the Tsai-Lenz axis system and
-the translation system of both direct methods) is decomposed once, by one
-``np.linalg.svd`` of the whole batch.  Its singular values are the
-degeneracy gate: a system whose condition number exceeds
-``CONDITION_LIMIT`` (1e8) is rejected as IllConditionedError.  Its factors
-give the solution x = V diag(1/s) U' b.
+the translation system, whose matrix K - I both direct methods share) is
+decomposed once, by one ``np.linalg.svd`` of the whole batch.  Its
+singular values are the degeneracy gate: a system whose condition number
+exceeds ``CONDITION_LIMIT`` (1e8) is rejected as IllConditionedError.  Its
+factors give the solution x = V diag(1/s) U' b.
 
 The solvers run on batches: a ``ConstraintSet`` of shape (J, n, ...) holds
 J independent problems with n motions each, and every step is an array
@@ -237,15 +237,16 @@ def _rejected(method: Method, size: int, message: str) -> SolutionBatch:
     return fail.finish(method, np.full((size, 4), np.nan), np.full((size, 3), np.nan), nan, nan)
 
 
-def _least_squares(a: np.ndarray, b: np.ndarray, what: str, fail: _Failures) -> np.ndarray:
+def _least_squares(svd: tuple, b: np.ndarray, what: str, fail: _Failures) -> np.ndarray:
     """Least-squares solution x = V diag(1/s) U' b of each problem's system
-    a x = b, from one SVD of the whole batch.
+    a x = b, from its SVD ``np.linalg.svd(a, full_matrices=False)``, one
+    for the whole batch.
 
     Its singular values are the condition gate: a problem whose system is
     singular or beyond ``CONDITION_LIMIT`` is recorded as
     IllConditionedError.  Problems that are not ok get NaN.
     """
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    u, s, vt = svd
     lo, hi = s[:, -1], s[:, 0]
     with np.errstate(divide="ignore", invalid="ignore"):
         cond = hi / lo
@@ -368,14 +369,20 @@ def _unique_rotation(cs: ConstraintSet, fail: _Failures) -> np.ndarray:
     return _as_unit(column / quat.vnorm(column)[:, None], fail)
 
 
-def _translation_ls(cs: ConstraintSet, q: np.ndarray, fail: _Failures) -> np.ndarray:
+def _translation_svd(cs: ConstraintSet) -> tuple:
+    """The SVD of each problem's translation system (K - I) t = ..., whose
+    matrix does not depend on the rotation: both direct methods share it."""
+    a = (cs.camera_rotation - np.eye(3)).reshape(len(cs.camera_rotation), -1, 3)
+    return np.linalg.svd(a, full_matrices=False)
+
+
+def _translation_ls(cs: ConstraintSet, svd: tuple, q: np.ndarray, fail: _Failures) -> np.ndarray:
     r3 = quat.to_rotation_matrix(q)
-    a = (cs.camera_rotation - np.eye(3)).reshape(len(q), -1, 3)
     rhs = cs.hand_translation @ np.swapaxes(r3, -1, -2) - cs.camera_translation
-    return _least_squares(a, rhs.reshape(len(q), -1), "translation system", fail)
+    return _least_squares(svd, rhs.reshape(len(q), -1), "translation system", fail)
 
 
-def _tsai_lenz(cs: ConstraintSet) -> SolutionBatch:
+def _tsai_lenz(cs: ConstraintSet, translation_svd: tuple) -> SolutionBatch:
     """Linear two-step solver: scaled-axis vector first, translation second.
 
     The axis equation camera_axis = R(hand_axis) linearizes over the
@@ -392,7 +399,8 @@ def _tsai_lenz(cs: ConstraintSet) -> SolutionBatch:
     fail = _Failures.none(size)
     vp, v = cs.camera_axis, cs.hand_axis
     a = _skew(vp + v).reshape(size, -1, 3)
-    g = _least_squares(a, (v - vp).reshape(size, -1), "axis system", fail)
+    svd = np.linalg.svd(a, full_matrices=False)
+    g = _least_squares(svd, (v - vp).reshape(size, -1), "axis system", fail)
     magnitude = quat.vnorm(g)
     identity = magnitude <= 1e-12
     # atan-based angle recovery stays finite for large |g| (angles near pi)
@@ -400,12 +408,12 @@ def _tsai_lenz(cs: ConstraintSet) -> SolutionBatch:
         g / np.where(identity, 1.0, magnitude)[:, None], 2.0 * np.arctan(magnitude)
     )
     q = np.where(identity[:, None], quat.IDENTITY, q)
-    t = _translation_ls(cs, q, fail)
+    t = _translation_ls(cs, translation_svd, q, fail)
     rot_res, tr_res = _metrics(cs, q, t, fail)
     return fail.finish(Method.TSAI_LENZ, _as_unit(q, fail), t, rot_res, tr_res)
 
 
-def _closed_form(cs: ConstraintSet) -> SolutionBatch:
+def _closed_form(cs: ConstraintSet, translation_svd: tuple) -> SolutionBatch:
     """Optimal rotation over unit quaternions, then linear translation.
 
     The summed squared axis-alignment error is a quadratic form q' A q;
@@ -419,7 +427,7 @@ def _closed_form(cs: ConstraintSet) -> SolutionBatch:
         return _rejected(Method.CLOSED_FORM, size, "need at least 2 motions, got 0")
     fail = _Failures.none(size)
     q = _unique_rotation(cs, fail)
-    t = _translation_ls(cs, q, fail)
+    t = _translation_ls(cs, translation_svd, q, fail)
     rot_res, tr_res = _metrics(cs, q, t, fail)
     return fail.finish(Method.CLOSED_FORM, _as_unit(q, fail), t, rot_res, tr_res)
 
@@ -676,9 +684,10 @@ def solve(method: Method, constraints: ConstraintSet) -> HandEyeSolution:
     name); raises the problem's error."""
     cs = _one(constraints)
     method = Method(method)
+    translation_svd = _translation_svd(cs)
     if method is Method.TSAI_LENZ:
-        return _tsai_lenz(cs).solution()
-    start = _closed_form(cs)
+        return _tsai_lenz(cs, translation_svd).solution()
+    start = _closed_form(cs, translation_svd)
     return (start if method is Method.CLOSED_FORM else _nonlinear(cs, start)).solution()
 
 
@@ -686,14 +695,16 @@ def solve_batch(constraints: ConstraintSet) -> dict[Method, SolutionBatch]:
     """All three methods, in ``Method`` order, on a batch of problems
     (J, n, ...).
 
-    The nonlinear solver starts from the closed-form batch, computed once.
-    Problem j of each result is bit-identical to ``solve`` on problem j,
-    and a problem it would reject is recorded, not raised.
+    The direct methods share one decomposition of the translation system,
+    and the nonlinear solver starts from the closed-form batch, computed
+    once.  Problem j of each result is bit-identical to ``solve`` on
+    problem j, and a problem it would reject is recorded, not raised.
     """
     cs = constraints
-    start = _closed_form(cs)
+    translation_svd = _translation_svd(cs)
+    start = _closed_form(cs, translation_svd)
     return {
-        Method.TSAI_LENZ: _tsai_lenz(cs),
+        Method.TSAI_LENZ: _tsai_lenz(cs, translation_svd),
         Method.CLOSED_FORM: start,
         Method.NONLINEAR: _nonlinear(cs, start),
     }

@@ -254,7 +254,7 @@ def test_q_and_minus_q_give_the_same_bits(q, v, method):
 def test_nonlinear_rows_from_q_and_minus_q_are_the_same(formulation, n, seed, level):
     noise = NoiseModel(Distribution.GAUSSIAN, level, NoiseTargets.ROTATION_AND_TRANSLATION, seed)
     cs = solvers._one(synthetic_dataset(n, seed, formulation, noise).constraints())
-    start = solvers._closed_form(cs)
+    start = solvers._closed_form(cs, solvers._translation_svd(cs))
     plus = solvers._nonlinear(cs, start)
     minus = solvers._nonlinear(cs, start._replace(rotation=-start.rotation))
     for field in (

@@ -108,3 +108,10 @@ def test_each_rotation_site_accepts_or_raises_its_own_error(site, row):
         else:
             with pytest.raises(error):
                 check(m)
+
+
+@pytest.mark.parametrize("row", [row for row, (_, accepted) in ROWS.items() if not accepted])
+@pytest.mark.parametrize("side", ["camera", "hand"])
+def test_from_motions_names_the_side_of_every_rejected_rotation(side, row):
+    with pytest.raises(NotARotationError, match=f"^{side}_rotation: "):
+        _from_motions(side)(ROWS[row][0](1e-9))

@@ -299,6 +299,18 @@ def test_block_streams_match_numpy_philox(seed, index):
         assert np.array_equal(alone[0], sim._generator(seed, index, j).random(217))
 
 
+@pytest.mark.parametrize("seed", [6, 2**64 + 5])
+def test_block_draws_match_the_philox_pass_on_both_sides_of_its_threshold(seed):
+    # below _PHILOX_MIN_TRIALS a block draws from one generator per trial
+    limit = sim._PHILOX_MIN_TRIALS
+    for first, last in [(0, 1), (5, 6), (0, limit - 1), (3, limit + 2), (0, limit)]:
+        ids = np.arange(first, last, dtype=np.uint64)
+        for m in (0, 48, 217):
+            draws = sim._block_draws(seed, 2, first, last, m)
+            assert draws.shape == (last - first, m)
+            assert np.array_equal(draws, sim._philox_random(sim._stream_keys(seed, 2, ids), m))
+
+
 def test_noise_calibration_gaussian():
     # level 0.06 means standard deviation 0.03
     samples = sim._noise_samples(sim._generator(7), Distribution.GAUSSIAN, 0.06, 100000)

@@ -106,7 +106,7 @@ def test_least_squares_matches_lstsq_and_gates_the_condition_number(rng):
     b = (a @ rng.normal(size=(len(conds), 3, 1)))[..., 0]
     b += 1e-6 * rng.normal(size=b.shape)
     fail = solvers._Failures.none(len(conds))
-    x = solvers._least_squares(a, b, "test system", fail)
+    x = solvers._least_squares(np.linalg.svd(a, full_matrices=False), b, "test system", fail)
     ok = conds <= solvers.CONDITION_LIMIT
     assert list(fail.ok) == list(ok)
     for j in np.flatnonzero(~ok):
@@ -128,7 +128,9 @@ def _translation_ls(cs, rotation):
     """Least-squares translation of one problem at a fixed rotation; raises
     the problem's error."""
     fail = solvers._Failures.none(1)
-    t = solvers._translation_ls(solvers._one(cs), np.asarray(rotation, dtype=float)[None], fail)
+    one = solvers._one(cs)
+    q = np.asarray(rotation, dtype=float)[None]
+    t = solvers._translation_ls(one, solvers._translation_svd(one), q, fail)
     if fail.errors[0] is not None:
         raise fail.errors[0]
     return t[0]
@@ -430,7 +432,8 @@ def _nonlinear_from(cs, q, t):
     closed-form batch with its estimate replaced, so its checks still
     apply."""
     one = solvers._one(cs)
-    start = solvers._closed_form(one)._replace(rotation=q[None], translation=t[None])
+    start = solvers._closed_form(one, solvers._translation_svd(one))
+    start = start._replace(rotation=q[None], translation=t[None])
     return solvers._nonlinear(one, start).solution()
 
 
@@ -611,6 +614,21 @@ def _batch(*problems):
     return ConstraintSet(*(np.stack(arrays) for arrays in zip(*(p.arrays for p in problems))))
 
 
+def test_batch_decomposes_the_translation_system_once(rng, monkeypatch):
+    # one SVD for the Tsai-Lenz axis system, one shared by both translations
+    truth = random_motion(rng, 150.0)
+    shapes = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    solvers.solve_batch(_batch(*(consistent_constraints(rng, truth, 3) for _ in range(4))))
+    assert shapes == [(4, 9, 3), (4, 9, 3)]
+
+
 def test_batch_records_degenerate_problems_and_solves_the_rest_exactly(rng):
     truth = random_motion(rng, 150.0)
     good = _noisy(consistent_constraints(rng, truth, 3), rng)
@@ -709,7 +727,7 @@ def _lm_batch(builder, n, trials=12):
     cs = _sweep_batch(builder, n, trials)
     alone = [sim.trial_constraints(*args, sim._generator(5, 0, j)) for j in range(trials)]
     scale = translation_span(cs)
-    start = solvers._closed_form(cs)
+    start = solvers._closed_form(cs, solvers._translation_svd(cs))
     x = np.concatenate([start.rotation, start.translation / scale[:, None]], axis=1)
     x += np.random.default_rng(n).normal(scale=0.01, size=x.shape)
     return solvers._LMProblem.build(cs, scale), x, alone

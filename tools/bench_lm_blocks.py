@@ -5,8 +5,9 @@ trials of ``default_scenario(n, 0)`` at the count-study noise (Gaussian,
 on rotation and translation), drawn as a sweep with seed 0 draws its first
 point.  It times the block's construction from its draws,
 ``simulate._perturbed_constraints`` (which checks every rotation through
-``ConstraintSet.from_motions``), and on the block ``solvers.axis_alignment_matrix``,
-``solvers._closed_form`` and, from the closed-form start, ``solvers._nonlinear``,
+``ConstraintSet.from_motions``), and on the block
+``solvers.axis_alignment_matrix``, ``solvers._closed_form`` (with its
+translation SVD) and, from the closed-form start, ``solvers._nonlinear``,
 each best of 15 runs.  The JSON file records, per n, J, those times in ms,
 and the mean and max LM iterations over the block's solved rows, plus the
 machine.
@@ -71,7 +72,9 @@ def measure(n: int) -> dict:
     args, draws = count_block(n)
     constraints_ms, cs = best_ms(lambda: sim._perturbed_constraints(*args, draws))
     alignment_ms, _ = best_ms(lambda: solvers.axis_alignment_matrix(cs))
-    closed_form_ms, start = best_ms(lambda: solvers._closed_form(cs))
+    closed_form_ms, start = best_ms(
+        lambda: solvers._closed_form(cs, solvers._translation_svd(cs))
+    )
     nonlinear_ms, batch = best_ms(lambda: solvers._nonlinear(cs, start))
     iterations = batch.iterations[batch.ok]
     return {
