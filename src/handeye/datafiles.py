@@ -346,7 +346,9 @@ def load_solution(path) -> HandEyeSolution:
             float(_numbers([doc[key]], key, path)[0])
             for key in ("rotation_residual", "translation_residual")
         )
-    except (KeyError, TypeError, ValueError, OverflowError) as err:
+    except KeyError as err:
+        raise SchemaError(f"{path}: missing key {err.args[0]!r}") from err
+    except (TypeError, ValueError, OverflowError) as err:
         raise SchemaError(f"{path}: {err!r}") from err
     if q.shape != (4,) or t.shape != (3,):
         raise SchemaError(f"{path}: quaternion_wxyz must have 4 entries, translation_mm 3")

@@ -164,16 +164,6 @@ def _require_rotations(m, tol: float, names: tuple[str, ...] = ()) -> np.ndarray
     return m
 
 
-def unit_error(q) -> np.ndarray:
-    """|q.q - 1| of each quaternion: the quantity ``as_unit`` bounds."""
-    return np.abs(norm2(q) - 1.0)
-
-
-def off_unity(err: float) -> ValueError:
-    """The error ``as_unit`` raises for a quaternion with |q.q - 1| = err."""
-    return ValueError(f"quaternion norm off unity by {err:.3e}")
-
-
 def as_unit(q) -> np.ndarray:
     """Validate unit norm and return the canonical-sign representative.
 
@@ -181,9 +171,9 @@ def as_unit(q) -> np.ndarray:
     quaternion, so a NaN fails; does not renormalize.
     """
     q = np.asarray(q, dtype=float)
-    err = unit_error(q)
+    err = np.abs(norm2(q) - 1.0)
     if not np.all(err <= UNIT_TOL):
-        raise off_unity(np.max(err))
+        raise ValueError(f"quaternion norm off unity by {np.max(err):.3e}")
     return canonicalize(q)
 
 

@@ -39,7 +39,11 @@ operation over the leading problem axis.  The Levenberg-Marquardt loop is
 masked: each problem keeps its own damping, acceptance and termination,
 and leaves the active set when it terminates.  A problem that a check
 rejects is not raised but recorded in ``SolutionBatch.errors``, with the
-exception ``solve`` raises for it.  There are two entry points:
+``CalibrationError`` that ``solve`` raises for it.  Every solve, and
+``report_residuals``, ends in one step, ``_Failures.finish``: it computes
+the two report metrics, checks the unit norm, picks the canonical sign of
+q and records the rows whose estimate or metric is not finite.  There are
+two entry points:
 ``solve_batch`` runs all three methods on one batch and shares the
 closed-form solution with the nonlinear start, and ``solve`` runs one
 method on a batch of one and raises the recorded error.  Batching changes
@@ -139,11 +143,11 @@ class HandEyeSolution:
 class SolutionBatch(NamedTuple):
     """One method's solutions of a batch of J problems, one row each.
 
-    ``errors[j]`` is the exception ``solve`` raises for problem j (a
-    ``CalibrationError``, among them the ``ZeroTranslationError`` of a
-    vanishing transfer norm and the plain ``CalibrationError`` of a
-    non-finite estimate or metric, or the ``ValueError`` of a non-unit
-    result), or None; the rows of a failed problem hold no estimate.
+    ``errors[j]`` is the ``CalibrationError`` that ``solve`` raises for
+    problem j (among them the ``ZeroTranslationError`` of a vanishing
+    transfer norm and the plain ``CalibrationError`` of a non-unit or
+    non-finite estimate or metric), or None; the rows of a failed problem
+    hold no estimate.
     """
 
     method: Method
@@ -179,7 +183,8 @@ def _ok(errors) -> np.ndarray:
 
 
 class _Failures:
-    """The first error of each problem of a batch, in check order."""
+    """The first error of each problem of a batch, in check order; its
+    ``finish`` ends every solve."""
 
     def __init__(self, errors):
         self.errors = list(errors)
@@ -210,10 +215,20 @@ class _Failures:
                 ),
             )
 
-    def finish(self, method, q, t, rot_res, tr_res, iterations=None, converged=None):
-        """The batch's solutions; a row still ok whose estimate or metric
-        is not finite fails with CalibrationError."""
+    def finish(self, method, cs, q, t, iterations=None, converged=None):
+        """The batch's solutions for the estimate (q, t) of each problem of
+        ``cs``, with their metrics and q's canonical sign.  A row still ok
+        fails with ZeroTranslationError when its transfer norm vanishes,
+        then with CalibrationError when |q.q - 1| exceeds ``quat.UNIT_TOL``
+        or its estimate or a metric is not finite."""
         size = len(q)
+        rot_res, tr_res = _metrics(cs, q, t, self)
+        err = np.abs(quat.norm2(q) - 1.0)
+        self.record(
+            err > quat.UNIT_TOL,
+            lambda j: CalibrationError(f"quaternion norm off unity by {err[j]:.3e}"),
+        )
+        q = quat.canonicalize(q)
         self.record_non_finite(
             quaternion=q, translation=t, rotation_residual=rot_res, translation_residual=tr_res
         )
@@ -230,11 +245,11 @@ def _one(constraints: ConstraintSet) -> ConstraintSet:
     return ConstraintSet(*(a[None] for a in constraints.arrays))
 
 
-def _rejected(method: Method, size: int, message: str) -> SolutionBatch:
+def _rejected(method: Method, cs: ConstraintSet, message: str) -> SolutionBatch:
     """Every problem of a batch failed with TooFewMotionsError."""
+    size = len(cs.camera_rotation)
     fail = _Failures([TooFewMotionsError(message) for _ in range(size)])
-    nan = np.full(size, np.nan)
-    return fail.finish(method, np.full((size, 4), np.nan), np.full((size, 3), np.nan), nan, nan)
+    return fail.finish(method, cs, np.full((size, 4), np.nan), np.full((size, 3), np.nan))
 
 
 def _least_squares(svd: tuple, b: np.ndarray, what: str, fail: _Failures) -> np.ndarray:
@@ -270,13 +285,6 @@ def _skew(v: np.ndarray) -> np.ndarray:
     out[..., 1, 0], out[..., 1, 2] = z, -x
     out[..., 2, 0], out[..., 2, 1] = -y, x
     return out
-
-
-def _as_unit(q: np.ndarray, fail: _Failures) -> np.ndarray:
-    """``quat.as_unit`` of each row, recording its ValueError."""
-    err = quat.unit_error(q)
-    fail.record(err > quat.UNIT_TOL, lambda j: quat.off_unity(err[j]))
-    return quat.canonicalize(q)
 
 
 def _alignment(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -332,32 +340,21 @@ def report_residuals(
     the translation-transfer norm vanishes, and CalibrationError when a
     metric overflows.
     """
-    fail = _Failures.none(1)
-    rot, tr = _metrics(_one(constraints), solution.rotation[None], solution.translation[None], fail)
-    fail.record_non_finite(rotation_residual=rot, translation_residual=tr)
-    if fail.errors[0] is not None:
-        raise fail.errors[0]
-    return float(rot[0]), float(tr[0])
-
-
-# ---------------------------------------------------------------------------
-# symmetric 4x4 eigensolver
-
-def _eigen_sym4(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.linalg.eigh`` of each exactly symmetric 4x4 of a stack:
-    eigenvalues ascending and eigenvectors as columns, each signed so its
-    largest-magnitude component is positive."""
-    vals, vecs = np.linalg.eigh(m)
-    lead = np.take_along_axis(vecs, np.argmax(np.abs(vecs), axis=-2)[..., None, :], axis=-2)
-    return vals, np.where(lead < 0, -vecs, vecs)
+    batch = _Failures.none(1).finish(
+        solution.method, _one(constraints), solution.rotation[None], solution.translation[None]
+    )
+    if batch.errors[0] is not None:
+        raise batch.errors[0]
+    return float(batch.rotation_residual[0]), float(batch.translation_residual[0])
 
 
 # ---------------------------------------------------------------------------
 # decoupled solvers
 
 def _unique_rotation(cs: ConstraintSet, fail: _Failures) -> np.ndarray:
-    """The closed-form rotation; IllConditionedError when it is not unique."""
-    vals, vecs = _eigen_sym4(axis_alignment_matrix(cs))
+    """The closed-form rotation, of either sign; IllConditionedError when
+    it is not unique."""
+    vals, vecs = np.linalg.eigh(axis_alignment_matrix(cs))
     fail.record(
         vals[:, 1] - vals[:, 0] < EIGENVALUE_GAP,
         lambda j: IllConditionedError(
@@ -366,7 +363,7 @@ def _unique_rotation(cs: ConstraintSet, fail: _Failures) -> np.ndarray:
         ),
     )
     column = np.ascontiguousarray(vecs[:, :, 0])
-    return _as_unit(column / quat.vnorm(column)[:, None], fail)
+    return column / quat.vnorm(column)[:, None]
 
 
 def _translation_svd(cs: ConstraintSet) -> tuple:
@@ -395,7 +392,7 @@ def _tsai_lenz(cs: ConstraintSet, translation_svd: tuple) -> SolutionBatch:
     """
     size, n = len(cs.camera_rotation), len(cs)
     if n < 2:
-        return _rejected(Method.TSAI_LENZ, size, f"need at least 2 motions, got {n}")
+        return _rejected(Method.TSAI_LENZ, cs, f"need at least 2 motions, got {n}")
     fail = _Failures.none(size)
     vp, v = cs.camera_axis, cs.hand_axis
     a = _skew(vp + v).reshape(size, -1, 3)
@@ -409,8 +406,7 @@ def _tsai_lenz(cs: ConstraintSet, translation_svd: tuple) -> SolutionBatch:
     )
     q = np.where(identity[:, None], quat.IDENTITY, q)
     t = _translation_ls(cs, translation_svd, q, fail)
-    rot_res, tr_res = _metrics(cs, q, t, fail)
-    return fail.finish(Method.TSAI_LENZ, _as_unit(q, fail), t, rot_res, tr_res)
+    return fail.finish(Method.TSAI_LENZ, cs, q, t)
 
 
 def _closed_form(cs: ConstraintSet, translation_svd: tuple) -> SolutionBatch:
@@ -422,14 +418,12 @@ def _closed_form(cs: ConstraintSet, translation_svd: tuple) -> SolutionBatch:
     smallest eigenvalues means the minimizer is not unique (single motion,
     or parallel axes) and the problem is rejected.
     """
-    size = len(cs.camera_rotation)
     if len(cs) == 0:
-        return _rejected(Method.CLOSED_FORM, size, "need at least 2 motions, got 0")
-    fail = _Failures.none(size)
+        return _rejected(Method.CLOSED_FORM, cs, "need at least 2 motions, got 0")
+    fail = _Failures.none(len(cs.camera_rotation))
     q = _unique_rotation(cs, fail)
     t = _translation_ls(cs, translation_svd, q, fail)
-    rot_res, tr_res = _metrics(cs, q, t, fail)
-    return fail.finish(Method.CLOSED_FORM, _as_unit(q, fail), t, rot_res, tr_res)
+    return fail.finish(Method.CLOSED_FORM, cs, q, t)
 
 
 # ---------------------------------------------------------------------------
@@ -651,9 +645,9 @@ def _nonlinear(cs: ConstraintSet, start: SolutionBatch) -> SolutionBatch:
     rejects: they keep its error and are not iterated, since an optimum
     along a flat direction would be an arbitrary answer, not an estimate.
     """
-    size, n = len(cs.camera_rotation), len(cs)
+    n = len(cs)
     if n < 2:
-        return _rejected(Method.NONLINEAR, size, f"need at least 2 motions, got {n}")
+        return _rejected(Method.NONLINEAR, cs, f"need at least 2 motions, got {n}")
     span = translation_span(cs)
     scale = np.where(span <= 0.0, 1.0, span)
     problem = _LMProblem.build(cs, scale)
@@ -673,10 +667,7 @@ def _nonlinear(cs: ConstraintSet, start: SolutionBatch) -> SolutionBatch:
     q = x[:, :4] / quat.vnorm(x[:, :4])[:, None]
     with np.errstate(invalid="ignore"):  # 0 * inf of an overflowed span
         t = x[:, 4:] * scale[:, None]
-    rot_res, tr_res = _metrics(cs, q, t, fail)
-    return fail.finish(
-        Method.NONLINEAR, _as_unit(q, fail), t, rot_res, tr_res, iterations, converged
-    )
+    return fail.finish(Method.NONLINEAR, cs, q, t, iterations, converged)
 
 
 def solve(method: Method, constraints: ConstraintSet) -> HandEyeSolution:

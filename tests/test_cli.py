@@ -120,6 +120,12 @@ def test_residuals_malformed_solution(tmp_path):
     assert main(["residuals", str(ds), str(broken)]) == EXIT_PARSE
 
 
+def test_residuals_with_a_dataset_as_its_solution_names_the_missing_key(capsys):
+    sample = str(SAMPLES / "classical.yaml")
+    assert main(["residuals", sample, sample]) == EXIT_SCHEMA
+    assert capsys.readouterr().err == f"error: {sample}: missing key 'method'\n"
+
+
 @pytest.mark.parametrize(
     "command, key, index, value",
     [

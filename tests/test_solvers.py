@@ -64,36 +64,6 @@ def _recovery_errors(solution, truth):
 
 
 # ---------------------------------------------------------------------------
-# _eigen_sym4
-
-def test_eigen_sym4_diagonal():
-    vals, vecs = solvers._eigen_sym4(np.diag([3.0, 1.0, 2.0, 5.0]))
-    assert np.allclose(vals, [1.0, 2.0, 3.0, 5.0], atol=1e-14)
-    assert np.allclose(vecs, np.eye(4)[:, [1, 2, 0, 3]], atol=1e-14)
-
-
-def test_eigen_sym4_identity():
-    vals, _ = solvers._eigen_sym4(np.eye(4))
-    assert np.allclose(vals, np.ones(4), atol=1e-15)
-
-
-def test_eigen_sym4_reconstruction(rng):
-    for _ in range(100):
-        m = rng.normal(size=(4, 4))
-        m = m + m.T
-        vals, vecs = solvers._eigen_sym4(m)
-        rebuilt = sum(vals[i] * np.outer(vecs[:, i], vecs[:, i]) for i in range(4))
-        assert np.linalg.norm(rebuilt - m) <= 1e-10 * max(np.linalg.norm(m), 1.0)
-        assert np.allclose(vecs.T @ vecs, np.eye(4), atol=1e-12)
-        assert np.all(np.diff(vals) >= -1e-12)
-        for i in range(4):
-            assert vecs[np.argmax(np.abs(vecs[:, i])), i] > 0
-            assert np.linalg.norm(m @ vecs[:, i] - vals[i] * vecs[:, i]) <= 1e-10 * max(
-                np.linalg.norm(m), 1.0
-            )
-
-
-# ---------------------------------------------------------------------------
 # least-squares kernel
 
 def test_least_squares_matches_lstsq_and_gates_the_condition_number(rng):
@@ -228,7 +198,7 @@ def test_closed_form_aligned_axes_identity():
     cons = constraint_set(cons)
     sol = solve(Method.CLOSED_FORM, cons)
     assert np.allclose(sol.rotation, quat.IDENTITY, atol=1e-10)
-    vals, _ = solvers._eigen_sym4(axis_alignment_matrix(cons))
+    vals, _ = np.linalg.eigh(axis_alignment_matrix(cons))
     assert vals[0] == pytest.approx(0.0, abs=1e-12)
 
 
@@ -245,7 +215,7 @@ def test_closed_form_single_constraint_rejected(rng):
     # one axis pair leaves a two-dimensional space of minimizers
     truth = random_motion(rng, 150.0)
     cons = consistent_constraints(rng, truth, 1)
-    vals, _ = solvers._eigen_sym4(axis_alignment_matrix(cons))
+    vals, _ = np.linalg.eigh(axis_alignment_matrix(cons))
     assert vals[1] - vals[0] < 1e-9
     with pytest.raises(IllConditionedError):
         solve(Method.CLOSED_FORM, cons)
@@ -594,6 +564,23 @@ def test_solution_rejects_non_finite_fields(field, value, message):
     fields[field] = value
     with pytest.raises(ValueError, match=message):
         solvers.HandEyeSolution(**fields)
+
+
+def test_finish_signs_q_once_and_fails_a_non_unit_row_with_a_calibration_error(rng):
+    truth = random_motion(rng, 150.0)
+    one = consistent_constraints(rng, truth, 3)
+    cs = ConstraintSet(*(np.stack([a] * 3) for a in one.arrays))
+    q = quat.from_rotation_matrix(truth.rotation)
+    batch = solvers._Failures.none(3).finish(
+        Method.CLOSED_FORM, cs, np.stack([q, -q, 1.01 * q]), np.stack([truth.translation] * 3)
+    )
+    assert batch.errors[:2] == (None, None)
+    assert type(batch.errors[2]) is CalibrationError
+    assert str(batch.errors[2]) == "quaternion norm off unity by 2.010e-02"
+    assert np.array_equal(batch.rotation[0], batch.rotation[1])
+    assert np.array_equal(batch.rotation[0], quat.canonicalize(q))
+    assert batch.rotation_residual[0] == batch.rotation_residual[1]
+    assert batch.translation_residual[0] == batch.translation_residual[1]
 
 
 def test_solution_residual_magnitudes_on_noisy_data(rng):

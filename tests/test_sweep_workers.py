@@ -101,7 +101,9 @@ def test_the_earliest_failing_block_raises_its_error(levels, trials, workers, mo
 
 @pytest.mark.parametrize("workers", [2, 3])
 def test_a_degenerate_scenario_fails_in_a_worker_with_its_index(workers, monkeypatch):
-    # positions 1 and 2 coincide: camera motion 1 is the identity
+    # positions 1 and 2 coincide: camera motion 1 is the identity.  The
+    # caller derives each scenario's motions before it lists the blocks, so
+    # the error comes from the caller at every worker count.
     base = default_scenario(3, 0)
     poses = base.camera_poses.copy()
     poses[2] = poses[1]
@@ -225,3 +227,26 @@ def test_ctrl_c_stops_a_pooled_sweep_once_and_leaves_no_process():
     assert err.count("KeyboardInterrupt") == 1
     with pytest.raises(ProcessLookupError):
         os.killpg(proc.pid, 0)
+
+
+def test_workers_ignore_sigint(monkeypatch):
+    # Each forked worker sends itself SIGINT before it solves a block; one
+    # that did not ignore it would raise KeyboardInterrupt in the caller.
+    parent = os.getpid()
+    solve_batch = sim.solve_batch
+
+    def interrupted(constraints):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGINT)
+        return solve_batch(constraints)
+
+    monkeypatch.setattr(sim, "solve_batch", interrupted)
+    _force_workers(monkeypatch, 1)
+    serial = _noise([0.03], trials=1200)
+    _force_workers(monkeypatch, 2)
+    try:
+        pooled = _noise([0.03], trials=1200)
+    except KeyboardInterrupt:
+        pytest.fail("a worker raised KeyboardInterrupt on SIGINT")
+    assert pooled == serial
+    assert multiprocessing.active_children() == []
