@@ -3,6 +3,14 @@
 This module only turns documents into arrays and back; synthetic datasets
 are built in ``simulate`` (``simulate.synthetic_dataset``).
 
+Every number a document carries, in a matrix, a vector or alone, is read
+by one rule: the field must be a nested list of its shape (or a scalar)
+whose entries are finite YAML numbers, so ``true``, a quoted string, an
+integer beyond float range, ``.nan`` and ``.inf`` are not numbers.  A
+field that breaks the rule is a SchemaError naming the field (and, in a
+list of matrices, the entry) with the first failing check, in this order:
+numeric conversion, shape, number type, finiteness.
+
 A dataset file is one YAML mapping::
 
     formulation: classical            # or: perspective
@@ -17,20 +25,17 @@ A dataset file is one YAML mapping::
 Exactly one of ``camera_extrinsics`` / ``perspective_matrices`` must be
 present and must match the formulation tag.  Lists must have equal length
 and at least 2 entries; exactly 2 positions (a single motion) load with a
-warning, since one motion cannot determine the transform uniquely.
-Every matrix entry must be a finite YAML number (``true``, a quoted
-string or an integer beyond float range is not one), and the left 3x3
-block of every perspective matrix invertible; a perspective matrix may
-have any nonzero scale.  Rotation blocks farther than 1e-6 from
-orthonormal are rejected; closer ones are polar-projected onto the
-rotation group, and the bottom row is set to exactly (0, 0, 0, 1).
+warning, since one motion cannot determine the transform uniquely.  The
+left 3x3 block of every perspective matrix must be invertible; a
+perspective matrix may have any nonzero scale.  Rotation blocks farther
+than 1e-6 from orthonormal are rejected; closer ones are polar-projected
+onto the rotation group, and the bottom row is set to exactly (0, 0, 0, 1).
 
 A :class:`Dataset` holds the formulation tag and each list as one array.
-Each list gets one stacked check.  Only a list that does not parse as one
-finite array of numbers is parsed entry by entry, to name its first
-structurally bad entry, and the entries before that one are checked as a
-stack.  Either way the error names the first bad entry, with the message
-of its first failing check.
+Each list is read as one stack.  Only a list that does not pass the number
+rule as a whole is read entry by entry, to name its first bad entry, and
+the entries before that one are checked as a stack.  Either way the error
+names the first bad entry, with the message of its first failing check.
 
 YAML is read and written through libyaml's C scanner, parser and emitter
 when PyYAML was built with it (``yaml.CSafeLoader`` / ``CSafeDumper``),
@@ -40,16 +45,17 @@ A file that is not valid UTF-8, or holds a date that does not exist
 (``2001-13-45``), is a ParseError.
 
 A solution document records one estimate in every common parametrization
-(quaternion, matrix, axis-angle) plus the two residual metrics; loading
-one rejects a quaternion, translation or residual entry that is not a
-finite YAML number, a negative residual, an ``iterations`` that is not a
-YAML integer >= 0 (a boolean reads as 0 or 1), and a ``converged`` that is
-not a YAML boolean.  The estimate is read from the quaternion, whose norm
-must be 1 within 1e-6.  ``rotation_matrix``, ``axis`` and ``angle_rad``
-restate it; each one present must be finite YAML numbers of its shape
-within 1e-6 of what the quaternion gives: the matrix entry by entry, the
-angle in [0, pi], and the axis as a unit vector (any one for the identity,
-either sign for a half turn).
+(quaternion, matrix, axis-angle) plus the two residual metrics.  Loading
+one reads ``quaternion_wxyz`` (4), ``translation_mm`` (3) and the two
+residuals (scalars, >= 0) by the number rule, and rejects a ``method``
+that names no solver, an ``iterations`` that is not a YAML integer >= 0
+(a boolean reads as 0 or 1), and a ``converged`` that is not a YAML
+boolean.  The estimate is read from the quaternion, whose norm must be 1
+within 1e-6.  ``rotation_matrix`` (3x3), ``axis`` (3) and ``angle_rad``
+restate it; each one present must pass the number rule and lie within
+1e-6 of what the quaternion gives: the matrix entry by entry, the angle in
+[0, pi], and the axis as a unit vector (any one for the identity, either
+sign for a half turn).
 """
 
 from __future__ import annotations
@@ -80,7 +86,7 @@ from .solvers import HandEyeSolution, Method
 # Largest deviation of a solution's quaternion norm from 1, and of a field
 # restating its rotation from what the quaternion gives.
 _SOLUTION_TOL = 1e-6
-# YAML scalar types of a numeric entry; numpy would also read a bool or a
+# YAML scalar types of a number; numpy would also read a bool, None or a
 # numeric string as a float.
 _NUMBERS = frozenset((int, float))
 
@@ -105,14 +111,19 @@ class Dataset:
         return perspective_constraints(self.camera_poses, self.hand_poses)
 
 
-def _matrix(entry, rows: int, what: str) -> np.ndarray:
+def _numbers(value, shape: tuple, what: str) -> np.ndarray:
+    """``value`` as a float array of ``shape`` by the number rule of the
+    module docstring, or a SchemaError naming ``what``."""
     try:
-        m = np.array(entry, dtype=float)
+        m = np.array(value, dtype=float)
     except (TypeError, ValueError, OverflowError) as err:
-        raise SchemaError(f"{what}: not a numeric matrix ({err})") from err
-    if m.shape != (rows, 4):
-        raise SchemaError(f"{what}: expected {rows}x4, got {m.shape}")
-    for x in chain.from_iterable(entry):
+        raise SchemaError(f"{what}: not numeric ({err})") from err
+    if m.shape != shape:
+        raise SchemaError(f"{what}: expected shape {shape}, got {m.shape}")
+    leaves = [value]
+    for _ in shape:
+        leaves = chain.from_iterable(leaves)
+    for x in leaves:
         if type(x) not in _NUMBERS:
             raise SchemaError(f"{what}: entry {x!r} is not a number")
     if not np.isfinite(m).all():
@@ -129,20 +140,13 @@ def _stack(raw: list, rows: int, what: str) -> tuple[np.ndarray, SchemaError | N
     entry at a time.
     """
     try:
-        m = np.array(raw, dtype=float)
-        stacked = (
-            m.shape == (len(raw), rows, 4)
-            and np.isfinite(m).all()
-            and _NUMBERS.issuperset(map(type, chain.from_iterable(chain.from_iterable(raw))))
-        )
-    except (TypeError, ValueError, OverflowError):
-        stacked = False
-    if stacked:
-        return m, None
+        return _numbers(raw, (len(raw), rows, 4), what), None
+    except SchemaError:
+        pass
     entries, error = [], None
     for i, entry in enumerate(raw):
         try:
-            entries.append(_matrix(entry, rows, f"{what}[{i}]"))
+            entries.append(_numbers(entry, (rows, 4), f"{what}[{i}]"))
         except SchemaError as err:
             error = err
             break
@@ -199,15 +203,19 @@ def _load_yaml(path) -> dict:
     return doc
 
 
-def load_dataset(path) -> Dataset:
-    doc = _load_yaml(path)
+def _member(kind, value, what: str):
+    """The member of the enum ``kind`` whose value is ``value``."""
     try:
-        formulation = Formulation(doc.get("formulation"))
+        return kind(value)
     except ValueError:
         raise SchemaError(
-            f"formulation: expected one of {[f.value for f in Formulation]}, "
-            f"got {doc.get('formulation')!r}"
+            f"{what}: expected one of {[m.value for m in kind]}, got {value!r}"
         ) from None
+
+
+def load_dataset(path) -> Dataset:
+    doc = _load_yaml(path)
+    formulation = _member(Formulation, doc.get("formulation"), "formulation")
     key, check = _CAMERA[formulation]
     keys = [k for k, _ in _CAMERA.values()]
     unknown = set(doc) - {"formulation", "hand_poses", "metadata", *keys}
@@ -233,8 +241,7 @@ def load_dataset(path) -> Dataset:
 
     if len(camera_poses) != len(hand_poses):
         raise SchemaError(
-            f"list lengths differ: {len(camera_poses)} camera entries, "
-            f"{len(hand_poses)} hand_poses"
+            f"list lengths differ: {len(camera_poses)} {key}, {len(hand_poses)} hand_poses"
         )
     if len(hand_poses) < 2:
         raise SchemaError(f"need at least 2 positions, got {len(hand_poses)}")
@@ -282,30 +289,6 @@ def save_solution(solution: HandEyeSolution, path) -> None:
     _dump(doc, path)
 
 
-def _numbers(entries, key: str, path) -> np.ndarray:
-    """The entries of ``key``, each a YAML number, as a float array."""
-    for x in entries:
-        if type(x) not in _NUMBERS:
-            raise SchemaError(f"{path}: {key}: entry {x!r} is not a number")
-    try:
-        return np.array(entries, dtype=float)
-    except OverflowError as err:
-        raise SchemaError(f"{path}: {key}: {err}") from err
-
-
-def _entries(value, shape: tuple, key: str, path) -> list:
-    """The leaves of ``value``, a nested list of ``shape``, flat."""
-
-    def leaves(node, dims):
-        if not dims:
-            return [node]
-        if not isinstance(node, list) or len(node) != dims[0]:
-            raise SchemaError(f"{path}: {key}: expected {'x'.join(map(str, shape))} entries")
-        return [x for entry in node for x in leaves(entry, dims[1:])]
-
-    return leaves(value, shape)
-
-
 def _check_restated(doc: dict, q: np.ndarray, path) -> None:
     """Each of ``rotation_matrix``, ``axis`` and ``angle_rad`` present in
     ``doc`` must restate the unit quaternion ``q`` within ``_SOLUTION_TOL``."""
@@ -325,9 +308,7 @@ def _check_restated(doc: dict, q: np.ndarray, path) -> None:
     for key, (shape, deviation) in restated.items():
         if key not in doc:
             continue
-        value = _numbers(_entries(doc[key], shape, key, path), key, path).reshape(shape)
-        if not np.isfinite(value).all():
-            raise SchemaError(f"{path}: {key}: non-finite entry")
+        value = _numbers(doc[key], shape, f"{path}: {key}")
         with np.errstate(over="ignore"):  # a huge axis's norm is inf, not a match
             off = deviation(value)
         if off > _SOLUTION_TOL:
@@ -340,26 +321,24 @@ def _check_restated(doc: dict, q: np.ndarray, path) -> None:
 def load_solution(path) -> HandEyeSolution:
     doc = _load_yaml(path)
     try:
-        method = Method(doc["method"])
-        q, t = (_numbers(doc[key], key, path) for key in ("quaternion_wxyz", "translation_mm"))
-        rot_res, tr_res = (
-            float(_numbers([doc[key]], key, path)[0])
-            for key in ("rotation_residual", "translation_residual")
+        method = _member(Method, doc["method"], f"{path}: method")
+        q, t, rot_res, tr_res = (
+            _numbers(doc[key], shape, f"{path}: {key}")
+            for key, shape in (
+                ("quaternion_wxyz", (4,)),
+                ("translation_mm", (3,)),
+                ("rotation_residual", ()),
+                ("translation_residual", ()),
+            )
         )
     except KeyError as err:
-        raise SchemaError(f"{path}: missing key {err.args[0]!r}") from err
-    except (TypeError, ValueError, OverflowError) as err:
-        raise SchemaError(f"{path}: {err!r}") from err
-    if q.shape != (4,) or t.shape != (3,):
-        raise SchemaError(f"{path}: quaternion_wxyz must have 4 entries, translation_mm 3")
-    if not np.isfinite([*q, *t, rot_res, tr_res]).all():
-        raise SchemaError(f"{path}: non-finite quaternion, translation or residual")
+        raise SchemaError(f"{path}: missing key {err.args[0]!r}") from None
     for key in ("rotation_residual", "translation_residual"):
         if doc[key] < 0:
             raise SchemaError(f"{path}: {key}: entry {doc[key]!r} is not a number >= 0")
     norm = np.linalg.norm(q)
     if abs(norm - 1.0) > _SOLUTION_TOL:
-        raise SchemaError(f"{path}: quaternion norm {norm:.6f} is not 1")
+        raise SchemaError(f"{path}: quaternion_wxyz: norm {norm:.6f} is not 1")
     _check_restated(doc, q / norm, path)
     iterations, converged = doc.get("iterations", 0), doc.get("converged", True)
     # A boolean is a YAML integer too, so iterations may read as 0 or 1.
@@ -367,4 +346,6 @@ def load_solution(path) -> HandEyeSolution:
         raise SchemaError(f"{path}: iterations: entry {iterations!r} is not an integer >= 0")
     if type(converged) is not bool:
         raise SchemaError(f"{path}: converged: entry {converged!r} is not a boolean")
-    return HandEyeSolution(q / norm, t, rot_res, tr_res, method, int(iterations), converged)
+    return HandEyeSolution(
+        q / norm, t, float(rot_res), float(tr_res), method, int(iterations), converged
+    )

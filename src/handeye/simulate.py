@@ -467,14 +467,6 @@ def _rms_errors(rot_sq: np.ndarray, tr_sq: np.ndarray, truth: RigidMotion) -> tu
     return float(np.sqrt(np.mean(rot_sq))), float(np.sqrt(np.mean(tr_sq))) / t_norm
 
 
-def error_stats(
-    rotation: np.ndarray, translation: np.ndarray, truth: RigidMotion
-) -> tuple[float, float]:
-    """RMS Frobenius rotation error and RMS relative translation error of
-    estimates stacked as (J, 4) unit quaternions and (J, 3) translations."""
-    return _rms_errors(*_squared_errors(rotation, translation, truth), truth)
-
-
 # ---------------------------------------------------------------------------
 # scenarios
 

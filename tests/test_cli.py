@@ -175,6 +175,24 @@ def test_residuals_rejects_an_angle_that_contradicts_the_quaternion(tmp_path, ca
     assert "angle_rad: differs from the quaternion's by 1.000e-01" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("quaternion_wxyz", 1.0), ("translation_mm", None), ("axis", {"x": 1.0}), ("method", "bogus")],
+    ids=["scalar-quaternion", "null-translation", "mapping-axis", "unknown-method"],
+)
+def test_residuals_names_a_solution_field_of_the_wrong_kind(tmp_path, capsys, key, value):
+    ds, sol = tmp_path / "ds.yaml", tmp_path / "sol.yaml"
+    assert main(["generate", str(ds)]) == EXIT_OK
+    assert main(["calibrate", str(ds), "--output", str(sol)]) == EXIT_OK
+    doc = yaml.safe_load(sol.read_text(encoding="utf-8"))
+    doc[key] = value
+    sol.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["residuals", str(ds), str(sol)]) == EXIT_SCHEMA
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {sol}: {key}: "), err
+
+
 def test_calibrate_capped_optimizer_exits_4(tmp_path, capsys, monkeypatch):
     ds = tmp_path / "ds.yaml"
     argv = ["generate", "--motions", "4", "--seed", "3", "--noise-level", "0.05", str(ds)]

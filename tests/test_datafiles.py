@@ -228,11 +228,15 @@ def _solution_doc(tmp_path):
     [
         ("quaternion_wxyz", [True, 0, 0, 0], "quaternion_wxyz: entry True is not a number"),
         ("quaternion_wxyz", ["1.0", 0, 0, 0], "quaternion_wxyz: entry '1.0' is not a number"),
-        ("quaternion_wxyz", [HUGE, 0, 0, 0], "quaternion_wxyz: int too large to convert to float"),
+        (
+            "quaternion_wxyz",
+            [HUGE, 0, 0, 0],
+            "quaternion_wxyz: not numeric (int too large to convert to float)",
+        ),
         ("translation_mm", [0.0, False, 0.0], "translation_mm: entry False is not a number"),
         ("rotation_residual", True, "rotation_residual: entry True is not a number"),
         ("translation_residual", "0.5", "translation_residual: entry '0.5' is not a number"),
-        ("translation_residual", [0.5], "translation_residual: entry [0.5] is not a number"),
+        ("translation_residual", [0.5], "translation_residual: expected shape (), got (1,)"),
         ("rotation_residual", -1.0, "rotation_residual: entry -1.0 is not a number >= 0"),
         ("translation_residual", -1, "translation_residual: entry -1 is not a number >= 0"),
         ("iterations", -7.9, "iterations: entry -7.9 is not an integer >= 0"),
@@ -320,9 +324,15 @@ def _with(doc, **fields):
             lambda d: _with(d, rotation_matrix=np.transpose(d["rotation_matrix"]).tolist()),
             "rotation_matrix: differs from the",
         ),
-        (lambda d: _with(d, rotation_matrix=d["rotation_matrix"][:2]), "rotation_matrix: expected 3x3"),
-        (lambda d: _with(d, rotation_matrix=[1.0, 0.0, 0.0]), "rotation_matrix: expected 3x3"),
-        (lambda d: _with(d, axis=d["axis"] + [0.0]), "axis: expected 3 entries"),
+        (
+            lambda d: _with(d, rotation_matrix=d["rotation_matrix"][:2]),
+            "rotation_matrix: expected shape (3, 3), got (2, 3)",
+        ),
+        (
+            lambda d: _with(d, rotation_matrix=[1.0, 0.0, 0.0]),
+            "rotation_matrix: expected shape (3, 3), got (3,)",
+        ),
+        (lambda d: _with(d, axis=d["axis"] + [0.0]), "axis: expected shape (3,), got (4,)"),
         (lambda d: _with(d, axis=[1e308] * 3), "axis: differs from the quaternion's by inf"),
         (lambda d: _with(d, axis=[d["axis"][0], "0", 0.0]), "axis: entry '0' is not a number"),
         (
@@ -382,13 +392,13 @@ def test_axis_of_an_identity_or_half_turn_loads_with_either_choice(tmp_path, qua
 # stacked validation: the first bad entry is named with the per-entry message
 
 _POSE = [[1.0, 0.0, 0.0, 5.0], [0.0, 1.0, 0.0, 6.0], [0.0, 0.0, 1.0, 7.0], [0.0, 0.0, 0.0, 1.0]]
-_RAGGED = re.escape("not a numeric matrix (") + ".*inhomogeneous.*"
-_OVERFLOW = re.escape("not a numeric matrix (int too large to convert to float)")
+_RAGGED = re.escape("not numeric (") + ".*inhomogeneous.*"
+_OVERFLOW = re.escape("not numeric (int too large to convert to float)")
 
 # case: (replacement for an entry, the message after the entry's name, as a regex)
 _POSE_CASES = {
     "ragged": ([_POSE[0], _POSE[1][:2], _POSE[2], _POSE[3]], _RAGGED),
-    "wrong-shape": (_POSE[:3], re.escape("expected 4x4, got (3, 4)")),
+    "wrong-shape": (_POSE[:3], re.escape("expected shape (4, 4), got (3, 4)")),
     "nan": (
         [_POSE[0], [0.0, float("nan"), 0.0, 6.0], _POSE[2], _POSE[3]],
         re.escape("non-finite entry"),
@@ -419,7 +429,7 @@ _POSE_CASES = {
 _PROJECTION = [[800.0, 0.0, 320.0, 10.0], [0.0, 800.0, 240.0, 20.0], [0.0, 0.0, 1.0, 30.0]]
 _PROJECTION_CASES = {
     "ragged": ([_PROJECTION[0], _PROJECTION[1][:3], _PROJECTION[2]], _RAGGED),
-    "wrong-shape": (_POSE, re.escape("expected 3x4, got (4, 4)")),
+    "wrong-shape": (_POSE, re.escape("expected shape (3, 4), got (4, 4)")),
     "nan": (
         [_PROJECTION[0], _PROJECTION[1], [0.0, 0.0, float("inf"), 30.0]],
         re.escape("non-finite entry"),

@@ -380,7 +380,8 @@ wrong_nodes = st.one_of(
 def test_any_document_loads_or_raises_a_calibration_error(document, data, wrong):
     text, load = document
     doc = yaml.safe_load(text)
-    doc = _replaced(doc, data.draw(st.sampled_from(list(_node_paths(doc)))), wrong)
+    node = data.draw(st.sampled_from(list(_node_paths(doc))))
+    doc = _replaced(doc, node, wrong)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "doc.yaml"
         path.write_text(yaml.safe_dump(doc), encoding="utf-8")
@@ -388,7 +389,15 @@ def test_any_document_loads_or_raises_a_calibration_error(document, data, wrong)
             warnings.simplefilter("ignore", UserWarning)  # two positions
             try:
                 loaded = load(path)
-                if load is load_dataset:
+            except CalibrationError as err:
+                # A loading error names the key it replaced (a new top level
+                # has none), and never shows an exception's repr.
+                message = str(err)
+                assert not node or node[0] in message, message
+                assert "Error(" not in message and "Error:" not in message, message
+                return
+            if load is load_dataset:
+                try:
                     loaded.constraints()
-            except CalibrationError:
-                pass
+                except CalibrationError:
+                    pass

@@ -24,7 +24,6 @@ from handeye.simulate import (
     NoiseTargets,
     Scenario,
     default_scenario,
-    error_stats,
     motion_count_sweep,
     noise_sweep,
     perspective_scenario,
@@ -44,6 +43,13 @@ def _solution(rotation_matrix, translation):
 def _stacked(solutions):
     """The (J, 4) quaternions and (J, 3) translations of ``solutions``."""
     return np.stack([s.rotation for s in solutions]), np.stack([s.translation for s in solutions])
+
+
+def error_stats(rotation, translation, truth):
+    """RMS Frobenius rotation error and RMS relative translation error of
+    estimates stacked as (J, 4) unit quaternions and (J, 3) translations,
+    by the reductions a sweep point uses."""
+    return sim._rms_errors(*sim._squared_errors(rotation, translation, truth), truth)
 
 
 def _pose(matrix):

@@ -10,11 +10,13 @@ Writes, into a temporary directory and through ``handeye.cli.main``:
 * the ten generated datasets of the ``calibrate`` corpus (classical and
   perspective, n = 2, 5, 10, 20, 30);
 * the 39 ``calibrate`` solutions of those datasets and the three samples,
-  one per method.
+  one per method;
+* the 13 ``residuals --csv`` tables of those datasets, each over its three
+  solutions, so every solution is read back through ``load_solution``.
 
 It prints one ``<sha256>  <file>`` line per file, sorted by name.  With
 ``--against FILE`` it compares them with such a list saved before, names
-every file that differs, is missing or is new, and exits 1 unless all 58
+every file that differs, is missing or is new, and exits 1 unless all 71
 match:
 
     python3 tools/output_digest.py > digests.txt
@@ -78,9 +80,10 @@ def write_outputs(out: Path) -> None:
               "--noise-targets", "rotation-translation", str(path)])
         datasets.append(path)
     for path in datasets:
-        for method in METHODS:
-            solution = out / f"solution_{path.stem}_{method}.yaml"
-            _run(["calibrate", str(path), "--method", method, "--output", str(solution)])
+        solutions = [str(out / f"solution_{path.stem}_{method}.yaml") for method in METHODS]
+        for method, solution in zip(METHODS, solutions):
+            _run(["calibrate", str(path), "--method", method, "--output", solution])
+        _run(["residuals", str(path), *solutions, "--csv", str(out / f"residuals_{path.stem}.csv")])
 
 
 def digests() -> dict[str, str]:
