@@ -39,8 +39,8 @@ from .simulate import (
     NoiseModel,
     NoiseTargets,
     ReportRow,
-    motion_count_sweep,
-    noise_sweep,
+    Study,
+    run_studies,
     synthetic_dataset,
 )
 from .solvers import Method, report_residuals, solve
@@ -267,10 +267,10 @@ def _cmd_simulate(args) -> int:
     build = SCENARIOS[Formulation(args.formulation)]
     if args.motions is not None:
         scenarios = [build(n, args.seed) for n in _parse_counts(args.motions)]
-        sweep = partial(motion_count_sweep, scenarios)
+        study = partial(Study.motion_count, scenarios)
     else:
         levels = _parse_levels(args.levels) if args.levels is not None else list(DEFAULT_LEVELS)
-        sweep = partial(noise_sweep, build(2, args.seed), levels)
+        study = partial(Study.noise, build(2, args.seed), levels)
     combos = [(d, t) for d in distributions for t in targets]
     paths = []
     if args.output is not None:
@@ -282,8 +282,10 @@ def _cmd_simulate(args) -> int:
             base.with_name(f"{base.stem}_{d.value}_{t.value}{base.suffix}") for d, t in combos
         ]
     with _writable(paths):
-        for k, (dist, targ) in enumerate(combos):
-            csv_text = report_csv(sweep(dist, targ, args.trials, args.seed))
+        # one call solves every combination's blocks, on one pool
+        reports = run_studies([study(d, t) for d, t in combos], args.trials, args.seed)
+        for k, ((dist, targ), rows) in enumerate(zip(combos, reports)):
+            csv_text = report_csv(rows)
             if args.output is None:
                 print(f"# distribution={dist.value} targets={targ.value}")
                 print(csv_text, end="")

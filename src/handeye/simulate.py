@@ -19,6 +19,8 @@ the Gaussian.
 Both studies read (distribution, targets, trials, seed) and return their
 report rows: ``noise_sweep`` over the levels of one scenario,
 ``motion_count_sweep`` over scenarios at the ``COUNT_*_LEVEL`` noise.
+Each is a one-study call of ``run_studies``, which solves several
+:class:`Study` sweeps (a grid of distributions and targets) in one call.
 Every trial is built on one path, which rejects a NaN, infinite or
 negative level.  ``synthetic_dataset`` takes a :class:`NoiseModel`, builds
 one scenario (``SCENARIOS``), perturbs its motions from stream
@@ -28,7 +30,7 @@ M0 [K | t], and no intrinsic or extrinsic parameter is made explicit.
 
 Reproducibility contract: all randomness comes from Philox (counter-based,
 64-bit) streams keyed by (seed, stream id), for any seed >= 0 (distinct
-seeds, distinct streams); trial (i, j) of a sweep uses spawn key (i, j);
+seeds, distinct streams); trial j of a study's point i uses spawn key (i, j);
 Gaussian samples are Box-Muller transforms of uniform pairs.  Reports are
 therefore bit-identical for identical seeds, and each trial's stream is
 independent of execution order.
@@ -49,12 +51,13 @@ the block size and equal those built from ``trial_constraints`` and the
 single-problem solvers, trial by trial.
 
 Each block is a pure function of (seed, point, trial ids), so on Linux
-the blocks of a sweep run in worker processes forked for that sweep, one
-per usable CPU (``os.sched_getaffinity``), and the rows are gathered in
-block order: reports are byte-identical for any worker count.  A sweep
-with one block or less than one full block of work, one on a single CPU,
+the blocks of every study of a ``run_studies`` call run in one pool of
+worker processes forked for that call, one per usable CPU
+(``os.sched_getaffinity``), and each point's rows are gathered in block
+order: reports are byte-identical for any worker count.  A call with one
+block or less than one full block of work in total, one on a single CPU,
 one in a process with other threads alive or in a daemonic process runs
-in the calling process; so does every sweep where
+in the calling process; so does every call where
 ``os.sched_getaffinity`` does not exist.  With no more blocks than
 workers, the calling process solves the last block itself.  The workers
 ignore Ctrl-C; the caller cancels the queued blocks, and the error of the
@@ -69,7 +72,7 @@ import threading
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -631,7 +634,7 @@ def _block_draws(seed: int, index: int, first: int, last: int, m: int) -> np.nda
 
 
 def _solve_block(task: tuple) -> list[tuple[int, np.ndarray, np.ndarray]]:
-    """Trials [first, last) of sweep point ``index``, for ``task`` =
+    """Trials [first, last) of a study's point ``index``, for ``task`` =
     (seed, index, scenario, distribution, (rot_level, trans_level), first,
     last): per method in ``Method`` order, the count of trials it rejected
     (every error a solve records is a CalibrationError) and the squared
@@ -656,10 +659,11 @@ def _ignore_interrupts() -> None:
 
 
 def _pool_size(blocks: int, work: int) -> int:
-    """Worker processes for a sweep of ``blocks`` blocks and ``work`` trials
-    x motions; 1 means the calling process solves them itself.
+    """Worker processes for a ``run_studies`` call of ``blocks`` blocks and
+    ``work`` trials x motions in total, over all its studies; 1 means the
+    calling process solves them itself.
 
-    One per usable CPU, never more than the blocks.  The sweep stays in
+    One per usable CPU, never more than the blocks.  The call stays in
     this process where forking is unsafe or cannot pay for itself: without
     ``os.sched_getaffinity`` (not Linux), on one CPU, with other threads
     alive, in a daemonic process (which may not have children), with one
@@ -706,47 +710,92 @@ def _solve_blocks(tasks: list[tuple], workers: int) -> list:
             raise
 
 
-def _sweep(points, distribution: Distribution, trials: int, seed: int) -> tuple[ReportRow, ...]:
-    """One row per method for each (sweep_var, scenario, rot_level, trans_level)
-    point.  Trials a solver rejects are left out of the RMS and counted.
+class Study(NamedTuple):
+    """One sweep: its (sweep_var, scenario, rot_level, trans_level) points
+    and the noise distribution of all their trials."""
 
-    Trial j of point i draws the first uniforms of stream (seed, i, j), as
-    ``_generator(seed, i, j).random`` would.  Each point's trials are split
-    into blocks of ``_BLOCK_MOTIONS`` trials x motions, every block is
-    solved by :func:`_solve_block`, a pure function of its task, and a
-    point's squared errors are concatenated in block order, so the rows do
-    not depend on where or in which order the blocks ran.
+    points: tuple
+    distribution: Distribution
+
+    @classmethod
+    def noise(
+        cls,
+        scenario: Scenario,
+        levels: Sequence[float],
+        distribution: Distribution,
+        targets: NoiseTargets,
+    ) -> "Study":
+        """The noise study: one point per level, on one scenario."""
+        return cls(
+            tuple((level, scenario, level, targets.translation_level(level)) for level in levels),
+            distribution,
+        )
+
+    @classmethod
+    def motion_count(
+        cls, scenarios: Sequence[Scenario], distribution: Distribution, targets: NoiseTargets
+    ) -> "Study":
+        """The motion-count study: one point per scenario, at
+        ``COUNT_ROTATION_LEVEL`` on rotation axes and, if the targets include
+        them, ``COUNT_TRANSLATION_LEVEL`` on translations."""
+        trans_level = targets.translation_level(COUNT_TRANSLATION_LEVEL)
+        return cls(
+            tuple((len(s.camera_poses) - 1, s, COUNT_ROTATION_LEVEL, trans_level)
+                  for s in scenarios),
+            distribution,
+        )
+
+
+def run_studies(studies: Sequence[Study], trials: int, seed: int) -> list[tuple[ReportRow, ...]]:
+    """The report rows of each study, in study order: one row per method for
+    each point.  Trials a solver rejects are left out of the RMS and counted.
+
+    Trial j of point i of any study draws the first uniforms of stream
+    (seed, i, j), as ``_generator(seed, i, j).random`` would, so a study's
+    rows do not depend on the other studies of the call.  Each point's
+    trials are split into blocks of ``_BLOCK_MOTIONS`` trials x motions;
+    the blocks of every study are solved together by :func:`_solve_blocks`,
+    on one pool sized by the call's total blocks and work, each by
+    :func:`_solve_block`, a pure function of its task.  A point's squared
+    errors are concatenated in block order, so the rows do not depend on
+    where or in which order the blocks ran.
     """
     if not isinstance(trials, (int, np.integer)) or trials < 1:
         raise ValueError(f"need an integer number of trials >= 1, got {trials!r}")
-    points = list(points)
-    tasks, work = [], 0
-    for index, (_, scenario, rot_level, trans_level) in enumerate(points):
-        # Derive the noise-free motions once, here: each task pickles them
-        # with its scenario, and a degenerate scenario fails before any block.
-        scenario.nominal_translation
-        n = len(scenario.camera_poses) - 1
-        block = max(1, _BLOCK_MOTIONS // n)
-        work += trials * n
-        tasks += [
-            (seed, index, scenario, distribution, (rot_level, trans_level), first,
-             min(first + block, trials))
-            for first in range(0, trials, block)
-        ]
+    tasks, owners, work = [], [], 0
+    for k, study in enumerate(studies):
+        for index, (_, scenario, rot_level, trans_level) in enumerate(study.points):
+            # Derive the noise-free motions once, here: each task pickles
+            # them with its scenario, and a degenerate scenario fails before
+            # any block.
+            scenario.nominal_translation
+            n = len(scenario.camera_poses) - 1
+            block = max(1, _BLOCK_MOTIONS // n)
+            work += trials * n
+            for first in range(0, trials, block):
+                tasks.append((seed, index, scenario, study.distribution,
+                              (rot_level, trans_level), first, min(first + block, trials)))
+                owners.append((k, index))
     results = _solve_blocks(tasks, _pool_size(len(tasks), work))
-    rows = []
-    for index, (sweep_var, scenario, _, _) in enumerate(points):
-        mine = [result for task, result in zip(tasks, results) if task[1] == index]
-        truth = scenario.ground_truth
-        for m, per_block in zip(Method, zip(*mine)):
-            counts, rot_sq, tr_sq = zip(*per_block)
-            failed = sum(counts)
-            if failed < trials:
-                e_rot, e_tr = _rms_errors(np.concatenate(rot_sq), np.concatenate(tr_sq), truth)
-            else:
-                e_rot = e_tr = float("nan")
-            rows.append(ReportRow(float(sweep_var), m, e_rot, e_tr, failed))
-    return tuple(rows)
+    per_point: dict[tuple[int, int], list] = {}
+    for owner, result in zip(owners, results):
+        per_point.setdefault(owner, []).append(result)
+    reports = []
+    for k, study in enumerate(studies):
+        rows = []
+        for index, (sweep_var, scenario, _, _) in enumerate(study.points):
+            truth = scenario.ground_truth
+            for m, per_block in zip(Method, zip(*per_point[k, index])):
+                counts, rot_sq, tr_sq = zip(*per_block)
+                failed = sum(counts)
+                if failed < trials:
+                    rot_sq, tr_sq = np.concatenate(rot_sq), np.concatenate(tr_sq)
+                    e_rot, e_tr = _rms_errors(rot_sq, tr_sq, truth)
+                else:
+                    e_rot = e_tr = float("nan")
+                rows.append(ReportRow(float(sweep_var), m, e_rot, e_tr, failed))
+        reports.append(tuple(rows))
+    return reports
 
 
 def noise_sweep(
@@ -763,8 +812,7 @@ def noise_sweep(
     hand motion, rebuild the constraints once, and hand the same noisy
     data to all three methods.
     """
-    points = [(level, scenario, level, targets.translation_level(level)) for level in levels]
-    return _sweep(points, distribution, trials, seed)
+    return run_studies([Study.noise(scenario, levels, distribution, targets)], trials, seed)[0]
 
 
 def motion_count_sweep(
@@ -775,13 +823,10 @@ def motion_count_sweep(
     seed: int,
 ) -> tuple[ReportRow, ...]:
     """Error statistics versus the number of motions, one row per scenario
-    and method, at the worst-case noise of the noise study:
-    ``COUNT_ROTATION_LEVEL`` on rotation axes and, if the targets include
-    them, ``COUNT_TRANSLATION_LEVEL`` on translations.
-    """
-    trans_level = targets.translation_level(COUNT_TRANSLATION_LEVEL)
-    points = [(len(s.camera_poses) - 1, s, COUNT_ROTATION_LEVEL, trans_level) for s in scenarios]
-    return _sweep(points, distribution, trials, seed)
+    and method, at the worst-case noise of the noise study
+    (:meth:`Study.motion_count`)."""
+    study = Study.motion_count(scenarios, distribution, targets)
+    return run_studies([study], trials, seed)[0]
 
 
 # ---------------------------------------------------------------------------

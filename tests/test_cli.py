@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
+import handeye.simulate as sim
 from handeye.cli import (
     CSV_HEADER,
     EXIT_DEGENERATE,
@@ -24,7 +25,8 @@ from handeye.cli import (
 from handeye import cli, solvers
 from handeye.datafiles import Dataset, load_dataset, load_solution, save_dataset
 from handeye.errors import CalibrationError
-from handeye.simulate import Formulation, noise_sweep, synthetic_dataset
+from handeye.quaternion import canonicalize
+from handeye.simulate import Formulation, synthetic_dataset
 
 from conftest import random_motion
 
@@ -64,6 +66,20 @@ def test_generate_each_method_and_formulation(tmp_path):
             code = main(["calibrate", str(ds), "--method", method, "--output", str(sol)])
             assert code == EXIT_OK
             assert load_solution(sol).method.value == method
+
+
+@pytest.mark.parametrize("method", ["tsai-lenz", "closed-form", "nonlinear"])
+def test_calibrate_writes_the_canonical_sign(tmp_path, method):
+    # On these noise-free datasets the closed-form eigenvector, and so the
+    # nonlinear solve started from it, comes out as -q: only the batch's
+    # finishing step signs it, and the single solve keeps that sign.
+    for formulation, seed in (("classical", "1"), ("perspective", "4")):
+        ds, sol = tmp_path / f"{formulation}.yaml", tmp_path / f"{formulation}-sol.yaml"
+        argv = ["generate", "--motions", "4", "--formulation", formulation, "--seed", seed]
+        assert main([*argv, str(ds)]) == EXIT_OK
+        assert main(["calibrate", str(ds), "--method", method, "--output", str(sol)]) == EXIT_OK
+        q = np.array(yaml.safe_load(sol.read_text(encoding="utf-8"))["quaternion_wxyz"])
+        assert np.array_equal(q, canonicalize(q)), formulation
 
 
 def test_generate_rejects_single_motion(tmp_path):
@@ -499,8 +515,7 @@ def test_simulate_unwritable_output_fails_before_any_sweep(tmp_path, capsys, mon
     def no_sweep(*args):
         raise AssertionError("a sweep ran before the output was opened")
 
-    monkeypatch.setattr(cli, "noise_sweep", no_sweep)
-    monkeypatch.setattr(cli, "motion_count_sweep", no_sweep)
+    monkeypatch.setattr(cli, "run_studies", no_sweep)
     out = tmp_path / "missing" / "x.csv"
     argv = ["simulate", *_SIMULATE_MODES[mode], "--trials", "1", "--output", str(out)]
     assert main(argv) == EXIT_IO
@@ -511,15 +526,18 @@ def test_simulate_unwritable_output_fails_before_any_sweep(tmp_path, capsys, mon
 
 @pytest.mark.parametrize("mode", ["one-combination", "grid"])
 def test_simulate_failing_later_leaves_no_empty_file(tmp_path, capsys, monkeypatch, mode):
-    sweeps = []
+    # one level and one trial: each combination's sweep is one block, and
+    # the one run_studies call solves them in combination order
+    blocks = []
+    solve_block = sim._solve_block
 
-    def second_fails(*args):
-        sweeps.append(args)
-        if len(sweeps) == 2 or mode == "one-combination":
+    def second_fails(task):
+        blocks.append(task)
+        if len(blocks) == 2 or mode == "one-combination":
             raise CalibrationError("no sweep")
-        return noise_sweep(*args)
+        return solve_block(task)
 
-    monkeypatch.setattr(cli, "noise_sweep", second_fails)
+    monkeypatch.setattr(sim, "_solve_block", second_fails)
     # an existing file keeps its content until its sweep is written
     kept = tmp_path / ("grid.csv" if mode == "one-combination" else "grid_gaussian_rotation.csv")
     kept.write_text("old\n", encoding="utf-8")
@@ -529,13 +547,10 @@ def test_simulate_failing_later_leaves_no_empty_file(tmp_path, capsys, monkeypat
     assert capsys.readouterr().err == "error: no sweep\n"
     assert kept.read_text(encoding="utf-8") == "old\n"
     written = sorted(p.name for p in tmp_path.iterdir() if p != kept)
-    if mode == "grid":
-        # the first combination's sweep was written before the second failed
-        assert written == ["grid_uniform_rotation.csv"]
-        text = (tmp_path / written[0]).read_text(encoding="utf-8")
-        assert text.startswith(CSV_HEADER + "\n")
-    else:
-        assert written == []
+    # no CSV is written until every combination is solved: the first
+    # combination's solved sweep is not written when the second fails
+    assert len(blocks) == (2 if mode == "grid" else 1)
+    assert written == []
 
 
 def test_simulate_output_to_the_null_device(capsys):

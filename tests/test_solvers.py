@@ -566,6 +566,14 @@ def test_solution_rejects_non_finite_fields(field, value, message):
         solvers.HandEyeSolution(**fields)
 
 
+def test_direct_construction_checks_and_signs_the_rotation(rng):
+    q = quat.from_rotation_matrix(random_motion(rng, 150.0).rotation)
+    fields = (np.zeros(3), 0.0, 0.0, Method.NONLINEAR)
+    assert np.array_equal(solvers.HandEyeSolution(-q, *fields).rotation, q)
+    with pytest.raises(ValueError, match="quaternion norm off unity by 2.010e-02"):
+        solvers.HandEyeSolution(1.01 * q, *fields)
+
+
 def test_finish_signs_q_once_and_fails_a_non_unit_row_with_a_calibration_error(rng):
     truth = random_motion(rng, 150.0)
     one = consistent_constraints(rng, truth, 3)

@@ -180,18 +180,64 @@ def test_pool_size_rules(monkeypatch):
     assert sim._pool_size(9, budget) == 1  # no affinity mask: not Linux
 
 
-@pytest.mark.parametrize("study", [["--levels", "0.01,0.03"], ["--motions", "2:9"]])
-def test_one_trial_sweeps_start_no_pool(study, tmp_path, monkeypatch):
-    counts = []
+def _recorded_solve_blocks(monkeypatch) -> list:
+    """The worker count of every ``_solve_blocks`` call from now on."""
+    calls = []
     solve_blocks = sim._solve_blocks
 
     def recorded(tasks, workers):
-        counts.append(workers)
+        calls.append(workers)
         return solve_blocks(tasks, workers)
 
     monkeypatch.setattr(sim, "_solve_blocks", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("study", [["--levels", "0.01,0.03"], ["--motions", "2:9"]])
+def test_one_trial_sweeps_start_no_pool(study, tmp_path, monkeypatch):
+    counts = _recorded_solve_blocks(monkeypatch)
     assert main(["simulate", *study, "--trials", "1", "--output", str(tmp_path / "o.csv")]) == 0
-    assert counts and set(counts) == {1}
+    assert counts == [1]
+
+
+@pytest.mark.parametrize("study", [["--levels", "0.01,0.05"], ["--motions", "2,3"]])
+def test_a_grid_simulate_solves_every_combination_in_one_call(study, tmp_path, monkeypatch):
+    # 600 trials are 2 blocks per point: the call's 16 blocks go to one pool
+    calls = _recorded_solve_blocks(monkeypatch)
+    argv = ["simulate", *study, "--distribution", "both", "--targets", "both",
+            "--trials", "600", "--output", str(tmp_path / "grid.csv")]
+    assert main(argv) == 0
+    assert len(calls) == 1
+    outputs = {}
+    for workers in (1, 2, 3):
+        _force_workers(monkeypatch, workers)
+        for path in tmp_path.iterdir():
+            path.unlink()
+        calls.clear()
+        assert main(argv) == 0
+        assert calls == [workers]
+        assert multiprocessing.active_children() == []
+        outputs[workers] = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert len(outputs[1]) == 4
+    assert outputs[2] == outputs[1] and outputs[3] == outputs[1]
+
+
+def test_studies_of_one_call_keep_their_own_rows(monkeypatch):
+    # Both studies have points 0 and 1, so their blocks share point indices
+    # and stream keys; each study's rows must be those it has alone.
+    noise = sim.Study.noise(default_scenario(2, 3), [0.02, 0.05], Distribution.GAUSSIAN, BOTH)
+    count = sim.Study.motion_count(
+        [sim.SCENARIOS[sim.Formulation.PERSPECTIVE](n, 4) for n in (2, 5)],
+        Distribution.UNIFORM, NoiseTargets.ROTATION,
+    )
+    _force_workers(monkeypatch, 1)
+    alone = [sim.run_studies([study], 600, 2)[0] for study in (noise, count)]
+    assert alone[0] != alone[1]
+    for workers in (1, 2, 3):
+        _force_workers(monkeypatch, workers)
+        assert sim.run_studies([noise, count], 600, 2) == alone, workers
+        assert sim.run_studies([count, noise], 600, 2) == alone[::-1], workers
+        assert multiprocessing.active_children() == []
 
 
 def test_importing_the_cli_imports_no_process_machinery():
