@@ -19,8 +19,9 @@ the Gaussian.
 Both studies read (distribution, targets, trials, seed) and return their
 report rows: ``noise_sweep`` over the levels of one scenario,
 ``motion_count_sweep`` over scenarios at the ``COUNT_*_LEVEL`` noise.
-Each is a one-study call of ``run_studies``, which solves several
-:class:`Study` sweeps (a grid of distributions and targets) in one call.
+``noise_grid`` and ``motion_count_grid`` return the rows of several
+(distribution, targets) pairs, all solved in one call; the two studies
+are their one-pair calls.
 Every trial is built on one path, which rejects a NaN, infinite or
 negative level.  ``synthetic_dataset`` takes a :class:`NoiseModel`, builds
 one scenario (``SCENARIOS``), perturbs its motions from stream
@@ -51,8 +52,8 @@ the block size and equal those built from ``trial_constraints`` and the
 single-problem solvers, trial by trial.
 
 Each block is a pure function of (seed, point, trial ids), so on Linux
-the blocks of every study of a ``run_studies`` call run in one pool of
-worker processes forked for that call, one per usable CPU
+the blocks of every (distribution, targets) pair of a call run in one
+pool of worker processes forked for that call, one per usable CPU
 (``os.sched_getaffinity``), and each point's rows are gathered in block
 order: reports are byte-identical for any worker count.  A call with one
 block or less than one full block of work in total, one on a single CPU,
@@ -71,8 +72,11 @@ import signal
 import threading
 from dataclasses import dataclass
 from enum import Enum
+from collections import deque
+from contextlib import closing
 from functools import cached_property
-from typing import Callable, NamedTuple, Sequence
+from itertools import islice
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -659,7 +663,7 @@ def _ignore_interrupts() -> None:
 
 
 def _pool_size(blocks: int, work: int) -> int:
-    """Worker processes for a ``run_studies`` call of ``blocks`` blocks and
+    """Worker processes for a ``_sweep`` call of ``blocks`` blocks and
     ``work`` trials x motions in total, over all its studies; 1 means the
     calling process solves them itself.
 
@@ -681,90 +685,84 @@ def _pool_size(blocks: int, work: int) -> int:
     return min(cpus, blocks)
 
 
-def _solve_blocks(tasks: list[tuple], workers: int) -> list:
-    """``_solve_block`` of every task, in task order, on ``workers``
-    processes: this one alone, or forked workers that end before this
-    returns.  With no more tasks than workers, this process solves the last
-    task itself and forks one worker fewer.  The error of the earliest
-    failing task is raised, and no task still queued starts after it."""
+def _solve_blocks(tasks: list[tuple], workers: int) -> Iterator:
+    """``_solve_block`` of every task, yielded in task order, on ``workers``
+    processes: this one alone, or forked workers that end before the
+    iterator is exhausted or closed.  With no more tasks than workers, this
+    process solves the last task itself and forks one worker fewer.  At
+    most two tasks per worker are queued at a time.  The error of the
+    earliest failing task is raised, and no task still queued starts after
+    it or after the iterator is closed."""
     if workers < 2 or len(tasks) < 2:
-        return list(map(_solve_block, tasks))
+        yield from map(_solve_block, tasks)
+        return
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     forked = tasks[:-1] if len(tasks) <= workers else tasks
+    workers = min(workers, len(forked))
     context = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(
-        min(workers, len(forked)), mp_context=context, initializer=_ignore_interrupts
-    ) as pool:
+    with ProcessPoolExecutor(workers, mp_context=context, initializer=_ignore_interrupts) as pool:
         try:
-            results = pool.map(_solve_block, forked)
+            # a bounded queue: the pending futures do not grow with the tasks
+            queue = iter(forked)
+            pending = deque(pool.submit(_solve_block, t) for t in islice(queue, 2 * workers))
             try:
                 own = list(map(_solve_block, tasks[len(forked):]))
             except Exception:
-                list(results)  # an earlier task's error comes first
+                for future in pending:
+                    future.result()  # an earlier task's error comes first
                 raise
-            return list(results) + own
+            while pending:
+                result = pending.popleft().result()
+                pending.extend(pool.submit(_solve_block, t) for t in islice(queue, 1))
+                yield result
+            yield from own
         except BaseException:
             pool.shutdown(cancel_futures=True)
             raise
 
 
-class Study(NamedTuple):
-    """One sweep: its (sweep_var, scenario, rot_level, trans_level) points
-    and the noise distribution of all their trials."""
-
-    points: tuple
-    distribution: Distribution
-
-    @classmethod
-    def noise(
-        cls,
-        scenario: Scenario,
-        levels: Sequence[float],
-        distribution: Distribution,
-        targets: NoiseTargets,
-    ) -> "Study":
-        """The noise study: one point per level, on one scenario."""
-        return cls(
-            tuple((level, scenario, level, targets.translation_level(level)) for level in levels),
-            distribution,
-        )
-
-    @classmethod
-    def motion_count(
-        cls, scenarios: Sequence[Scenario], distribution: Distribution, targets: NoiseTargets
-    ) -> "Study":
-        """The motion-count study: one point per scenario, at
-        ``COUNT_ROTATION_LEVEL`` on rotation axes and, if the targets include
-        them, ``COUNT_TRANSLATION_LEVEL`` on translations."""
-        trans_level = targets.translation_level(COUNT_TRANSLATION_LEVEL)
-        return cls(
-            tuple((len(s.camera_poses) - 1, s, COUNT_ROTATION_LEVEL, trans_level)
-                  for s in scenarios),
-            distribution,
-        )
+def _point_rows(sweep_var, truth: RigidMotion, blocks: list, trials: int) -> list[ReportRow]:
+    """One row per method for a point, from the :func:`_solve_block`
+    results of its blocks in block order."""
+    rows = []
+    for m, per_block in zip(Method, zip(*blocks)):
+        counts, rot_sq, tr_sq = zip(*per_block)
+        failed = sum(counts)
+        if failed < trials:
+            e_rot, e_tr = _rms_errors(np.concatenate(rot_sq), np.concatenate(tr_sq), truth)
+        else:
+            e_rot = e_tr = float("nan")
+        rows.append(ReportRow(float(sweep_var), m, e_rot, e_tr, failed))
+    return rows
 
 
-def run_studies(studies: Sequence[Study], trials: int, seed: int) -> list[tuple[ReportRow, ...]]:
-    """The report rows of each study, in study order: one row per method for
-    each point.  Trials a solver rejects are left out of the RMS and counted.
+def _sweep(
+    studies: list[tuple[list, Distribution]], trials: int, seed: int
+) -> list[tuple[ReportRow, ...]]:
+    """The report rows of each (points, distribution) study, in study order:
+    one row per method for each (sweep_var, scenario, rot_level,
+    trans_level) point.  Trials a solver rejects are left out of the RMS
+    and counted.
 
     Trial j of point i of any study draws the first uniforms of stream
     (seed, i, j), as ``_generator(seed, i, j).random`` would, so a study's
     rows do not depend on the other studies of the call.  Each point's
     trials are split into blocks of ``_BLOCK_MOTIONS`` trials x motions;
-    the blocks of every study are solved together by :func:`_solve_blocks`,
-    on one pool sized by the call's total blocks and work, each by
+    the blocks of every study are solved by one :func:`_solve_blocks`
+    call, on one pool sized by the call's total blocks and work, each by
     :func:`_solve_block`, a pure function of its task.  A point's squared
     errors are concatenated in block order, so the rows do not depend on
-    where or in which order the blocks ran.
+    where or in which order the blocks ran; they are reduced as soon as
+    the point's last block arrives, so the call holds the arrays of about
+    one point at a time.
     """
     if not isinstance(trials, (int, np.integer)) or trials < 1:
         raise ValueError(f"need an integer number of trials >= 1, got {trials!r}")
-    tasks, owners, work = [], [], 0
-    for k, study in enumerate(studies):
-        for index, (_, scenario, rot_level, trans_level) in enumerate(study.points):
+    tasks, blocks, work = [], [], 0
+    for points, distribution in studies:
+        for index, (_, scenario, rot_level, trans_level) in enumerate(points):
             # Derive the noise-free motions once, here: each task pickles
             # them with its scenario, and a degenerate scenario fails before
             # any block.
@@ -772,29 +770,23 @@ def run_studies(studies: Sequence[Study], trials: int, seed: int) -> list[tuple[
             n = len(scenario.camera_poses) - 1
             block = max(1, _BLOCK_MOTIONS // n)
             work += trials * n
-            for first in range(0, trials, block):
-                tasks.append((seed, index, scenario, study.distribution,
-                              (rot_level, trans_level), first, min(first + block, trials)))
-                owners.append((k, index))
-    results = _solve_blocks(tasks, _pool_size(len(tasks), work))
-    per_point: dict[tuple[int, int], list] = {}
-    for owner, result in zip(owners, results):
-        per_point.setdefault(owner, []).append(result)
-    reports = []
-    for k, study in enumerate(studies):
-        rows = []
-        for index, (sweep_var, scenario, _, _) in enumerate(study.points):
-            truth = scenario.ground_truth
-            for m, per_block in zip(Method, zip(*per_point[k, index])):
-                counts, rot_sq, tr_sq = zip(*per_block)
-                failed = sum(counts)
-                if failed < trials:
-                    rot_sq, tr_sq = np.concatenate(rot_sq), np.concatenate(tr_sq)
-                    e_rot, e_tr = _rms_errors(rot_sq, tr_sq, truth)
-                else:
-                    e_rot = e_tr = float("nan")
-                rows.append(ReportRow(float(sweep_var), m, e_rot, e_tr, failed))
-        reports.append(tuple(rows))
+            firsts = range(0, trials, block)
+            tasks += [
+                (seed, index, scenario, distribution, (rot_level, trans_level), first,
+                 min(first + block, trials))
+                for first in firsts
+            ]
+            blocks.append(len(firsts))
+    reports, per_point = [], iter(blocks)
+    with closing(_solve_blocks(tasks, _pool_size(len(tasks), work))) as results:
+        for points, _ in studies:
+            rows = []
+            for sweep_var, scenario, _, _ in points:
+                # no name holds the point's results: they are dropped as
+                # _point_rows returns, before the next point's are collected
+                mine = islice(results, next(per_point))
+                rows += _point_rows(sweep_var, scenario.ground_truth, list(mine), trials)
+            reports.append(tuple(rows))
     return reports
 
 
@@ -812,7 +804,7 @@ def noise_sweep(
     hand motion, rebuild the constraints once, and hand the same noisy
     data to all three methods.
     """
-    return run_studies([Study.noise(scenario, levels, distribution, targets)], trials, seed)[0]
+    return noise_grid(scenario, levels, [(distribution, targets)], trials, seed)[0]
 
 
 def motion_count_sweep(
@@ -823,10 +815,43 @@ def motion_count_sweep(
     seed: int,
 ) -> tuple[ReportRow, ...]:
     """Error statistics versus the number of motions, one row per scenario
-    and method, at the worst-case noise of the noise study
-    (:meth:`Study.motion_count`)."""
-    study = Study.motion_count(scenarios, distribution, targets)
-    return run_studies([study], trials, seed)[0]
+    and method, at the worst-case noise of the noise study:
+    ``COUNT_ROTATION_LEVEL`` on rotation axes and, if the targets include
+    them, ``COUNT_TRANSLATION_LEVEL`` on translations.
+    """
+    return motion_count_grid(scenarios, [(distribution, targets)], trials, seed)[0]
+
+
+def noise_grid(
+    scenario: Scenario,
+    levels: Sequence[float],
+    grid: Sequence[tuple[Distribution, NoiseTargets]],
+    trials: int,
+    seed: int,
+) -> list[tuple[ReportRow, ...]]:
+    """``noise_sweep`` of each (distribution, targets) pair of ``grid``, in
+    order, all solved in one call."""
+    studies = []
+    for dist, targets in grid:
+        points = [(level, scenario, level, targets.translation_level(level)) for level in levels]
+        studies.append((points, dist))
+    return _sweep(studies, trials, seed)
+
+
+def motion_count_grid(
+    scenarios: Sequence[Scenario],
+    grid: Sequence[tuple[Distribution, NoiseTargets]],
+    trials: int,
+    seed: int,
+) -> list[tuple[ReportRow, ...]]:
+    """``motion_count_sweep`` of each (distribution, targets) pair of
+    ``grid``, in order, all solved in one call."""
+    studies = []
+    for dist, targets in grid:
+        trans = targets.translation_level(COUNT_TRANSLATION_LEVEL)
+        points = [(len(s.camera_poses) - 1, s, COUNT_ROTATION_LEVEL, trans) for s in scenarios]
+        studies.append((points, dist))
+    return _sweep(studies, trials, seed)
 
 
 # ---------------------------------------------------------------------------

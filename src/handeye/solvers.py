@@ -59,7 +59,7 @@ descends against ``objective_value``, its direct sum.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -124,13 +124,9 @@ class HandEyeSolution:
     method: Method
     iterations: int = 0
     converged: bool = True
-    # True for a row of a ``SolutionBatch``, whose ``finish`` has checked the
-    # unit norm and picked the canonical sign: the check is not repeated.
-    _unit_checked: InitVar[bool] = False
 
-    def __post_init__(self, _unit_checked):
-        if not _unit_checked:
-            object.__setattr__(self, "rotation", quat.as_unit(self.rotation))
+    def __post_init__(self):
+        object.__setattr__(self, "rotation", quat.as_unit(self.rotation))
         t = np.asarray(self.translation, dtype=float)
         if t.shape != (3,) or not np.isfinite(t).all():
             raise ValueError("translation must be a finite 3-vector")
@@ -172,14 +168,13 @@ class SolutionBatch(NamedTuple):
         if self.errors[j] is not None:
             raise self.errors[j]
         return HandEyeSolution(
-            self.rotation[j].copy(),
+            self.rotation[j],
             self.translation[j].copy(),
             float(self.rotation_residual[j]),
             float(self.translation_residual[j]),
             self.method,
             iterations=int(self.iterations[j]),
             converged=bool(self.converged[j]),
-            _unit_checked=True,
         )
 
 

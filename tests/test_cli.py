@@ -25,7 +25,6 @@ from handeye.cli import (
 from handeye import cli, solvers
 from handeye.datafiles import Dataset, load_dataset, load_solution, save_dataset
 from handeye.errors import CalibrationError
-from handeye.quaternion import canonicalize
 from handeye.simulate import Formulation, synthetic_dataset
 
 from conftest import random_motion
@@ -66,20 +65,6 @@ def test_generate_each_method_and_formulation(tmp_path):
             code = main(["calibrate", str(ds), "--method", method, "--output", str(sol)])
             assert code == EXIT_OK
             assert load_solution(sol).method.value == method
-
-
-@pytest.mark.parametrize("method", ["tsai-lenz", "closed-form", "nonlinear"])
-def test_calibrate_writes_the_canonical_sign(tmp_path, method):
-    # On these noise-free datasets the closed-form eigenvector, and so the
-    # nonlinear solve started from it, comes out as -q: only the batch's
-    # finishing step signs it, and the single solve keeps that sign.
-    for formulation, seed in (("classical", "1"), ("perspective", "4")):
-        ds, sol = tmp_path / f"{formulation}.yaml", tmp_path / f"{formulation}-sol.yaml"
-        argv = ["generate", "--motions", "4", "--formulation", formulation, "--seed", seed]
-        assert main([*argv, str(ds)]) == EXIT_OK
-        assert main(["calibrate", str(ds), "--method", method, "--output", str(sol)]) == EXIT_OK
-        q = np.array(yaml.safe_load(sol.read_text(encoding="utf-8"))["quaternion_wxyz"])
-        assert np.array_equal(q, canonicalize(q)), formulation
 
 
 def test_generate_rejects_single_motion(tmp_path):
@@ -515,7 +500,8 @@ def test_simulate_unwritable_output_fails_before_any_sweep(tmp_path, capsys, mon
     def no_sweep(*args):
         raise AssertionError("a sweep ran before the output was opened")
 
-    monkeypatch.setattr(cli, "run_studies", no_sweep)
+    monkeypatch.setattr(cli, "noise_grid", no_sweep)
+    monkeypatch.setattr(cli, "motion_count_grid", no_sweep)
     out = tmp_path / "missing" / "x.csv"
     argv = ["simulate", *_SIMULATE_MODES[mode], "--trials", "1", "--output", str(out)]
     assert main(argv) == EXIT_IO
@@ -527,7 +513,7 @@ def test_simulate_unwritable_output_fails_before_any_sweep(tmp_path, capsys, mon
 @pytest.mark.parametrize("mode", ["one-combination", "grid"])
 def test_simulate_failing_later_leaves_no_empty_file(tmp_path, capsys, monkeypatch, mode):
     # one level and one trial: each combination's sweep is one block, and
-    # the one run_studies call solves them in combination order
+    # the one grid call solves them in combination order
     blocks = []
     solve_block = sim._solve_block
 

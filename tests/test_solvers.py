@@ -551,6 +551,7 @@ def test_report_residuals_zero_denominator(rng):
         ("rotation_residual", np.nan, "residuals must be finite and non-negative"),
         ("translation_residual", np.inf, "residuals must be finite and non-negative"),
         ("translation_residual", -1e-3, "residuals must be finite and non-negative"),
+        ("rotation", [1.01, 0.0, 0.0, 0.0], "quaternion norm off unity by 2.010e-02"),
     ],
 )
 def test_solution_rejects_non_finite_fields(field, value, message):
@@ -564,14 +565,6 @@ def test_solution_rejects_non_finite_fields(field, value, message):
     fields[field] = value
     with pytest.raises(ValueError, match=message):
         solvers.HandEyeSolution(**fields)
-
-
-def test_direct_construction_checks_and_signs_the_rotation(rng):
-    q = quat.from_rotation_matrix(random_motion(rng, 150.0).rotation)
-    fields = (np.zeros(3), 0.0, 0.0, Method.NONLINEAR)
-    assert np.array_equal(solvers.HandEyeSolution(-q, *fields).rotation, q)
-    with pytest.raises(ValueError, match="quaternion norm off unity by 2.010e-02"):
-        solvers.HandEyeSolution(1.01 * q, *fields)
 
 
 def test_finish_signs_q_once_and_fails_a_non_unit_row_with_a_calibration_error(rng):

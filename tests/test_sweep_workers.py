@@ -13,6 +13,8 @@ import sys
 import threading
 import time
 import warnings
+from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -222,22 +224,72 @@ def test_a_grid_simulate_solves_every_combination_in_one_call(study, tmp_path, m
     assert outputs[2] == outputs[1] and outputs[3] == outputs[1]
 
 
-def test_studies_of_one_call_keep_their_own_rows(monkeypatch):
-    # Both studies have points 0 and 1, so their blocks share point indices
-    # and stream keys; each study's rows must be those it has alone.
-    noise = sim.Study.noise(default_scenario(2, 3), [0.02, 0.05], Distribution.GAUSSIAN, BOTH)
-    count = sim.Study.motion_count(
-        [sim.SCENARIOS[sim.Formulation.PERSPECTIVE](n, 4) for n in (2, 5)],
-        Distribution.UNIFORM, NoiseTargets.ROTATION,
-    )
+def test_combinations_of_one_call_keep_their_own_rows(monkeypatch):
+    # The combinations of a call have the same points 0 and 1, so their
+    # blocks share point indices and stream keys; each combination's rows
+    # must be those it has alone.
+    grid = [(Distribution.GAUSSIAN, BOTH), (Distribution.UNIFORM, NoiseTargets.ROTATION)]
+    scenarios = [sim.SCENARIOS[sim.Formulation.PERSPECTIVE](n, 4) for n in (2, 5)]
+    studies = {
+        "noise": partial(sim.noise_grid, default_scenario(2, 3), [0.02, 0.05]),
+        "count": partial(sim.motion_count_grid, scenarios),
+    }
+    for name, study in studies.items():
+        _force_workers(monkeypatch, 1)
+        alone = [study([pair], 600, 2)[0] for pair in grid]
+        assert alone[0] != alone[1]
+        for workers in (1, 2, 3):
+            _force_workers(monkeypatch, workers)
+            assert study(grid, 600, 2) == alone, (name, workers)
+            assert study(grid[::-1], 600, 2) == alone[::-1], (name, workers)
+            assert multiprocessing.active_children() == []
+
+
+def test_a_point_is_reduced_as_soon_as_its_last_block_is_solved(monkeypatch):
+    # 600 trials at n = 2 are 2 blocks per level: each level's three RMS
+    # reductions come before the next level's first block is solved, so a
+    # call holds the squared errors of one point, not of its whole grid.
+    solved, reduced = [], []
+    solve_block, rms_errors = sim._solve_block, sim._rms_errors
+
+    def counted_block(task):
+        solved.append(task)
+        return solve_block(task)
+
+    def counted_rms(*args):
+        reduced.append(len(solved))
+        return rms_errors(*args)
+
+    monkeypatch.setattr(sim, "_solve_block", counted_block)
+    monkeypatch.setattr(sim, "_rms_errors", counted_rms)
     _force_workers(monkeypatch, 1)
-    alone = [sim.run_studies([study], 600, 2)[0] for study in (noise, count)]
-    assert alone[0] != alone[1]
-    for workers in (1, 2, 3):
-        _force_workers(monkeypatch, workers)
-        assert sim.run_studies([noise, count], 600, 2) == alone, workers
-        assert sim.run_studies([count, noise], 600, 2) == alone[::-1], workers
-        assert multiprocessing.active_children() == []
+    grid = [(Distribution.GAUSSIAN, BOTH), (Distribution.UNIFORM, BOTH)]
+    sim.noise_grid(default_scenario(2, 3), [0.02, 0.05], grid, 600, 2)
+    assert reduced == [2, 2, 2, 4, 4, 4, 6, 6, 6, 8, 8, 8]
+
+
+def test_a_pool_queues_at_most_two_blocks_per_worker(monkeypatch):
+    # the pending futures of a call stay bounded however many blocks it has
+    submitted = []
+    submit = ProcessPoolExecutor.submit
+
+    def recorded(self, fn, *args):
+        submitted.append(args)
+        return submit(self, fn, *args)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", recorded)
+    scenario = default_scenario(2, 3)
+    tasks = [(0, 0, scenario, Distribution.UNIFORM, (0.01, 0.0), j, j + 1) for j in range(12)]
+    def bits(result):
+        return [(failed, rot.tobytes(), tr.tobytes()) for failed, rot, tr in result]
+
+    serial = [bits(result) for result in sim._solve_blocks(tasks, 1)]
+    assert submitted == []
+    for k, result in enumerate(sim._solve_blocks(tasks, 2)):
+        assert len(submitted) == min(len(tasks), k + 5), k
+        assert bits(result) == serial[k]
+    assert [args[0] for args in submitted] == tasks
+    assert multiprocessing.active_children() == []
 
 
 def test_importing_the_cli_imports_no_process_machinery():
