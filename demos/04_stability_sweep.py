@@ -3,10 +3,11 @@
 Sweeps Gaussian noise levels at a reduced trial count, prints the RMS
 rotation and relative translation errors per method, and writes the same
 rows as CSV; then sweeps the number of motions at the count study's
-fixed noise, one scenario per count.  Both sweeps take the distribution,
-the targets, the trial count and the seed, and return their rows.  The
-full-size sweeps (1000 trials, every grid combination) run through the
-command line, e.g.
+fixed noise, one scenario per count.  Both sweeps take a grid of
+(distribution, targets) pairs, the trial count and the seed, and return
+one tuple of rows per pair; here the grid is one pair.  The full-size
+sweeps (1000 trials, every grid combination) run through the command
+line, e.g.
 
     handeye simulate --trials 1000 --output sweeps/report.csv
 
@@ -26,9 +27,10 @@ from handeye.simulate import (
 
 TRIALS = 150  # enough for stable ordering; the real study uses 1000
 BOTH = NoiseTargets.ROTATION_AND_TRANSLATION
+GRID = [(Distribution.GAUSSIAN, BOTH)]  # one (distribution, targets) pair
 
 scenario = default_scenario(n=2, seed=0)
-rows = noise_sweep(scenario, [0.01, 0.02, 0.04, 0.06], Distribution.GAUSSIAN, BOTH, TRIALS, 0)
+rows = noise_sweep(scenario, [0.01, 0.02, 0.04, 0.06], GRID, TRIALS, 0)[0]
 
 t_norm = np.linalg.norm(scenario.ground_truth.translation)
 print(f"noise sweep, n=2 motions, {TRIALS} trials, |t| = {t_norm:.0f} mm\n")
@@ -40,7 +42,7 @@ print("\nsame data as CSV:\n")
 print(report_csv(rows), end="")
 
 scenarios = [default_scenario(n, 6) for n in (2, 4, 6, 9)]
-counts = motion_count_sweep(scenarios, Distribution.GAUSSIAN, BOTH, TRIALS, 6)
+counts = motion_count_sweep(scenarios, GRID, TRIALS, 6)[0]
 print("\nmotion-count sweep at 6% rotation / 2% translation Gaussian noise\n")
 print(f"{'n':>3s} {'method':14s} {'e_rot':>8s} {'e_tr':>8s}")
 for row in counts:

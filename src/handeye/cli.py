@@ -39,8 +39,8 @@ from .simulate import (
     NoiseModel,
     NoiseTargets,
     ReportRow,
-    motion_count_grid,
-    noise_grid,
+    motion_count_sweep,
+    noise_sweep,
     synthetic_dataset,
 )
 from .solvers import Method, report_residuals, solve
@@ -267,10 +267,10 @@ def _cmd_simulate(args) -> int:
     build = SCENARIOS[Formulation(args.formulation)]
     if args.motions is not None:
         scenarios = [build(n, args.seed) for n in _parse_counts(args.motions)]
-        grid_sweep = partial(motion_count_grid, scenarios)
+        sweep = partial(motion_count_sweep, scenarios)
     else:
         levels = _parse_levels(args.levels) if args.levels is not None else list(DEFAULT_LEVELS)
-        grid_sweep = partial(noise_grid, build(2, args.seed), levels)
+        sweep = partial(noise_sweep, build(2, args.seed), levels)
     combos = [(d, t) for d in distributions for t in targets]
     paths = []
     if args.output is not None:
@@ -283,7 +283,7 @@ def _cmd_simulate(args) -> int:
         ]
     with _writable(paths):
         # one call solves every combination's blocks, on one pool
-        reports = grid_sweep(combos, args.trials, args.seed)
+        reports = sweep(combos, args.trials, args.seed)
         for k, ((dist, targ), rows) in enumerate(zip(combos, reports)):
             csv_text = report_csv(rows)
             if args.output is None:

@@ -16,12 +16,11 @@ scenario (mean motion translation norm over both sides).  ``level`` is
 the full width of the uniform window and twice the standard deviation of
 the Gaussian.
 
-Both studies read (distribution, targets, trials, seed) and return their
-report rows: ``noise_sweep`` over the levels of one scenario,
-``motion_count_sweep`` over scenarios at the ``COUNT_*_LEVEL`` noise.
-``noise_grid`` and ``motion_count_grid`` return the rows of several
-(distribution, targets) pairs, all solved in one call; the two studies
-are their one-pair calls.
+Each study is one function that reads a grid of (distribution, targets)
+pairs, trials and a seed, and returns one tuple of report rows per pair,
+in grid order, all solved in one call: ``noise_sweep`` over the levels of
+one scenario, ``motion_count_sweep`` over scenarios at the
+``COUNT_*_LEVEL`` noise.
 Every trial is built on one path, which rejects a NaN, infinite or
 negative level.  ``synthetic_dataset`` takes a :class:`NoiseModel`, builds
 one scenario (``SCENARIOS``), perturbs its motions from stream
@@ -744,7 +743,10 @@ def _sweep(
     """The report rows of each (points, distribution) study, in study order:
     one row per method for each (sweep_var, scenario, rot_level,
     trans_level) point.  Trials a solver rejects are left out of the RMS
-    and counted.
+    and counted.  ``noise_sweep`` and ``motion_count_sweep`` pass one study
+    per (distribution, targets) pair of their grid.  ``trials`` must be an
+    integer >= 1 and ``seed`` an integer >= 0, and a bool is neither; any
+    other value raises ``ValueError`` rather than being truncated.
 
     Trial j of point i of any study draws the first uniforms of stream
     (seed, i, j), as ``_generator(seed, i, j).random`` would, so a study's
@@ -758,8 +760,10 @@ def _sweep(
     the point's last block arrives, so the call holds the arrays of about
     one point at a time.
     """
-    if not isinstance(trials, (int, np.integer)) or trials < 1:
+    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or trials < 1:
         raise ValueError(f"need an integer number of trials >= 1, got {trials!r}")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"need an integer seed >= 0, got {seed!r}")
     tasks, blocks, work = [], [], 0
     for points, distribution in studies:
         for index, (_, scenario, rot_level, trans_level) in enumerate(points):
@@ -793,44 +797,17 @@ def _sweep(
 def noise_sweep(
     scenario: Scenario,
     levels: Sequence[float],
-    distribution: Distribution,
-    targets: NoiseTargets,
+    grid: Sequence[tuple[Distribution, NoiseTargets]],
     trials: int,
     seed: int,
-) -> tuple[ReportRow, ...]:
-    """Error statistics versus noise level, one row per level and method.
+) -> list[tuple[ReportRow, ...]]:
+    """Error statistics versus noise level for each (distribution, targets)
+    pair of ``grid``, in order: one row per level and method.
 
     For each level, ``trials`` independent trials perturb every camera and
     hand motion, rebuild the constraints once, and hand the same noisy
     data to all three methods.
     """
-    return noise_grid(scenario, levels, [(distribution, targets)], trials, seed)[0]
-
-
-def motion_count_sweep(
-    scenarios: Sequence[Scenario],
-    distribution: Distribution,
-    targets: NoiseTargets,
-    trials: int,
-    seed: int,
-) -> tuple[ReportRow, ...]:
-    """Error statistics versus the number of motions, one row per scenario
-    and method, at the worst-case noise of the noise study:
-    ``COUNT_ROTATION_LEVEL`` on rotation axes and, if the targets include
-    them, ``COUNT_TRANSLATION_LEVEL`` on translations.
-    """
-    return motion_count_grid(scenarios, [(distribution, targets)], trials, seed)[0]
-
-
-def noise_grid(
-    scenario: Scenario,
-    levels: Sequence[float],
-    grid: Sequence[tuple[Distribution, NoiseTargets]],
-    trials: int,
-    seed: int,
-) -> list[tuple[ReportRow, ...]]:
-    """``noise_sweep`` of each (distribution, targets) pair of ``grid``, in
-    order, all solved in one call."""
     studies = []
     for dist, targets in grid:
         points = [(level, scenario, level, targets.translation_level(level)) for level in levels]
@@ -838,14 +815,18 @@ def noise_grid(
     return _sweep(studies, trials, seed)
 
 
-def motion_count_grid(
+def motion_count_sweep(
     scenarios: Sequence[Scenario],
     grid: Sequence[tuple[Distribution, NoiseTargets]],
     trials: int,
     seed: int,
 ) -> list[tuple[ReportRow, ...]]:
-    """``motion_count_sweep`` of each (distribution, targets) pair of
-    ``grid``, in order, all solved in one call."""
+    """Error statistics versus the number of motions for each
+    (distribution, targets) pair of ``grid``, in order: one row per
+    scenario and method, at the worst-case noise of the noise study,
+    ``COUNT_ROTATION_LEVEL`` on rotation axes and, if the targets include
+    them, ``COUNT_TRANSLATION_LEVEL`` on translations.
+    """
     studies = []
     for dist, targets in grid:
         trans = targets.translation_level(COUNT_TRANSLATION_LEVEL)

@@ -59,13 +59,12 @@ def _noise_free_constraints(scenario):
 
 def _run_level_grid():
     scenario = default_scenario(2, GRID_SCENARIO_SEED)
-    reports = {}
-    for distribution in (Distribution.UNIFORM, Distribution.GAUSSIAN):
-        for targets in (NoiseTargets.ROTATION, NoiseTargets.ROTATION_AND_TRANSLATION):
-            reports[(distribution, targets)] = noise_sweep(
-                scenario, GRID_LEVELS, distribution, targets, GRID_TRIALS, 0
-            )
-    return reports
+    grid = [
+        (distribution, targets)
+        for distribution in (Distribution.UNIFORM, Distribution.GAUSSIAN)
+        for targets in (NoiseTargets.ROTATION, NoiseTargets.ROTATION_AND_TRANSLATION)
+    ]
+    return dict(zip(grid, noise_sweep(scenario, GRID_LEVELS, grid, GRID_TRIALS, 0)))
 
 
 def _run_count_sweep():
@@ -73,11 +72,10 @@ def _run_count_sweep():
     assert (sim.COUNT_ROTATION_LEVEL, sim.COUNT_TRANSLATION_LEVEL) == (0.06, 0.02)
     return motion_count_sweep(
         [default_scenario(n, COUNT_SCENARIO_SEED) for n in range(2, 10)],
-        Distribution.GAUSSIAN,
-        NoiseTargets.ROTATION_AND_TRANSLATION,
+        [(Distribution.GAUSSIAN, NoiseTargets.ROTATION_AND_TRANSLATION)],
         COUNT_TRIALS,
         COUNT_SCENARIO_SEED,
-    )
+    )[0]
 
 
 @pytest.fixture(scope="session")

@@ -500,8 +500,8 @@ def test_simulate_unwritable_output_fails_before_any_sweep(tmp_path, capsys, mon
     def no_sweep(*args):
         raise AssertionError("a sweep ran before the output was opened")
 
-    monkeypatch.setattr(cli, "noise_grid", no_sweep)
-    monkeypatch.setattr(cli, "motion_count_grid", no_sweep)
+    monkeypatch.setattr(cli, "noise_sweep", no_sweep)
+    monkeypatch.setattr(cli, "motion_count_sweep", no_sweep)
     out = tmp_path / "missing" / "x.csv"
     argv = ["simulate", *_SIMULATE_MODES[mode], "--trials", "1", "--output", str(out)]
     assert main(argv) == EXIT_IO
@@ -537,6 +537,25 @@ def test_simulate_failing_later_leaves_no_empty_file(tmp_path, capsys, monkeypat
     # combination's solved sweep is not written when the second fails
     assert len(blocks) == (2 if mode == "grid" else 1)
     assert written == []
+
+
+@pytest.mark.parametrize(
+    "mode", [["--levels", "0.01,0.03"], ["--motions", "2,3"]], ids=["levels", "motions"]
+)
+def test_simulate_stdout_holds_each_pair_csv_under_its_header(tmp_path, capsys, mode):
+    argv = ["simulate", *mode, "--distribution", "both", "--targets", "both", "--trials", "2"]
+    out = tmp_path / "r.csv"
+    assert main(argv + ["--output", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    assert main(argv) == EXIT_OK
+    expected = b""
+    for dist in ("uniform", "gaussian"):
+        for targets in ("rotation", "rotation-translation"):
+            expected += f"# distribution={dist} targets={targets}\n".encode()
+            expected += (tmp_path / f"r_{dist}_{targets}.csv").read_bytes()
+    captured = capsys.readouterr()
+    assert captured.out.encode() == expected
+    assert captured.err == ""
 
 
 def test_simulate_output_to_the_null_device(capsys):

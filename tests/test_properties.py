@@ -5,8 +5,11 @@ run, and there is no example database.
 """
 
 import dataclasses
+import io
+import os
 import tempfile
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from functools import partial
 from pathlib import Path
 
@@ -15,6 +18,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from handeye import cli
 from handeye import quaternion as quat
 from handeye import simulate as sim
 from handeye import solvers
@@ -401,3 +405,82 @@ def test_any_document_loads_or_raises_a_calibration_error(document, data, wrong)
                     loaded.constraints()
                 except CalibrationError:
                     pass
+
+
+# Each ``handeye simulate`` flag with valid and wrong values.  Counts stay
+# at most 9, and every run starts with ``--trials`` at most 3 (a drawn
+# ``--trials`` may repeat it; the last one counts), so no run is slow.
+_LEVEL_ITEMS = [
+    "0", "0.01", "0.06", "-0.0", "nan", "inf", "-inf", "1e400", "1e200", "-0.5", "", "x"
+]
+_SIMULATE_FLAGS = {
+    "--distribution": st.sampled_from(["uniform", "gaussian", "both", "Gaussian", ""]),
+    "--targets": st.sampled_from(["rotation", "rotation-translation", "both", "translation"]),
+    "--levels": st.lists(st.sampled_from(_LEVEL_ITEMS), min_size=1, max_size=3).map(",".join),
+    "--motions": st.sampled_from(
+        ["2", "2,9", "3,2,", ",", "", "2:3", "2:9", "3:2", "2:2", "2:3:4", "1:3", ":", "2.5"]
+    ),
+    "--trials": st.sampled_from(["0", "-1", "1", "3", "", "nan", "1e400", "2.0"]),
+    "--seed": st.sampled_from(["0", "7", "-1", "0.5", "", "nan", "1e400", str(2**64 + 5)]),
+    "--formulation": st.sampled_from(["classical", "perspective", "projective"]),
+    "--output": st.sampled_from(["file", "directory", "missing directory", "null", "empty"]),
+}
+simulate_flags = st.sampled_from(list(_SIMULATE_FLAGS)).flatmap(
+    lambda flag: st.tuples(st.just(flag), _SIMULATE_FLAGS[flag], st.booleans())
+)
+EXIT_CODES = {
+    cli.EXIT_OK, cli.EXIT_PARSE, cli.EXIT_SCHEMA, cli.EXIT_DEGENERATE,
+    cli.EXIT_NO_CONVERGENCE, cli.EXIT_IO, cli.EXIT_FLAGS,
+}
+
+
+def _outputs(tmp):
+    return {
+        "file": str(tmp / "r.csv"),
+        "directory": str(tmp / "sub"),
+        "missing directory": str(tmp / "missing" / "r.csv"),
+        "null": os.devnull,
+        "empty": "",
+    }
+
+
+@PROPERTY
+@given(st.sampled_from(["1", "2", "3"]), st.lists(simulate_flags, max_size=6))
+@example("1", [("--output", "directory", False)])
+@example("1", [("--distribution", "gaussian", False), ("--targets", "rotation", False),
+               ("--output", "directory", True)])
+@example("1", [("--output", "empty", False)])
+@example("1", [("--levels", "0.01,1e200", False), ("--output", "file", True)])
+@example("2", [("--motions", "3:2", False), ("--formulation", "perspective", True)])
+@example("2", [("--motions", "2:3:4", True)])
+@example("3", [("--levels", "nan,", False), ("--levels", "0.01,", True), ("--trials", "2", False)])
+@example("1", [("--levels", "-0.0", True), ("--seed", str(2**64 + 5), False),
+               ("--output", "null", False)])
+def test_any_simulate_command_line_exits_with_a_documented_code(trials, flags):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "sub").mkdir()
+        argv, output = ["simulate", "--trials", trials], None
+        for flag, value, joined in flags:
+            if flag == "--output":
+                output = value = _outputs(tmp)[value]
+            argv += [f"{flag}={value}"] if joined else [flag, value]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(argv)
+        assert code in EXIT_CODES, (argv, code)
+        for line in err.getvalue().splitlines():
+            assert line.startswith(("error:", "warning:")), (argv, line)
+        files = [p for p in tmp.rglob("*") if p.is_file()]
+        if code != cli.EXIT_OK:
+            assert all(p.stat().st_size > 0 for p in files), argv
+        elif output is None:
+            # one "# distribution=D targets=T" line and one CSV per pair
+            tables = out.getvalue().split("# distribution=")
+            assert tables[0] == "" and len(tables) > 1, argv
+            assert all(t.splitlines()[1] == cli.CSV_HEADER for t in tables[1:]), argv
+        else:
+            # a CSV per file, and no file for the null device
+            assert (output == os.devnull) == (files == []), argv
+            for path in files:
+                assert path.read_text(encoding="utf-8").splitlines()[0] == cli.CSV_HEADER, argv

@@ -388,7 +388,7 @@ BOTH = NoiseTargets.ROTATION_AND_TRANSLATION
 
 def test_noise_sweep_zero_level_recovers_exactly():
     scenario = default_scenario(2, seed=0)
-    rows = noise_sweep(scenario, [0.0], Distribution.GAUSSIAN, BOTH, 2, 0)
+    rows = noise_sweep(scenario, [0.0], [(Distribution.GAUSSIAN, BOTH)], 2, 0)[0]
     assert len(rows) == 3
     for row in rows:
         assert row.e_rot <= 1e-8
@@ -398,14 +398,14 @@ def test_noise_sweep_zero_level_recovers_exactly():
 
 def test_noise_sweep_deterministic():
     scenario = default_scenario(2, seed=1)
-    first = noise_sweep(scenario, [0.02, 0.04], Distribution.UNIFORM, BOTH, 20, 9)
-    second = noise_sweep(scenario, [0.02, 0.04], Distribution.UNIFORM, BOTH, 20, 9)
+    first = noise_sweep(scenario, [0.02, 0.04], [(Distribution.UNIFORM, BOTH)], 20, 9)[0]
+    second = noise_sweep(scenario, [0.02, 0.04], [(Distribution.UNIFORM, BOTH)], 20, 9)[0]
     assert first == second
 
 
 def test_noise_sweep_nonlinear_leads_at_high_noise():
     scenario = default_scenario(2, seed=0)
-    rows = noise_sweep(scenario, [0.06], Distribution.GAUSSIAN, BOTH, 150, 0)
+    rows = noise_sweep(scenario, [0.06], [(Distribution.GAUSSIAN, BOTH)], 150, 0)[0]
     by_method = {row.method: row for row in rows}
     nl = by_method[Method.NONLINEAR]
     for other in (Method.TSAI_LENZ, Method.CLOSED_FORM):
@@ -416,7 +416,7 @@ def test_noise_sweep_nonlinear_leads_at_high_noise():
 @pytest.mark.parametrize("formulation", list(Formulation))
 def test_motion_count_sweep_row_layout(formulation):
     scenarios = [sim.SCENARIOS[formulation](n, 4) for n in (2, 4)]
-    rows = motion_count_sweep(scenarios, Distribution.GAUSSIAN, BOTH, 5, 1)
+    rows = motion_count_sweep(scenarios, [(Distribution.GAUSSIAN, BOTH)], 5, 1)[0]
     assert [r.sweep_var for r in rows] == [2.0, 2.0, 2.0, 4.0, 4.0, 4.0]
     assert [r.method for r in rows] == list(Method) * 2
 
@@ -424,7 +424,7 @@ def test_motion_count_sweep_row_layout(formulation):
 @pytest.mark.parametrize("targets", list(NoiseTargets))
 def test_motion_count_sweep_solves_trial_constraints_at_the_count_levels(targets):
     scenario = default_scenario(3, 4)
-    rows = motion_count_sweep([scenario], Distribution.GAUSSIAN, targets, 3, 2)
+    rows = motion_count_sweep([scenario], [(Distribution.GAUSSIAN, targets)], 3, 2)[0]
     levels = (sim.COUNT_ROTATION_LEVEL, targets.translation_level(sim.COUNT_TRANSLATION_LEVEL))
     sets = [
         sim.trial_constraints(scenario, Distribution.GAUSSIAN, *levels, sim._generator(2, 0, j))
@@ -440,7 +440,7 @@ def test_motion_count_sweep_solves_trial_constraints_at_the_count_levels(targets
 @pytest.mark.parametrize("level", BAD_LEVELS)
 def test_noise_sweep_rejects_bad_level(level):
     with pytest.raises(ValueError, match="noise level must be finite and non-negative"):
-        noise_sweep(default_scenario(2, 0), [level], Distribution.GAUSSIAN, BOTH, 2, 0)
+        noise_sweep(default_scenario(2, 0), [level], [(Distribution.GAUSSIAN, BOTH)], 2, 0)
 
 
 @pytest.mark.parametrize("side", ["rotation", "translation"])
@@ -453,20 +453,32 @@ def test_trial_constraints_rejects_bad_level(level, side):
         )
 
 
-@pytest.mark.parametrize("trials", [0, 2.5])
+@pytest.mark.parametrize("trials", [0, 2.5, True])
 @pytest.mark.parametrize("study", ["noise", "count"])
 def test_sweeps_reject_bad_trial_count(study, trials):
     scenario = default_scenario(2, 0)
     with pytest.raises(ValueError, match="integer number of trials"):
         if study == "noise":
-            noise_sweep(scenario, [0.01], Distribution.GAUSSIAN, BOTH, trials, 0)
+            noise_sweep(scenario, [0.01], [(Distribution.GAUSSIAN, BOTH)], trials, 0)
         else:
-            motion_count_sweep([scenario], Distribution.GAUSSIAN, BOTH, trials, 0)
+            motion_count_sweep([scenario], [(Distribution.GAUSSIAN, BOTH)], trials, 0)
+
+
+@pytest.mark.parametrize("seed", [0.5, True, -1])
+@pytest.mark.parametrize("study", ["noise", "count"])
+def test_sweeps_reject_a_seed_that_is_not_a_non_negative_integer(study, seed):
+    # a float or bool seed is not truncated onto an integer seed's streams
+    scenario = default_scenario(2, 0)
+    with pytest.raises(ValueError, match="integer seed"):
+        if study == "noise":
+            noise_sweep(scenario, [0.01], [(Distribution.GAUSSIAN, BOTH)], 2, seed)
+        else:
+            motion_count_sweep([scenario], [(Distribution.GAUSSIAN, BOTH)], 2, seed)
 
 
 def _noise_report(n, trials, seed=5):
     scenario = default_scenario(n, seed=3)
-    return scenario, noise_sweep(scenario, [0.04], Distribution.GAUSSIAN, BOTH, trials, seed)
+    return scenario, noise_sweep(scenario, [0.04], [(Distribution.GAUSSIAN, BOTH)], trials, seed)[0]
 
 
 def _assert_rows_equal_single_solves(n, trials, seed=5):

@@ -41,12 +41,12 @@ def _force_workers(monkeypatch, workers):
 
 def _noise(levels, trials=600, scenario=None):
     scenario = scenario or default_scenario(2, 3)
-    return noise_sweep(scenario, levels, Distribution.GAUSSIAN, BOTH, trials, 5)
+    return noise_sweep(scenario, levels, [(Distribution.GAUSSIAN, BOTH)], trials, 5)[0]
 
 
 def _count(trials=300):
     scenarios = [sim.SCENARIOS[sim.Formulation.PERSPECTIVE](n, 4) for n in (2, 5, 9)]
-    return motion_count_sweep(scenarios, Distribution.UNIFORM, BOTH, trials, 1)
+    return motion_count_sweep(scenarios, [(Distribution.UNIFORM, BOTH)], trials, 1)[0]
 
 
 # (study, block budget): 600 trials at n = 2 are 2 blocks per level; with a
@@ -231,8 +231,8 @@ def test_combinations_of_one_call_keep_their_own_rows(monkeypatch):
     grid = [(Distribution.GAUSSIAN, BOTH), (Distribution.UNIFORM, NoiseTargets.ROTATION)]
     scenarios = [sim.SCENARIOS[sim.Formulation.PERSPECTIVE](n, 4) for n in (2, 5)]
     studies = {
-        "noise": partial(sim.noise_grid, default_scenario(2, 3), [0.02, 0.05]),
-        "count": partial(sim.motion_count_grid, scenarios),
+        "noise": partial(sim.noise_sweep, default_scenario(2, 3), [0.02, 0.05]),
+        "count": partial(sim.motion_count_sweep, scenarios),
     }
     for name, study in studies.items():
         _force_workers(monkeypatch, 1)
@@ -264,7 +264,7 @@ def test_a_point_is_reduced_as_soon_as_its_last_block_is_solved(monkeypatch):
     monkeypatch.setattr(sim, "_rms_errors", counted_rms)
     _force_workers(monkeypatch, 1)
     grid = [(Distribution.GAUSSIAN, BOTH), (Distribution.UNIFORM, BOTH)]
-    sim.noise_grid(default_scenario(2, 3), [0.02, 0.05], grid, 600, 2)
+    sim.noise_sweep(default_scenario(2, 3), [0.02, 0.05], grid, 600, 2)
     assert reduced == [2, 2, 2, 4, 4, 4, 6, 6, 6, 8, 8, 8]
 
 

@@ -5,6 +5,8 @@ Writes, into a temporary directory and through ``handeye.cli.main``:
 
 * the seed-0 ``sweep-noise`` CSVs (4) and ``sweep-count`` CSV (1) that
   ``perfbench/workloads.py`` issues;
+* the standard output of that ``sweep-noise`` command run without
+  ``--output`` (1), each pair's CSV under its ``# distribution=...`` line;
 * a perspective motion-count sweep, ``--motions 2,3 --trials 300 --seed 2``
   (4 CSVs);
 * the ten generated datasets of the ``calibrate`` corpus (classical and
@@ -16,7 +18,7 @@ Writes, into a temporary directory and through ``handeye.cli.main``:
 
 It prints one ``<sha256>  <file>`` line per file, sorted by name.  With
 ``--against FILE`` it compares them with such a list saved before, names
-every file that differs, is missing or is new, and exits 1 unless all 71
+every file that differs, is missing or is new, and exits 1 unless all 72
 match:
 
     python3 tools/output_digest.py > digests.txt
@@ -60,18 +62,22 @@ SYNTHETIC = [(form, n) for form in ("classical", "perspective") for n in (2, 5, 
 METHODS = ("tsai-lenz", "closed-form", "nonlinear")
 
 
-def _run(argv: list[str]) -> None:
-    """``handeye argv``, its report to stdout discarded."""
-    with contextlib.redirect_stdout(io.StringIO()):
+def _run(argv: list[str]) -> str:
+    """``handeye argv``; returns what it printed to stdout."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
         code = main(argv)
     if code != EXIT_OK:
         raise SystemExit(f"handeye {' '.join(argv)} exited {code}")
+    return stdout.getvalue()
 
 
 def write_outputs(out: Path) -> None:
     """Every output file listed above, written into ``out``."""
     for argv in SWEEPS:
         _run(["simulate", *argv[:-1], str(out / argv[-1])])
+    noise_stdout = _run(["simulate", *SWEEPS[0][:-2]])
+    (out / "noise_stdout.txt").write_text(noise_stdout, encoding="utf-8")
     datasets = [ROOT / "samples" / f"{name}.yaml" for name in SAMPLES]
     for index, (form, n) in enumerate(SYNTHETIC):
         path = out / f"{form}_n{n}.yaml"
