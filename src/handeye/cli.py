@@ -254,16 +254,11 @@ def _cmd_simulate(args) -> int:
         raise FlagError("--levels and --motions are mutually exclusive")
     if args.trials < 1:
         raise FlagError("--trials: need at least 1")
+    # "both" is every member, in definition order
     distributions = (
-        [Distribution(args.distribution)]
-        if args.distribution != "both"
-        else [Distribution.UNIFORM, Distribution.GAUSSIAN]
+        list(Distribution) if args.distribution == "both" else [Distribution(args.distribution)]
     )
-    targets = (
-        [NoiseTargets(args.targets)]
-        if args.targets != "both"
-        else [NoiseTargets.ROTATION, NoiseTargets.ROTATION_AND_TRANSLATION]
-    )
+    targets = list(NoiseTargets) if args.targets == "both" else [NoiseTargets(args.targets)]
     build = SCENARIOS[Formulation(args.formulation)]
     if args.motions is not None:
         scenarios = [build(n, args.seed) for n in _parse_counts(args.motions)]
@@ -275,8 +270,8 @@ def _cmd_simulate(args) -> int:
     paths = []
     if args.output is not None:
         base = Path(args.output)
-        if not base.name:
-            # ".", "/" or "": no file to write or to name the files after
+        if base.is_dir():
+            # never an output, and "", "." and "/" are directories too
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.output)
         paths = [base] if len(combos) == 1 else [
             base.with_name(f"{base.stem}_{d.value}_{t.value}{base.suffix}") for d, t in combos

@@ -6,7 +6,7 @@ All functions are pure and broadcast over leading batch dimensions, so a
 ``(n, 4)`` array of quaternions (or ``(n, 3, 3)`` of rotation matrices)
 is as valid an argument as a single one.  Each entry of a batch is
 bit-identical to the same entry computed alone: branches are selections
-over the batch, and dot products and norms go through ``vdot``/``vnorm``.
+over the batch, and every dot product and norm goes through ``vdot``.
 
 The two 4x4 operators ``q_matrix`` and ``w_matrix`` turn multiplication
 into matrix products::
@@ -86,15 +86,6 @@ def conjugate(q) -> np.ndarray:
     return q * np.array([1.0, -1.0, -1.0, -1.0])
 
 
-def dot(r, q) -> np.ndarray:
-    return np.sum(np.asarray(r, dtype=float) * np.asarray(q, dtype=float), axis=-1)
-
-
-def norm2(q) -> np.ndarray:
-    """Squared norm q . q."""
-    return dot(q, q)
-
-
 def vdot(a, b) -> np.ndarray:
     """Dot product over the last axis, bit-equal to ``ndarray.dot`` on 1-D
     operands: every row goes through the same BLAS dot, whatever the
@@ -102,6 +93,11 @@ def vdot(a, b) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=float)
     b = np.ascontiguousarray(b, dtype=float)
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def norm2(q) -> np.ndarray:
+    """Squared norm q . q."""
+    return vdot(q, q)
 
 
 def vnorm(v) -> np.ndarray:

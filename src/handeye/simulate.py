@@ -5,9 +5,11 @@ of camera poses, (n + 1, 4, 4), or of raw perspective matrices,
 (n + 1, 3, 4).  Its n noise-free motion pairs are derived from them as
 stacked arrays, the hand motions as the camera motions conjugated by the
 ground truth, so the noise-free problem is exactly consistent.  The
-harness perturbs the relative camera and hand motions, re-solves with
-every method on the same perturbed data, and reports RMS rotation and
-relative translation errors against the ground truth.
+scenario builders draw every random direction, and every random rotation
+as a unit quaternion, with one function, ``_random_unit``.  The harness
+perturbs the relative camera and hand motions, re-solves with every
+method on the same perturbed data, and reports RMS rotation and relative
+translation errors against the ground truth.
 
 Noise is a ratio: a rotation axis is a unit vector, so each of its
 components receives a sample of the stated level directly; translation
@@ -23,8 +25,9 @@ one scenario, ``motion_count_sweep`` over scenarios at the
 ``COUNT_*_LEVEL`` noise.
 Every trial is built on one path, which rejects a NaN, infinite or
 negative level.  ``synthetic_dataset`` takes a :class:`NoiseModel`, builds
-one scenario (``SCENARIOS``), perturbs its motions from stream
-(noise.seed, 2) and integrates them back into positions
+one scenario (``SCENARIOS``), perturbs its motions with as many draws
+as one sweep trial takes (``_trial_draw_count``), from stream
+(noise.seed, 2), and integrates them back into positions
 (:meth:`Scenario.positions`); a perspective dataset's matrices are then
 M0 [K | t], and no intrinsic or extrinsic parameter is made explicit.
 
@@ -369,29 +372,15 @@ def _noise(draws: np.ndarray, distribution: Distribution, level: float) -> np.nd
     return 0.5 * level * np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * np.pi * u2)
 
 
-def _noise_samples(
-    rng: np.random.Generator, distribution: Distribution, level: float, size: int
-) -> np.ndarray:
-    """``size`` samples of :func:`_noise`; a zero level draws nothing."""
-    if level == 0.0:
-        return np.zeros(size)
-    return _noise(rng.random(size * _DRAWS[distribution]), distribution, level)
-
-
-def _random_unit_vector(rng: np.random.Generator) -> np.ndarray:
+def _random_unit(rng: np.random.Generator, size: int) -> np.ndarray:
+    """A unit vector of ``size`` components, uniform on the sphere: standard
+    Gaussian samples of :func:`_noise` (level 2), normalized, and drawn
+    again while their norm vanishes."""
     while True:
-        v = _noise_samples(rng, Distribution.GAUSSIAN, 2.0, 3)
+        v = _noise(rng.random(2 * size), Distribution.GAUSSIAN, 2.0)
         norm = np.linalg.norm(v)
         if norm > 1e-9:
             return v / norm
-
-
-def _random_unit_quaternion(rng: np.random.Generator) -> np.ndarray:
-    while True:
-        q = _noise_samples(rng, Distribution.GAUSSIAN, 2.0, 4)
-        norm = np.linalg.norm(q)
-        if norm > 1e-9:
-            return quat.canonicalize(q / norm)
 
 
 def _uniform_in(rng: np.random.Generator, lo: float, hi: float) -> float:
@@ -491,16 +480,16 @@ def default_scenario(n: int, seed: int) -> Scenario:
         raise ValueError(f"need at least 2 motions, got {n}")
     rng = _generator(seed)
     truth = RigidMotion(
-        quat.to_rotation_matrix(_random_unit_quaternion(rng)),
-        GROUND_TRUTH_TRANSLATION_MM * _random_unit_vector(rng),
+        quat.to_rotation_matrix(_random_unit(rng, 4)),
+        GROUND_TRUTH_TRANSLATION_MM * _random_unit(rng, 3),
     )
-    rot = quat.to_rotation_matrix(_random_unit_quaternion(rng))
-    center = _random_unit_vector(rng) * _uniform_in(rng, *_START_DISTANCE)
+    rot = quat.to_rotation_matrix(_random_unit(rng, 4))
+    center = _random_unit(rng, 3) * _uniform_in(rng, *_START_DISTANCE)
     rotations, translations = [rot], [-rot @ center]
     axes: list[np.ndarray] = []
     for _ in range(n):
         for _ in range(_MAX_AXIS_DRAWS):
-            axis = _random_unit_vector(rng)
+            axis = _random_unit(rng, 3)
             if all(
                 np.arccos(min(1.0, abs(float(axis @ a)))) >= _MIN_AXIS_SEPARATION
                 for a in axes
@@ -516,7 +505,7 @@ def default_scenario(n: int, seed: int) -> Scenario:
         angle = _uniform_in(rng, *_MOTION_ANGLE)
         step_rot = quat.to_rotation_matrix(quat.from_axis_angle(axis, angle))
         while True:
-            candidate = center + _random_unit_vector(rng) * _uniform_in(rng, *_CENTER_STEP)
+            candidate = center + _random_unit(rng, 3) * _uniform_in(rng, *_CENTER_STEP)
             if _POSE_DISTANCE[0] <= np.linalg.norm(candidate) <= _POSE_DISTANCE[1]:
                 break
         center = candidate
@@ -853,8 +842,8 @@ def synthetic_dataset(
     if noise is not None and noise.level > 0:
         scale = scenario.nominal_translation
         trans_level = noise.targets.translation_level(noise.level)
-        k = sum(_draw_counts(noise.distribution, noise.level, trans_level, scale))
-        draws = _generator(noise.seed, 2).random(2 * n * k).reshape(2, n, k).swapaxes(0, 1)
+        m = _trial_draw_count(scenario, noise.distribution, noise.level, trans_level)
+        draws = _generator(noise.seed, 2).random(m).reshape(2, n, -1).swapaxes(0, 1)
         rotation, translation = _perturbed(
             rotation, translation, noise.distribution, noise.level, trans_level, scale, draws
         )

@@ -83,6 +83,20 @@ def test_calibrate_schema_errors(tmp_path):
     assert main(["calibrate", str(good), "--formulation", "perspective"]) == EXIT_SCHEMA
 
 
+@pytest.mark.parametrize("hand_poses", ["missing", None, 3, "poses", {"0": []}])
+def test_calibrate_without_a_hand_pose_list_is_schema_error(tmp_path, capsys, hand_poses):
+    path = tmp_path / "ds.yaml"
+    save_dataset(synthetic_dataset(3, 0, Formulation.CLASSICAL), path)
+    doc = yaml.safe_load(path.read_text(encoding="utf-8"))
+    if hand_poses == "missing":
+        del doc["hand_poses"]
+    else:
+        doc["hand_poses"] = hand_poses
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    assert main(["calibrate", str(path)]) == EXIT_SCHEMA
+    assert capsys.readouterr().err == "error: hand_poses: missing or not a list\n"
+
+
 def test_calibrate_parse_and_io_errors(tmp_path):
     bad = tmp_path / "bad.yaml"
     bad.write_text("{unclosed", encoding="utf-8")
@@ -496,6 +510,24 @@ _SIMULATE_MODES = {
 
 
 @pytest.mark.parametrize("mode", _SIMULATE_MODES)
+def test_simulate_output_to_an_existing_directory_exits_5_before_any_sweep(
+    tmp_path, capsys, monkeypatch, mode
+):
+    # one rule for one pair and for several: a directory is never an output
+    def no_sweep(*args):
+        raise AssertionError("a sweep ran with a directory as its output")
+
+    monkeypatch.setattr(cli, "noise_sweep", no_sweep)
+    monkeypatch.setattr(cli, "motion_count_sweep", no_sweep)
+    sub = tmp_path / "sub"
+    sub.mkdir()
+    argv = ["simulate", *_SIMULATE_MODES[mode], "--trials", "1", "--output", str(sub)]
+    assert main(argv) == EXIT_IO
+    assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{sub}'\n"
+    assert list(tmp_path.rglob("*")) == [sub]
+
+
+@pytest.mark.parametrize("mode", _SIMULATE_MODES)
 def test_simulate_unwritable_output_fails_before_any_sweep(tmp_path, capsys, monkeypatch, mode):
     def no_sweep(*args):
         raise AssertionError("a sweep ran before the output was opened")
@@ -650,6 +682,15 @@ def test_generate_more_motions_than_axes_fit_is_degenerate(tmp_path):
     assert len(err) == 1 and err[0].startswith("error: cannot place 80 motion axes")
     assert "15 degrees" in err[0]
     assert not out.exists()
+
+
+def test_generate_stops_at_the_first_axis_with_no_room(tmp_path, capsys):
+    # in process, through every draw of the scenario's axis loop
+    out = tmp_path / "out.yaml"
+    assert main(["generate", "--motions", "61", str(out)]) == EXIT_DEGENERATE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "no room for axis 61" in err[0]
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(

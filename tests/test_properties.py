@@ -484,3 +484,139 @@ def test_any_simulate_command_line_exits_with_a_documented_code(trials, flags):
             assert (output == os.devnull) == (files == []), argv
             for path in files:
                 assert path.read_text(encoding="utf-8").splitlines()[0] == cli.CSV_HEADER, argv
+
+
+# Each flag of ``generate``, ``calibrate`` and ``residuals`` with valid and
+# wrong values.  A value "@name" stands for the path ``name`` of
+# ``_command_files``.  ``--motions`` stays at most 9, so no run is slow.
+_HUGE = str(10**400)
+_OUTPUTS = ["@new", "@directory", "@missing/out", "@null", "@empty"]
+_INPUTS = ["@classical", "@perspective", "@solution", "@directory", "@missing", "@null", "@empty"]
+_SOLUTIONS = [
+    "@solution", "@non-unit", "@wrong-kind", "@classical", "@directory", "@missing", "@null"
+]
+_COMMAND_FLAGS = {
+    "generate": {
+        "--motions": ["2", "3", "9", "1", "-0", "", "nan", "2.5", "1e400", str(-(10**30))],
+        "--seed": ["0", "7", "-1", "", "nan", "0.5", "-0.0", "1e400", str(2**64 + 5), _HUGE],
+        "--formulation": ["classical", "perspective", "projective", ""],
+        "--noise-level": [
+            "0", "0.01", "0.1", "-0.0", "nan", "inf", "1e400", "1e200", "-0.5", "", _HUGE
+        ],
+        "--noise-distribution": ["uniform", "gaussian", "Gaussian", ""],
+        "--noise-targets": ["rotation", "rotation-translation", "translation", ""],
+    },
+    "calibrate": {
+        "--formulation": ["classical", "perspective", "projective", ""],
+        "--method": [m.value for m in Method] + ["newton", ""],
+        "--output": _OUTPUTS,
+    },
+    "residuals": {"--csv": _OUTPUTS},
+}
+# The positional arguments: half the time one where one is expected, else
+# none, one or two.
+_POSITIONALS = {
+    "generate": st.lists(st.sampled_from(_OUTPUTS), min_size=1, max_size=1)
+    | st.lists(st.sampled_from(_OUTPUTS), max_size=2),
+    "calibrate": st.lists(st.sampled_from(_INPUTS), min_size=1, max_size=1)
+    | st.lists(st.sampled_from(_INPUTS), max_size=2),
+    "residuals": st.tuples(
+        st.sampled_from(_INPUTS), st.lists(st.sampled_from(_SOLUTIONS), max_size=3)
+    ).map(lambda p: [p[0], *p[1]]),
+}
+command_lines = st.sampled_from(list(_COMMAND_FLAGS)).flatmap(
+    lambda command: st.tuples(
+        st.just(command),
+        st.lists(
+            st.sampled_from(list(_COMMAND_FLAGS[command])).flatmap(
+                lambda flag: st.tuples(
+                    st.just(flag),
+                    st.sampled_from(_COMMAND_FLAGS[command][flag]),
+                    # a flag given without its value, one time in five
+                    st.sampled_from(["separate", "joined", "separate", "joined", "bare"]),
+                )
+            ),
+            max_size=4,
+        ),
+        _POSITIONALS[command],
+    )
+)
+
+
+def _command_files(tmp):
+    """The paths a command line may name: valid datasets and a valid
+    solution, two wrong solutions, a directory, missing paths, the null
+    device and the empty string."""
+    classical, perspective, solution = (text for text, _ in _DOCUMENTS)
+    texts = {"classical": classical, "perspective": perspective, "solution": solution}
+    for name, key, value in [
+        ("non-unit", "quaternion_wxyz", [2.0, 0.0, 0.0, 0.0]),
+        ("wrong-kind", "translation_mm", "x"),
+    ]:
+        texts[name] = yaml.safe_dump({**yaml.safe_load(solution), key: value})
+    for name, text in texts.items():
+        (tmp / f"{name}.yaml").write_text(text, encoding="utf-8")
+    (tmp / "directory").mkdir()
+    return {
+        **{name: str(tmp / f"{name}.yaml") for name in [*texts, "new", "missing"]},
+        "directory": str(tmp / "directory"),
+        "missing/out": str(tmp / "missing" / "out.yaml"),
+        "null": os.devnull,
+        "empty": "",
+    }
+
+
+def _written(path):
+    return path is not None and path != os.devnull
+
+
+@PROPERTY
+@given(command_lines)
+@example(("generate", [("--motions", "9", "separate"), ("--noise-level", "0.01", "joined")],
+          ["@new"]))
+@example(("generate", [("--formulation", "perspective", "separate")], ["@null"]))
+@example(("calibrate", [("--formulation", "perspective", "separate")], ["@classical"]))
+@example(("calibrate", [("--method", "tsai-lenz", "joined"), ("--output", "@new", "separate")],
+          ["@perspective"]))
+@example(("residuals", [("--csv", "@new", "separate")],
+          ["@classical", "@solution", "@non-unit", "@solution"]))
+@example(("residuals", [("--csv", "@new", "joined")], ["@perspective", "@solution", "@solution"]))
+def test_any_generate_calibrate_or_residuals_command_line_exits_with_a_documented_code(line):
+    command, flags, positionals = line
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        paths = _command_files(tmp)
+
+        def resolve(value):
+            return paths[value[1:]] if value.startswith("@") else value
+
+        argv = [command]
+        for flag, value, style in flags:
+            value = resolve(value)
+            argv += {"separate": [flag, value], "joined": [f"{flag}={value}"], "bare": [flag]}[style]
+        argv += [resolve(value) for value in positionals]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(argv)
+        assert code in EXIT_CODES, (argv, code)
+        for text in err.getvalue().splitlines():
+            assert text.startswith(("error:", "warning:")), (argv, text)
+        if code != cli.EXIT_OK:
+            assert all(p.stat().st_size > 0 for p in tmp.rglob("*") if p.is_file()), argv
+            return
+        args = cli._build_parser().parse_args(argv)
+        stdout = out.getvalue().splitlines()
+        if command == "generate":
+            if _written(args.output):
+                assert len(load_dataset(args.output).hand_poses) == args.motions + 1, argv
+        elif command == "calibrate":
+            assert stdout[0].startswith("method:"), argv
+            if _written(args.output):
+                assert load_solution(args.output).method == Method(args.method), argv
+        else:
+            # a header, a rule and one row per solution, and the same as CSV
+            assert len(stdout) == 2 + len(args.solutions), argv
+            if _written(args.csv):
+                lines = Path(args.csv).read_text(encoding="utf-8").splitlines()
+                assert lines[0] == "method,rotation_residual,translation_residual", argv
+                assert len(lines) == 1 + len(args.solutions), argv

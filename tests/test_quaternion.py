@@ -79,8 +79,8 @@ def test_product_norm_multiplies_randomly(rng):
 def test_conjugate_and_dot():
     assert np.array_equal(quat.conjugate(np.array([1.0, 2, 3, 4])), [1, -2, -3, -4])
     q = np.array([0.5, 1.5, -2.0, 3.0])
-    assert quat.dot(q, q) == pytest.approx(quat.norm2(q), abs=ATOL)
-    assert quat.dot(np.array([1.0, 0, 0, 0]), np.array([0.0, 1, 0, 0])) == 0.0
+    assert quat.vdot(q, q) == pytest.approx(quat.norm2(q), abs=ATOL)
+    assert quat.vdot(np.array([1.0, 0, 0, 0]), np.array([0.0, 1, 0, 0])) == 0.0
 
 
 def test_rotate_vector_identity():

@@ -7,6 +7,7 @@ import pytest
 
 import handeye.simulate as sim
 from handeye import quaternion as quat
+from handeye.cli import report_csv
 from handeye.errors import DegenerateRotationError, ZeroTranslationError
 from handeye.geometry import (
     RigidMotion,
@@ -319,14 +320,14 @@ def test_block_draws_match_the_philox_pass_on_both_sides_of_its_threshold(seed):
 
 def test_noise_calibration_gaussian():
     # level 0.06 means standard deviation 0.03
-    samples = sim._noise_samples(sim._generator(7), Distribution.GAUSSIAN, 0.06, 100000)
+    samples = sim._noise(sim._generator(7).random(200000), Distribution.GAUSSIAN, 0.06)
     assert abs(samples.std() - 0.03) / 0.03 < 0.02
     assert abs(samples.mean()) < 0.001
 
 
 def test_noise_calibration_uniform():
     # level is the full width: std = level / sqrt(12), support inside +-level/2
-    samples = sim._noise_samples(sim._generator(8), Distribution.UNIFORM, 0.06, 100000)
+    samples = sim._noise(sim._generator(8).random(100000), Distribution.UNIFORM, 0.06)
     expected = 0.06 / np.sqrt(12.0)
     assert abs(samples.std() - expected) / expected < 0.02
     assert np.abs(samples).max() <= 0.03
@@ -411,6 +412,22 @@ def test_noise_sweep_nonlinear_leads_at_high_noise():
     for other in (Method.TSAI_LENZ, Method.CLOSED_FORM):
         assert nl.e_rot <= by_method[other].e_rot
         assert nl.e_tr <= by_method[other].e_tr
+
+
+def test_a_point_where_every_trial_fails_reports_nan_errors():
+    # Zero translations on both sides: every method rejects every trial,
+    # and the point's rows hold NaN errors and the full trial count.
+    base = default_scenario(3, 0)
+    poses = base.camera_poses.copy()
+    poses[:, :3, 3] = 0.0
+    truth = RigidMotion(base.ground_truth.rotation, np.zeros(3))
+    scenario = Scenario(truth, poses, Formulation.CLASSICAL)
+    rows = noise_sweep(scenario, [0.01], [(Distribution.GAUSSIAN, BOTH)], 3, 0)[0]
+    assert report_csv(rows).splitlines()[1:] == [
+        "0.01,tsai-lenz,nan,nan,3",
+        "0.01,closed-form,nan,nan,3",
+        "0.01,nonlinear,nan,nan,3",
+    ]
 
 
 @pytest.mark.parametrize("formulation", list(Formulation))
