@@ -273,6 +273,12 @@ def _cmd_simulate(args) -> int:
         if base.is_dir():
             # never an output, and "", "." and "/" are directories too
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.output)
+        if len(combos) > 1 and base.exists() and not base.is_file():
+            # the per-pair files would land beside it, e.g. /dev/null_uniform_rotation
+            raise OSError(
+                f"--output {args.output}: not a regular file, so it cannot name "
+                "one file per (distribution, targets) pair"
+            )
         paths = [base] if len(combos) == 1 else [
             base.with_name(f"{base.stem}_{d.value}_{t.value}{base.suffix}") for d, t in combos
         ]

@@ -39,17 +39,14 @@ therefore bit-identical for identical seeds, and each trial's stream is
 independent of execution order.
 
 A sweep point's trials are solved in blocks, each as arrays with a
-leading trial axis: the uniforms of a block's streams are computed at once
-as integer array arithmetic (``_stream_keys`` hashes every trial's spawn
-key into its Philox key, ``_philox_random`` runs Philox4x64-10 on all the
-keys), bit-identical to one numpy ``Philox`` generator per trial, so the
-contract above is unchanged; a block of fewer than
-``_PHILOX_MIN_TRIALS`` (24) trials uses the generators, which cost less
-there.  The noise is applied at once, the block's constraint sets are
-built as one (J, n, ...) ``ConstraintSet``, and ``solvers.solve_batch``
-solves them.  A block holds at most ``_BLOCK_MOTIONS`` (1024) trials x
-motions, so J = 1024 // n trials (512 at n = 2, 113 at n = 9, and at
-least one).  Batching changes no arithmetic, so the rows do not depend on
+leading trial axis: ``_stream_keys`` hashes every trial's spawn key into
+its Philox key at once, as integer array arithmetic, and one numpy
+``Philox`` re-keyed per trial draws each trial's uniforms, so the draws
+are those of one generator per trial, bit for bit.  The noise is applied
+at once, the block's constraint sets are built as one (J, n, ...)
+``ConstraintSet``, and ``solvers.solve_batch`` solves them.  A block holds
+at most ``_BLOCK_MOTIONS`` (1024) trials x motions, so J = 1024 // n
+trials (512 at n = 2, 113 at n = 9, and at least one).  Batching changes no arithmetic, so the rows do not depend on
 the block size and equal those built from ``trial_constraints`` and the
 single-problem solvers, trial by trial.
 
@@ -131,11 +128,6 @@ COUNT_TRANSLATION_LEVEL = 0.02
 # its trials in blocks of max(1, _BLOCK_MOTIONS // n), so a block's arrays
 # stay about the same size for every n.  The rows do not depend on it.
 _BLOCK_MOTIONS = 1024
-
-# A block of fewer trials draws its uniforms from one numpy generator per
-# trial: the vectorized Philox pass costs about 0.5 ms whatever its size,
-# a generator about 0.02 ms per trial.
-_PHILOX_MIN_TRIALS = 24
 
 
 class Distribution(str, Enum):
@@ -259,16 +251,12 @@ def _generator(seed: int, *stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(root))
 
 
-# numpy's SeedSequence hash constants, and the Philox4x64-10 multipliers and
-# key increments (Salmon et al., "Parallel random numbers: as easy as 1, 2,
-# 3", SC 2011).  Every wrapping product below is an array op: numpy warns on
-# a wrapping scalar one.
+# numpy's SeedSequence hash constants.  Every wrapping product below is an
+# array op: numpy warns on a wrapping scalar one.
 _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 
 
 def _entropy_words(value: int) -> int:
@@ -319,38 +307,6 @@ def _stream_keys(seed: int, index: int, trial_ids: np.ndarray) -> np.ndarray:
         value = value * hash_const
         state.append((value ^ value >> 16).astype(np.uint64))
     return np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32], axis=-1)
-
-
-def _mulhilo(a: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low 64-bit words of the 128-bit products a * b, the high one
-    built from 32-bit halves."""
-    a_lo, a_hi = a & _MASK32, a >> 32
-    b_lo, b_hi = b & _MASK32, b >> 32
-    cross = b_hi * a_lo
-    middle = (b_lo * a_lo >> 32) + (cross & _MASK32) + b_lo * a_hi
-    return b_hi * a_hi + (cross >> 32) + (middle >> 32), b * a
-
-
-def _philox_random(keys: np.ndarray, m: int) -> np.ndarray:
-    """The first ``m`` doubles of the Philox4x64-10 streams keyed by the rows
-    of ``keys``, (J, m): row by row ``Generator(Philox(key=key)).random(m)``.
-
-    A fresh Philox stream encrypts the counters 1, 2, ... and hands out each
-    block's four words in order; a double is ``(word >> 11) * 2**-53``.
-    """
-    k0, k1 = keys[:, :1], keys[:, 1:]
-    # The counter words broadcast: the first two rounds are cheaper while a
-    # word does not yet depend on both the key and the counter.
-    c0 = np.arange(1, -(-m // 4) + 1, dtype=np.uint64)
-    c1 = c2 = c3 = np.zeros(1, dtype=np.uint64)
-    for round_ in range(10):
-        if round_:
-            k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
-        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
-        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-    words = np.stack([c0, c1, c2, c3], axis=-1).reshape(len(keys), -1)[:, :m]
-    return (words >> 11) * (1.0 / 9007199254740992.0)
 
 
 # Uniform draws per noise sample.
@@ -590,8 +546,8 @@ def _trial_constraints(
     """The constraint sets of ``len(rngs)`` trials, stacked (J, n, ...),
     trial j perturbed by the first draws of ``rngs[j]``.
 
-    The reference for the sweep, whose blocks compute the same draws with
-    :func:`_stream_keys` and :func:`_philox_random`.
+    The reference for the sweep, whose blocks draw the same numbers with
+    :func:`_block_draws`.
     """
     m = _trial_draw_count(scenario, distribution, rot_level, trans_level)
     draws = np.stack([rng.random(m) for rng in rngs])
@@ -616,13 +572,20 @@ def trial_constraints(
 
 def _block_draws(seed: int, index: int, first: int, last: int, m: int) -> np.ndarray:
     """The first ``m`` uniforms of streams (seed, index, j) for the trials j
-    in [first, last), (last - first, m): one vectorized Philox pass, or
-    below ``_PHILOX_MIN_TRIALS`` trials one numpy generator per trial, which
-    costs less there and draws the same numbers."""
-    if last - first < _PHILOX_MIN_TRIALS:
-        return np.stack([_generator(seed, index, j).random(m) for j in range(first, last)])
+    in [first, last), (last - first, m), bit for bit those of
+    ``_generator(seed, index, j).random(m)``: one numpy ``Philox``, re-keyed
+    per trial through its ``state`` (counter 0, empty buffer, the key from
+    :func:`_stream_keys`), fills each row."""
+    bit_generator = np.random.Philox(key=0)
+    fresh = bit_generator.state
+    rng = np.random.Generator(bit_generator)
+    draws = np.empty((last - first, m))
     ids = np.arange(first, last, dtype=np.uint64)
-    return _philox_random(_stream_keys(seed, index, ids), m)
+    for key, row in zip(_stream_keys(seed, index, ids), draws):
+        fresh["state"]["key"] = key
+        bit_generator.state = fresh
+        rng.random(out=row)
+    return draws
 
 
 def _solve_block(task: tuple) -> list[tuple[int, np.ndarray, np.ndarray]]:

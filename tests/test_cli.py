@@ -596,6 +596,28 @@ def test_simulate_output_to_the_null_device(capsys):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+@pytest.mark.parametrize("output", ["fifo", "null-device"])
+@pytest.mark.parametrize("mode", ["grid", "motions-grid"])
+def test_simulate_several_pairs_to_a_non_regular_file_exit_5_before_any_sweep(
+    tmp_path, capsys, monkeypatch, mode, output
+):
+    # the per-pair files would be written beside it, e.g. /dev/null_uniform_rotation
+    def no_sweep(*args):
+        raise AssertionError("a sweep ran with a non-regular file as its output")
+
+    monkeypatch.setattr(cli, "noise_sweep", no_sweep)
+    monkeypatch.setattr(cli, "motion_count_sweep", no_sweep)
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    path = str(fifo) if output == "fifo" else os.devnull
+    argv = ["simulate", *_SIMULATE_MODES[mode], "--trials", "1", "--output", path]
+    assert main(argv) == EXIT_IO
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: --output {path}: not a regular file")
+    assert list(tmp_path.iterdir()) == [fifo]
+
+
 def test_simulate_default_levels(tmp_path):
     out = tmp_path / "default.csv"
     code = main(

@@ -293,7 +293,11 @@ def test_block_streams_match_numpy_philox(seed, index):
     ids = np.array(TRIAL_IDS, dtype=np.uint64)
     keys = sim._stream_keys(seed, index, ids)
     assert keys.shape == (len(ids), 2) and keys.dtype == np.uint64
-    draws = {m: sim._philox_random(keys, m) for m in DRAW_COUNTS}
+    blocks = [(0, 601), *((j, j + 1) for j in TRIAL_IDS[601:])]
+    draws = {
+        m: np.concatenate([sim._block_draws(seed, index, a, b, m) for a, b in blocks])
+        for m in DRAW_COUNTS
+    }
     for row, j in enumerate(TRIAL_IDS):
         stream = np.random.SeedSequence(seed, spawn_key=(index, j))
         assert np.array_equal(keys[row], stream.generate_state(2, np.uint64))
@@ -302,20 +306,20 @@ def test_block_streams_match_numpy_philox(seed, index):
             assert np.array_equal(draws[m][row], expected)
     # a block of one trial
     for j in (0, 2**32, 2**40):
-        alone = sim._philox_random(sim._stream_keys(seed, index, np.array([j], np.uint64)), 217)
+        alone = sim._block_draws(seed, index, j, j + 1, 217)
         assert np.array_equal(alone[0], sim._generator(seed, index, j).random(217))
 
 
 @pytest.mark.parametrize("seed", [6, 2**64 + 5])
-def test_block_draws_match_the_philox_pass_on_both_sides_of_its_threshold(seed):
-    # below _PHILOX_MIN_TRIALS a block draws from one generator per trial
-    limit = sim._PHILOX_MIN_TRIALS
-    for first, last in [(0, 1), (5, 6), (0, limit - 1), (3, limit + 2), (0, limit)]:
-        ids = np.arange(first, last, dtype=np.uint64)
+def test_block_draws_are_each_trials_own_stream_for_any_block(seed):
+    # one trial or many, and trial ids of one and two words
+    blocks = [(0, 1), (5, 6), (0, 23), (0, 24), (3, 26), (2**32 - 2, 2**32 + 3)]
+    for first, last in blocks:
         for m in (0, 48, 217):
             draws = sim._block_draws(seed, 2, first, last, m)
             assert draws.shape == (last - first, m)
-            assert np.array_equal(draws, sim._philox_random(sim._stream_keys(seed, 2, ids), m))
+            for row, j in enumerate(range(first, last)):
+                assert np.array_equal(draws[row], sim._generator(seed, 2, j).random(m))
 
 
 def test_noise_calibration_gaussian():

@@ -54,8 +54,8 @@ def count_block(n: int) -> tuple[tuple, np.ndarray]:
         sim.COUNT_ROTATION_LEVEL,
         sim.COUNT_TRANSLATION_LEVEL,
     )
-    ids = np.arange(max(1, sim._BLOCK_MOTIONS // n), dtype=np.uint64)
-    return args, sim._philox_random(sim._stream_keys(0, 0, ids), sim._trial_draw_count(*args))
+    trials = max(1, sim._BLOCK_MOTIONS // n)
+    return args, sim._block_draws(0, 0, 0, trials, sim._trial_draw_count(*args))
 
 
 def best_ms(run) -> tuple[float, object]:
