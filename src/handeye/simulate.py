@@ -45,19 +45,22 @@ its Philox key at once, as integer array arithmetic, and one numpy
 are those of one generator per trial, bit for bit.  The noise is applied
 at once, the block's constraint sets are built as one (J, n, ...)
 ``ConstraintSet``, and ``solvers.solve_batch`` solves them.  A block holds
-at most ``_BLOCK_MOTIONS`` (1024) trials x motions, so J = 1024 // n
-trials (512 at n = 2, 113 at n = 9, and at least one).  Batching changes no arithmetic, so the rows do not depend on
-the block size and equal those built from ``trial_constraints`` and the
-single-problem solvers, trial by trial.
+at most ``_BLOCK_MOTIONS`` (4096) trials x motions, so at most 4096 // n
+trials (2048 at n = 2, 455 at n = 9, and at least one), and at most the
+call's trials over all its points divided by its workers, rounded up, so
+that a call of one point still gives every worker a block.  Batching
+changes no arithmetic, so the rows do not depend on the block size and
+equal those built from ``trial_constraints`` and the single-problem
+solvers, trial by trial.
 
 Each block is a pure function of (seed, point, trial ids), so on Linux
 the blocks of every (distribution, targets) pair of a call run in one
 pool of worker processes forked for that call, one per usable CPU
 (``os.sched_getaffinity``), and each point's rows are gathered in block
-order: reports are byte-identical for any worker count.  A call with one
-block or less than one full block of work in total, one on a single CPU,
-one in a process with other threads alive or in a daemonic process runs
-in the calling process; so does every call where
+order: reports are byte-identical for any worker count.  A call of one
+trial or of less than ``_POOL_WORK`` (1024) trials x motions in total,
+one on a single CPU, one in a process with other threads alive or in a
+daemonic process runs in the calling process; so does every call where
 ``os.sched_getaffinity`` does not exist.  With no more blocks than
 workers, the calling process solves the last block itself.  The workers
 ignore Ctrl-C; the caller cancels the queued blocks, and the error of the
@@ -124,10 +127,14 @@ _PRINCIPAL_POINT = (240.0, 520.0)
 COUNT_ROTATION_LEVEL = 0.06
 COUNT_TRANSLATION_LEVEL = 0.02
 
-# Trials x motions solved together: a sweep point with n motions solves
-# its trials in blocks of max(1, _BLOCK_MOTIONS // n), so a block's arrays
-# stay about the same size for every n.  The rows do not depend on it.
-_BLOCK_MOTIONS = 1024
+# Least trials x motions of a ``_sweep`` call that forks worker processes.
+_POOL_WORK = 1024
+
+# Most trials x motions solved together (4096): a sweep point with n motions
+# solves its trials in blocks of at most max(1, _BLOCK_MOTIONS // n), so a
+# block's arrays stay about the same size for every n, and the solvers pay
+# their per-call costs once per block.  The rows do not depend on it.
+_BLOCK_MOTIONS = 4 * _POOL_WORK
 
 
 class Distribution(str, Enum):
@@ -613,18 +620,18 @@ def _ignore_interrupts() -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
-def _pool_size(blocks: int, work: int) -> int:
-    """Worker processes for a ``_sweep`` call of ``blocks`` blocks and
+def _pool_size(trials: int, work: int) -> int:
+    """Worker processes for a ``_sweep`` call of ``trials`` trials and
     ``work`` trials x motions in total, over all its studies; 1 means the
     calling process solves them itself.
 
-    One per usable CPU, never more than the blocks.  The call stays in
-    this process where forking is unsafe or cannot pay for itself: without
-    ``os.sched_getaffinity`` (not Linux), on one CPU, with other threads
-    alive, in a daemonic process (which may not have children), with one
-    block, or with less work than one full block.
+    One per usable CPU, never more than the trials, which bound the
+    blocks.  The call stays in this process where forking is unsafe or
+    cannot pay for itself: without ``os.sched_getaffinity`` (not Linux), on
+    one CPU, with other threads alive, in a daemonic process (which may not
+    have children), with one trial, or with less work than ``_POOL_WORK``.
     """
-    if blocks < 2 or work < _BLOCK_MOTIONS or not hasattr(os, "sched_getaffinity"):
+    if trials < 2 or work < _POOL_WORK or not hasattr(os, "sched_getaffinity"):
         return 1
     cpus = len(os.sched_getaffinity(0))
     if cpus < 2 or threading.active_count() > 1:
@@ -633,7 +640,7 @@ def _pool_size(blocks: int, work: int) -> int:
 
     if multiprocessing.current_process().daemon:
         return 1
-    return min(cpus, blocks)
+    return min(cpus, trials)
 
 
 def _solve_blocks(tasks: list[tuple], workers: int) -> Iterator:
@@ -702,21 +709,25 @@ def _sweep(
 
     Trial j of point i of any study draws the first uniforms of stream
     (seed, i, j), as ``_generator(seed, i, j).random`` would, so a study's
-    rows do not depend on the other studies of the call.  Each point's
-    trials are split into blocks of ``_BLOCK_MOTIONS`` trials x motions;
+    rows do not depend on the other studies of the call.  The call's pool
+    is sized by its total trials and work (:func:`_pool_size`), and each
+    point's trials are split into blocks of at most ``_BLOCK_MOTIONS``
+    trials x motions and at most the call's trials per worker, rounded up;
     the blocks of every study are solved by one :func:`_solve_blocks`
-    call, on one pool sized by the call's total blocks and work, each by
-    :func:`_solve_block`, a pure function of its task.  A point's squared
-    errors are concatenated in block order, so the rows do not depend on
-    where or in which order the blocks ran; they are reduced as soon as
-    the point's last block arrives, so the call holds the arrays of about
-    one point at a time.
+    call on that pool, each by :func:`_solve_block`, a pure function of its
+    task.  A point's squared errors are concatenated in block order, so the
+    rows do not depend on where or in which order the blocks ran; they are
+    reduced as soon as the point's last block arrives, so the call holds
+    the arrays of about one point at a time.
     """
     if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or trials < 1:
         raise ValueError(f"need an integer number of trials >= 1, got {trials!r}")
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"need an integer seed >= 0, got {seed!r}")
-    tasks, blocks, work = [], [], 0
+    motions = [len(s.camera_poses) - 1 for points, _ in studies for _, s, _, _ in points]
+    workers = _pool_size(trials * len(motions), trials * sum(motions))
+    per_worker = -(-trials * len(motions) // workers)
+    tasks, blocks = [], []
     for points, distribution in studies:
         for index, (_, scenario, rot_level, trans_level) in enumerate(points):
             # Derive the noise-free motions once, here: each task pickles
@@ -724,8 +735,7 @@ def _sweep(
             # any block.
             scenario.nominal_translation
             n = len(scenario.camera_poses) - 1
-            block = max(1, _BLOCK_MOTIONS // n)
-            work += trials * n
+            block = max(1, min(_BLOCK_MOTIONS // n, per_worker))
             firsts = range(0, trials, block)
             tasks += [
                 (seed, index, scenario, distribution, (rot_level, trans_level), first,
@@ -734,7 +744,7 @@ def _sweep(
             ]
             blocks.append(len(firsts))
     reports, per_point = [], iter(blocks)
-    with closing(_solve_blocks(tasks, _pool_size(len(tasks), work))) as results:
+    with closing(_solve_blocks(tasks, workers)) as results:
         for points, _ in studies:
             rows = []
             for sweep_var, scenario, _, _ in points:

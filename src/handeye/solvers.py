@@ -312,13 +312,20 @@ def axis_alignment_matrix(constraints: ConstraintSet) -> np.ndarray:
 def _metrics(cs: ConstraintSet, q: np.ndarray, t: np.ndarray, fail: _Failures):
     k, rb = cs.camera_rotation, cs.hand_rotation
     pp, p = cs.camera_translation, cs.hand_translation
-    size = len(q)
+    size, n = len(q), k.shape[1]
     r3 = quat.to_rotation_matrix(q)
+    # One matmul per problem for each per-motion product: K R and (K - I) t
+    # on the (3n, 3) stack of its matrices, R R_b on their (3, 3n) row.
+    tall = (size, 3 * n, 3)
+    wide = np.ascontiguousarray(np.swapaxes(rb, 1, 2)).reshape(size, 3, 3 * n)
     # Huge finite input overflows here; ``finish`` records the row.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        rot = np.sum(((k @ r3[:, None] - r3[:, None] @ rb) ** 2).reshape(size, -1), axis=-1)
+        k_r = (k.reshape(tall) @ r3).reshape(k.shape)
+        r_rb = np.swapaxes((r3 @ wide).reshape(size, 3, n, 3), 1, 2)
+        rot = np.sum(((k_r - r_rb) ** 2).reshape(size, -1), axis=-1)
         transfer = p @ np.swapaxes(r3, -1, -2) - pp     # what the translation must explain
-        mismatch = ((k - np.eye(3)) @ t[:, None, :, None])[..., 0] - transfer
+        kmi_t = ((k - np.eye(3)).reshape(tall) @ t[:, :, None]).reshape(transfer.shape)
+        mismatch = kmi_t - transfer
         denom = np.sum((transfer**2).reshape(size, -1), axis=-1)
         tr = np.sum((mismatch**2).reshape(size, -1), axis=-1) / denom
     fail.record(
@@ -502,50 +509,65 @@ class _LMProblem(NamedTuple):
     rows are ``hand @ R(q)' - camera``, minus (K - I) t on the translation
     rows, with R(q) = ``quat.to_rotation_matrix(q)``; translations are
     divided by the problem's scale, and its translation parameter is in
-    units of that scale.  Entry (a, b) of R(q) is the quadratic form
-    q' F_ab q of ``_ROTATION_FORMS``, so the q-columns of every data row
-    are one matmul of ``hand`` with the (3, 12) layout of 2 F q.  Each
-    problem's product is computed on its own, so a row of the batch equals
-    the problem's Jacobian taken alone.
+    units of that scale.  (K - I) t is one matmul per problem, of the
+    (3n, 3) stack of its K - I with t.  Entry (a, b) of R(q) is the
+    quadratic form q' F_ab q of ``_ROTATION_FORMS``, so the q-columns of
+    every data row are one matmul of ``hand`` with the (3, 12) layout of
+    2 F q.  Each problem's product is computed on its own, so a row of the
+    batch equals the problem's Jacobian taken alone.  Only the q columns
+    depend on x: ``fill_q_columns`` rewrites them in a Jacobian whose
+    other columns ``fixed_jacobian`` wrote once.
     """
 
     hand: np.ndarray    # (J, 2n, 3): hand axes, then hand translations / scale
     camera: np.ndarray  # (J, 2n, 3): the same for the camera
-    kmi: np.ndarray     # (J, n, 3, 3): camera rotation - I
+    kmi: np.ndarray     # (J, 3n, 3): camera rotations - I, stacked
 
     @classmethod
     def build(cls, cs: ConstraintSet, scale):
         s = scale[:, None, None]
+        size, n = cs.camera_rotation.shape[:2]
         return cls(
             np.concatenate([cs.hand_axis, cs.hand_translation / s], axis=1),
             np.concatenate([cs.camera_axis, cs.camera_translation / s], axis=1),
-            cs.camera_rotation - np.eye(3),
+            (cs.camera_rotation - np.eye(3)).reshape(size, 3 * n, 3),
         )
 
     def take(self, rows) -> "_LMProblem":
         return _LMProblem(*(a[rows] for a in self))
 
     def residuals(self, x: np.ndarray) -> np.ndarray:
-        size, n = x.shape[0], self.kmi.shape[1]
+        size, n = x.shape[0], self.kmi.shape[1] // 3
         q, t = x[:, :4], x[:, 4:]
         moved = self.hand @ np.swapaxes(quat.to_rotation_matrix(q), -1, -2) - self.camera
-        moved[:, n:] -= (self.kmi @ t[:, None, :, None])[..., 0]
+        moved[:, n:] -= (self.kmi @ t[:, :, None]).reshape(size, n, 3)
         r = np.empty((size, 6 * n + 1))
         r[:, :-1] = moved.reshape(size, -1)
         r[:, -1] = _PENALTY_ROW * (1.0 - quat.vdot(q, q))
         return r
 
-    def jacobian(self, x: np.ndarray) -> np.ndarray:
-        size, n = x.shape[0], self.kmi.shape[1]
-        q = x[:, :4]
+    def fixed_jacobian(self) -> np.ndarray:
+        """A C-contiguous (J, 6n + 1, 7) Jacobian holding the entries that do
+        not depend on x: -(K - I) in the translation columns of the
+        translation rows, zeros elsewhere."""
+        size, rows = self.kmi.shape[:2]
+        jac = np.zeros((size, 2 * rows + 1, 7))
+        jac[:, rows:-1, 4:] = -self.kmi
+        return jac
+
+    def fill_q_columns(self, jac: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Write the q columns of the Jacobian at x, of the data rows and the
+        penalty row, into ``jac``; returns it."""
+        size, q = x.shape[0], x[:, :4]
         # Row b, column 4a + k: d R[a, b] / d q_k.  Exact: each row of a form
         # holds one nonzero, +-1, so each entry is one product +-2 q_l.
         d_rot = (2.0 * q) @ _ROTATION_FORMS.transpose(3, 1, 0, 2).reshape(4, 36)
-        jac = np.zeros((size, 6 * n + 1, 7))
         jac[:, :-1, :4] = (self.hand @ d_rot.reshape(size, 3, 12)).reshape(size, -1, 4)
-        jac[:, 3 * n : -1, 4:] = (-self.kmi).reshape(size, -1, 3)
         jac[:, -1, :4] = -2.0 * _PENALTY_ROW * q
         return jac
+
+    def jacobian(self, x: np.ndarray) -> np.ndarray:
+        return self.fill_q_columns(self.fixed_jacobian(), x)
 
 
 def _levenberg_marquardt(problem: _LMProblem, x, live):
@@ -553,7 +575,10 @@ def _levenberg_marquardt(problem: _LMProblem, x, live):
 
     Returns (iterations, converged by step or decrease) for all rows of x.
     The active set is compacted, and the problem's arrays re-indexed, only
-    when some problem terminates.
+    when some problem terminates.  One Jacobian buffer serves every
+    iteration: ``fixed_jacobian`` writes its translation columns once, each
+    iteration rewrites its q columns, and it is compacted with the other
+    per-row arrays, so it stays C-contiguous.
     """
     iterations = np.zeros(len(x), dtype=int)
     converged = np.zeros(len(x), dtype=bool)
@@ -568,6 +593,7 @@ def _levenberg_marquardt(problem: _LMProblem, x, live):
     stop = done.copy()
     mu = np.full(len(live), np.nan)
     count = np.zeros(len(live), dtype=int)
+    jac = problem.fixed_jacobian()
     eye7 = np.eye(7)
     while True:
         stop |= count >= MAX_ITERATIONS
@@ -578,12 +604,12 @@ def _levenberg_marquardt(problem: _LMProblem, x, live):
             keep = ~stop
             if not keep.any():
                 break
-            live, xs, r, cost, mu, count, done = (
-                a[keep] for a in (live, xs, r, cost, mu, count, done)
+            live, xs, r, cost, mu, count, done, jac = (
+                a[keep] for a in (live, xs, r, cost, mu, count, done, jac)
             )
             stop = np.zeros(len(live), dtype=bool)
             problem = problem.take(keep)
-        jac = problem.jacobian(xs)
+        problem.fill_q_columns(jac, xs)
         jac_t = np.swapaxes(jac, -1, -2)
         grad = (jac_t @ r[..., None])[..., 0]
         jtj = jac_t @ jac

@@ -64,6 +64,16 @@ def _relative(a, b):
 
 @PROPERTY
 @given(formulations, st.integers(2, 8), seeds, scales)
+@example(Formulation.PERSPECTIVE, 8, 1232336661, 10.0**4.4375).xfail(
+    raises=AssertionError,
+    reason="the nonlinear stopping point moves t by 1.9e-9 relative, above the 1.5e-9 "
+    "bound: the same LM stopping defect as the examples below",
+)
+@example(Formulation.CLASSICAL, 2, 29, 10.0).xfail(
+    raises=AssertionError,
+    reason="the nonlinear stopping point moves by 7.8e-10 in q, above the 2e-10 "
+    "bound: the same LM stopping defect as the example below",
+)
 @example(Formulation.PERSPECTIVE, 3, 104, 10.0**0.125).xfail(
     raises=AssertionError,
     reason="the nonlinear stopping point moves by 2.5e-9 in q, above the 2e-10 "

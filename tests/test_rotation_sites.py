@@ -115,3 +115,49 @@ def test_each_rotation_site_accepts_or_raises_its_own_error(site, row):
 def test_from_motions_names_the_side_of_every_rejected_rotation(side, row):
     with pytest.raises(NotARotationError, match=f"^{side}_rotation: "):
         _from_motions(side)(ROWS[row][0](1e-9))
+
+
+def _lu_flags(m, tol):
+    """The reference of ``_rotation_check``'s flags: the same residual rule,
+    with the determinant's sign from LAPACK's LU (``np.linalg.det``)."""
+    with np.errstate(all="ignore"):
+        gram = np.swapaxes(m, -1, -2) @ m - np.eye(3)
+        residual = np.sqrt(np.add.reduce(gram * gram, axis=(-2, -1)))
+        return ~((residual <= tol) & (np.linalg.det(m) > 0.0))
+
+
+def _check_table(rng):
+    """Rotations, reflections, matrices with a NaN, infinite or 1e300
+    entry, singular and near-singular matrices, and random near-rotations
+    and near-reflections at every tolerance a site uses."""
+    rotations = np.stack(
+        [rodrigues(rng.normal(size=3), rng.uniform(0.0, np.pi)) for _ in range(40)]
+    )
+    flip = np.diag([1.0, 1.0, -1.0])
+    table = [rotations, rotations @ flip, -rotations]
+    for value in (np.nan, np.inf, -np.inf, 1e300, -1e300):
+        m = rotations.copy()
+        m.reshape(-1, 9)[np.arange(len(m)), rng.integers(0, 9, len(m))] = value
+        table.append(m)
+    for scale in (0.0, 1e-300, 1e-16, -1e-16, 1e-8, -1e-8):
+        table.append(rotations @ np.diag([1.0, 1.0, scale]))
+    table.append(np.zeros((1, 3, 3)))
+    table.append(np.ones((1, 3, 3)))
+    for tol in sorted({tol for _, tol, _ in SITES.values()}):
+        # off by 0.1 to 3 times the tolerance, in random directions
+        size = tol * np.geomspace(0.1, 3.0, 200)[:, None, None] / 3.0
+        noise = size * rng.normal(size=(200, 3, 3))
+        for base in (rotations, rotations @ flip):
+            table.append(base[rng.integers(0, len(base), 200)] + noise)
+    return np.concatenate(table)
+
+
+def test_the_cofactor_determinant_flags_what_lu_flags(rng):
+    table = _check_table(rng)
+    for tol in sorted({tol for _, tol, _ in SITES.values()}):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, bad = quat._rotation_check(table, tol)
+        reference = _lu_flags(table, tol)
+        assert np.array_equal(bad, reference), tol
+        assert 0 < np.count_nonzero(~bad) < len(table), tol

@@ -49,7 +49,8 @@ def _count(trials=300):
     return motion_count_sweep(scenarios, [(Distribution.UNIFORM, BOTH)], trials, 1)[0]
 
 
-# (study, block budget): 600 trials at n = 2 are 2 blocks per level; with a
+# (study, block budget): a block holds at most the call's trials per worker,
+# so 600 trials at n = 2 are 1, 2 and 3 blocks at 1, 2 and 3 workers; with a
 # budget of 16 the count study's blocks hold 8, 3 and 1 trials.
 CASES = {
     "noise-1-level": (lambda: _noise([0.03]), None),
@@ -80,7 +81,8 @@ def _raised(sweep):
     return info.value
 
 
-# (levels, trials): 300 trials are one block per level, 600 two.
+# (levels, trials): one block per level, but two per level at 3 workers
+# when the call has two levels of 300 trials.
 FAILING = [
     ([0.03, 1e200], 300),
     ([1e200, 1e250], 300),
@@ -162,11 +164,11 @@ def test_a_sweep_in_a_daemonic_worker_runs_in_that_worker(monkeypatch):
 
 def test_pool_size_rules(monkeypatch):
     monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
-    budget = sim._BLOCK_MOTIONS
+    budget = sim._POOL_WORK
     assert sim._pool_size(3, budget) == 3
     assert sim._pool_size(9, budget) == 4
-    assert sim._pool_size(1, 10 * budget) == 1  # one block
-    assert sim._pool_size(9, budget - 1) == 1  # less work than one full block
+    assert sim._pool_size(1, 10 * budget) == 1  # one trial, so one block
+    assert sim._pool_size(9, budget - 1) == 1  # less work than _POOL_WORK
     release = threading.Event()
     thread = threading.Thread(target=release.wait)
     thread.start()
@@ -180,6 +182,58 @@ def test_pool_size_rules(monkeypatch):
     assert sim._pool_size(9, budget) == 1  # one usable CPU
     monkeypatch.delattr(sim.os, "sched_getaffinity")
     assert sim._pool_size(9, budget) == 1  # no affinity mask: not Linux
+
+
+class _Planned(Exception):
+    """Raised in place of solving: the worker count, and the (motions,
+    first trial, end trial) of each block."""
+
+
+def _plan(monkeypatch, sweep) -> tuple[int, list]:
+    """The worker count and the blocks that ``sweep()`` would solve."""
+
+    def planned(tasks, workers):
+        raise _Planned(workers, [(len(t[2].camera_poses) - 1, t[5], t[6]) for t in tasks])
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sim, "_solve_blocks", planned)
+        with pytest.raises(_Planned) as info:
+            sweep()
+    return info.value.args
+
+
+def test_a_one_point_call_gives_each_worker_a_block(monkeypatch):
+    sweep = lambda: _noise([0.03], trials=1000)  # noqa: E731
+    _force_workers(monkeypatch, 2)
+    assert _plan(monkeypatch, sweep) == (2, [(2, 0, 500), (2, 500, 1000)])
+    _force_workers(monkeypatch, 1)
+    assert _plan(monkeypatch, sweep) == (1, [(2, 0, 1000)])
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_no_block_exceeds_the_budget(workers, monkeypatch):
+    trials = 5000
+    scenarios = [default_scenario(n, 0) for n in (2, 5, 9, 30)]
+    _force_workers(monkeypatch, workers)
+    grid = [(Distribution.UNIFORM, BOTH)]
+    got, blocks = _plan(monkeypatch, lambda: motion_count_sweep(scenarios, grid, trials, 1))
+    assert got == workers
+    assert sim._BLOCK_MOTIONS == 4096
+    assert max((last - first) * n for n, first, last in blocks) <= 4096
+    for n in (2, 5, 9, 30):
+        # each point's blocks tile its trials in order
+        bounds = [(first, last) for m, first, last in blocks if m == n]
+        assert [b[0] for b in bounds] == [0] + [b[1] for b in bounds[:-1]]
+        assert bounds[-1][1] == trials
+    if workers == 1:
+        assert blocks[0] == (2, 0, 2048)
+
+
+def test_a_call_of_less_work_than_a_full_block_still_uses_the_pool(monkeypatch):
+    monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    # 600 trials at n = 2 are 1200 trials x motions: at least _POOL_WORK
+    assert _plan(monkeypatch, lambda: _noise([0.03])) == (2, [(2, 0, 300), (2, 300, 600)])
+    assert _plan(monkeypatch, lambda: _noise([0.03], trials=511)) == (1, [(2, 0, 511)])
 
 
 def _recorded_solve_blocks(monkeypatch) -> list:
@@ -204,7 +258,7 @@ def test_one_trial_sweeps_start_no_pool(study, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("study", [["--levels", "0.01,0.05"], ["--motions", "2,3"]])
 def test_a_grid_simulate_solves_every_combination_in_one_call(study, tmp_path, monkeypatch):
-    # 600 trials are 2 blocks per point: the call's 16 blocks go to one pool
+    # the blocks of the call's 8 points go to one pool
     calls = _recorded_solve_blocks(monkeypatch)
     argv = ["simulate", *study, "--distribution", "both", "--targets", "both",
             "--trials", "600", "--output", str(tmp_path / "grid.csv")]
@@ -246,9 +300,11 @@ def test_combinations_of_one_call_keep_their_own_rows(monkeypatch):
 
 
 def test_a_point_is_reduced_as_soon_as_its_last_block_is_solved(monkeypatch):
-    # 600 trials at n = 2 are 2 blocks per level: each level's three RMS
-    # reductions come before the next level's first block is solved, so a
-    # call holds the squared errors of one point, not of its whole grid.
+    # With a budget of 600, 600 trials at n = 2 are 2 blocks per level: each
+    # level's three RMS reductions come before the next level's first block
+    # is solved, so a call holds the squared errors of one point, not of
+    # its whole grid.
+    monkeypatch.setattr(sim, "_BLOCK_MOTIONS", 600)
     solved, reduced = [], []
     solve_block, rms_errors = sim._solve_block, sim._rms_errors
 

@@ -38,6 +38,7 @@ def test_bench_lm_blocks_draws_the_first_block_of_a_sweep(tool_imports):
     spec = importlib.util.spec_from_file_location("bench_lm_blocks", TOOLS / "bench_lm_blocks.py")
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
-    args, draws = tool.count_block(2)
-    m = sim._trial_draw_count(*args)
-    assert np.array_equal(draws, sim._block_draws(0, 0, 0, 512, m))
+    for budget, trials in zip(tool.BUDGETS, (512, 2048)):
+        args, draws = tool.count_block(2, budget)
+        m = sim._trial_draw_count(*args)
+        assert np.array_equal(draws, sim._block_draws(0, 0, 0, trials, m))
