@@ -61,10 +61,12 @@ order: reports are byte-identical for any worker count.  A call of one
 trial or of less than ``_POOL_WORK`` (1024) trials x motions in total,
 one on a single CPU, one in a process with other threads alive or in a
 daemonic process runs in the calling process; so does every call where
-``os.sched_getaffinity`` does not exist.  With no more blocks than
-workers, the calling process solves the last block itself.  The workers
-ignore Ctrl-C; the caller cancels the queued blocks, and the error of the
-earliest failing block is raised, as in one process.
+``os.sched_getaffinity`` does not exist.  The pool's ``map`` feeds the
+blocks to the workers in order.  The workers ignore Ctrl-C, and the error
+of the earliest failing block is raised, as in one process.  After that
+error, Ctrl-C or an early close, the blocks already running and at most
+workers + 1 more, which the executor has already queued for the workers,
+still run; no other block starts.
 """
 
 from __future__ import annotations
@@ -74,7 +76,6 @@ import signal
 import threading
 from dataclasses import dataclass
 from enum import Enum
-from collections import deque
 from contextlib import closing
 from functools import cached_property
 from itertools import islice
@@ -645,37 +646,23 @@ def _pool_size(trials: int, work: int) -> int:
 
 def _solve_blocks(tasks: list[tuple], workers: int) -> Iterator:
     """``_solve_block`` of every task, yielded in task order, on ``workers``
-    processes: this one alone, or forked workers that end before the
-    iterator is exhausted or closed.  With no more tasks than workers, this
-    process solves the last task itself and forks one worker fewer.  At
-    most two tasks per worker are queued at a time.  The error of the
-    earliest failing task is raised, and no task still queued starts after
-    it or after the iterator is closed."""
+    processes: this one alone, or forked workers, never more than the
+    tasks, that end before the iterator is exhausted or closed.  The error
+    of the earliest failing task is raised.  After it, or after the
+    iterator is closed, the tasks already running and at most workers + 1
+    more, which the executor has already queued, still run; no other task
+    starts."""
     if workers < 2 or len(tasks) < 2:
         yield from map(_solve_block, tasks)
         return
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    forked = tasks[:-1] if len(tasks) <= workers else tasks
-    workers = min(workers, len(forked))
+    workers = min(workers, len(tasks))
     context = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(workers, mp_context=context, initializer=_ignore_interrupts) as pool:
         try:
-            # a bounded queue: the pending futures do not grow with the tasks
-            queue = iter(forked)
-            pending = deque(pool.submit(_solve_block, t) for t in islice(queue, 2 * workers))
-            try:
-                own = list(map(_solve_block, tasks[len(forked):]))
-            except Exception:
-                for future in pending:
-                    future.result()  # an earlier task's error comes first
-                raise
-            while pending:
-                result = pending.popleft().result()
-                pending.extend(pool.submit(_solve_block, t) for t in islice(queue, 1))
-                yield result
-            yield from own
+            yield from pool.map(_solve_block, tasks)
         except BaseException:
             pool.shutdown(cancel_futures=True)
             raise

@@ -13,7 +13,6 @@ import sys
 import threading
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from pathlib import Path
 
@@ -324,27 +323,69 @@ def test_a_point_is_reduced_as_soon_as_its_last_block_is_solved(monkeypatch):
     assert reduced == [2, 2, 2, 4, 4, 4, 6, 6, 6, 8, 8, 8]
 
 
-def test_a_pool_queues_at_most_two_blocks_per_worker(monkeypatch):
-    # the pending futures of a call stay bounded however many blocks it has
-    submitted = []
-    submit = ProcessPoolExecutor.submit
-
-    def recorded(self, fn, *args):
-        submitted.append(args)
-        return submit(self, fn, *args)
-
-    monkeypatch.setattr(ProcessPoolExecutor, "submit", recorded)
+def _one_trial_blocks(count: int) -> list[tuple]:
     scenario = default_scenario(2, 3)
-    tasks = [(0, 0, scenario, Distribution.UNIFORM, (0.01, 0.0), j, j + 1) for j in range(12)]
-    def bits(result):
-        return [(failed, rot.tobytes(), tr.tobytes()) for failed, rot, tr in result]
+    return [(0, 0, scenario, Distribution.UNIFORM, (0.01, 0.0), j, j + 1) for j in range(count)]
 
-    serial = [bits(result) for result in sim._solve_blocks(tasks, 1)]
-    assert submitted == []
-    for k, result in enumerate(sim._solve_blocks(tasks, 2)):
-        assert len(submitted) == min(len(tasks), k + 5), k
-        assert bits(result) == serial[k]
-    assert [args[0] for args in submitted] == tasks
+
+def _bits(result):
+    return [(failed, rot.tobytes(), tr.tobytes()) for failed, rot, tr in result]
+
+
+def _marking_block_draws(monkeypatch, folder: Path, block=None):
+    """From now on each block solved in a worker creates the file named by
+    its first trial in ``folder`` before it draws, and fails if the file
+    exists; ``block(first)``, if given, runs next."""
+    parent = os.getpid()
+    block_draws = sim._block_draws
+
+    def marked(seed, index, first, last, m):
+        if os.getpid() != parent:
+            (folder / str(first)).open("x").close()
+        if block is not None:
+            block(first)
+        return block_draws(seed, index, first, last, m)
+
+    monkeypatch.setattr(sim, "_block_draws", marked)
+
+
+def test_a_pool_solves_each_block_once_in_task_order(tmp_path, monkeypatch):
+    tasks = _one_trial_blocks(12)
+    _marking_block_draws(monkeypatch, tmp_path)
+    serial = [_bits(result) for result in sim._solve_blocks(tasks, 1)]
+    assert list(tmp_path.iterdir()) == []
+    assert len({repr(bits) for bits in serial}) == len(tasks)
+    assert [_bits(result) for result in sim._solve_blocks(tasks, 2)] == serial
+    assert sorted(int(path.name) for path in tmp_path.iterdir()) == list(range(len(tasks)))
+    assert multiprocessing.active_children() == []
+
+
+def test_closing_a_pool_after_its_first_result_leaves_no_process():
+    tasks = _one_trial_blocks(12)
+    results = sim._solve_blocks(tasks, 2)
+    first = next(results)
+    results.close()
+    assert multiprocessing.active_children() == []
+    assert _bits(first) == _bits(sim._solve_block(tasks[0]))
+
+
+def test_after_the_earliest_error_only_queued_blocks_still_run(tmp_path, monkeypatch):
+    # Block 0 fails at once and every other block takes a second, so the
+    # caller sees the error while blocks 1 and 2 run.  Those, and the
+    # workers + 1 blocks the executor has already queued, may still run;
+    # no later block starts.
+    def block(first):
+        if first == 0:
+            raise CalibrationError("block 0 fails")
+        time.sleep(1.0)
+
+    workers = 2
+    _marking_block_draws(monkeypatch, tmp_path, block)
+    with pytest.raises(CalibrationError, match="block 0 fails"):
+        list(sim._solve_blocks(_one_trial_blocks(12), workers))
+    started = sorted(int(path.name) for path in tmp_path.iterdir())
+    assert started[0] == 0
+    assert started[-1] <= workers + workers + 1, started
     assert multiprocessing.active_children() == []
 
 
