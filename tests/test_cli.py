@@ -756,6 +756,22 @@ def test_simulate_empty_motion_range_is_flag_error(capsys):
     assert capsys.readouterr().err == "error: --motions: '9:2' is empty\n"
 
 
+@pytest.mark.parametrize(
+    "flag, value, form",
+    [
+        ("--motions", "2:9:3", "lo:hi or comma-separated integers >= 2"),
+        ("--motions", "a", "lo:hi or comma-separated integers >= 2"),
+        ("--motions", "2,x", "lo:hi or comma-separated integers >= 2"),
+        ("--motions", "1:3", "lo:hi or comma-separated integers >= 2"),
+        ("--levels", "x", "comma-separated finite ratios >= 0"),
+        ("--levels", "0.01,-0.5", "comma-separated finite ratios >= 0"),
+    ],
+)
+def test_simulate_parse_error_names_the_expected_form(capsys, flag, value, form):
+    assert main(["simulate", flag, value]) == EXIT_FLAGS
+    assert capsys.readouterr().err == f"error: {flag}: need {form}, got {value!r}\n"
+
+
 def test_generate_seed_beyond_64_bits_has_its_own_poses(tmp_path):
     datasets = []
     for seed in (0, 2**64):

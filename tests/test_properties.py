@@ -149,8 +149,9 @@ def test_batch_rows_equal_single_solves_bit_for_bit(
         if formulation is Formulation.CLASSICAL
         else sim.perspective_scenario(n, seed)
     )
-    rngs = [sim._generator(seed, j) for j in range(trials)]
-    batch = sim._trial_constraints(scenario, distribution, rot_level, trans_level, rngs)
+    m = sim._trial_draw_count(scenario, distribution, rot_level, trans_level)
+    draws = np.stack([sim._generator(seed, j).random(m) for j in range(trials)])
+    batch = sim._perturbed_constraints(scenario, distribution, rot_level, trans_level, draws)
     results = solve_batch(batch)
     for rows in results.values():
         assert all(err is None or isinstance(err, CalibrationError) for err in rows.errors)

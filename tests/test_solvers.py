@@ -703,9 +703,11 @@ def _sweep_args(builder, n):
 
 
 def _sweep_batch(builder, n, trials):
-    """A noisy sweep batch of ``trials`` problems with n motions each."""
-    streams = [sim._generator(5, 0, j) for j in range(trials)]
-    return sim._trial_constraints(*_sweep_args(builder, n), streams)
+    """A noisy sweep batch of ``trials`` problems with n motions each: the
+    first block of point 0 of a seed-5 sweep."""
+    args = _sweep_args(builder, n)
+    draws = sim._block_draws(5, 0, 0, trials, sim._trial_draw_count(*args))
+    return sim._perturbed_constraints(*args, draws)
 
 
 def _lm_batch(builder, n, trials=12):

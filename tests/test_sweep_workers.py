@@ -35,7 +35,7 @@ ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "
 
 
 def _force_workers(monkeypatch, workers):
-    monkeypatch.setattr(sim, "_pool_size", lambda blocks, work: workers)
+    monkeypatch.setattr(sim, "_pool_size", lambda work: workers)
 
 
 def _noise(levels, trials=600, scenario=None):
@@ -147,12 +147,12 @@ def test_a_pooled_sweep_leaves_no_resource_warning(monkeypatch):
 
 
 def _sweep_in_pool_worker():
-    return sim._pool_size(16, 10**6), _noise([0.03])
+    return sim._pool_size(10**6), _noise([0.03])
 
 
 def test_a_sweep_in_a_daemonic_worker_runs_in_that_worker(monkeypatch):
     monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    assert sim._pool_size(16, 10**6) == 2
+    assert sim._pool_size(10**6) == 2
     with multiprocessing.get_context("fork").Pool(1) as pool:
         workers, rows = pool.apply(_sweep_in_pool_worker)
         pool.close()
@@ -164,23 +164,21 @@ def test_a_sweep_in_a_daemonic_worker_runs_in_that_worker(monkeypatch):
 def test_pool_size_rules(monkeypatch):
     monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     budget = sim._POOL_WORK
-    assert sim._pool_size(3, budget) == 3
-    assert sim._pool_size(9, budget) == 4
-    assert sim._pool_size(1, 10 * budget) == 1  # one trial, so one block
-    assert sim._pool_size(9, budget - 1) == 1  # less work than _POOL_WORK
+    assert sim._pool_size(budget) == 4  # one per usable CPU
+    assert sim._pool_size(budget - 1) == 1  # less work than _POOL_WORK
     release = threading.Event()
     thread = threading.Thread(target=release.wait)
     thread.start()
     try:
-        assert sim._pool_size(9, budget) == 1  # another thread is alive
+        assert sim._pool_size(budget) == 1  # another thread is alive
     finally:
         release.set()
         thread.join(timeout=10)
     assert not thread.is_alive()
     monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: {0})
-    assert sim._pool_size(9, budget) == 1  # one usable CPU
+    assert sim._pool_size(budget) == 1  # one usable CPU
     monkeypatch.delattr(sim.os, "sched_getaffinity")
-    assert sim._pool_size(9, budget) == 1  # no affinity mask: not Linux
+    assert sim._pool_size(budget) == 1  # no affinity mask: not Linux
 
 
 class _Planned(Exception):
@@ -233,6 +231,15 @@ def test_a_call_of_less_work_than_a_full_block_still_uses_the_pool(monkeypatch):
     # 600 trials at n = 2 are 1200 trials x motions: at least _POOL_WORK
     assert _plan(monkeypatch, lambda: _noise([0.03])) == (2, [(2, 0, 300), (2, 300, 600)])
     assert _plan(monkeypatch, lambda: _noise([0.03], trials=511)) == (1, [(2, 0, 511)])
+
+
+def test_a_pooled_call_of_fewer_trials_than_cpus_gives_each_trial_a_block(monkeypatch):
+    # The pool is sized by the CPUs alone; _solve_blocks forks no more
+    # workers than the call's blocks.
+    monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    monkeypatch.setattr(sim, "_POOL_WORK", 6)  # 3 trials at n = 2
+    blocks = [(2, 0, 1), (2, 1, 2), (2, 2, 3)]
+    assert _plan(monkeypatch, lambda: _noise([0.03], trials=3)) == (4, blocks)
 
 
 def _recorded_solve_blocks(monkeypatch) -> list:
@@ -357,6 +364,31 @@ def test_a_pool_solves_each_block_once_in_task_order(tmp_path, monkeypatch):
     assert len({repr(bits) for bits in serial}) == len(tasks)
     assert [_bits(result) for result in sim._solve_blocks(tasks, 2)] == serial
     assert sorted(int(path.name) for path in tmp_path.iterdir()) == list(range(len(tasks)))
+    assert multiprocessing.active_children() == []
+
+
+def test_a_pool_of_more_workers_than_tasks_forks_one_per_task(tmp_path, monkeypatch):
+    # Each block records its process and waits until every task has
+    # started, so three blocks run in three processes at once, or time out.
+    tasks = _one_trial_blocks(3)
+    serial = [_bits(result) for result in sim._solve_blocks(tasks, 1)]
+    block_draws = sim._block_draws
+
+    def met(seed, index, first, last, m):
+        (tmp_path / str(os.getpid())).touch()
+        deadline = time.monotonic() + 30
+        while len(list(tmp_path.iterdir())) < len(tasks) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        return block_draws(seed, index, first, last, m)
+
+    monkeypatch.setattr(sim, "_block_draws", met)
+    results = sim._solve_blocks(tasks, 8)
+    pooled = [_bits(next(results))]
+    assert len(multiprocessing.active_children()) == len(tasks)
+    pooled += [_bits(result) for result in results]
+    assert pooled == serial
+    pids = {int(path.name) for path in tmp_path.iterdir()}
+    assert len(pids) == len(tasks) and os.getpid() not in pids
     assert multiprocessing.active_children() == []
 
 

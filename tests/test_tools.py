@@ -1,5 +1,6 @@
 """Smoke tests of the scripts under ``tools/``: each one loads and answers
-``--help``, and the block benchmark draws what a sweep draws.  No test
+``--help``, the block benchmark draws what a sweep draws, and the worker
+benchmark forces or records the sweep's worker count.  No test
 imports the tools otherwise, so a library name they use could go away
 unnoticed."""
 
@@ -34,11 +35,37 @@ def test_each_tool_exits_0_on_help(tool_imports, monkeypatch, capsys, script):
     assert capsys.readouterr().out.startswith("usage:")
 
 
-def test_bench_lm_blocks_draws_the_first_block_of_a_sweep(tool_imports):
-    spec = importlib.util.spec_from_file_location("bench_lm_blocks", TOOLS / "bench_lm_blocks.py")
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    return tool
+
+
+def test_bench_lm_blocks_draws_the_first_block_of_a_sweep(tool_imports):
+    tool = _load("bench_lm_blocks")
     for budget, trials in zip(tool.BUDGETS, (512, 2048)):
         args, draws = tool.count_block(2, budget)
         m = sim._trial_draw_count(*args)
         assert np.array_equal(draws, sim._block_draws(0, 0, 0, trials, m))
+
+
+def test_bench_sweep_workers_forces_or_records_the_sweeps_worker_count(tool_imports, monkeypatch):
+    tool = _load("bench_sweep_workers")
+    monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    used = []
+
+    def solve_blocks(tasks, workers):
+        used.append(workers)
+        yield from map(sim._solve_block, tasks)
+
+    monkeypatch.setattr(sim, "_solve_blocks", solve_blocks)
+    pick = sim._pool_size
+    grid = [(sim.Distribution.UNIFORM, sim.NoiseTargets.ROTATION)]
+    for force, workers in ((1, 1), (None, 3)):
+        seen = set()
+        with tool.workers(force, seen):
+            # 512 trials at n = 2 are _POOL_WORK trials x motions
+            sim.noise_sweep(sim.default_scenario(2, 3), [0.03], grid, 512, 0)
+        assert seen == {workers} and used.pop() == workers
+        assert sim._pool_size is pick

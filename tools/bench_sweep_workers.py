@@ -62,8 +62,8 @@ def workers(force: int | None, seen: set):
         yield
         return
 
-    def recorded(blocks, work):
-        count = pick(blocks, work) if force is None else force
+    def recorded(*args):
+        count = pick(*args) if force is None else force
         seen.add(count)
         return count
 
